@@ -293,6 +293,8 @@ def cmd_linear_polymatroid(args) -> CommandResult:
 
 
 def cmd_explore(args) -> CommandResult:
+    if args.count < 1:
+        raise ValueError(f"--count must be positive, got {args.count}")
     report = mobius_mod.mu_support_survey(
         args.count, args.max_p, args.max_coord, args.seed
     )

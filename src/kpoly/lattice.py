@@ -8,6 +8,7 @@ hashing and iteration order are canonical.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 Point = tuple[int, ...]
@@ -451,6 +452,36 @@ def binomial_at(t: int, n: int) -> int:
     return num // math.factorial(n)
 
 
+def downset(P: PointSet) -> PointSet:
+    """All u with u <= v for some v in P."""
+    if not P:
+        raise EmptySetError("downset of an empty set")
+    pts = set()
+    for v in P:
+        pts.update(itertools.product(*(range(c + 1) for c in v)))
+    return PointSet(P.ambient_p, pts)
+
+
+def axis_transform(f: dict[Point, int], sign: int) -> dict[Point, int]:
+    """For each axis i in turn, replace f(u) by f(u) + sign * f(u + e_i),
+    keys missing from f counting as 0; the result has exactly f's keys.
+
+    When the keys form a downset this is exact: sign +1 gives the zeta
+    transform sum_{w >= u} f(w) and sign -1 its Mobius inverse, the
+    difference along every axis.  Keys are visited in lex order, which puts
+    u before u + e_i for every i: ascending for -1 reads the old f(u + e_i),
+    descending for +1 reads the already summed one.
+    """
+    g = dict(f)
+    order = sorted(g, reverse=sign > 0)
+    for i in range(len(order[0]) if order else 0):
+        for u in order:
+            c = g.get(u[:i] + (u[i] + 1,) + u[i + 1:])
+            if c:
+                g[u] += sign * c
+    return g
+
+
 # ---------------------------------------------------------------------------
 # canonical JSON encodings
 
@@ -459,7 +490,7 @@ def point_set_to_json(A: PointSet) -> list:
 
 
 def point_set_from_json(data, ambient_p: int | None = None) -> PointSet:
-    if not isinstance(data, list):
+    if not isinstance(data, list) or not all(isinstance(q, list) for q in data):
         raise ValueError("point set JSON must be an array of arrays")
     return point_set(data, ambient_p) if data or ambient_p is None else PointSet(ambient_p)
 

@@ -18,21 +18,14 @@ from .lattice import (
     PointSet,
     SignedSupport,
     as_point,
+    axis_transform,
     dominates,
+    downset,
+    point_set_from_json,
     top,
     vec_sub,
 )
 from .polymatroid import is_base_polymatroid, is_g_polymatroid
-
-
-def downset(P: PointSet) -> PointSet:
-    """All u with u <= v for some v in P."""
-    if not P:
-        raise EmptySetError("downset of an empty set")
-    pts = set()
-    for v in P:
-        pts.update(itertools.product(*(range(c + 1) for c in v)))
-    return PointSet(P.ambient_p, pts)
 
 
 @dataclass(frozen=True)
@@ -64,27 +57,17 @@ def mobius_to_top(P: PointSet, method: str = "closed", cap: int = 10_000) -> Sig
 
     closed     uses that intervals inside a downset are full boxes, so
                mu(u, 1hat) = -sum over 0/1 offsets s with u+s in the downset
-               of (-1)^|s|
+               of (-1)^|s|: minus the difference of the downset's indicator
+               along every axis, computed by lattice.axis_transform
     recursive  generic first-argument recursion mu(u) = -(1 + sum_{w>u} mu(w)),
                kept as a cross-check oracle with a size cap
     """
     poset = polymatroid_poset(P)
     ds = poset.closure
-    member = ds._set
     p = ds.ambient_p
-    terms: dict[Point, int] = {}
     if method == "closed":
-        masks = [tuple(bits) for bits in itertools.product((0, 1), repeat=p)]
-        signs = [(-1) ** sum(bits) for bits in masks]
-        for u in ds:
-            total = 0
-            for bits, sg in zip(masks, signs):
-                q = tuple(a + b for a, b in zip(u, bits))
-                if q in member:
-                    total += sg
-            if total:
-                terms[u] = -total
-        return SignedSupport(p, terms)
+        diff = axis_transform(dict.fromkeys(ds.points, 1), -1)
+        return SignedSupport(p, {u: -c for u, c in diff.items() if c})
     if method == "recursive":
         if len(ds) > cap:
             raise CapExceeded(f"downset has {len(ds)} elements (recursive cap {cap})")
@@ -260,8 +243,9 @@ def matroid_to_json(M: Matroid) -> dict:
 
 
 def matroid_from_json(data) -> Matroid:
-    p = int(data["p"])
-    return Matroid(p, PointSet(p, [tuple(b) for b in data["bases"]]))
+    if not isinstance(data, dict) or not isinstance(data.get("p"), int):
+        raise ValueError('matroid JSON must be an object {"p": int, "bases": [[...], ...]}')
+    return Matroid(data["p"], point_set_from_json(data["bases"], data["p"]))
 
 
 # ---------------------------------------------------------------------------

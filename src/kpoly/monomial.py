@@ -6,6 +6,7 @@ the shellable per-facet refinement, and direct Hilbert-function counting.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 
@@ -16,7 +17,9 @@ from .lattice import (
     PointSet,
     SignedSupport,
     as_point,
+    axis_transform,
     dominates,
+    downset,
     vec_max,
     vec_sub,
 )
@@ -141,38 +144,29 @@ def _ie_coefficients_subsets(gens: list[Point], cap: int) -> dict[Point, int]:
     return {v: c for v, c in coeffs.items() if c}
 
 
-def _ie_coefficients_lattice(gens: list[Point], closure_cap: int = 200_000) -> dict[Point, int]:
-    """Same signed sums, factored through the join closure of the generators:
-    on the closure L, sum_{w <= v} c_w = 1 for every v, which determines the
-    c_v by a direct recursion in O(|L|^2)."""
-    closure = set(gens)
-    frontier = set(gens)
-    while frontier:
-        new = set()
-        for x in frontier:
-            for g in gens:
-                y = vec_max(x, g)
-                if y not in closure:
-                    new.add(y)
-        closure.update(new)
-        frontier = new
-        if len(closure) > closure_cap:
-            raise CapExceeded(f"join closure exceeded {closure_cap} elements")
-    order = sorted(closure, key=lambda v: (sum(v), v))
-    coeffs: dict[Point, int] = {}
-    for idx, v in enumerate(order):
-        below = sum(
-            coeffs[w] for w in order[:idx] if w != v and dominates(v, w)
-        )
-        coeffs[v] = 1 - below
-    return {v: c for v, c in coeffs.items() if c}
+def _ie_coefficients_lattice(gens: list[Point], cell_cap: int = 200_000) -> dict[Point, int]:
+    """Same signed sums by Mobius inversion: sum_{w <= v} c_w is 1 exactly on
+    the up-set of the generators, so c is that indicator differenced along
+    every axis.  Only the generators' coordinate values matter; ranking each
+    axis by descending value turns the up-set into the downset of the ranked
+    generators, which lattice.axis_transform differences."""
+    p = len(gens[0])
+    values = [sorted({g[i] for g in gens}, reverse=True) for i in range(p)]
+    ranks = [{x: r for r, x in enumerate(vs)} for vs in values]
+    ranked = [tuple(rk[x] for rk, x in zip(ranks, g)) for g in gens]
+    cells = sum(math.prod(r + 1 for r in q) for q in ranked)
+    if cells > cell_cap:
+        raise CapExceeded(f"rank-grid downset of up to {cells} cells exceeds the cap {cell_cap}")
+    diff = axis_transform(dict.fromkeys(downset(PointSet(p, ranked)).points, 1), -1)
+    return {tuple(vs[r] for vs, r in zip(values, u)): c for u, c in diff.items() if c}
 
 
 def ie_join_coefficients(J: SquareFreeIdeal, method: str = "auto", cap: int | None = None) -> dict[Point, int]:
     """Coefficient of each prime sum p_v in the inclusion-exclusion expansion.
 
-    method: "subsets" (Gray-code, capped at 2^cap), "lattice" (join-closure
-    recursion), or "auto" (subsets when feasible, lattice beyond the cap).
+    method: "subsets" (Gray-code, capped at 2^cap), "lattice" (Mobius
+    inversion on the rank grid), or "auto" (subsets when feasible, lattice
+    beyond the cap).
     """
     gens = list(J.primes)
     limit = subset_cap(cap)
@@ -273,8 +267,6 @@ def _compositions(total: int, parts: int):
 
 
 def count_monomials(v: Point, m: Point) -> int:
-    import math
-
     return math.prod(math.comb(vi + mi, mi) for vi, mi in zip(v, m))
 
 

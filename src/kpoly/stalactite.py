@@ -14,6 +14,7 @@ from .lattice import (
     PointSet,
     SignedSupport,
     as_point,
+    axis_transform,
     binomial_at,
     check_axis_order,
     dominates,
@@ -197,31 +198,10 @@ def mobius_sum_check(H: SignedSupport, n) -> int:
 
 def dominance_sums(H: SignedSupport) -> dict[Point, int]:
     """S(n) = sum_{w >= n} H(w) for every n in the bounding box of the support,
-    computed by suffix sums along each axis."""
-    supp = list(H.terms)
-    p = H.ambient_p
-    maxes = [max(q[i] for q in supp) for i in range(p)]
-    dims = [m + 1 for m in maxes]
-    strides = [0] * p
-    size = 1
-    for i in range(p - 1, -1, -1):
-        strides[i] = size
-        size *= dims[i]
-    grid = [0] * size
-    for q, c in H.terms.items():
-        grid[sum(q[i] * strides[i] for i in range(p))] = c
-    for axis in range(p):
-        stride = strides[axis]
-        for idx in range(size):
-            k = (idx // stride) % dims[axis]
-            if k == 0:
-                # walk this line from the top downward
-                for kk in range(dims[axis] - 2, -1, -1):
-                    grid[idx + kk * stride] += grid[idx + (kk + 1) * stride]
-    out = {}
-    for n in itertools.product(*(range(d) for d in dims)):
-        out[n] = grid[sum(n[i] * strides[i] for i in range(p))]
-    return out
+    the zeta transform of H on that box."""
+    maxes = [max(q[i] for q in H.terms) for i in range(H.ambient_p)]
+    box = itertools.product(*(range(m + 1) for m in maxes))
+    return axis_transform({n: H.coeff(n) for n in box}, 1)
 
 
 def verify_mobius_sums(H: SignedSupport) -> Check:

@@ -139,9 +139,12 @@ def config_to_json(config: SubspaceConfig) -> dict:
 
 
 def config_from_json(data) -> SubspaceConfig:
-    q = int(data["q"])
-    spans = tuple(
-        tuple(tuple(Fraction(num, den) for num, den in g) for g in gens)
-        for gens in data["subspaces"]
-    )
+    try:
+        q = int(data["q"])
+        spans = tuple(
+            tuple(tuple(Fraction(num, den) for num, den in g) for g in gens)
+            for gens in data["subspaces"]
+        )
+    except (TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed subspace config: {exc}") from exc
     return SubspaceConfig(q, spans)

@@ -137,3 +137,11 @@ def test_malformed_input_is_usage_error(tmp_path):
     path.write_text("{not json")
     assert main(["verify", "gpolymatroid", str(path)]) == 2
     assert main(["hilbert", str(tmp_path / "missing.json")]) == 2
+    flat = write_json(tmp_path, "flat.json", [1, 2])
+    assert main(["verify", "gpolymatroid", flat]) == 2
+    int_bases = write_json(tmp_path, "matroid.json", {"p": 2, "bases": 5})
+    assert main(["verify", "matroid-mu", int_bases]) == 2
+    zero_den = write_json(tmp_path, "config.json", {"q": 2, "subspaces": [[[[1, 0], [1, 1]]]]})
+    assert main(["verify", "theorem-c", zero_den]) == 2
+    assert main(["explore", "--count", "-5", "--seed", "1"]) == 2
+    assert main(["explore", "--count", "0", "--seed", "1"]) == 2

@@ -8,7 +8,9 @@ from kpoly.lattice import (
     IntPolynomial,
     PointSet,
     SignedSupport,
+    axis_transform,
     binomial_at,
+    downset,
     homogenize,
     lex_compare,
     point_set,
@@ -206,6 +208,19 @@ def test_binomial_at_matches_comb_and_extends():
     assert binomial_at(-1, 3) == 0
     assert binomial_at(-2, 1) == -1
     assert binomial_at(5, 0) == 1
+
+
+def test_axis_transform_round_trip_on_downsets():
+    rng = random.Random(2022)
+    for _ in range(200):
+        p = rng.randint(1, 4)
+        gens = [tuple(rng.randint(0, 2) for _ in range(p)) for _ in range(rng.randint(1, 4))]
+        f = {u: rng.randint(-3, 3) for u in downset(PointSet(p, gens))}
+        zeta = axis_transform(f, 1)
+        assert set(zeta) == set(f)
+        for u, s in zeta.items():
+            assert s == sum(c for w, c in f.items() if all(a >= b for a, b in zip(w, u)))
+        assert axis_transform(zeta, -1) == f
 
 
 def test_json_roundtrips():

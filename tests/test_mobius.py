@@ -17,6 +17,7 @@ from kpoly.mobius import (
     mobius_to_top,
     mu_support,
     mu_support_survey,
+    random_base_polymatroid,
     reduced_euler_characteristic,
     verify_deg_equals_neg_mobius,
     verify_matroid_mu_theorem,
@@ -66,6 +67,17 @@ def test_mobius_methods_agree_on_all_matroids_up_to_5():
             closed = mobius_to_top(M.bases, "closed")
             rec = mobius_to_top(M.bases, "recursive")
             assert closed == rec, list(M.bases)
+
+
+def test_mobius_methods_agree_on_random_polymatroids():
+    rng = random.Random(4711)
+    tested = 0
+    while tested < 60:
+        P = random_base_polymatroid(rng, rng.randint(2, 4), 3)
+        if P is None:
+            continue
+        tested += 1
+        assert mobius_to_top(P, "closed") == mobius_to_top(P, "recursive"), P
 
 
 def test_mobius_requires_polymatroid():

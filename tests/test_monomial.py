@@ -15,6 +15,7 @@ from kpoly.monomial import (
     hilbert_poly_shellable,
     ideal_from_json,
     ideal_to_json,
+    ie_join_coefficients,
     k_poly_ie,
     msupp_to_ideal,
     prime_sum,
@@ -126,6 +127,20 @@ def test_ie_methods_agree_randomized():
         J = SquareFreeIdeal(m, tuple(primes))
         assert hilbert_poly_ie(J, "subsets") == hilbert_poly_ie(J, "lattice")
         assert k_poly_ie(J, "subsets") == k_poly_ie(J, "lattice")
+
+
+def test_auto_switches_to_lattice_above_the_cap(monkeypatch):
+    # 25 primes exceed the default subset cap of 20; the antichain's
+    # coefficients are +1 at each prime and -1 at each join of neighbours
+    monkeypatch.delenv("KPOLY_CAP_SUBSETS", raising=False)
+    J = SquareFreeIdeal((24, 24), tuple((i, 24 - i) for i in range(25)))
+    expected = {(i, 24 - i): 1 for i in range(25)}
+    expected.update({(i + 1, 24 - i): -1 for i in range(24)})
+    assert ie_join_coefficients(J) == expected
+    # the lattice route's cell cap fires before its downset is built
+    plane = tuple((a, b, 20 - a - b) for a in range(21) for b in range(21 - a))
+    with pytest.raises(CapExceeded):
+        ie_join_coefficients(SquareFreeIdeal((20, 20, 20), plane))
 
 
 def test_subset_cap_enforced(monkeypatch):
