@@ -150,8 +150,7 @@ def cmd_verify(args) -> CommandResult:
         C = point_set_from_json(data)
         return _check_result(kind, polymatroid.is_cave(C, _parse_orders(args.orders)))
     if kind == "shelling":
-        msupp = point_set_from_json(data["msupp"])
-        facets = stalactite.facets_from_msupp(msupp, tuple(data["m"]))
+        facets = stalactite.facets_from_json(data)
         return _check_result(kind, stalactite.verify_shelling(facets))
     if kind == "matroid-mu":
         M = mobius_mod.matroid_from_json(data)
@@ -295,6 +294,10 @@ def cmd_linear_polymatroid(args) -> CommandResult:
 def cmd_explore(args) -> CommandResult:
     if args.count < 1:
         raise ValueError(f"--count must be positive, got {args.count}")
+    if args.max_p < 2:
+        raise ValueError(f"--max-p must be at least 2, got {args.max_p}")
+    if args.max_coord < 1:
+        raise ValueError(f"--max-coord must be positive, got {args.max_coord}")
     report = mobius_mod.mu_support_survey(
         args.count, args.max_p, args.max_coord, args.seed
     )

@@ -1,7 +1,11 @@
 """Permutations, divided differences, and Grothendieck/Schubert polynomials.
 
-The Grothendieck recursion starts from the staircase monomial at the longest
-permutation and walks down by isobaric divided differences at ascents.  All
+Both recursions start from the staircase monomial at the longest permutation
+and walk down at ascents, applying one closed-form divided-difference kernel
+term by term.  The Grothendieck recursion uses the isobaric operator and
+`schubert` reads off its lowest-degree part; the zero-one census walks the
+Schubert polynomials directly with the ordinary operator, one length level
+at a time, so the Grothendieck route stays an independent check on it.  All
 polynomials use num_vars = p so that exponent vectors line up with the
 reflection n -> m - n used by the matrix-Schubert pipeline.
 """
@@ -78,79 +82,24 @@ def swap_adjacent(w: Perm, j: int) -> Perm:
 # ---------------------------------------------------------------------------
 # divided-difference kernels on raw {exponent tuple: coeff} dicts
 
-def _swap_exp(e: Point, i: int) -> Point:
-    w = list(e)
-    w[i], w[i + 1] = w[i + 1], w[i]
-    return tuple(w)
-
-
-def _divide_by_var_difference(num: dict, i: int) -> dict:
-    """Exact quotient of an antisymmetric-in-(z_i, z_{i+1}) polynomial by
-    z_i - z_{i+1}; a nonzero remainder means an arithmetic bug upstream."""
-    groups: dict[Point, dict] = {}
-    for e, c in num.items():
-        rest = list(e)
-        a, b = rest[i], rest[i + 1]
-        rest[i] = rest[i + 1] = 0
-        groups.setdefault(tuple(rest), {})[(a, b)] = c
-    out: dict[Point, int] = {}
-    for rest, pairs in groups.items():
-        # view the group as a polynomial in z = z_i with coefficients in
-        # w = z_{i+1}, then divide synthetically by (z - w)
-        by_zdeg: dict[int, dict[int, int]] = {}
-        for (a, b), c in pairs.items():
-            by_zdeg.setdefault(a, {})[b] = c
-        d = max(by_zdeg)
-        prev = dict(by_zdeg.get(d, {}))
-        quotient = {d - 1: prev}
-        for k in range(d - 1, 0, -1):
-            nxt = {b + 1: c for b, c in prev.items()}
-            for b, c in by_zdeg.get(k, {}).items():
-                c = nxt.get(b, 0) + c
-                if c:
-                    nxt[b] = c
-                else:
-                    del nxt[b]
-            quotient[k - 1] = nxt
-            prev = nxt
-        remainder = {b + 1: c for b, c in prev.items()}
-        for b, c in by_zdeg.get(0, {}).items():
-            c = remainder.get(b, 0) + c
-            if c:
-                remainder[b] = c
-            else:
-                del remainder[b]
-        if remainder:
-            raise RuntimeError(
-                "nonzero remainder in divided difference; this indicates an "
-                "arithmetic bug, the numerator must be antisymmetric"
-            )
-        base = list(rest)
-        for k, wmap in quotient.items():
-            for b, c in wmap.items():
-                base[i], base[i + 1] = k, b
-                out[tuple(base)] = c
-    return out
-
-
 def _divided_difference_raw(terms: dict, j: int) -> dict:
+    """d_j term by term, in closed form.  With i = j - 1, a = e[i] and
+    b = e[i+1], a monomial c * z^e contributes nothing when a = b and
+    otherwise sign(a - b) * c * z_i^k z_{i+1}^(a+b-1-k) for each k from
+    min(a, b) to max(a, b) - 1."""
     i = j - 1
-    num: dict[Point, int] = {}
+    out: dict[Point, int] = {}
     for e, c in terms.items():
-        v = num.get(e, 0) + c
-        if v:
-            num[e] = v
-        else:
-            del num[e]
-        se = _swap_exp(e, i)
-        v = num.get(se, 0) - c
-        if v:
-            num[se] = v
-        else:
-            del num[se]
-    if not num:
-        return {}
-    return _divide_by_var_difference(num, i)
+        a, b = e[i], e[i + 1]
+        if a == b:
+            continue
+        if a < b:
+            a, b, c = b, a, -c
+        head, tail = e[:i], e[i + 2 :]
+        for k in range(b, a):
+            key = head + (k, a + b - 1 - k) + tail
+            out[key] = out.get(key, 0) + c
+    return {e: c for e, c in out.items() if c}
 
 
 def _isobaric_raw(terms: dict, j: int) -> dict:
@@ -240,25 +189,6 @@ def _perms_by_length(p: int) -> dict[int, list[Perm]]:
     return buckets
 
 
-def _census_serial(p: int) -> int:
-    buckets = _perms_by_length(p)
-    n_inv = p * (p - 1) // 2
-    level = {longest_perm(p): staircase_terms(p)}
-    count = 0
-    for ell in range(n_inv, -1, -1):
-        for w in buckets.get(ell, []):
-            if _is_zero_one_terms(level[w]):
-                count += 1
-        if ell == 0:
-            break
-        nxt = {}
-        for w in buckets.get(ell - 1, []):
-            j = ascent_positions(w)[0]
-            nxt[w] = _isobaric_raw(level[swap_adjacent(w, j)], j)
-        level = nxt
-    return count
-
-
 def _census_block(args) -> int:
     p, block = args
     w0 = longest_perm(p)
@@ -271,11 +201,11 @@ def _census_block(args) -> int:
             w = swap_adjacent(w, ascent_positions(w)[0])
         terms = memo[w]
         for v in reversed(chain):
-            terms = _isobaric_raw(terms, ascent_positions(v)[0])
+            terms = _divided_difference_raw(terms, ascent_positions(v)[0])
             memo[v] = terms
         return terms
 
-    return sum(1 for w in block if _is_zero_one_terms(get(w)))
+    return sum(1 for w in block if all(c == 1 for c in get(w).values()))
 
 
 def count_zero_one(p: int, jobs: int = 1, cap: int = CENSUS_CAP) -> int:
@@ -285,7 +215,7 @@ def count_zero_one(p: int, jobs: int = 1, cap: int = CENSUS_CAP) -> int:
     if p > cap:
         raise CapExceeded(f"census for p = {p} exceeds the cap {cap}")
     if jobs <= 1 or p <= 3:
-        return _census_serial(p)
+        return len(zero_one_permutations(p))
     perms = sorted(itertools.permutations(range(1, p + 1)))
     step = (len(perms) + jobs - 1) // jobs
     blocks = [(p, perms[k : k + step]) for k in range(0, len(perms), step)]
@@ -294,21 +224,22 @@ def count_zero_one(p: int, jobs: int = 1, cap: int = CENSUS_CAP) -> int:
 
 
 def zero_one_permutations(p: int) -> list[Perm]:
-    """All w in S_p with zero-one Schubert polynomial, in lex order."""
+    """All w in S_p with zero-one Schubert polynomial, in lex order.
+
+    One level walk down from the staircase monomial at the longest
+    permutation: the Schubert polynomial of w is d_j of that of w s_j, j
+    the first ascent of w, so each level needs only the one above it."""
     buckets = _perms_by_length(p)
-    n_inv = p * (p - 1) // 2
     level = {longest_perm(p): staircase_terms(p)}
     found = []
-    for ell in range(n_inv, -1, -1):
-        for w in buckets.get(ell, []):
-            if _is_zero_one_terms(level[w]):
-                found.append(w)
-        if ell == 0:
-            break
+    for ell in range(p * (p - 1) // 2, -1, -1):
+        found.extend(
+            w for w, terms in level.items() if all(c == 1 for c in terms.values())
+        )
         nxt = {}
         for w in buckets.get(ell - 1, []):
             j = ascent_positions(w)[0]
-            nxt[w] = _isobaric_raw(level[swap_adjacent(w, j)], j)
+            nxt[w] = _divided_difference_raw(level[swap_adjacent(w, j)], j)
         level = nxt
     return sorted(found)
 

@@ -19,6 +19,7 @@ from .lattice import (
     check_axis_order,
     dominates,
     lex_key,
+    point_set_from_json,
     top,
     unit_shift,
 )
@@ -145,6 +146,14 @@ def facets_from_msupp(msupp: PointSet, m) -> list[Facet]:
     """Facets of the associated complex, sorted by lex on their generating points."""
     m = as_point(m, msupp.ambient_p)
     return [facet_of(n, m) for n in sorted(msupp)]
+
+
+def facets_from_json(data) -> list[Facet]:
+    """Facets from shelling JSON {"msupp": [[...], ...], "m": [...]}; m must
+    be an integer array as long as the points."""
+    if not isinstance(data, dict) or not isinstance(data.get("m"), list):
+        raise ValueError('shelling JSON must be an object {"msupp": [[...], ...], "m": [...]}')
+    return facets_from_msupp(point_set_from_json(data.get("msupp")), data["m"])
 
 
 def verify_shelling(facets) -> Check:

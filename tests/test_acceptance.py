@@ -1,12 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-report.  The long optional census at p = 8 is enabled by setting
-KPOLY_RUN_P8=1 in the environment.
+report.
 """
 
 import itertools
-import os
 import random
 import time
 
@@ -113,13 +111,11 @@ def test_criterion_04_zero_one_census():
     elapsed = time.perf_counter() - t0
     assert counts == [1, 2, 6, 24, 115, 605, 3343]
     assert elapsed < 120.0
-    line = f"census 1..7 = {counts} ({elapsed:.1f}s)"
-    if os.environ.get("KPOLY_RUN_P8") == "1":
-        t0 = time.perf_counter()
-        c8 = count_zero_one(8)
-        assert c8 == 19038
-        line += f"; p=8 = {c8} ({time.perf_counter() - t0:.0f}s)"
-    report(4, line)
+    t0 = time.perf_counter()
+    c8 = count_zero_one(8)
+    assert c8 == 19038
+    elapsed8 = time.perf_counter() - t0
+    report(4, f"census 1..7 = {counts} ({elapsed:.1f}s); p=8 = {c8} ({elapsed8:.0f}s)")
 
 
 def test_criterion_05_stalactite_tables_two_orders():

@@ -145,3 +145,10 @@ def test_malformed_input_is_usage_error(tmp_path):
     assert main(["verify", "theorem-c", zero_den]) == 2
     assert main(["explore", "--count", "-5", "--seed", "1"]) == 2
     assert main(["explore", "--count", "0", "--seed", "1"]) == 2
+    assert main(["explore", "--count", "3", "--max-coord", "0", "--seed", "1"]) == 2
+    assert main(["explore", "--count", "3", "--max-p", "1", "--seed", "1"]) == 2
+    assert main(["verify", "shelling", flat]) == 2
+    int_m = write_json(tmp_path, "shell_int_m.json", {"msupp": [[1, 0]], "m": 5})
+    assert main(["verify", "shelling", int_m]) == 2
+    short_m = write_json(tmp_path, "shell_short_m.json", {"msupp": [[1, 0]], "m": [4]})
+    assert main(["verify", "shelling", short_m]) == 2

@@ -87,6 +87,18 @@ def test_divided_difference_basics():
         divided_difference(z1, 2)
 
 
+def test_divided_difference_matches_its_definition():
+    # (z_j - z_{j+1}) * d_j f == f - s_j f, built from ring operations only
+    rng = random.Random(31)
+    for _ in range(200):
+        nv = rng.randint(2, 4)
+        f = rand_poly(rng, nv, max_exp=4, n_terms=rng.randint(1, 8))
+        j = rng.randint(1, nv - 1)
+        zj = IntPolynomial(nv, {tuple(int(k == j - 1) for k in range(nv)): 1})
+        zj1 = IntPolynomial(nv, {tuple(int(k == j) for k in range(nv)): 1})
+        assert (zj - zj1) * divided_difference(f, j) == f - f.swap_vars(j)
+
+
 def test_divided_difference_kills_symmetric_parts():
     rng = random.Random(23)
     for _ in range(50):
@@ -201,6 +213,35 @@ def test_census_small_values():
 
 def test_census_jobs_agree():
     assert count_zero_one(5, jobs=3) == 115
+
+
+FMS_PATTERNS = [
+    (1, 2, 5, 4, 3), (1, 3, 2, 5, 4), (1, 3, 5, 2, 4), (1, 3, 5, 4, 2),
+    (2, 1, 5, 4, 3), (1, 2, 5, 3, 6, 4), (1, 2, 5, 6, 3, 4), (2, 1, 5, 3, 6, 4),
+    (2, 1, 5, 6, 3, 4), (3, 1, 5, 2, 6, 4), (3, 1, 5, 6, 2, 4), (3, 1, 5, 6, 4, 2),
+]
+
+
+def contains_pattern(w, pattern):
+    pairs = list(itertools.combinations(range(len(pattern)), 2))
+    return any(
+        all((w[pos[x]] < w[pos[y]]) == (pattern[x] < pattern[y]) for x, y in pairs)
+        for pos in itertools.combinations(range(len(w)), len(pattern))
+    )
+
+
+def test_zero_one_census_matches_independent_oracles():
+    # Fink-Meszaros-St. Dizier: w is zero-one iff it avoids the twelve patterns
+    for p in range(1, 7):
+        avoiders = [
+            w
+            for w in itertools.permutations(range(1, p + 1))
+            if not any(contains_pattern(w, pat) for pat in FMS_PATTERNS)
+        ]
+        assert zero_one_permutations(p) == avoiders
+    # the Grothendieck route reads the same coefficients off the lowest degree
+    s6 = itertools.permutations(range(1, 7))
+    assert zero_one_permutations(6) == [w for w in s6 if is_zero_one(w)]
 
 
 def test_zero_one_permutations_list():
