@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .lattice import (
     CapExceeded,
+    Check,
     point_set_from_json,
     point_set_to_json,
     poly_text,
@@ -159,27 +160,24 @@ def cmd_verify(args) -> CommandResult:
         supp = point_set_from_json(data)
         sys_ = polymatroid.inequality_system(supp)
         pts = polymatroid.integer_points(sys_)
-        ok = pts == supp
         extra = {"inequalities": polymatroid.system_to_json(sys_)}
-        if ok:
-            rows = [
-                f"  {sys_.lower[J]} <= n_{{{','.join(map(str, sorted(J)))}}} <= {sys_.upper[J]}"
-                for J in sys_.subsets()
-            ]
-            res = _check_result(kind, polymatroid.is_g_polymatroid(supp, "axioms"), extra)
-            res.human += "\n" + "\n".join(rows)
-            return res
-        from .lattice import Check
-
-        gained = [list(q) for q in pts if q not in supp]
-        return _check_result(
-            kind, Check(False, {"condition": "integer-points", "extra_points": gained}), extra
-        )
+        if pts != supp:
+            gained = [list(q) for q in pts if q not in supp]
+            return _check_result(
+                kind, Check(False, {"condition": "integer-points", "extra_points": gained}), extra
+            )
+        rows = [
+            f"  {sys_.lower[J]} <= n_{{{','.join(map(str, sorted(J)))}}} <= {sys_.upper[J]}"
+            for J in sys_.subsets()
+        ]
+        res = _check_result(kind, polymatroid.paramodular_check(sys_), extra)
+        res.human += "\n" + "\n".join(rows)
+        return res
     if kind == "theorem-c":
         config = subspaces.config_from_json(data)
         P = subspaces.linear_polymatroid(config)
         supp = mobius_mod.mu_support(P)
-        chk = polymatroid.is_g_polymatroid(supp, "axioms")
+        chk = polymatroid.is_g_polymatroid(supp, "paramodular")
         extra = {
             "polymatroid": point_set_to_json(P),
             "mu_support": point_set_to_json(supp),
@@ -281,7 +279,7 @@ def cmd_linear_polymatroid(args) -> CommandResult:
     }
     if args.mu_supp:
         supp = mobius_mod.mu_support(P)
-        chk = polymatroid.is_g_polymatroid(supp, "axioms")
+        chk = polymatroid.is_g_polymatroid(supp, "paramodular")
         lines.append(f"mu-support ({len(supp)} points) is a g-polymatroid: {bool(chk)}")
         payload["mu_support"] = point_set_to_json(supp)
         payload["mu_support_g_polymatroid"] = bool(chk)
@@ -355,8 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["gpolymatroid", "cave", "shelling", "matroid-mu", "theorem-a", "theorem-c"],
     )
     v.add_argument("input", help="path to the JSON input")
-    v.add_argument("--method", default="axioms",
-                   choices=["axioms", "homogenization", "inequality_points", "all"])
+    v.add_argument("--method", default="axioms", choices=[*polymatroid.G_POLY_METHODS, "all"])
     v.add_argument("--orders", default="all", help="natural, all or sample:K:SEED")
     common(v)
     v.set_defaults(func=cmd_verify)

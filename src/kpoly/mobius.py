@@ -217,7 +217,7 @@ def verify_matroid_mu_theorem(M: Matroid) -> Check:
                 "extra": [list(q) for q in sorted(actual - expected)],
             },
         )
-    chk = is_g_polymatroid(MU.support(), "axioms")
+    chk = is_g_polymatroid(MU.support(), "paramodular")
     if not chk:
         return Check(False, {"condition": "mu-support-g-polymatroid", **chk.witness})
     return Check(True)
@@ -307,7 +307,7 @@ def mu_support_survey(count: int, p: int, coord_max: int, seed: int) -> dict:
             continue
         tested += 1
         supp = mu_support(P)
-        if not is_g_polymatroid(supp, "axioms"):
+        if not is_g_polymatroid(supp, "paramodular"):
             failures.append([list(q) for q in P])
     return {
         "tested": tested,

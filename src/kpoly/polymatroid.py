@@ -8,6 +8,7 @@ debuggable from test output and from the CLI.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from .lattice import (
@@ -17,13 +18,18 @@ from .lattice import (
     PointSet,
     check_index_subset,
     homogenize,
-    support_bounds,
     top,
     truncate,
     unit_shift,
 )
 
-G_POLY_METHODS = ("axioms", "homogenization", "inequality_points")
+G_POLY_METHODS = ("axioms", "homogenization", "inequality_points", "paramodular")
+
+INTEGER_POINTS_CAP = 10_000_000
+
+# cells of the truncation grid prod(max_i + 1) that is_cave walks; the
+# largest cave the tests and the benchmark check has 625
+CAVE_GRID_CAP = 100_000
 
 
 def is_base_polymatroid(P: PointSet) -> Check:
@@ -128,13 +134,20 @@ def _axiom_check(G: PointSet) -> Check:
 
 
 def is_g_polymatroid(G: PointSet, method: str = "axioms") -> Check:
-    """Generalized-polymatroid test via one of three routes.
+    """Generalized-polymatroid test via one of four routes.
 
-    axioms            direct Exchange + Expansion over all ordered pairs
+    axioms            direct Exchange + Expansion over all ordered pairs; the
+                      definition, O(|G|^2 p^2)
     homogenization    append the slack coordinate, then base-polymatroid exchange
     inequality_points the set must equal the integer points of its own
                       support-bound system (necessary always, and exact for
                       genuine g-polymatroids by Frank's characterization)
+    paramodular       inequality_points plus paramodular_check on the support
+                      bounds.  Exact by Frank's theorem (Generalized
+                      polymatroids, 1984): the integral g-polymatroids are
+                      the polyhedra Q(c, b) of integral paramodular pairs, and
+                      the support bounds of such a Q are (c, b) themselves.
+                      O(|G| 2^p + p^2 2^p) plus the integer-point walk.
     """
     if method not in G_POLY_METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {G_POLY_METHODS}")
@@ -149,8 +162,14 @@ def is_g_polymatroid(G: PointSet, method: str = "axioms") -> Check:
         w = dict(res.witness)
         w["condition"] = "homogenized-" + w["condition"]
         return Check(False, w)
-    sys_ = inequality_system(G)
-    Z = integer_points(sys_)
+    p = G.ambient_p
+    c, b = _support_tables(G)
+    if method == "paramodular":
+        chk = _paramodular_check(c, b, p)
+        if not chk:
+            return chk
+    rows = [[(X ^ (1 << k), c[X], b[X]) for X in range(1 << k, 2 << k)] for k in range(p)]
+    Z = _integer_points([b[1 << k] for k in range(p)], rows, INTEGER_POINTS_CAP)
     if Z == G:
         return Check(True)
     extra = [list(q) for q in Z if q not in G]
@@ -187,48 +206,131 @@ class GPolyInequalitySystem:
         return f"GPolyInequalitySystem(p={self.ambient_p}, {rows})"
 
 
+def _support_tables(A: PointSet) -> tuple[list[int], list[int]]:
+    """(c, b): the min and max over A of sum_{j in X} a_j for every bitmask X
+    (bit j - 1 stands for index j), in one pass per point: the subset sums
+    of a point double from the sums over its first coordinates."""
+    lower = upper = None
+    for q in A:
+        sums = [0]
+        for x in q:
+            sums += [s + x for s in sums]
+        lower = sums if lower is None else list(map(min, lower, sums))
+        upper = sums if upper is None else list(map(max, upper, sums))
+    return lower, upper
+
+
 def inequality_system(A: PointSet) -> GPolyInequalitySystem:
     """Support bounds of A over all 2^p - 1 nonempty index subsets."""
     if not A:
         raise EmptySetError("inequality system of an empty set")
     p = A.ambient_p
-    lower, upper = {}, {}
-    for r in range(1, p + 1):
-        for J in itertools.combinations(range(1, p + 1), r):
-            lo, hi = support_bounds(A, J)
-            lower[frozenset(J)] = lo
-            upper[frozenset(J)] = hi
-    return GPolyInequalitySystem(p, lower, upper)
+    lower, upper = _support_tables(A)
+    subsets = [tuple(j + 1 for j in range(p) if X >> j & 1) for X in range(1 << p)]
+    return GPolyInequalitySystem(
+        p,
+        {subsets[X]: lower[X] for X in range(1, 1 << p)},
+        {subsets[X]: upper[X] for X in range(1, 1 << p)},
+    )
 
 
-def integer_points(sys_: GPolyInequalitySystem, cap: int = 10_000_000) -> PointSet:
-    """All lattice points y >= 0 satisfying every double inequality.
+def _mask(J) -> int:
+    return sum(1 << (j - 1) for j in J)
 
-    Enumeration is bounded by the box 0 <= y_i <= b({i}).
+
+def paramodular_check(sys_: GPolyInequalitySystem) -> Check:
+    """Whether the bounds (c, b) of a complete system, with c = b = 0 on the
+    empty set, form a paramodular pair: b submodular, c supermodular, and the
+    cross inequality b(X) - c(Y) >= b(X - Y) - c(Y - X) for all X, Y.
+
+    The three families are exactly the submodular inequalities of one set
+    function rho on the subsets of [p] plus a slack element s: rho(X) = b(X)
+    and rho(X + s) = -c([p] - X).  A set function is submodular when
+    rho(W + i) + rho(W + j) >= rho(W + i + j) + rho(W) for every W and
+    i != j outside W, so p(p + 1) 2^(p - 2) local checks replace the 4^p
+    pairs.  The witness names the violated family and its 1-based X and Y.
     """
     p = sys_.ambient_p
-    boxes = [sys_.upper[frozenset({i})] for i in range(1, p + 1)]
+    if len(sys_.lower) != (1 << p) - 1:
+        raise ValueError("paramodular check needs bounds on every nonempty subset")
+    c, b = [0] * (1 << p), [0] * (1 << p)
+    for J in sys_.lower:
+        X = _mask(J)
+        c[X], b[X] = sys_.lower[J], sys_.upper[J]
+    return _paramodular_check(c, b, p)
+
+
+def _paramodular_check(c: list[int], b: list[int], p: int) -> Check:
+    """paramodular_check on bound tables indexed by bitmask."""
+    full = (1 << p) - 1
+    rho = b + [-c[full ^ X] for X in range(full + 1)]
+    for e, f in itertools.combinations([1 << i for i in range(p + 1)], 2):
+        ef = e | f
+        for W in range(len(rho)):
+            if not W & ef and rho[W | e] + rho[W | f] < rho[W | ef] + rho[W]:
+                return _paramodular_witness(W | e, W | f, p)
+    return Check(True)
+
+
+def _paramodular_witness(A: int, B: int, p: int) -> Check:
+    """Translate a violated rho inequality on masks A, B back to (c, b)."""
+    s, full = 1 << p, (1 << p) - 1
+    if A & s > B & s:
+        A, B = B, A
+    if not B & s:
+        condition = "submodular"
+    elif A & s:
+        condition, A, B = "supermodular", full & ~A, full & ~B
+    else:
+        condition, B = "cross", full & ~B
+    return Check(False, {
+        "condition": condition,
+        "X": [i + 1 for i in range(p) if A >> i & 1],
+        "Y": [i + 1 for i in range(p) if B >> i & 1],
+    })
+
+
+def integer_points(sys_: GPolyInequalitySystem, cap: int = INTEGER_POINTS_CAP) -> PointSet:
+    """All lattice points y >= 0 satisfying every double inequality.
+
+    The points lie in the box 0 <= y_i <= b({i}), whose volume is checked
+    against cap before any work.  The walk fixes y_1, y_2, ... in turn; once
+    y_k is the last coordinate of a subset J, the bounds on J confine y_k to
+    [c(J) - y(J - k), b(J) - y(J - k)], so only values inside every such
+    interval are tried and no failed prefix is extended.
+    """
+    p = sys_.ambient_p
+    rows = [[] for _ in range(p)]
+    for J in sys_.lower:
+        k = max(J) - 1
+        rows[k].append((_mask(J) ^ (1 << k), sys_.lower[J], sys_.upper[J]))
+    return _integer_points([sys_.upper[frozenset({i})] for i in range(1, p + 1)], rows, cap)
+
+
+def _integer_points(boxes: list[int], rows: list[list], cap: int) -> PointSet:
+    """integer_points on y_{k+1} <= boxes[k] and the rows[k] of (mask of
+    J - {k + 1}, c(J), b(J)) for the subsets J whose largest index is k + 1."""
+    p = len(boxes)
     if any(b < 0 for b in boxes):
         return PointSet(p)
-    volume = 1
-    for b in boxes:
-        volume *= b + 1
+    volume = math.prod(b + 1 for b in boxes)
     if volume > cap:
         raise CapExceeded(f"integer-point box has {volume} cells (cap {cap})")
-    constraints = [
-        (tuple(j - 1 for j in sorted(J)), sys_.lower[J], sys_.upper[J])
-        for J in sys_.subsets()
-    ]
     points = []
-    for y in itertools.product(*(range(b + 1) for b in boxes)):
-        ok = True
-        for idx, lo, hi in constraints:
-            s = sum(y[i] for i in idx)
-            if s < lo or s > hi:
-                ok = False
-                break
-        if ok:
+
+    def walk(y, sums):  # sums[X] = y(X) for every X within the fixed prefix
+        k = len(y)
+        if k == p:
             points.append(y)
+            return
+        lo, hi = 0, boxes[k]
+        for rest, c, b in rows[k]:
+            lo = max(lo, c - sums[rest])
+            hi = min(hi, b - sums[rest])
+        for v in range(lo, hi + 1):
+            walk(y + (v,), sums + [s + v for s in sums])
+
+    walk((), [0])
     return PointSet(p, points)
 
 
@@ -281,7 +383,8 @@ def axis_orders(p: int, policy):
 def is_cave(C: PointSet, order_policy="all") -> Check:
     """Cave test: every nonempty truncation must have a polymatroid top,
     satisfy the stalactite-union formula for every requested axis order,
-    and (off the origin) be a g-polymatroid."""
+    and (off the origin) be a g-polymatroid.  Raises CapExceeded before the
+    walk when the truncation grid prod(max_i + 1) exceeds CAVE_GRID_CAP."""
     from .stalactite import stalactite_union
 
     if not C:
@@ -289,6 +392,9 @@ def is_cave(C: PointSet, order_policy="all") -> Check:
     p = C.ambient_p
     orders = axis_orders(p, order_policy)
     maxes = [max(q[i] for q in C) for i in range(p)]
+    cells = math.prod(m + 1 for m in maxes)
+    if cells > CAVE_GRID_CAP:
+        raise CapExceeded(f"truncation grid has {cells} cells (cap {CAVE_GRID_CAP})")
 
     # distinct truncations only; remember whether any nonzero b produced each
     trunc: dict[tuple, tuple[PointSet, Point, bool]] = {}
@@ -313,7 +419,7 @@ def is_cave(C: PointSet, order_policy="all") -> Check:
                 {"condition": "top-polymatroid", "truncation": list(b), **chk.witness},
             )
         if needs_gpoly:
-            chk = is_g_polymatroid(A, "axioms")
+            chk = is_g_polymatroid(A, "paramodular")
             if not chk:
                 return Check(
                     False,

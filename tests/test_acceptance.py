@@ -151,10 +151,10 @@ def test_criterion_07_theorem_b_s5():
         supp = grothendieck(w).support()
         verdicts = {
             m: bool(is_g_polymatroid(supp, m))
-            for m in ("axioms", "homogenization", "inequality_points")
+            for m in ("axioms", "homogenization", "inequality_points", "paramodular")
         }
         assert all(verdicts.values()), (w, verdicts)
-    report(7, "supp(Grothendieck) is a g-polymatroid for all 115 zero-one S_5, 3 methods agree")
+    report(7, "supp(Grothendieck) is a g-polymatroid for all 115 zero-one S_5, 4 methods agree")
 
 
 def test_criterion_08_theorem_c_battery():
@@ -165,10 +165,14 @@ def test_criterion_08_theorem_c_battery():
         q = rng.randint(2, 5)
         config = random_config(p, q, rng)
         P = linear_polymatroid(config)
-        if not is_g_polymatroid(mu_support(P), "axioms"):
+        supp = mu_support(P)
+        verdict = bool(is_g_polymatroid(supp, "axioms"))
+        if not verdict:
             failures += 1
+        assert bool(is_g_polymatroid(supp, "paramodular")) == verdict, config
     assert failures == 0
-    report(8, "mu-support of 200 seeded linear polymatroids: all g-polymatroids")
+    report(8, "mu-support of 200 seeded linear polymatroids: all g-polymatroids, "
+              "axioms and paramodular agree")
 
 
 def test_criterion_09_matroid_mobius_theorem():

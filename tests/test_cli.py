@@ -51,7 +51,16 @@ def test_census(capsys):
 
 def test_verify_gpolymatroid_ok_and_violation(tmp_path, capsys):
     good = write_json(tmp_path, "good.json", point_set_to_json(point_set(list(HILBERT_3))))
-    assert main(["verify", "gpolymatroid", good, "--method", "all"]) == 0
+    assert main(["verify", "gpolymatroid", good, "--method", "all", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["methods"] == {
+        "axioms": True, "homogenization": True, "inequality_points": True, "paramodular": True
+    }
+    diagonals = write_json(tmp_path, "diagonals.json", [[1, 1, 0, 0], [0, 0, 1, 1]])
+    assert main(["verify", "gpolymatroid", diagonals, "--method", "paramodular", "--json"]) == 1
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert witness["condition"] in ("submodular", "cross")
+    assert witness["X"] and witness["Y"]
     bad = write_json(tmp_path, "bad.json", [[0, 0], [1, 1]])
     assert main(["verify", "gpolymatroid", bad]) == 1
     payload_path = str(tmp_path / "out.json")
@@ -59,6 +68,9 @@ def test_verify_gpolymatroid_ok_and_violation(tmp_path, capsys):
     payload = json.loads((tmp_path / "out.json").read_text())
     assert payload["status"] == "violation"
     assert payload["witness"]["condition"] == "expansion"
+    assert main(["verify", "gpolymatroid", bad, "--method", "paramodular", "--out", payload_path]) == 1
+    payload = json.loads((tmp_path / "out.json").read_text())
+    assert payload["witness"] == {"condition": "integer-points", "extra_points": [[0, 1], [1, 0]]}
 
 
 def test_verify_cave(tmp_path):
@@ -87,6 +99,10 @@ def test_verify_theorem_a(tmp_path, capsys):
     bounds = {tuple(row["J"]): (row["c"], row["b"]) for row in payload["inequalities"]["bounds"]}
     assert bounds[(1, 2, 3)] == (4, 6)
     assert bounds[(3,)] == (0, 1)
+    # equals its integer points, but its support bounds are not paramodular
+    diagonals = write_json(tmp_path, "diagonals.json", [[1, 1, 0, 0], [0, 0, 1, 1]])
+    assert main(["verify", "theorem-a", diagonals, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["witness"]["condition"] in ("submodular", "cross")
 
 
 def test_verify_theorem_c(tmp_path):
@@ -152,3 +168,6 @@ def test_malformed_input_is_usage_error(tmp_path):
     assert main(["verify", "shelling", int_m]) == 2
     short_m = write_json(tmp_path, "shell_short_m.json", {"msupp": [[1, 0]], "m": [4]})
     assert main(["verify", "shelling", short_m]) == 2
+    huge = write_json(tmp_path, "huge.json", [[1000000, 1000000, 1000000]])
+    assert main(["mobius", huge]) == 2
+    assert main(["verify", "cave", huge]) == 2

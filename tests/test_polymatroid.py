@@ -3,9 +3,11 @@ import random
 
 import pytest
 
-from kpoly.lattice import EmptySetError, PointSet, point_set
+from kpoly.lattice import EmptySetError, PointSet, point_set, support_bounds
+from kpoly.mobius import mu_support, random_base_polymatroid
 from kpoly.polymatroid import (
     G_POLY_METHODS,
+    GPolyInequalitySystem,
     axis_orders,
     check_symmetric_exchange,
     inequality_system,
@@ -13,6 +15,7 @@ from kpoly.polymatroid import (
     is_base_polymatroid,
     is_cave,
     is_g_polymatroid,
+    paramodular_check,
     system_from_json,
     system_to_json,
 )
@@ -122,6 +125,101 @@ def test_integer_point_fixed_point_does_not_imply_exchange():
     assert is_g_polymatroid(G, "inequality_points")
 
 
+def test_paramodular_agrees_with_axioms_randomized():
+    rng = random.Random(41)
+    boxes = {p: list(itertools.product(range(3), repeat=p)) for p in range(1, 5)}
+    positives = 0
+    for _ in range(4000):
+        p = rng.randint(1, 4)
+        P = PointSet(p, rng.sample(boxes[p], rng.randint(1, min(6, len(boxes[p])))))
+        a = bool(is_g_polymatroid(P, "axioms"))
+        assert bool(is_g_polymatroid(P, "paramodular")) == a, list(P)
+        positives += a
+    assert positives > 500
+
+
+def test_paramodular_agrees_with_axioms_on_mu_supports():
+    rng = random.Random(43)
+    tested = 0
+    while tested < 150:
+        P = random_base_polymatroid(rng, rng.randint(2, 4), 3)
+        if P is None:
+            continue
+        tested += 1
+        supp = mu_support(P)
+        assert bool(is_g_polymatroid(supp, "paramodular")) == bool(
+            is_g_polymatroid(supp, "axioms")
+        ), list(P)
+
+
+def _bound(A, X, which):
+    return support_bounds(A, X)[which] if X else 0
+
+
+def test_paramodular_rejects_opposite_diagonals_with_a_witness():
+    G = point_set([(1, 1, 0, 0), (0, 0, 1, 1)])
+    chk = is_g_polymatroid(G, "paramodular")
+    assert not chk
+    w = chk.witness
+    X, Y = set(w["X"]), set(w["Y"])
+    b = lambda Z: _bound(G, sorted(Z), 1)  # noqa: E731
+    c = lambda Z: _bound(G, sorted(Z), 0)  # noqa: E731
+    if w["condition"] == "submodular":
+        assert b(X) + b(Y) < b(X | Y) + b(X & Y)
+    else:
+        assert w["condition"] == "cross"
+        assert b(X) - c(Y) < b(X - Y) - c(Y - X)
+
+
+def _literal_paramodular(sys_):
+    """Oracle: every one of the 4^p pairs (X, Y) of subsets, literally."""
+    p = sys_.ambient_p
+    subsets = [frozenset(J) for r in range(p + 1) for J in itertools.combinations(range(1, p + 1), r)]
+    b = {J: sys_.upper[J] if J else 0 for J in subsets}
+    c = {J: sys_.lower[J] if J else 0 for J in subsets}
+    return all(
+        b[X] + b[Y] >= b[X | Y] + b[X & Y]
+        and c[X] + c[Y] <= c[X | Y] + c[X & Y]
+        and b[X] - c[Y] >= b[X - Y] - c[Y - X]
+        for X in subsets
+        for Y in subsets
+    )
+
+
+def _random_system(rng, p, spread):
+    lower, upper = {}, {}
+    for r in range(1, p + 1):
+        for J in itertools.combinations(range(1, p + 1), r):
+            lo = rng.randint(0, spread * r)
+            lower[J], upper[J] = lo, lo + rng.randint(-1, spread * r)
+    return GPolyInequalitySystem(p, lower, upper)
+
+
+def test_paramodular_check_matches_the_literal_pair_oracle():
+    rng = random.Random(47)
+    verdicts = {True: 0, False: 0}
+    for _ in range(600):
+        p = rng.randint(1, 4)
+        if rng.random() < 0.5:
+            cells = list(itertools.product(range(3), repeat=p))
+            sys_ = inequality_system(PointSet(p, rng.sample(cells, rng.randint(1, min(5, len(cells))))))
+        else:
+            sys_ = _random_system(rng, p, 1)
+        chk = paramodular_check(sys_)
+        assert bool(chk) == _literal_paramodular(sys_), sys_
+        verdicts[bool(chk)] += 1
+        if not chk:
+            X, Y = frozenset(chk.witness["X"]), frozenset(chk.witness["Y"])
+            b = lambda Z: sys_.upper[Z] if Z else 0  # noqa: E731
+            c = lambda Z: sys_.lower[Z] if Z else 0  # noqa: E731
+            assert {
+                "submodular": b(X) + b(Y) < b(X | Y) + b(X & Y),
+                "supermodular": c(X) + c(Y) > c(X | Y) + c(X & Y),
+                "cross": b(X) - c(Y) < b(X - Y) - c(Y - X),
+            }[chk.witness["condition"]], (sys_, chk)
+    assert min(verdicts.values()) > 100
+
+
 def test_inequality_system_running_example():
     sys_ = inequality_system(point_set(list(KPOLY_3)))
     assert len(sys_.lower) == 7
@@ -155,6 +253,32 @@ def test_integer_points_interval_and_empty():
 
     bad = GPolyInequalitySystem(1, {(1,): 3}, {(1,): 2})
     assert len(integer_points(bad)) == 0
+
+
+def _box_filter(sys_):
+    """Oracle: every cell of the box 0 <= y_i <= b({i}) that meets every bound."""
+    p = sys_.ambient_p
+    boxes = [sys_.upper[frozenset({i})] for i in range(1, p + 1)]
+    return PointSet(p, (
+        y for y in itertools.product(*(range(b + 1) for b in boxes))
+        if all(sys_.lower[J] <= sum(y[j - 1] for j in J) <= sys_.upper[J] for J in sys_.lower)
+    ))
+
+
+def test_integer_points_walk_matches_the_box_filter():
+    rng = random.Random(53)
+    nonempty = 0
+    for _ in range(300):
+        p = rng.randint(1, 4)
+        if rng.random() < 0.5:
+            cells = list(itertools.product(range(4), repeat=p))
+            sys_ = inequality_system(PointSet(p, rng.sample(cells, rng.randint(1, min(6, len(cells))))))
+        else:
+            sys_ = _random_system(rng, p, 2)
+        Z = integer_points(sys_)
+        assert Z == _box_filter(sys_), sys_
+        nonempty += bool(Z)
+    assert nonempty > 150
 
 
 def test_fixed_point_characterizes_g_polymatroids_on_g_inputs():
