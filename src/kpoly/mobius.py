@@ -219,7 +219,7 @@ def verify_matroid_mu_theorem(M: Matroid) -> Check:
         )
     chk = is_g_polymatroid(MU.support(), "paramodular")
     if not chk:
-        return Check(False, {"condition": "mu-support-g-polymatroid", **chk.witness})
+        return Check(False, {"condition": "mu-support-g-polymatroid", "cause": chk.witness})
     return Check(True)
 
 

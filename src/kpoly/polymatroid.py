@@ -35,8 +35,37 @@ CAVE_GRID_CAP = 100_000
 def is_base_polymatroid(P: PointSet) -> Check:
     """Homogeneity plus the exchange axiom for every ordered pair.
 
-    The empty set and singletons pass vacuously.
+    The empty set and singletons pass vacuously.  Two exact routes answer:
+
+    exchange loop  _exchange_check, the definition, O(|P|^2 p^2)
+    support bounds a homogeneous set is a base polymatroid exactly when it is
+                   a g-polymatroid (an M-natural-convex set on a hyperplane
+                   y([p]) = r is M-convex; Murota, Discrete Convex Analysis,
+                   2003), and by Frank's theorem (Generalized polymatroids,
+                   1984) that holds exactly when its support bounds (c, b)
+                   form a paramodular pair whose Q(c, b) has no integer point
+                   outside P.  O(|P| 2^p + p^2 2^p)
+
+    The loop runs when its pair count is the smaller work,
+    |P|(|P| - 1) p <= (p + 1)^2 2^p, and whenever the support-bound route
+    does not pass, so every witness comes from the loop: `homogeneous` with
+    the lightest and heaviest points, or `exchange` with u, v and the
+    1-based i.  The support-bound walk stops after |P| + 1 points and never
+    dead-ends once the pair passes, so it needs no box-volume cap.
     """
+    n, p = len(P), P.ambient_p
+    if n * (n - 1) * p > (p + 1) ** 2 << p:
+        c, b = _support_tables(P)
+        homogeneous = c[-1] == b[-1]
+        if homogeneous and _paramodular_check(c, b, p) and _table_points(c, b, p, None, n) == P:
+            return Check(True)
+    return _exchange_check(P)
+
+
+def _exchange_check(P: PointSet) -> Check:
+    """is_base_polymatroid by the definition: homogeneity, then the exchange
+    axiom for every ordered pair.  The oracle, and the only route behind
+    the homogenization method of is_g_polymatroid."""
     if len(P) <= 1:
         return Check(True)
     p = P.ambient_p
@@ -156,7 +185,7 @@ def is_g_polymatroid(G: PointSet, method: str = "axioms") -> Check:
     if method == "axioms":
         return _axiom_check(G)
     if method == "homogenization":
-        res = is_base_polymatroid(homogenize(G))
+        res = _exchange_check(homogenize(G))
         if res:
             return res
         w = dict(res.witness)
@@ -168,8 +197,7 @@ def is_g_polymatroid(G: PointSet, method: str = "axioms") -> Check:
         chk = _paramodular_check(c, b, p)
         if not chk:
             return chk
-    rows = [[(X ^ (1 << k), c[X], b[X]) for X in range(1 << k, 2 << k)] for k in range(p)]
-    Z = _integer_points([b[1 << k] for k in range(p)], rows, INTEGER_POINTS_CAP)
+    Z = _table_points(c, b, p)
     if Z == G:
         return Check(True)
     extra = [list(q) for q in Z if q not in G]
@@ -307,14 +335,22 @@ def integer_points(sys_: GPolyInequalitySystem, cap: int = INTEGER_POINTS_CAP) -
     return _integer_points([sys_.upper[frozenset({i})] for i in range(1, p + 1)], rows, cap)
 
 
-def _integer_points(boxes: list[int], rows: list[list], cap: int) -> PointSet:
+def _table_points(c: list[int], b: list[int], p: int, cap=INTEGER_POINTS_CAP, limit=math.inf):
+    """integer_points on bound tables indexed by bitmask."""
+    rows = [[(X ^ (1 << k), c[X], b[X]) for X in range(1 << k, 2 << k)] for k in range(p)]
+    return _integer_points([b[1 << k] for k in range(p)], rows, cap, limit)
+
+
+def _integer_points(boxes: list[int], rows: list[list], cap, limit=math.inf) -> PointSet:
     """integer_points on y_{k+1} <= boxes[k] and the rows[k] of (mask of
-    J - {k + 1}, c(J), b(J)) for the subsets J whose largest index is k + 1."""
+    J - {k + 1}, c(J), b(J)) for the subsets J whose largest index is k + 1.
+    cap None skips the box-volume check; the walk stops once it has found
+    more than limit points."""
     p = len(boxes)
     if any(b < 0 for b in boxes):
         return PointSet(p)
     volume = math.prod(b + 1 for b in boxes)
-    if volume > cap:
+    if cap is not None and volume > cap:
         raise CapExceeded(f"integer-point box has {volume} cells (cap {cap})")
     points = []
 
@@ -322,13 +358,15 @@ def _integer_points(boxes: list[int], rows: list[list], cap: int) -> PointSet:
         k = len(y)
         if k == p:
             points.append(y)
-            return
+            return len(points) > limit
         lo, hi = 0, boxes[k]
         for rest, c, b in rows[k]:
             lo = max(lo, c - sums[rest])
             hi = min(hi, b - sums[rest])
         for v in range(lo, hi + 1):
-            walk(y + (v,), sums + [s + v for s in sums])
+            if walk(y + (v,), sums + [s + v for s in sums]):
+                return True
+        return False
 
     walk((), [0])
     return PointSet(p, points)
@@ -383,8 +421,10 @@ def axis_orders(p: int, policy):
 def is_cave(C: PointSet, order_policy="all") -> Check:
     """Cave test: every nonempty truncation must have a polymatroid top,
     satisfy the stalactite-union formula for every requested axis order,
-    and (off the origin) be a g-polymatroid.  Raises CapExceeded before the
-    walk when the truncation grid prod(max_i + 1) exceeds CAVE_GRID_CAP."""
+    and (off the origin) be a g-polymatroid.  A failure names its condition
+    and a truncation cell b; the failed top or g-polymatroid check's own
+    witness is nested under "cause".  Raises CapExceeded before the walk
+    when the truncation grid prod(max_i + 1) exceeds CAVE_GRID_CAP."""
     from .stalactite import stalactite_union
 
     if not C:
@@ -396,29 +436,24 @@ def is_cave(C: PointSet, order_policy="all") -> Check:
     if cells > CAVE_GRID_CAP:
         raise CapExceeded(f"truncation grid has {cells} cells (cap {CAVE_GRID_CAP})")
 
-    # distinct truncations only; remember whether any nonzero b produced each
-    trunc: dict[tuple, tuple[PointSet, Point, bool]] = {}
+    # distinct truncations, each with the first cell b that produces it, or
+    # the first nonzero one if there is one: only those need the g-polymatroid
+    # check, and a failure names that cell
+    trunc = {}
     for b in itertools.product(*(range(m + 1) for m in maxes)):
         A = truncate(C, b)
-        if not A:
-            continue
-        key = A.points
-        nonzero = any(b)
-        if key in trunc:
-            prev_A, prev_b, prev_nonzero = trunc[key]
-            trunc[key] = (prev_A, prev_b, prev_nonzero or nonzero)
-        else:
-            trunc[key] = (A, b, nonzero)
+        if A and (A.points not in trunc or not any(trunc[A.points][1])):
+            trunc[A.points] = (A, b)
 
-    for A, b, needs_gpoly in trunc.values():
+    for A, b in trunc.values():
         T = top(A)
         chk = is_base_polymatroid(T)
         if not chk:
             return Check(
                 False,
-                {"condition": "top-polymatroid", "truncation": list(b), **chk.witness},
+                {"condition": "top-polymatroid", "truncation": list(b), "cause": chk.witness},
             )
-        if needs_gpoly:
+        if any(b):
             chk = is_g_polymatroid(A, "paramodular")
             if not chk:
                 return Check(
@@ -426,7 +461,7 @@ def is_cave(C: PointSet, order_policy="all") -> Check:
                     {
                         "condition": "truncation-g-polymatroid",
                         "truncation": list(b),
-                        **chk.witness,
+                        "cause": chk.witness,
                     },
                 )
         for order in orders:

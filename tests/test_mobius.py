@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from kpoly.lattice import PointSet, point_set
+from kpoly import mobius
+from kpoly.lattice import Check, PointSet, point_set
 from kpoly.mobius import (
     Matroid,
     coloops,
@@ -188,6 +189,15 @@ def test_matroid_mu_theorem_exhaustive_small():
             per_ground[p] = per_ground.get(p, 0) + 1
             assert verify_matroid_mu_theorem(M), list(M.bases)
     assert per_ground == {1: 2, 2: 5, 3: 16, 4: 68}
+
+
+def test_matroid_mu_theorem_nests_the_g_polymatroid_witness(monkeypatch):
+    # (d) never fails on a real matroid, so stand in a failing classifier
+    inner = {"condition": "cross", "X": [1], "Y": [2]}
+    monkeypatch.setattr(mobius, "is_g_polymatroid", lambda G, method: Check(False, dict(inner)))
+    chk = verify_matroid_mu_theorem(uniform_matroid(2, 4))
+    assert not chk
+    assert chk.witness == {"condition": "mu-support-g-polymatroid", "cause": inner}
 
 
 def test_matroid_json_roundtrip():

@@ -1,13 +1,25 @@
 import itertools
+import math
 import random
 
 import pytest
 
-from kpoly.lattice import EmptySetError, PointSet, point_set, support_bounds
+from kpoly import polymatroid
+from kpoly.lattice import (
+    EmptySetError,
+    PointSet,
+    homogenize,
+    point_set,
+    support_bounds,
+    top,
+    truncate,
+)
 from kpoly.mobius import mu_support, random_base_polymatroid
 from kpoly.polymatroid import (
     G_POLY_METHODS,
+    INTEGER_POINTS_CAP,
     GPolyInequalitySystem,
+    _exchange_check,
     axis_orders,
     check_symmetric_exchange,
     inequality_system,
@@ -19,6 +31,8 @@ from kpoly.polymatroid import (
     system_from_json,
     system_to_json,
 )
+from kpoly.schubert import grothendieck, zero_one_permutations
+from kpoly.subspaces import linear_polymatroid, random_config
 from running_example import HILBERT_3, INEQUALITIES, KPOLY_3, MSUPP_3
 
 
@@ -343,3 +357,119 @@ def test_cave_implies_g_polymatroid_randomized():
             caves += 1
             assert is_g_polymatroid(P, "axioms"), list(P)
     assert caves > 10
+
+
+def _above_the_rule(P):
+    n, p = len(P), P.ambient_p
+    return n * (n - 1) * p > (p + 1) ** 2 << p
+
+
+def _without_a_midpoint(P):
+    """P minus its first point q with q + d and q - d in P for a step d =
+    e_i - e_j or e_i, which no g-polymatroid (hole-free) allows; None if
+    there is none."""
+    p = P.ambient_p
+    units = [tuple(int(k == i) for k in range(p)) for i in range(p)]
+    steps = units + [tuple(a - b for a, b in zip(u, v)) for u in units for v in units if u != v]
+    for q in P:
+        for d in steps:
+            if tuple(x + y for x, y in zip(q, d)) in P and tuple(x - y for x, y in zip(q, d)) in P:
+                return PointSet(p, (r for r in P if r != q))
+    return None
+
+
+def test_base_polymatroid_routes_agree_with_the_exchange_loop():
+    # linear polymatroids, the same with a midpoint dropped or an off-level
+    # point added, their mu-supports (g-polymatroids off one level), and
+    # random_base_polymatroid draws; the verdict and every witness must be
+    # the loop's on both sides of the size rule
+    rng = random.Random(59)
+    inputs = []
+    for _ in range(80):
+        P = linear_polymatroid(random_config(rng.randint(2, 5), rng.randint(2, 5), rng))
+        q = P.points[0]
+        inputs += [P, PointSet(P.ambient_p, list(P) + [(q[0] + 1,) + q[1:]]), mu_support(P)]
+        holed = _without_a_midpoint(P)
+        if holed is not None:
+            inputs.append(holed)
+    drawn = 0
+    while drawn < 150:
+        P = random_base_polymatroid(rng, rng.randint(2, 4), 4)
+        if P is not None:
+            drawn += 1
+            inputs.append(P)
+    counts = {}
+    for P in inputs:
+        fast, loop = is_base_polymatroid(P), _exchange_check(P)
+        assert bool(fast) == bool(loop), list(P)
+        assert fast.witness == loop.witness, list(P)
+        key = (_above_the_rule(P), bool(loop))
+        counts[key] = counts.get(key, 0) + 1
+    assert counts[True, True] > 40 and counts[True, False] > 100
+    assert counts[False, True] > 100 and counts[False, False] > 30
+
+
+def test_homogenization_never_enters_the_paramodular_code(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("homogenization reached the paramodular check")
+
+    # criterion 07's Grothendieck supports and some larger mu-supports of
+    # linear polymatroids, each also with a midpoint dropped
+    rng = random.Random(61)
+    sets = [grothendieck(w).support() for w in zero_one_permutations(5)]
+    sets += [mu_support(linear_polymatroid(random_config(4, 3, rng))) for _ in range(20)]
+    sets += [H for H in map(_without_a_midpoint, sets) if H is not None]
+    monkeypatch.setattr(polymatroid, "_paramodular_check", forbidden)
+    verdicts = {True: 0, False: 0}
+    for G in sets:
+        h = bool(is_g_polymatroid(G, "homogenization"))
+        assert h == bool(is_g_polymatroid(G, "axioms")), list(G)
+        verdicts[h] += 1
+    assert min(verdicts.values()) > 30
+    assert sum(_above_the_rule(homogenize(G)) for G in sets) > 20
+
+
+def test_sparse_base_polymatroid_above_the_rule_needs_no_box_cap(monkeypatch):
+    # the box 0 <= y_i <= b({i}) holds about 10^9 cells, far above the
+    # integer-point cap, yet the walk stops after |P| + 1 points
+    walked, walk = [], polymatroid._integer_points
+
+    def counted_walk(*args):
+        Z = walk(*args)
+        walked.append(len(Z))
+        return Z
+
+    monkeypatch.setattr(polymatroid, "_integer_points", counted_walk)
+    line = [(1000 - k, 1000 + k, 1000) for k in range(8)]
+    P = point_set(line)
+    assert _above_the_rule(P)
+    assert math.prod(max(q[i] for q in P) + 1 for i in range(3)) > INTEGER_POINTS_CAP
+    assert is_base_polymatroid(P)
+    # a gap at k = 8: Q(c, b) holds the 10 points k = 0..9, the walk stops at 9
+    gap = point_set(line[:7] + [(991, 1009, 1000)])
+    chk = is_base_polymatroid(gap)
+    assert not chk
+    assert chk.witness["condition"] == "exchange"
+    assert chk.witness == _exchange_check(gap).witness
+    assert walked == [8, 9]
+
+
+def test_cave_witness_keeps_its_condition_and_names_a_nonzero_truncation():
+    rng = random.Random(7)
+    cells = list(itertools.product(range(3), repeat=3))
+    gpoly_failures = 0
+    for _ in range(1000):
+        C = PointSet(3, rng.sample(cells, rng.randint(1, 6)))
+        chk = is_cave(C, "natural")
+        if chk or chk.witness["condition"] == "stalactite-union":
+            continue
+        w = chk.witness
+        A = truncate(C, w["truncation"])
+        if w["condition"] == "top-polymatroid":
+            assert w["cause"] == is_base_polymatroid(top(A)).witness
+        else:
+            assert w["condition"] == "truncation-g-polymatroid"
+            assert any(w["truncation"])
+            assert w["cause"] == is_g_polymatroid(A, "paramodular").witness
+            gpoly_failures += 1
+    assert gpoly_failures > 20
