@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 Point = tuple[int, ...]
 
@@ -474,24 +475,60 @@ def downset(P: PointSet) -> PointSet:
     return PointSet(P.ambient_p, pts)
 
 
-def axis_transform(f: dict[Point, int], sign: int) -> dict[Point, int]:
-    """For each axis i in turn, replace f(u) by f(u) + sign * f(u + e_i),
-    keys missing from f counting as 0; the result has exactly f's keys.
+# cells of the largest box grid_transform may run on; the largest box in the
+# tests holds 16 384 cells (U_{1,14}), in the benchmark 3 125
+GRID_CAP = 1_000_000
 
-    When the keys form a downset this is exact: sign +1 gives the zeta
-    transform sum_{w >= u} f(w) and sign -1 its Mobius inverse, the
-    difference along every axis.  Keys are visited in lex order, which puts
-    u before u + e_i for every i: ascending for -1 reads the old f(u + e_i),
-    descending for +1 reads the already summed one.
-    """
-    g = dict(f)
-    order = sorted(g, reverse=sign > 0)
-    for i in range(len(order[0]) if order else 0):
-        for u in order:
-            c = g.get(u[:i] + (u[i] + 1,) + u[i + 1:])
-            if c:
-                g[u] += sign * c
-    return g
+
+def box_grid(dims, items) -> list[int]:
+    """Flat C-order list over the box of the given side lengths, 0 except value c
+    at each (point, c) of items.  Raises CapExceeded before allocating when the
+    box holds more than GRID_CAP cells."""
+    cells = math.prod(dims)
+    if cells > GRID_CAP:
+        raise CapExceeded(f"box grid has {cells} cells (cap {GRID_CAP})")
+    strides = [cells // math.prod(dims[:i + 1]) for i in range(len(dims))]
+    values = [0] * cells
+    for u, c in items:
+        values[sum(a * s for a, s in zip(u, strides))] = c
+    return values
+
+
+def grid_transform(values: list[int], dims, sign: int) -> list[int]:
+    """For each axis i in turn v(u) += sign * v(u + e_i) on a box_grid, in place:
+    +1 gives the zeta transform sum_{w >= u} v(w), -1 its Mobius inverse.
+
+    Along an axis of length d the grid is d layers of `stride` cells repeated
+    every d * stride cells.  A layer is updated from the one above it by slices:
+    contiguous runs when they are longer than the strided slices across them,
+    else slices with step d * stride.  +1 walks down the layers, reading the
+    summed layer above; -1 walks up, reading the old one."""
+    op = operator.add if sign > 0 else operator.sub
+    total = stride = len(values)
+    for d in dims:
+        stride //= d
+        step = stride * d
+        layers = range(d - 2, -1, -1) if sign > 0 else range(d - 1)
+        if stride * step >= total:
+            for a in [lo + k * stride for lo in range(0, total, step) for k in layers]:
+                b = a + stride
+                values[a:b] = map(op, values[a:b], values[b:b + stride])
+        else:
+            for a in [k * stride + j for k in layers for j in range(stride)]:
+                values[a::step] = map(op, values[a::step], values[a + stride::step])
+    return values
+
+
+def downset_difference(points) -> dict[Point, int]:
+    """{u: value} over the nonzero cells of the downset's indicator differenced
+    along every axis, on the bounding box of the (nonempty) points: zeta of the
+    points' indicator marks the downset, then grid_transform(-1)."""
+    pts = list(points)
+    dims = [max(col) + 1 for col in zip(*pts)]
+    values = grid_transform(box_grid(dims, ((u, 1) for u in pts)), dims, 1)
+    values = grid_transform([1 if c else 0 for c in values], dims, -1)
+    cells = itertools.compress(itertools.product(*map(range, dims)), values)
+    return dict(zip(cells, filter(None, values)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,38 +18,13 @@ from .lattice import (
     PointSet,
     SignedSupport,
     as_point,
-    axis_transform,
     dominates,
     downset,
+    downset_difference,
     point_set_from_json,
-    top,
     vec_sub,
 )
 from .polymatroid import is_base_polymatroid, is_g_polymatroid
-
-
-@dataclass(frozen=True)
-class PolymatroidPoset:
-    """A base polymatroid with its downward closure; the poset is the closure
-    under componentwise order with a maximum adjoined."""
-
-    bases: PointSet
-    closure: PointSet
-
-    @property
-    def ambient_p(self) -> int:
-        return self.bases.ambient_p
-
-
-def polymatroid_poset(P: PointSet) -> PolymatroidPoset:
-    chk = is_base_polymatroid(P)
-    if not chk:
-        raise ValueError(f"not a base polymatroid: {chk.witness}")
-    if not P:
-        raise EmptySetError("empty polymatroid")
-    ds = downset(P)
-    assert top(ds) == P
-    return PolymatroidPoset(P, ds)
 
 
 def mobius_to_top(P: PointSet, method: str = "closed", cap: int = 10_000) -> SignedSupport:
@@ -58,17 +33,23 @@ def mobius_to_top(P: PointSet, method: str = "closed", cap: int = 10_000) -> Sig
     closed     uses that intervals inside a downset are full boxes, so
                mu(u, 1hat) = -sum over 0/1 offsets s with u+s in the downset
                of (-1)^|s|: minus the difference of the downset's indicator
-               along every axis, computed by lattice.axis_transform
-    recursive  generic first-argument recursion mu(u) = -(1 + sum_{w>u} mu(w)),
-               kept as a cross-check oracle with a size cap
+               along every axis, computed by lattice.downset_difference on the
+               bounding box of P (CapExceeded above GRID_CAP cells, checked
+               before allocating)
+    recursive  generic first-argument recursion mu(u) = -(1 + sum_{w>u} mu(w))
+               over the literal lattice.downset, kept as a cross-check oracle
+               with a size cap; it shares no code with the closed form
     """
-    poset = polymatroid_poset(P)
-    ds = poset.closure
-    p = ds.ambient_p
+    chk = is_base_polymatroid(P)
+    if not chk:
+        raise ValueError(f"not a base polymatroid: {chk.witness}")
+    if not P:
+        raise EmptySetError("empty polymatroid")
     if method == "closed":
-        diff = axis_transform(dict.fromkeys(ds.points, 1), -1)
-        return SignedSupport(p, {u: -c for u, c in diff.items() if c})
+        diff = downset_difference(P)
+        return SignedSupport(P.ambient_p, {u: -c for u, c in diff.items()})
     if method == "recursive":
+        ds = downset(P)
         if len(ds) > cap:
             raise CapExceeded(f"downset has {len(ds)} elements (recursive cap {cap})")
         by_sum_desc = sorted(ds, key=lambda q: (-sum(q), q))
@@ -76,7 +57,7 @@ def mobius_to_top(P: PointSet, method: str = "closed", cap: int = 10_000) -> Sig
         for u in by_sum_desc:
             above = sum(mu[w] for w in mu if w != u and dominates(w, u))
             mu[u] = -(1 + above)
-        return SignedSupport(p, {u: c for u, c in mu.items() if c})
+        return SignedSupport(P.ambient_p, {u: c for u, c in mu.items() if c})
     raise ValueError(f"unknown mobius method {method!r}")
 
 

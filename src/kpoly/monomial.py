@@ -17,9 +17,8 @@ from .lattice import (
     PointSet,
     SignedSupport,
     as_point,
-    axis_transform,
     dominates,
-    downset,
+    downset_difference,
     vec_max,
     vec_sub,
 )
@@ -144,21 +143,19 @@ def _ie_coefficients_subsets(gens: list[Point], cap: int) -> dict[Point, int]:
     return {v: c for v, c in coeffs.items() if c}
 
 
-def _ie_coefficients_lattice(gens: list[Point], cell_cap: int = 200_000) -> dict[Point, int]:
+def _ie_coefficients_lattice(gens: list[Point]) -> dict[Point, int]:
     """Same signed sums by Mobius inversion: sum_{w <= v} c_w is 1 exactly on
     the up-set of the generators, so c is that indicator differenced along
     every axis.  Only the generators' coordinate values matter; ranking each
     axis by descending value turns the up-set into the downset of the ranked
-    generators, which lattice.axis_transform differences."""
+    generators, which lattice.downset_difference differences on the rank grid
+    (CapExceeded above GRID_CAP cells, checked before allocating)."""
     p = len(gens[0])
     values = [sorted({g[i] for g in gens}, reverse=True) for i in range(p)]
     ranks = [{x: r for r, x in enumerate(vs)} for vs in values]
     ranked = [tuple(rk[x] for rk, x in zip(ranks, g)) for g in gens]
-    cells = sum(math.prod(r + 1 for r in q) for q in ranked)
-    if cells > cell_cap:
-        raise CapExceeded(f"rank-grid downset of up to {cells} cells exceeds the cap {cell_cap}")
-    diff = axis_transform(dict.fromkeys(downset(PointSet(p, ranked)).points, 1), -1)
-    return {tuple(vs[r] for vs, r in zip(values, u)): c for u, c in diff.items() if c}
+    diff = downset_difference(ranked)
+    return {tuple(vs[r] for vs, r in zip(values, u)): c for u, c in diff.items()}
 
 
 def ie_join_coefficients(J: SquareFreeIdeal, method: str = "auto", cap: int | None = None) -> dict[Point, int]:

@@ -14,10 +14,11 @@ from .lattice import (
     PointSet,
     SignedSupport,
     as_point,
-    axis_transform,
     binomial_at,
+    box_grid,
     check_axis_order,
     dominates,
+    grid_transform,
     lex_key,
     point_set_from_json,
     top,
@@ -207,10 +208,13 @@ def mobius_sum_check(H: SignedSupport, n) -> int:
 
 def dominance_sums(H: SignedSupport) -> dict[Point, int]:
     """S(n) = sum_{w >= n} H(w) for every n in the bounding box of the support,
-    the zeta transform of H on that box."""
-    maxes = [max(q[i] for q in H.terms) for i in range(H.ambient_p)]
-    box = itertools.product(*(range(m + 1) for m in maxes))
-    return axis_transform({n: H.coeff(n) for n in box}, 1)
+    the zeta transform of H by lattice.grid_transform on that box (CapExceeded
+    above GRID_CAP cells, checked before allocating)."""
+    if not H:
+        raise EmptySetError("empty support")
+    dims = [max(col) + 1 for col in zip(*H.terms)]
+    sums = grid_transform(box_grid(dims, H.terms.items()), dims, 1)
+    return dict(zip(itertools.product(*map(range, dims)), sums))
 
 
 def verify_mobius_sums(H: SignedSupport) -> Check:

@@ -148,6 +148,17 @@ def test_explore(capsys):
     assert payload["tested"] == 10
 
 
+def test_sparse_polymatroid_in_a_huge_box_hits_the_grid_cap(tmp_path, capsys):
+    # U_{1,20}: a 21-cell downset inside a 2^20-cell bounding box, refused by
+    # GRID_CAP before the grid is allocated
+    bases = [[int(i == j) for j in range(20)] for i in range(20)]
+    msupp = write_json(tmp_path, "u120.json", bases)
+    matroid = write_json(tmp_path, "u120_matroid.json", {"p": 20, "bases": bases})
+    for argv in (["mobius", msupp], ["verify", "matroid-mu", matroid]):
+        assert main(argv) == 2
+        assert "resource cap: box grid has 1048576 cells" in capsys.readouterr().err
+
+
 def test_malformed_input_is_usage_error(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")

@@ -1,16 +1,21 @@
+import itertools
 import random
 
 import pytest
 
 from kpoly.lattice import (
+    CapExceeded,
     DimensionError,
     EmptySetError,
+    GRID_CAP,
     IntPolynomial,
     PointSet,
     SignedSupport,
-    axis_transform,
     binomial_at,
+    box_grid,
     downset,
+    downset_difference,
+    grid_transform,
     homogenize,
     lex_compare,
     point_set,
@@ -210,17 +215,65 @@ def test_binomial_at_matches_comb_and_extends():
     assert binomial_at(5, 0) == 1
 
 
-def test_axis_transform_round_trip_on_downsets():
+def axis_transform(f, sign):
+    """Literal dict oracle of the grid kernel: for each axis i in turn
+    f(u) += sign * f(u + e_i) over f's keys only, visited in lex order
+    (descending for +1, so it reads the already summed f(u + e_i)).  Exact when
+    the keys form a downset."""
+    g = dict(f)
+    order = sorted(g, reverse=sign > 0)
+    for i in range(len(order[0]) if order else 0):
+        for u in order:
+            c = g.get(u[:i] + (u[i] + 1,) + u[i + 1:])
+            if c:
+                g[u] += sign * c
+    return g
+
+
+def literal_downset_difference(points):
+    """The indicator of the literal downset differenced by the dict oracle."""
+    pts = list(points)
+    diff = axis_transform(dict.fromkeys(downset(PointSet(len(pts[0]), pts)).points, 1), -1)
+    return {u: c for u, c in diff.items() if c}
+
+
+def test_grid_transform_round_trip_on_random_grids():
     rng = random.Random(2022)
+    shapes = [[rng.randint(1, 4) for _ in range(rng.randint(1, 4))] for _ in range(300)]
+    # long axes in either position send some axes through the contiguous-run
+    # pass and others through the strided-slice pass
+    shapes += [[2, 40], [40, 2], [3, 1, 30], [30, 3, 1], [1, 1, 1]]
+    for dims in shapes:
+        cells = list(itertools.product(*map(range, dims)))
+        f = {u: rng.randint(-3, 3) for u in cells}
+        grid = box_grid(dims, f.items())
+        zeta = grid_transform(list(grid), dims, 1)
+        for u, s in zip(cells, zeta):
+            assert s == sum(c for w, c in f.items() if all(a >= b for a, b in zip(w, u)))
+        assert grid_transform(zeta, dims, -1) == grid
+
+
+def test_downset_difference_matches_the_literal_downset():
+    rng = random.Random(31)
     for _ in range(200):
         p = rng.randint(1, 4)
-        gens = [tuple(rng.randint(0, 2) for _ in range(p)) for _ in range(rng.randint(1, 4))]
-        f = {u: rng.randint(-3, 3) for u in downset(PointSet(p, gens))}
-        zeta = axis_transform(f, 1)
-        assert set(zeta) == set(f)
-        for u, s in zeta.items():
-            assert s == sum(c for w, c in f.items() if all(a >= b for a, b in zip(w, u)))
-        assert axis_transform(zeta, -1) == f
+        gens = [tuple(rng.randint(0, 3) for _ in range(p)) for _ in range(rng.randint(1, 4))]
+        assert downset_difference(gens) == literal_downset_difference(gens)
+    # sparse generators in a large bounding box: U_{1,12} and the degree-6
+    # simplex in 3 variables decode their few cells correctly
+    unit = [tuple(int(i == j) for j in range(12)) for i in range(12)]
+    simplex = [(a, b, 6 - a - b) for a in range(7) for b in range(7 - a)]
+    for gens in (unit, simplex):
+        assert downset_difference(gens) == literal_downset_difference(gens)
+
+
+def test_box_grid_cap_fires_before_allocating():
+    assert len(box_grid([1000, 1000], [((999, 999), 1)])) == GRID_CAP
+    with pytest.raises(CapExceeded):
+        box_grid([1000, 1001], [])
+    # a 10^18-cell box could never be allocated, so the cap must come first
+    with pytest.raises(CapExceeded):
+        box_grid([10**6] * 3, [])
 
 
 def test_json_roundtrips():

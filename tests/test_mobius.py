@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -79,6 +80,50 @@ def test_mobius_methods_agree_on_random_polymatroids():
             continue
         tested += 1
         assert mobius_to_top(P, "closed") == mobius_to_top(P, "recursive"), P
+
+
+def test_mobius_methods_agree_on_zero_one_s4_supports():
+    from kpoly.schubert import msupp_of_matrix_schubert, zero_one_permutations
+
+    perms = zero_one_permutations(4)
+    assert len(perms) == 24  # every permutation in S_4 is zero-one
+    for w in perms:
+        msupp, _ = msupp_of_matrix_schubert(w)
+        assert mobius_to_top(msupp, "closed") == mobius_to_top(msupp, "recursive"), w
+
+
+def test_mobius_methods_agree_where_the_box_dwarfs_the_downset():
+    # U_{1,n} has a 2^n-cell bounding box and an (n + 1)-cell downset; the
+    # degree-k simplex a (k + 1)^p box and a C(k + p, p)-cell downset
+    sparse = [uniform_matroid(1, n).bases for n in (6, 10, 14)]
+    for k, p in ((4, 3), (7, 3), (3, 4)):
+        pts = [u for u in itertools.product(range(k + 1), repeat=p) if sum(u) == k]
+        sparse.append(PointSet(p, pts))
+    for P in sparse:
+        assert 3 * len(downset(P)) < math.prod(max(col) + 1 for col in zip(*P))
+        assert mobius_to_top(P, "closed") == mobius_to_top(P, "recursive"), P
+
+
+def test_literal_oracles_never_enter_the_grid_kernel(monkeypatch):
+    from kpoly import lattice, monomial, stalactite
+    from kpoly.monomial import SquareFreeIdeal, ie_join_coefficients
+
+    expected_mu = mobius_to_top(point_set(MSUPP_3))
+    J = SquareFreeIdeal((4, 4), ((0, 3), (1, 2), (3, 0)))
+    expected_ie = ie_join_coefficients(J, "subsets")
+
+    def refuse(*args):
+        raise AssertionError("grid kernel called")
+
+    for module in (lattice, mobius, monomial, stalactite):
+        for name in ("grid_transform", "downset_difference"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError):
+        mobius_to_top(point_set(MSUPP_3))
+    assert mobius_to_top(point_set(MSUPP_3), "recursive") == expected_mu
+    assert ie_join_coefficients(J, "subsets") == expected_ie
+    assert reduced_euler_characteristic(uniform_matroid(2, 4)) == -3
 
 
 def test_mobius_requires_polymatroid():

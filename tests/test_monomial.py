@@ -22,6 +22,7 @@ from kpoly.monomial import (
 )
 from kpoly.stalactite import hilbert_eval, hsupp_from_msupp
 from running_example import AMBIENT_M3, HILBERT_3, KPOLY_3, MSUPP_3
+from test_lattice import literal_downset_difference
 
 
 def running_ideal() -> SquareFreeIdeal:
@@ -137,10 +138,17 @@ def test_auto_switches_to_lattice_above_the_cap(monkeypatch):
     expected = {(i, 24 - i): 1 for i in range(25)}
     expected.update({(i + 1, 24 - i): -1 for i in range(24)})
     assert ie_join_coefficients(J) == expected
-    # the lattice route's cell cap fires before its downset is built
+    # the 231-prime plane's rank grid holds 21^3 cells; the grid kernel must
+    # match the dict oracle differencing the literal downset of the ranked primes
     plane = tuple((a, b, 20 - a - b) for a in range(21) for b in range(21 - a))
-    with pytest.raises(CapExceeded):
-        ie_join_coefficients(SquareFreeIdeal((20, 20, 20), plane))
+    ranked = [tuple(20 - x for x in a) for a in plane]
+    expected = {tuple(20 - r for r in u): c for u, c in literal_downset_difference(ranked).items()}
+    assert ie_join_coefficients(SquareFreeIdeal((20, 20, 20), plane)) == expected
+    # 101 primes with 101 distinct values on each axis: the rank grid of
+    # 101^3 cells exceeds GRID_CAP, and the cap fires before allocating
+    line = tuple((i, 100 - i, i) for i in range(101))
+    with pytest.raises(CapExceeded, match="1030301 cells"):
+        ie_join_coefficients(SquareFreeIdeal((100, 100, 100), line))
 
 
 def test_subset_cap_enforced(monkeypatch):
@@ -259,3 +267,17 @@ def test_coefficient_sum_is_one_for_polymatroid_ideals():
 def test_ideal_json_roundtrip():
     J = running_ideal()
     assert ideal_from_json(ideal_to_json(J)) == J
+
+
+def test_shellable_refinement_matches_ie_on_random_polymatroids():
+    from kpoly.mobius import random_base_polymatroid
+
+    rng = random.Random(2718)
+    tested = 0
+    while tested < 40:
+        P = random_base_polymatroid(rng, rng.randint(2, 4), 3)
+        if P is None or len(P) < 3:
+            continue
+        tested += 1
+        J = msupp_to_ideal(P, tuple(max(col) for col in zip(*P)))
+        assert hilbert_poly_shellable(J) == hilbert_poly_ie(J), P

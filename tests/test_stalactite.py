@@ -189,6 +189,8 @@ def test_dominance_sums_match_pointwise_check():
         if any(all(w[i] >= n[i] for i in range(3)) for w in tops):
             assert s == mobius_sum_check(H, n)
     assert verify_mobius_sums(H)
+    with pytest.raises(ValueError):
+        dominance_sums(SignedSupport(3))
 
 
 def test_collapse_and_embed():
@@ -200,3 +202,25 @@ def test_collapse_and_embed():
     H3 = hsupp_from_msupp(small)
     H5 = embed_signed_support(H3, keep, AMBIENT_M5)
     assert H5.terms == HILBERT_5
+
+
+def test_stalactite_union_is_the_same_under_every_axis_order():
+    from collections import Counter
+
+    from kpoly.mobius import random_base_polymatroid
+
+    rng = random.Random(1984)
+    tested = 0
+    while tested < 40:
+        P = random_base_polymatroid(rng, rng.randint(2, 4), 3)
+        if P is None or len(P) < 3:
+            continue
+        tested += 1
+        H = hsupp_from_msupp(P)
+        D = sum(P.points[0])
+        for order in itertools.permutations(range(1, P.ambient_p + 1)):
+            counts = Counter()
+            for _, st in stalactite_union(P, order):
+                counts.update(st)
+            signed = {n: (-1) ** (D - sum(n)) * c for n, c in counts.items()}
+            assert SignedSupport(P.ambient_p, signed) == H, (P, order)
