@@ -2,13 +2,17 @@
 
 Every command prints a human-readable report; ``--json`` switches stdout to
 the JSON payload and ``--out PATH`` writes the JSON alongside the report.
-Exit codes: 0 ok, 1 mathematical violation (failed axiom, route mismatch,
-with a machine-readable witness), 2 usage or resource error.
+Exit codes: 0 ok; 1 mathematical violation (failed axiom, route or oracle
+mismatch), always with a machine-readable witness; 2 usage or resource error.
+The parser is built once per process.  Each command decides nothing the
+library already decides: it loads its input, calls the library routes and
+reports their verdicts.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -16,7 +20,6 @@ from dataclasses import dataclass
 
 from .lattice import (
     CapExceeded,
-    Check,
     point_set_from_json,
     point_set_to_json,
     poly_text,
@@ -71,27 +74,34 @@ def _parse_orders(text: str):
 
 # ---------------------------------------------------------------------------
 
+# route name -> name of the schubert function that computes it; looked up at
+# call time, so a wrapped or patched module attribute is the one that runs
+ROUTES = {
+    "divided-diff": "grothendieck",
+    "stalactites": "grothendieck_via_stalactites",
+    "mobius": "grothendieck_via_mobius",
+}
+
+
+def _first_difference(named: dict):
+    """The first exponent, in sorted order, where the named term maps
+    disagree, and each one's coefficient there."""
+    for e in sorted(set().union(*(f.terms for f in named.values()))):
+        coeffs = {name: f.terms.get(e, 0) for name, f in named.items()}
+        if len(set(coeffs.values())) > 1:
+            return list(e), coeffs
+
+
 def cmd_grothendieck(args) -> CommandResult:
     w = schubert.parse_perm(args.permutation)
-    routes = {}
-    if args.via in (None, "divided-diff") or args.verify:
-        routes["divided-diff"] = schubert.grothendieck(w)
     zero_one = schubert.is_zero_one(w)
-    wanted = [args.via] if args.via and not args.verify else []
     if args.verify:
-        wanted = ["stalactites", "mobius"] if zero_one else []
-    for route in wanted:
-        if route == "divided-diff":
-            routes[route] = schubert.grothendieck(w)
-        elif route == "stalactites":
-            routes[route] = schubert.grothendieck_via_stalactites(w)
-        elif route == "mobius":
-            routes[route] = schubert.grothendieck_via_mobius(w)
-        else:
-            raise ValueError(f"unknown route {route!r}")
-    polys = list(routes.values())
-    agree = all(f == polys[0] for f in polys)
-    result = polys[0]
+        wanted = list(ROUTES) if zero_one else ["divided-diff"]
+    else:
+        wanted = [args.via or "divided-diff"]
+    routes = {route: getattr(schubert, ROUTES[route])(w) for route in wanted}
+    result = routes[wanted[0]]
+    agree = all(f == result for f in routes.values())
     shown = schubert.lowest_degree_part(result) if args.schubert else result
     name = "Schubert" if args.schubert else "Grothendieck"
     lines = [f"{name} polynomial of {list(w)}:", f"  {poly_text(shown)}"]
@@ -107,8 +117,12 @@ def cmd_grothendieck(args) -> CommandResult:
         "routes": sorted(routes),
         "routes_agree": agree,
     }
-    status = OK if agree else VIOLATION
-    return CommandResult(status, payload, "\n".join(lines))
+    if agree:
+        return CommandResult(OK, payload, "\n".join(lines))
+    exp, coeffs = _first_difference(routes)
+    payload["witness"] = {"condition": "route-mismatch", "exp": exp, "coeffs": coeffs}
+    lines.append(f"  witness: {payload['witness']}")
+    return CommandResult(VIOLATION, payload, "\n".join(lines))
 
 
 def cmd_census(args) -> CommandResult:
@@ -133,82 +147,95 @@ def _check_result(kind: str, chk, extra: dict | None = None) -> CommandResult:
     )
 
 
+def _verify_gpolymatroid(args, data) -> CommandResult:
+    G = point_set_from_json(data)
+    if args.method != "all":
+        return _check_result(args.kind, polymatroid.is_g_polymatroid(G, args.method))
+    checks = {m: polymatroid.is_g_polymatroid(G, m) for m in polymatroid.G_POLY_METHODS}
+    verdicts = {m: bool(c) for m, c in checks.items()}
+    return _check_result(args.kind, checks["axioms"], {"methods": verdicts})
+
+
+def _verify_theorem_a(args, data) -> CommandResult:
+    """Theorem A: the support is a g-polymatroid, which by Frank's theorem is
+    the paramodular classifier's verdict; the report lists the support-bound
+    inequalities."""
+    supp = point_set_from_json(data)
+    sys_ = polymatroid.inequality_system(supp)
+    res = _check_result(
+        args.kind,
+        polymatroid.is_g_polymatroid(supp, "paramodular"),
+        {"inequalities": polymatroid.system_to_json(sys_)},
+    )
+    res.human += "".join(
+        f"\n  {sys_.lower[J]} <= n_{{{','.join(map(str, sorted(J)))}}} <= {sys_.upper[J]}"
+        for J in sys_.subsets()
+    )
+    return res
+
+
+def _verify_theorem_c(args, data) -> CommandResult:
+    P = subspaces.linear_polymatroid(subspaces.config_from_json(data))
+    supp = mobius_mod.mu_support(P)
+    extra = {"polymatroid": point_set_to_json(P), "mu_support": point_set_to_json(supp)}
+    return _check_result(args.kind, polymatroid.is_g_polymatroid(supp, "paramodular"), extra)
+
+
+# verify kind -> handler(args, parsed JSON input)
+VERIFY_KINDS = {
+    "gpolymatroid": _verify_gpolymatroid,
+    "cave": lambda args, data: _check_result(
+        args.kind, polymatroid.is_cave(point_set_from_json(data), _parse_orders(args.orders))
+    ),
+    "shelling": lambda args, data: _check_result(
+        args.kind, stalactite.verify_shelling(stalactite.facets_from_json(data))
+    ),
+    "matroid-mu": lambda args, data: _check_result(
+        args.kind, mobius_mod.verify_matroid_mu_theorem(mobius_mod.matroid_from_json(data))
+    ),
+    "theorem-a": _verify_theorem_a,
+    "theorem-c": _verify_theorem_c,
+}
+
+
 def cmd_verify(args) -> CommandResult:
-    data = _load_json(args.input)
-    kind = args.kind
-    if kind == "gpolymatroid":
-        G = point_set_from_json(data)
-        if args.method == "all":
-            checks = {
-                m: polymatroid.is_g_polymatroid(G, m)
-                for m in polymatroid.G_POLY_METHODS
-            }
-            verdicts = {m: bool(c) for m, c in checks.items()}
-            chk = checks["axioms"]
-            return _check_result(kind, chk, {"methods": verdicts})
-        return _check_result(kind, polymatroid.is_g_polymatroid(G, args.method))
-    if kind == "cave":
-        C = point_set_from_json(data)
-        return _check_result(kind, polymatroid.is_cave(C, _parse_orders(args.orders)))
-    if kind == "shelling":
-        facets = stalactite.facets_from_json(data)
-        return _check_result(kind, stalactite.verify_shelling(facets))
-    if kind == "matroid-mu":
-        M = mobius_mod.matroid_from_json(data)
-        return _check_result(kind, mobius_mod.verify_matroid_mu_theorem(M))
-    if kind == "theorem-a":
-        supp = point_set_from_json(data)
-        sys_ = polymatroid.inequality_system(supp)
-        pts = polymatroid.integer_points(sys_)
-        extra = {"inequalities": polymatroid.system_to_json(sys_)}
-        if pts != supp:
-            gained = [list(q) for q in pts if q not in supp]
-            return _check_result(
-                kind, Check(False, {"condition": "integer-points", "extra_points": gained}), extra
-            )
-        rows = [
-            f"  {sys_.lower[J]} <= n_{{{','.join(map(str, sorted(J)))}}} <= {sys_.upper[J]}"
-            for J in sys_.subsets()
-        ]
-        res = _check_result(kind, polymatroid.paramodular_check(sys_), extra)
-        res.human += "\n" + "\n".join(rows)
-        return res
-    if kind == "theorem-c":
-        config = subspaces.config_from_json(data)
-        P = subspaces.linear_polymatroid(config)
-        supp = mobius_mod.mu_support(P)
-        chk = polymatroid.is_g_polymatroid(supp, "paramodular")
-        extra = {
-            "polymatroid": point_set_to_json(P),
-            "mu_support": point_set_to_json(supp),
-        }
-        return _check_result(kind, chk, extra)
-    raise ValueError(f"unknown verify kind {kind!r}")
+    return VERIFY_KINDS[args.kind](args, _load_json(args.input))
 
 
-def cmd_hilbert(args) -> CommandResult:
+def _base_polymatroid_input(args, subject: str):
+    """(msupp, m): the point set at args.msupp and its ambient bound, --ambient
+    or else the componentwise max; or the violation result when the set fails
+    the base-polymatroid check."""
     msupp = point_set_from_json(_load_json(args.msupp))
     chk = polymatroid.is_base_polymatroid(msupp)
     if not chk:
         return CommandResult(
             VIOLATION,
             {"verdict": False, "witness": chk.witness},
-            f"multidegree support fails the polymatroid check\n  witness: {chk.witness}",
+            f"{subject} fails the polymatroid check\n  witness: {chk.witness}",
         )
+    if args.ambient:
+        return msupp, _parse_vector(args.ambient)
+    return msupp, tuple(max(q[i] for q in msupp) for i in range(msupp.ambient_p))
+
+
+def cmd_hilbert(args) -> CommandResult:
+    loaded = _base_polymatroid_input(args, "multidegree support")
+    if isinstance(loaded, CommandResult):
+        return loaded
+    msupp, m = loaded
     H = stalactite.hsupp_from_msupp(msupp)
     lines = ["Hilbert polynomial (binomial-product basis):", f"  {stalactite.hilbert_text(H)}"]
     payload = {"hilbert": signed_support_to_json(H), "text": stalactite.hilbert_text(H)}
-    if args.ambient:
-        m = _parse_vector(args.ambient)
-    else:
-        m = tuple(max(q[i] for q in msupp) for i in range(msupp.ambient_p))
     if args.oracle:
-        J = monomial.msupp_to_ideal(msupp, m)
-        Hie = monomial.hilbert_poly_ie(J)
+        Hie = monomial.hilbert_poly_ie(monomial.msupp_to_ideal(msupp, m))
         agree = Hie == H
         lines.append(f"  inclusion-exclusion oracle agrees: {agree}")
         payload["oracle_agrees"] = agree
         if not agree:
+            n, coeffs = _first_difference({"stalactites": H, "inclusion_exclusion": Hie})
+            payload["witness"] = {"condition": "oracle-mismatch", "n": n, **coeffs}
+            lines.append(f"  witness: {payload['witness']}")
             return CommandResult(VIOLATION, payload, "\n".join(lines))
     if args.eval is not None:
         t = _parse_vector(args.eval)
@@ -219,14 +246,10 @@ def cmd_hilbert(args) -> CommandResult:
 
 
 def cmd_mobius(args) -> CommandResult:
-    msupp = point_set_from_json(_load_json(args.msupp))
-    chk = polymatroid.is_base_polymatroid(msupp)
-    if not chk:
-        return CommandResult(
-            VIOLATION,
-            {"verdict": False, "witness": chk.witness},
-            f"input fails the polymatroid check\n  witness: {chk.witness}",
-        )
+    loaded = _base_polymatroid_input(args, "input")
+    if isinstance(loaded, CommandResult):
+        return loaded
+    msupp, m = loaded
     MU = mobius_mod.mobius_to_top(msupp)
     supp = MU.support()
     lines = [
@@ -246,10 +269,6 @@ def cmd_mobius(args) -> CommandResult:
             payload["witness"] = deg.witness
             return CommandResult(VIOLATION, payload, "\n".join(lines))
     if args.kpoly:
-        if args.ambient:
-            m = _parse_vector(args.ambient)
-        else:
-            m = tuple(max(q[i] for q in msupp) for i in range(msupp.ambient_p))
         K = mobius_mod.kpoly_from_mobius(msupp, m)
         lines.append(f"twisted K-polynomial: {poly_text(K)}")
         payload["kpoly"] = poly_to_json(K)
@@ -314,6 +333,7 @@ def cmd_explore(args) -> CommandResult:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kpoly",
@@ -326,20 +346,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="print the JSON payload instead of text")
         p.add_argument("--out", help="also write the JSON payload to this path")
 
-    g = sub.add_parser("grothendieck", help="Grothendieck/Schubert polynomial of a permutation")
-    g.add_argument("permutation", help='one-line notation, e.g. "1,5,3,2,4" or "[1,5,3,2,4]"')
-    g.add_argument("--schubert", action="store_true", help="print the lowest-degree part")
-    g.add_argument("--via", choices=["divided-diff", "stalactites", "mobius"])
-    g.add_argument("--verify", action="store_true", help="run all applicable routes and compare")
-    common(g)
-    g.set_defaults(func=cmd_grothendieck)
-
-    s = sub.add_parser("schubert", help="alias for grothendieck --schubert")
-    s.add_argument("permutation")
-    s.add_argument("--via", choices=["divided-diff", "stalactites", "mobius"])
-    s.add_argument("--verify", action="store_true")
-    common(s)
-    s.set_defaults(func=cmd_grothendieck, schubert=True)
+    for name, help_ in (
+        ("grothendieck", "Grothendieck/Schubert polynomial of a permutation"),
+        ("schubert", "alias for grothendieck --schubert"),
+    ):
+        g = sub.add_parser(name, help=help_)
+        g.add_argument("permutation", help='one-line notation, e.g. "1,5,3,2,4" or "[1,5,3,2,4]"')
+        if name == "grothendieck":
+            g.add_argument("--schubert", action="store_true", help="print the lowest-degree part")
+        g.add_argument("--via", choices=list(ROUTES))
+        g.add_argument("--verify", action="store_true", help="run all applicable routes and compare")
+        common(g)
+        g.set_defaults(func=cmd_grothendieck, schubert=name == "schubert")
 
     c = sub.add_parser("census", help="count zero-one Schubert polynomials in S_p")
     c.add_argument("p", type=int)
@@ -348,10 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_census)
 
     v = sub.add_parser("verify", help="run a structural verdict on a JSON input")
-    v.add_argument(
-        "kind",
-        choices=["gpolymatroid", "cave", "shelling", "matroid-mu", "theorem-a", "theorem-c"],
-    )
+    v.add_argument("kind", choices=list(VERIFY_KINDS))
     v.add_argument("input", help="path to the JSON input")
     v.add_argument("--method", default="axioms", choices=[*polymatroid.G_POLY_METHODS, "all"])
     v.add_argument("--orders", default="all", help="natural, all or sample:K:SEED")

@@ -70,10 +70,6 @@ def vec_max(u: Point, v: Point) -> Point:
     return tuple(max(a, b) for a, b in zip(u, v))
 
 
-def vec_min(u: Point, v: Point) -> Point:
-    return tuple(min(a, b) for a, b in zip(u, v))
-
-
 def vec_sub(u: Point, v: Point) -> Point:
     out = tuple(a - b for a, b in zip(u, v))
     if any(c < 0 for c in out):
@@ -208,22 +204,6 @@ def support_bounds(A: PointSet, J) -> tuple[int, int]:
     idx = [j - 1 for j in check_index_subset(J, A.ambient_p)]
     sums = [sum(q[i] for i in idx) for q in A]
     return min(sums), max(sums)
-
-
-def nonzero_components(A: PointSet) -> tuple[int, ...]:
-    """1-based components where some point of A is nonzero."""
-    return tuple(
-        i + 1 for i in range(A.ambient_p) if any(q[i] for q in A)
-    )
-
-
-def project_points(A: PointSet, components) -> PointSet:
-    """Restrict every point to the given 1-based components (order preserved)."""
-    comps = [c - 1 for c in components]
-    for c in comps:
-        if c < 0 or c >= A.ambient_p:
-            raise ValueError(f"component {c + 1} outside 1..{A.ambient_p}")
-    return PointSet(len(comps), (tuple(q[c] for c in comps) for q in A))
 
 
 def _accumulate_terms(ambient_p, terms):
@@ -395,12 +375,6 @@ class IntPolynomial:
             out[tuple(w)] = c
         return IntPolynomial._raw(self.num_vars, out)
 
-    def total_degrees(self) -> tuple[int, int]:
-        if not self.terms:
-            raise EmptySetError("degree of the zero polynomial")
-        sums = [sum(e) for e in self.terms]
-        return min(sums), max(sums)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IntPolynomial)
@@ -548,22 +522,5 @@ def signed_support_to_json(S: SignedSupport) -> list:
     return [{"exp": list(q), "coeff": c} for q, c in S.items()]
 
 
-def signed_support_from_json(data, ambient_p: int | None = None) -> SignedSupport:
-    if not isinstance(data, list):
-        raise ValueError("signed support JSON must be an array of {exp, coeff}")
-    pairs = [(tuple(d["exp"]), int(d["coeff"])) for d in data]
-    if ambient_p is None:
-        if not pairs:
-            raise EmptySetError("cannot infer ambient dimension")
-        ambient_p = len(pairs[0][0])
-    return SignedSupport(ambient_p, pairs)
-
-
 def poly_to_json(f: IntPolynomial) -> list:
     return [{"exp": list(e), "coeff": c} for e, c in f.items()]
-
-
-def poly_from_json(data, num_vars: int | None = None) -> IntPolynomial:
-    S = signed_support_from_json(data, num_vars)
-    return poly_from_signed_support(S)
-

@@ -50,10 +50,6 @@ class BorelPrime:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "m", m)
 
-    @property
-    def codim(self) -> int:
-        return sum(self.a)
-
 
 @dataclass(frozen=True)
 class SquareFreeIdeal:
@@ -312,11 +308,3 @@ def hilbert_function_bruteforce(J: SquareFreeIdeal, v, cap: int = 2_000_000) -> 
             f"internal inconsistency: direct count {direct} != closed form {closed} at {v}"
         )
     return direct
-
-
-def ideal_to_json(J: SquareFreeIdeal) -> dict:
-    return {"m": list(J.m), "primes": [list(a) for a in J.primes]}
-
-
-def ideal_from_json(data) -> SquareFreeIdeal:
-    return SquareFreeIdeal(tuple(data["m"]), tuple(tuple(a) for a in data["primes"]))

@@ -23,7 +23,7 @@ from .lattice import (
     unit_shift,
 )
 
-G_POLY_METHODS = ("axioms", "homogenization", "inequality_points", "paramodular")
+G_POLY_METHODS = ("axioms", "homogenization", "paramodular")
 
 INTEGER_POINTS_CAP = 10_000_000
 
@@ -163,19 +163,17 @@ def _axiom_check(G: PointSet) -> Check:
 
 
 def is_g_polymatroid(G: PointSet, method: str = "axioms") -> Check:
-    """Generalized-polymatroid test via one of four routes.
+    """Generalized-polymatroid test via one of three exact routes.
 
     axioms            direct Exchange + Expansion over all ordered pairs; the
                       definition, O(|G|^2 p^2)
     homogenization    append the slack coordinate, then base-polymatroid exchange
-    inequality_points the set must equal the integer points of its own
-                      support-bound system (necessary always, and exact for
-                      genuine g-polymatroids by Frank's characterization)
-    paramodular       inequality_points plus paramodular_check on the support
-                      bounds.  Exact by Frank's theorem (Generalized
-                      polymatroids, 1984): the integral g-polymatroids are
-                      the polyhedra Q(c, b) of integral paramodular pairs, and
-                      the support bounds of such a Q are (c, b) themselves.
+    paramodular       the support bounds (c, b) form a paramodular pair and G
+                      is the set of integer points of Q(c, b).  Exact by
+                      Frank's theorem (Generalized polymatroids, 1984): the
+                      integral g-polymatroids are the polyhedra Q(c, b) of
+                      integral paramodular pairs, and the support bounds of
+                      such a Q are (c, b) themselves.
                       O(|G| 2^p + p^2 2^p) plus the integer-point walk.
     """
     if method not in G_POLY_METHODS:
@@ -193,10 +191,9 @@ def is_g_polymatroid(G: PointSet, method: str = "axioms") -> Check:
         return Check(False, w)
     p = G.ambient_p
     c, b = _support_tables(G)
-    if method == "paramodular":
-        chk = _paramodular_check(c, b, p)
-        if not chk:
-            return chk
+    chk = _paramodular_check(c, b, p)
+    if not chk:
+        return chk
     Z = _table_points(c, b, p)
     if Z == G:
         return Check(True)
@@ -266,10 +263,11 @@ def _mask(J) -> int:
     return sum(1 << (j - 1) for j in J)
 
 
-def paramodular_check(sys_: GPolyInequalitySystem) -> Check:
-    """Whether the bounds (c, b) of a complete system, with c = b = 0 on the
-    empty set, form a paramodular pair: b submodular, c supermodular, and the
-    cross inequality b(X) - c(Y) >= b(X - Y) - c(Y - X) for all X, Y.
+def _paramodular_check(c: list[int], b: list[int], p: int) -> Check:
+    """Whether bound tables indexed by bitmask (bit j - 1 stands for index j),
+    with c = b = 0 on the empty set, form a paramodular pair: b submodular, c
+    supermodular, and the cross inequality b(X) - c(Y) >= b(X - Y) - c(Y - X)
+    for all X, Y.
 
     The three families are exactly the submodular inequalities of one set
     function rho on the subsets of [p] plus a slack element s: rho(X) = b(X)
@@ -278,18 +276,6 @@ def paramodular_check(sys_: GPolyInequalitySystem) -> Check:
     i != j outside W, so p(p + 1) 2^(p - 2) local checks replace the 4^p
     pairs.  The witness names the violated family and its 1-based X and Y.
     """
-    p = sys_.ambient_p
-    if len(sys_.lower) != (1 << p) - 1:
-        raise ValueError("paramodular check needs bounds on every nonempty subset")
-    c, b = [0] * (1 << p), [0] * (1 << p)
-    for J in sys_.lower:
-        X = _mask(J)
-        c[X], b[X] = sys_.lower[J], sys_.upper[J]
-    return _paramodular_check(c, b, p)
-
-
-def _paramodular_check(c: list[int], b: list[int], p: int) -> Check:
-    """paramodular_check on bound tables indexed by bitmask."""
     full = (1 << p) - 1
     rho = b + [-c[full ^ X] for X in range(full + 1)]
     for e, f in itertools.combinations([1 << i for i in range(p + 1)], 2):
@@ -380,13 +366,6 @@ def system_to_json(sys_: GPolyInequalitySystem) -> dict:
             for J in sys_.subsets()
         ],
     }
-
-
-def system_from_json(data) -> GPolyInequalitySystem:
-    p = int(data["p"])
-    lower = {tuple(row["J"]): int(row["c"]) for row in data["bounds"]}
-    upper = {tuple(row["J"]): int(row["b"]) for row in data["bounds"]}
-    return GPolyInequalitySystem(p, lower, upper)
 
 
 def axis_orders(p: int, policy):

@@ -1,7 +1,10 @@
+import copy
 import json
+import random
 
+from kpoly import cli, monomial, schubert
 from kpoly.cli import main
-from kpoly.lattice import point_set, point_set_to_json
+from kpoly.lattice import IntPolynomial, SignedSupport, point_set, point_set_to_json
 from kpoly.subspaces import config_to_json, random_config
 from running_example import HILBERT_3, KPOLY_3, MSUPP_3
 
@@ -17,6 +20,46 @@ def test_grothendieck_verify(capsys):
     out = capsys.readouterr().out
     assert "routes agree: True" in out
     assert "zero-one: True" in out
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_route_mismatch_carries_a_witness(monkeypatch, capsys):
+    real = schubert.grothendieck_via_mobius
+
+    def perturbed(w):
+        f = real(w)
+        return f + IntPolynomial.monomial(f.num_vars, (0,) * f.num_vars)
+
+    monkeypatch.setattr(schubert, "grothendieck_via_mobius", perturbed)
+    assert main(["grothendieck", "1,5,3,2,4", "--verify", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["routes_agree"] is False
+    assert payload["witness"] == {
+        "condition": "route-mismatch",
+        "exp": [0, 0, 0, 0, 0],
+        "coeffs": {"divided-diff": 0, "stalactites": 0, "mobius": 1},
+    }
+
+
+def test_oracle_mismatch_carries_a_witness(tmp_path, monkeypatch, capsys):
+    real = monomial.hilbert_poly_ie
+    n = (2, 2, 3)  # coefficient -2 in the running example
+
+    def perturbed(J):
+        H = real(J)
+        return SignedSupport(H.ambient_p, {**H.terms, n: H.coeff(n) + 7})
+
+    monkeypatch.setattr(monomial, "hilbert_poly_ie", perturbed)
+    path = write_json(tmp_path, "msupp.json", [list(q) for q in MSUPP_3])
+    assert main(["hilbert", path, "--oracle", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["oracle_agrees"] is False
+    assert payload["witness"] == {
+        "condition": "oracle-mismatch", "n": [2, 2, 3], "stalactites": -2, "inclusion_exclusion": 5
+    }
 
 
 def test_grothendieck_json_payload(capsys):
@@ -53,9 +96,7 @@ def test_verify_gpolymatroid_ok_and_violation(tmp_path, capsys):
     good = write_json(tmp_path, "good.json", point_set_to_json(point_set(list(HILBERT_3))))
     assert main(["verify", "gpolymatroid", good, "--method", "all", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["methods"] == {
-        "axioms": True, "homogenization": True, "inequality_points": True, "paramodular": True
-    }
+    assert payload["methods"] == {"axioms": True, "homogenization": True, "paramodular": True}
     diagonals = write_json(tmp_path, "diagonals.json", [[1, 1, 0, 0], [0, 0, 1, 1]])
     assert main(["verify", "gpolymatroid", diagonals, "--method", "paramodular", "--json"]) == 1
     witness = json.loads(capsys.readouterr().out)["witness"]
@@ -182,3 +223,89 @@ def test_malformed_input_is_usage_error(tmp_path):
     huge = write_json(tmp_path, "huge.json", [[1000000, 1000000, 1000000]])
     assert main(["mobius", huge]) == 2
     assert main(["verify", "cave", huge]) == 2
+
+
+# command prefix and a valid JSON input for every command that reads JSON
+_FUZZ_INPUTS = [
+    (["verify", "gpolymatroid"], [list(q) for q in HILBERT_3], ["--method", "all"]),
+    (["verify", "cave"], [list(q) for q in HILBERT_3], ["--orders", "natural"]),
+    (["verify", "shelling"], {"msupp": [list(q) for q in MSUPP_3], "m": [4, 4, 4]}, []),
+    (["verify", "matroid-mu"], {"p": 3, "bases": [[1, 1, 0], [1, 0, 1], [0, 1, 1]]}, []),
+    (["verify", "theorem-a"], [list(q) for q in KPOLY_3], []),
+    (["verify", "theorem-c"], {"q": 2, "subspaces": [[[[1, 1], [0, 1]]], [[[1, 1], [1, 1]]]]}, []),
+    (["hilbert"], [list(q) for q in MSUPP_3], ["--oracle", "--eval", "1,1,1"]),
+    (["mobius"], [list(q) for q in MSUPP_3], ["--check", "--kpoly"]),
+    (["linear-polymatroid"], {"q": 2, "subspaces": [[[[1, 1], [0, 1]]], [[[1, 1], [1, 1]]]]},
+     ["--mu-supp"]),
+]
+
+_FUZZ_VALUES = [0, 2, -1, 1.5, True, "7", 10**30, None, {}, [], "x"]
+
+
+def _nodes(data, path=()):
+    yield path, data
+    if isinstance(data, list):
+        for i, x in enumerate(data):
+            yield from _nodes(x, path + (i,))
+    elif isinstance(data, dict):
+        for k, x in data.items():
+            yield from _nodes(x, path + (k,))
+
+
+def _mutate(data, rng):
+    """One random edit somewhere in data: drop, duplicate or shorten a list,
+    remove a key, or replace a node by another value, often of the wrong
+    kind."""
+    data = copy.deepcopy(data)
+    edit = rng.choice(["drop", "duplicate", "shorten", "remove-key", "replace"])
+    kind = {"remove-key": dict, "replace": object}.get(edit, list)
+    nodes = [
+        (path, node) for path, node in _nodes(data)
+        if isinstance(node, kind) and (node or edit == "replace")
+    ]
+    if not nodes:
+        return data
+    path, node = rng.choice(nodes)
+    if edit == "drop":
+        del node[rng.randrange(len(node))]
+    elif edit == "duplicate":
+        node.append(copy.deepcopy(rng.choice(node)))
+    elif edit == "shorten":
+        del node[rng.randrange(len(node)):]
+    elif edit == "remove-key":
+        del node[rng.choice(list(node))]
+    elif not path:
+        return rng.choice(_FUZZ_VALUES)
+    else:
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = rng.choice(_FUZZ_VALUES)
+    return data
+
+
+def test_exit_code_contract_under_fuzzed_json(tmp_path, capsys):
+    # exit 0, 1 with a witness, or 2 with a message; never a traceback
+    rng = random.Random(20241018)
+    path = str(tmp_path / "fuzz.json")
+    codes = set()
+    for _ in range(150):
+        for prefix, valid, flags in _FUZZ_INPUTS:
+            data = valid
+            for _ in range(rng.randint(1, 2)):
+                data = _mutate(data, rng)
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(data, fh)
+            argv = [*prefix, path, *flags, "--json"]
+            try:
+                rc = main(argv)
+            except BaseException as exc:  # SystemExit and tracebacks alike
+                raise AssertionError(f"{argv} on {data!r} raised {exc!r}") from exc
+            out, err = capsys.readouterr()
+            assert rc in (0, 1, 2), (argv, data, rc)
+            if rc == 2:
+                assert err.startswith(("error:", "resource cap:")), (argv, data, err)
+            if rc == 1:
+                assert "witness" in json.loads(out), (argv, data, out)
+            codes.add(rc)
+    assert codes == {0, 1, 2}

@@ -21,13 +21,9 @@ from kpoly.lattice import (
     point_set,
     point_set_from_json,
     point_set_to_json,
-    poly_from_json,
     poly_from_signed_support,
     poly_text,
-    poly_to_json,
-    signed_support_from_json,
     signed_support_from_poly,
-    signed_support_to_json,
     support_bounds,
     top,
     truncate,
@@ -279,10 +275,6 @@ def test_box_grid_cap_fires_before_allocating():
 def test_json_roundtrips():
     A = point_set(MSUPP_3)
     assert point_set_from_json(point_set_to_json(A)) == A
-    S = SignedSupport(2, {(1, 0): -3, (0, 2): 5})
-    assert signed_support_from_json(signed_support_to_json(S)) == S
-    f = poly_from_signed_support(S)
-    assert poly_from_json(poly_to_json(f)) == f
 
 
 def test_point_validation():

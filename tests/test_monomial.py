@@ -13,8 +13,6 @@ from kpoly.monomial import (
     hilbert_poly_ie,
     hilbert_poly_prime,
     hilbert_poly_shellable,
-    ideal_from_json,
-    ideal_to_json,
     ie_join_coefficients,
     k_poly_ie,
     msupp_to_ideal,
@@ -262,11 +260,6 @@ def test_coefficient_sum_is_one_for_polymatroid_ideals():
         for n, c in H.terms.items():
             assert (c > 0) == ((D - sum(n)) % 2 == 0)
     assert hits > 20
-
-
-def test_ideal_json_roundtrip():
-    J = running_ideal()
-    assert ideal_from_json(ideal_to_json(J)) == J
 
 
 def test_shellable_refinement_matches_ie_on_random_polymatroids():

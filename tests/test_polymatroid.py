@@ -20,6 +20,8 @@ from kpoly.polymatroid import (
     INTEGER_POINTS_CAP,
     GPolyInequalitySystem,
     _exchange_check,
+    _paramodular_check,
+    _support_tables,
     axis_orders,
     check_symmetric_exchange,
     inequality_system,
@@ -27,9 +29,6 @@ from kpoly.polymatroid import (
     is_base_polymatroid,
     is_cave,
     is_g_polymatroid,
-    paramodular_check,
-    system_from_json,
-    system_to_json,
 )
 from kpoly.schubert import grothendieck, zero_one_permutations
 from kpoly.subspaces import linear_polymatroid, random_config
@@ -125,18 +124,20 @@ def test_g_polymatroid_implies_integer_point_fixed_point():
         P = PointSet(3, rng.sample(cells, rng.randint(1, 6)))
         if is_g_polymatroid(P, "axioms"):
             hits += 1
-            assert is_g_polymatroid(P, "inequality_points"), list(P)
+            assert integer_points(inequality_system(P)) == P, list(P)
     assert hits > 20
 
 
 def test_integer_point_fixed_point_does_not_imply_exchange():
     # Two opposite diagonal points of a 4-cube: the pairwise support bounds
     # pin down exactly these two integer points, yet the exchange axiom
-    # fails, so the fixed-point test alone is weaker than the axioms.
+    # fails, so the fixed-point test alone is weaker than the axioms; the
+    # paramodular method rejects the set on its bounds.
     G = point_set([(1, 1, 0, 0), (0, 0, 1, 1)])
     assert not is_g_polymatroid(G, "axioms")
     assert not is_g_polymatroid(G, "homogenization")
-    assert is_g_polymatroid(G, "inequality_points")
+    assert not is_g_polymatroid(G, "paramodular")
+    assert integer_points(inequality_system(G)) == G
 
 
 def test_paramodular_agrees_with_axioms_randomized():
@@ -200,6 +201,15 @@ def _literal_paramodular(sys_):
     )
 
 
+def _bound_tables(sys_):
+    """(c, b) of a complete system as tables indexed by bitmask."""
+    c, b = [0] * (1 << sys_.ambient_p), [0] * (1 << sys_.ambient_p)
+    for J in sys_.lower:
+        X = sum(1 << (j - 1) for j in J)
+        c[X], b[X] = sys_.lower[J], sys_.upper[J]
+    return c, b
+
+
 def _random_system(rng, p, spread):
     lower, upper = {}, {}
     for r in range(1, p + 1):
@@ -216,10 +226,12 @@ def test_paramodular_check_matches_the_literal_pair_oracle():
         p = rng.randint(1, 4)
         if rng.random() < 0.5:
             cells = list(itertools.product(range(3), repeat=p))
-            sys_ = inequality_system(PointSet(p, rng.sample(cells, rng.randint(1, min(5, len(cells))))))
+            A = PointSet(p, rng.sample(cells, rng.randint(1, min(5, len(cells)))))
+            sys_, tables = inequality_system(A), _support_tables(A)
         else:
             sys_ = _random_system(rng, p, 1)
-        chk = paramodular_check(sys_)
+            tables = _bound_tables(sys_)
+        chk = _paramodular_check(*tables, p)
         assert bool(chk) == _literal_paramodular(sys_), sys_
         verdicts[bool(chk)] += 1
         if not chk:
@@ -303,11 +315,6 @@ def test_fixed_point_characterizes_g_polymatroids_on_g_inputs():
         P = PointSet(3, rng.sample(cells, rng.randint(1, 8)))
         if is_g_polymatroid(P, "axioms"):
             assert integer_points(inequality_system(P)) == P
-
-
-def test_system_json_roundtrip():
-    sys_ = inequality_system(point_set(MSUPP_3))
-    assert system_from_json(system_to_json(sys_)) == sys_
 
 
 def test_axis_orders_policies():
