@@ -2,7 +2,8 @@
 
 Subpackages by concern:
 
-* lattice      points, point sets, signed supports, sparse integer polynomials
+* lattice      points, point sets, exact coefficient maps (polynomials,
+               signed Hilbert supports, mu values), box-grid transforms
 * polymatroid  exchange axioms, g-polymatroids, inequality systems, caves
 * stalactite   Hilbert-support reconstruction, shellings, dominance sums
 * monomial     inclusion-exclusion oracles over Borel-fixed primes
@@ -20,13 +21,10 @@ from .lattice import (
     IntPolynomial,
     Point,
     PointSet,
-    SignedSupport,
     homogenize,
     lex_compare,
     point_set,
-    poly_from_signed_support,
     poly_text,
-    signed_support_from_poly,
     support_bounds,
     top,
     truncate,

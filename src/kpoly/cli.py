@@ -24,7 +24,6 @@ from .lattice import (
     point_set_to_json,
     poly_text,
     poly_to_json,
-    signed_support_to_json,
 )
 from . import mobius as mobius_mod
 from . import monomial, polymatroid, schubert, stalactite, subspaces
@@ -226,7 +225,7 @@ def cmd_hilbert(args) -> CommandResult:
     msupp, m = loaded
     H = stalactite.hsupp_from_msupp(msupp)
     lines = ["Hilbert polynomial (binomial-product basis):", f"  {stalactite.hilbert_text(H)}"]
-    payload = {"hilbert": signed_support_to_json(H), "text": stalactite.hilbert_text(H)}
+    payload = {"hilbert": poly_to_json(H), "text": stalactite.hilbert_text(H)}
     if args.oracle:
         Hie = monomial.hilbert_poly_ie(monomial.msupp_to_ideal(msupp, m))
         agree = Hie == H
@@ -254,11 +253,11 @@ def cmd_mobius(args) -> CommandResult:
     supp = MU.support()
     lines = [
         "mu(u, 1hat) over the downset (nonzero values):",
-        f"  {signed_support_to_json(MU)}",
+        f"  {poly_to_json(MU)}",
         f"mu-support size: {len(supp)}",
     ]
     payload = {
-        "mu": signed_support_to_json(MU),
+        "mu": poly_to_json(MU),
         "mu_support": point_set_to_json(supp),
     }
     if args.check:

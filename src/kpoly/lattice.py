@@ -1,9 +1,9 @@
 """Lattice-point primitives shared by every other module.
 
-Points are plain tuples of nonnegative ints.  Finite point sets, signed
-supports (point -> nonzero coefficient) and sparse integer polynomials are
-small immutable wrappers around sorted tuples and dicts, so equality,
-hashing and iteration order are canonical.
+Points are plain tuples of nonnegative ints.  Finite point sets and exact
+coefficient maps (point -> nonzero int, see IntPolynomial) are small
+immutable wrappers around sorted tuples and dicts, so equality, hashing and
+iteration order are canonical.
 """
 
 from __future__ import annotations
@@ -206,67 +206,14 @@ def support_bounds(A: PointSet, J) -> tuple[int, int]:
     return min(sums), max(sums)
 
 
-def _accumulate_terms(ambient_p, terms):
-    if hasattr(terms, "items"):
-        items = terms.items()
-    else:
-        items = terms
-    acc: dict[Point, int] = {}
-    for q, c in items:
-        q = as_point(q, ambient_p)
-        if not isinstance(c, int) or isinstance(c, bool):
-            raise ValueError(f"coefficients must be ints, got {c!r}")
-        c = acc.get(q, 0) + c
-        if c:
-            acc[q] = c
-        else:
-            acc.pop(q, None)
-    return acc
-
-
-class SignedSupport:
-    """Finite map from lattice points to nonzero signed integer coefficients."""
-
-    __slots__ = ("ambient_p", "terms")
-
-    def __init__(self, ambient_p: int, terms=()):
-        if not isinstance(ambient_p, int) or ambient_p < 0:
-            raise DimensionError(f"bad ambient dimension {ambient_p!r}")
-        self.ambient_p = ambient_p
-        self.terms = _accumulate_terms(ambient_p, terms)
-
-    def coeff(self, q) -> int:
-        return self.terms.get(tuple(q), 0)
-
-    def items(self):
-        return sorted(self.terms.items())
-
-    def support(self) -> PointSet:
-        return PointSet(self.ambient_p, self.terms)
-
-    def __neg__(self) -> "SignedSupport":
-        return SignedSupport(self.ambient_p, {q: -c for q, c in self.terms.items()})
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SignedSupport)
-            and self.ambient_p == other.ambient_p
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        return f"SignedSupport(p={self.ambient_p}, {dict(self.items())})"
-
-
 class IntPolynomial:
-    """Sparse multivariate polynomial with exact integer coefficients.
+    """Finite map from points of N^p to nonzero integers: a sparse
+    polynomial with exact integer coefficients.
 
+    One class holds every exact coefficient map of the library: monomial-
+    basis polynomials (K-polynomials, Grothendieck polynomials), signed
+    Hilbert supports in the binomial-product basis, and the values
+    mu(u, 1hat).  Only the basis a caller reads the points in differs.
     Arithmetic is exact; Python ints never overflow, so the no-silent-
     wraparound contract holds by construction.
     """
@@ -276,8 +223,18 @@ class IntPolynomial:
     def __init__(self, num_vars: int, terms=()):
         if not isinstance(num_vars, int) or num_vars < 0:
             raise DimensionError(f"bad variable count {num_vars!r}")
+        acc: dict[Point, int] = {}
+        for e, c in terms.items() if hasattr(terms, "items") else terms:
+            e = as_point(e, num_vars)
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise ValueError(f"coefficients must be ints, got {c!r}")
+            c = acc.get(e, 0) + c
+            if c:
+                acc[e] = c
+            else:
+                acc.pop(e, None)
         self.num_vars = num_vars
-        self.terms = _accumulate_terms(num_vars, terms)
+        self.terms = acc
 
     @classmethod
     def _raw(cls, num_vars: int, terms: dict) -> "IntPolynomial":
@@ -387,16 +344,6 @@ class IntPolynomial:
 
     def __repr__(self) -> str:
         return f"IntPolynomial({self.num_vars}, {poly_text(self)!r})"
-
-
-def poly_from_signed_support(S: SignedSupport) -> IntPolynomial:
-    return IntPolynomial._raw(S.ambient_p, dict(S.terms))
-
-
-def signed_support_from_poly(f: IntPolynomial) -> SignedSupport:
-    out = SignedSupport(f.num_vars)
-    out.terms = dict(f.terms)
-    return out
 
 
 def poly_text(f: IntPolynomial) -> str:
@@ -516,10 +463,6 @@ def point_set_from_json(data, ambient_p: int | None = None) -> PointSet:
     if not isinstance(data, list) or not all(isinstance(q, list) for q in data):
         raise ValueError("point set JSON must be an array of arrays")
     return point_set(data, ambient_p) if data or ambient_p is None else PointSet(ambient_p)
-
-
-def signed_support_to_json(S: SignedSupport) -> list:
-    return [{"exp": list(q), "coeff": c} for q, c in S.items()]
 
 
 def poly_to_json(f: IntPolynomial) -> list:

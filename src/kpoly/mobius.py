@@ -16,7 +16,6 @@ from .lattice import (
     IntPolynomial,
     Point,
     PointSet,
-    SignedSupport,
     as_point,
     dominates,
     downset,
@@ -27,7 +26,7 @@ from .lattice import (
 from .polymatroid import is_base_polymatroid, is_g_polymatroid
 
 
-def mobius_to_top(P: PointSet, method: str = "closed", cap: int = 10_000) -> SignedSupport:
+def mobius_to_top(P: PointSet, method: str = "closed", cap: int = 10_000) -> IntPolynomial:
     """mu(u, 1hat) for every u in the downset of P, as a signed support.
 
     closed     uses that intervals inside a downset are full boxes, so
@@ -47,7 +46,7 @@ def mobius_to_top(P: PointSet, method: str = "closed", cap: int = 10_000) -> Sig
         raise EmptySetError("empty polymatroid")
     if method == "closed":
         diff = downset_difference(P)
-        return SignedSupport(P.ambient_p, {u: -c for u, c in diff.items()})
+        return IntPolynomial(P.ambient_p, {u: -c for u, c in diff.items()})
     if method == "recursive":
         ds = downset(P)
         if len(ds) > cap:
@@ -57,7 +56,7 @@ def mobius_to_top(P: PointSet, method: str = "closed", cap: int = 10_000) -> Sig
         for u in by_sum_desc:
             above = sum(mu[w] for w in mu if w != u and dominates(w, u))
             mu[u] = -(1 + above)
-        return SignedSupport(P.ambient_p, {u: c for u, c in mu.items() if c})
+        return IntPolynomial(P.ambient_p, {u: c for u, c in mu.items() if c})
     raise ValueError(f"unknown mobius method {method!r}")
 
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 from .lattice import (
@@ -15,7 +14,6 @@ from .lattice import (
     IntPolynomial,
     Point,
     PointSet,
-    SignedSupport,
     as_point,
     dominates,
     downset_difference,
@@ -24,14 +22,11 @@ from .lattice import (
 )
 
 DEFAULT_SUBSET_CAP = 20
-CAP_ENV_VAR = "KPOLY_CAP_SUBSETS"
 
 
 def subset_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get(CAP_ENV_VAR)
-    return int(env) if env else DEFAULT_SUBSET_CAP
+    """The subset route's prime cap: cap, or DEFAULT_SUBSET_CAP when None."""
+    return DEFAULT_SUBSET_CAP if cap is None else cap
 
 
 @dataclass(frozen=True)
@@ -96,12 +91,12 @@ def prime_sum(primes) -> BorelPrime:
     return BorelPrime(a, m)
 
 
-def hilbert_poly_prime(q: BorelPrime) -> SignedSupport:
+def hilbert_poly_prime(q: BorelPrime) -> IntPolynomial:
     """Single binomial-product term at n = m - a with coefficient 1."""
     for i, (ai, mi) in enumerate(zip(q.a, q.m)):
         if ai > mi:
             raise ValueError(f"irrelevant component {i + 1}: a_i = {ai} > m_i = {mi}")
-    return SignedSupport(len(q.m), {vec_sub(q.m, q.a): 1})
+    return IntPolynomial(len(q.m), {vec_sub(q.m, q.a): 1})
 
 
 def _ie_coefficients_subsets(gens: list[Point], cap: int) -> dict[Point, int]:
@@ -154,34 +149,29 @@ def _ie_coefficients_lattice(gens: list[Point]) -> dict[Point, int]:
     return {tuple(vs[r] for vs, r in zip(values, u)): c for u, c in diff.items()}
 
 
-def ie_join_coefficients(J: SquareFreeIdeal, method: str = "auto", cap: int | None = None) -> dict[Point, int]:
+def ie_join_coefficients(J: SquareFreeIdeal, method: str = "lattice", cap: int | None = None) -> dict[Point, int]:
     """Coefficient of each prime sum p_v in the inclusion-exclusion expansion.
 
-    method: "subsets" (Gray-code, capped at 2^cap), "lattice" (Mobius
-    inversion on the rank grid), or "auto" (subsets when feasible, lattice
-    beyond the cap).
+    method: "lattice" (Mobius inversion on the rank grid, the production
+    route) or "subsets" (the literal Gray-code sum over all 2^k - 1 subsets,
+    refused above cap primes; kept as the oracle the tests compare against).
     """
     gens = list(J.primes)
-    limit = subset_cap(cap)
-    if method == "subsets":
-        return _ie_coefficients_subsets(gens, limit)
     if method == "lattice":
         return _ie_coefficients_lattice(gens)
-    if method == "auto":
-        if len(gens) <= limit:
-            return _ie_coefficients_subsets(gens, limit)
-        return _ie_coefficients_lattice(gens)
+    if method == "subsets":
+        return _ie_coefficients_subsets(gens, subset_cap(cap))
     raise ValueError(f"unknown IE method {method!r}")
 
 
-def hilbert_poly_ie(J: SquareFreeIdeal, method: str = "auto", cap: int | None = None) -> SignedSupport:
+def hilbert_poly_ie(J: SquareFreeIdeal, method: str = "lattice", cap: int | None = None) -> IntPolynomial:
     """Inclusion-exclusion Hilbert polynomial: signed binomial-product terms
     at m - join over all nonempty prime subsets, like terms combined."""
     coeffs = ie_join_coefficients(J, method, cap)
-    return SignedSupport(J.ambient_p, {vec_sub(J.m, v): c for v, c in coeffs.items()})
+    return IntPolynomial(J.ambient_p, {vec_sub(J.m, v): c for v, c in coeffs.items()})
 
 
-def k_poly_ie(J: SquareFreeIdeal, method: str = "auto", cap: int | None = None) -> IntPolynomial:
+def k_poly_ie(J: SquareFreeIdeal, method: str = "lattice", cap: int | None = None) -> IntPolynomial:
     """Inclusion-exclusion twisted K-polynomial: the prime p_a contributes z^a."""
     coeffs = ie_join_coefficients(J, method, cap)
     return IntPolynomial(J.ambient_p, coeffs)
@@ -202,7 +192,7 @@ def msupp_to_ideal(msupp: PointSet, m) -> SquareFreeIdeal:
     return SquareFreeIdeal(m, tuple(vec_sub(m, n) for n in sorted(msupp)))
 
 
-def hilbert_poly_shellable(J: SquareFreeIdeal) -> SignedSupport:
+def hilbert_poly_shellable(J: SquareFreeIdeal) -> IntPolynomial:
     """Per-facet refinement of the IE formula for a shelling order.
 
     Assumes the primes of J are listed in a shelling order of the associated
@@ -246,7 +236,7 @@ def hilbert_poly_shellable(J: SquareFreeIdeal) -> SignedSupport:
                 for q in sub[1:]:
                     v = vec_max(v, q)
                 add(vec_sub(J.m, v), -sign)
-    return SignedSupport(J.ambient_p, acc)
+    return IntPolynomial(J.ambient_p, acc)
 
 
 def _compositions(total: int, parts: int):

@@ -10,9 +10,9 @@ from collections import Counter
 from .lattice import (
     Check,
     EmptySetError,
+    IntPolynomial,
     Point,
     PointSet,
-    SignedSupport,
     as_point,
     binomial_at,
     box_grid,
@@ -82,7 +82,7 @@ def stalactite_union(T: PointSet, axis_order=None) -> list[tuple[Point, PointSet
     return entries
 
 
-def hsupp_from_msupp(msupp: PointSet) -> SignedSupport:
+def hsupp_from_msupp(msupp: PointSet) -> IntPolynomial:
     """Signed Hilbert support reconstructed from a multidegree support.
 
     msupp must be a nonempty homogeneous base polymatroid.  Points are
@@ -100,13 +100,13 @@ def hsupp_from_msupp(msupp: PointSet) -> SignedSupport:
     for _, st in stalactite_union(msupp):
         counts.update(st)
     sign = lambda n: -1 if (D - sum(n)) % 2 else 1
-    return SignedSupport(msupp.ambient_p, {n: sign(n) * c for n, c in counts.items()})
+    return IntPolynomial(msupp.ambient_p, {n: sign(n) * c for n, c in counts.items()})
 
 
-def hilbert_eval(H: SignedSupport, t) -> int:
+def hilbert_eval(H: IntPolynomial, t) -> int:
     """Exact value sum_n H(n) * prod_i C(t_i + n_i, n_i) at an integer vector t."""
     t = tuple(int(x) for x in t)
-    if len(t) != H.ambient_p:
+    if len(t) != H.num_vars:
         raise ValueError(f"evaluation point {t} has wrong length")
     total = 0
     for n, c in H.terms.items():
@@ -117,7 +117,7 @@ def hilbert_eval(H: SignedSupport, t) -> int:
     return total
 
 
-def hilbert_text(H: SignedSupport) -> str:
+def hilbert_text(H: IntPolynomial) -> str:
     """Render a Hilbert polynomial in binomial-product notation,
     one "+c*C(t1+n1,n1)*...*C(tp+np,np)" term per support point."""
     if not H:
@@ -177,7 +177,7 @@ def verify_shelling(facets) -> Check:
     return Check(True)
 
 
-def increasing_path_check(H: SignedSupport) -> Check:
+def increasing_path_check(H: IntPolynomial) -> Check:
     """Every support point must reach a top point by +e_i steps inside the support."""
     if not H:
         return Check(True)
@@ -196,17 +196,17 @@ def increasing_path_check(H: SignedSupport) -> Check:
     return Check(True)
 
 
-def mobius_sum_check(H: SignedSupport, n) -> int:
+def mobius_sum_check(H: IntPolynomial, n) -> int:
     """Sum of H over all support points dominating n.  Requires a dominating
     top point to exist."""
-    n = as_point(n, H.ambient_p)
+    n = as_point(n, H.num_vars)
     tops = top(H.support())
     if not any(dominates(w, n) for w in tops):
         raise ValueError(f"no top support point dominates {n}")
     return sum(c for q, c in H.terms.items() if dominates(q, n))
 
 
-def dominance_sums(H: SignedSupport) -> dict[Point, int]:
+def dominance_sums(H: IntPolynomial) -> dict[Point, int]:
     """S(n) = sum_{w >= n} H(w) for every n in the bounding box of the support,
     the zeta transform of H by lattice.grid_transform on that box (CapExceeded
     above GRID_CAP cells, checked before allocating)."""
@@ -217,7 +217,7 @@ def dominance_sums(H: SignedSupport) -> dict[Point, int]:
     return dict(zip(itertools.product(*map(range, dims)), sums))
 
 
-def verify_mobius_sums(H: SignedSupport) -> Check:
+def verify_mobius_sums(H: IntPolynomial) -> Check:
     """Check sum_{w >= n} H(w) = 1 for every n dominated by some top point."""
     if not H:
         raise EmptySetError("empty support")
@@ -259,6 +259,6 @@ def embed_point(q: Point, keep, m) -> Point:
     return tuple(out)
 
 
-def embed_signed_support(H: SignedSupport, keep, m) -> SignedSupport:
+def embed_signed_support(H: IntPolynomial, keep, m) -> IntPolynomial:
     m = as_point(m)
-    return SignedSupport(len(m), {embed_point(q, keep, m): c for q, c in H.terms.items()})
+    return IntPolynomial(len(m), {embed_point(q, keep, m): c for q, c in H.terms.items()})

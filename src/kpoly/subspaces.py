@@ -113,7 +113,11 @@ def linear_polymatroid(config: SubspaceConfig) -> PointSet:
 
 
 def random_config(p: int, q: int, rng: random.Random, entry_bound: int = 3) -> SubspaceConfig:
-    """Seeded random configuration with small integer entries."""
+    """Seeded random configuration with small integer entries.  Draws are
+    resampled until some subspace is nonzero, which needs p, q and
+    entry_bound of at least 1; anything smaller is refused up front."""
+    if min(p, q, entry_bound) < 1:
+        raise ValueError(f"random config needs p, q and entry bound >= 1, got {p}, {q}, {entry_bound}")
     while True:
         spans = []
         for _ in range(p):

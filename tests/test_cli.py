@@ -4,7 +4,7 @@ import random
 
 from kpoly import cli, monomial, schubert
 from kpoly.cli import main
-from kpoly.lattice import IntPolynomial, SignedSupport, point_set, point_set_to_json
+from kpoly.lattice import IntPolynomial, point_set, point_set_to_json
 from kpoly.subspaces import config_to_json, random_config
 from running_example import HILBERT_3, KPOLY_3, MSUPP_3
 
@@ -50,7 +50,7 @@ def test_oracle_mismatch_carries_a_witness(tmp_path, monkeypatch, capsys):
 
     def perturbed(J):
         H = real(J)
-        return SignedSupport(H.ambient_p, {**H.terms, n: H.coeff(n) + 7})
+        return IntPolynomial(H.num_vars, {**H.terms, n: H.coeff(n) + 7})
 
     monkeypatch.setattr(monomial, "hilbert_poly_ie", perturbed)
     path = write_json(tmp_path, "msupp.json", [list(q) for q in MSUPP_3])
@@ -60,6 +60,25 @@ def test_oracle_mismatch_carries_a_witness(tmp_path, monkeypatch, capsys):
     assert payload["witness"] == {
         "condition": "oracle-mismatch", "n": [2, 2, 3], "stalactites": -2, "inclusion_exclusion": 5
     }
+
+
+def test_hilbert_oracle_never_runs_the_subset_route(tmp_path, monkeypatch, capsys):
+    # the literal subset sum is the tests' oracle; kpoly hilbert --oracle runs
+    # the lattice route on every ideal, from 1 prime to the 14 of S_5's largest
+    from kpoly.schubert import msupp_of_matrix_schubert, zero_one_permutations
+
+    def refuse(*args):
+        raise AssertionError("subset route called")
+
+    monkeypatch.setattr(monomial, "_ie_coefficients_subsets", refuse)
+    path = str(tmp_path / "msupp.json")
+    for w in zero_one_permutations(5):
+        msupp, m = msupp_of_matrix_schubert(w)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(point_set_to_json(msupp), fh)
+        argv = ["hilbert", path, "--oracle", "--ambient", ",".join(map(str, m)), "--json"]
+        assert main(argv) == 0, w
+        assert json.loads(capsys.readouterr().out)["oracle_agrees"] is True, w
 
 
 def test_grothendieck_json_payload(capsys):
@@ -112,6 +131,18 @@ def test_verify_gpolymatroid_ok_and_violation(tmp_path, capsys):
     assert main(["verify", "gpolymatroid", bad, "--method", "paramodular", "--out", payload_path]) == 1
     payload = json.loads((tmp_path / "out.json").read_text())
     assert payload["witness"] == {"condition": "integer-points", "extra_points": [[0, 1], [1, 0]]}
+
+
+def test_sparse_g_polymatroid_in_a_huge_box_gets_a_witness(tmp_path, capsys):
+    # Q(c, b) of the two points is the box [0, 300]^3 of 27 270 901 cells; the
+    # paramodular walk stops after |G| + 1 points instead of refusing the box
+    path = write_json(tmp_path, "sparse.json", [[0, 0, 0], [300, 300, 300]])
+    assert main(["verify", "gpolymatroid", path, "--method", "all", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["methods"]["paramodular"] is False
+    assert main(["verify", "gpolymatroid", path, "--method", "paramodular", "--json"]) == 1
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert witness == {"condition": "integer-points", "extra_points": [[0, 0, 1], [0, 0, 2]]}
 
 
 def test_verify_cave(tmp_path):
@@ -223,6 +254,9 @@ def test_malformed_input_is_usage_error(tmp_path):
     huge = write_json(tmp_path, "huge.json", [[1000000, 1000000, 1000000]])
     assert main(["mobius", huge]) == 2
     assert main(["verify", "cave", huge]) == 2
+    # every draw of a config with p = 0 or entry bound 0 is all zero
+    assert main(["linear-polymatroid", "--random", "0,0", "--seed", "1"]) == 2
+    assert main(["linear-polymatroid", "--random", "2,2", "--seed", "1", "--entry-bound", "0"]) == 2
 
 
 # command prefix and a valid JSON input for every command that reads JSON

@@ -10,7 +10,6 @@ from kpoly.lattice import (
     GRID_CAP,
     IntPolynomial,
     PointSet,
-    SignedSupport,
     binomial_at,
     box_grid,
     downset,
@@ -21,9 +20,8 @@ from kpoly.lattice import (
     point_set,
     point_set_from_json,
     point_set_to_json,
-    poly_from_signed_support,
     poly_text,
-    signed_support_from_poly,
+    poly_to_json,
     support_bounds,
     top,
     truncate,
@@ -145,24 +143,28 @@ def test_support_bounds_errors():
         support_bounds(point_set([(1, 1)]), ())
 
 
+def poly_from_json(num_vars, data) -> IntPolynomial:
+    return IntPolynomial(num_vars, [(t["exp"], t["coeff"]) for t in data])
+
+
 def test_signed_support_roundtrip_poly():
-    S = SignedSupport(3, {(3, 1, 0): 1, (0, 0, 0): -2})
-    f = poly_from_signed_support(S)
-    assert signed_support_from_poly(f) == S
-    assert poly_text(f) == "-2+1*z1^3*z2"
+    S = IntPolynomial(3, {(3, 1, 0): 1, (0, 0, 0): -2})
+    assert poly_to_json(S) == [{"exp": [0, 0, 0], "coeff": -2}, {"exp": [3, 1, 0], "coeff": 1}]
+    assert poly_from_json(3, poly_to_json(S)) == S
+    assert poly_text(S) == "-2+1*z1^3*z2"
 
 
 def test_zero_roundtrip():
-    S = SignedSupport(2)
-    f = poly_from_signed_support(S)
-    assert not f
-    assert poly_text(f) == "0"
-    assert signed_support_from_poly(f) == S
+    S = IntPolynomial(2)
+    assert not S
+    assert poly_text(S) == "0"
+    assert poly_to_json(S) == []
+    assert poly_from_json(2, []) == S
 
 
 def test_signed_support_drops_zero_coefficients():
-    S = SignedSupport(2, [((1, 1), 2), ((1, 1), -2), ((0, 1), 3)])
-    assert len(S) == 1
+    S = IntPolynomial(2, [((1, 1), 2), ((1, 1), -2), ((0, 1), 3)])
+    assert len(S.terms) == 1
     assert S.coeff((1, 1)) == 0
     assert S.coeff((0, 1)) == 3
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from kpoly.lattice import CapExceeded, IntPolynomial, SignedSupport, point_set
+from kpoly.lattice import CapExceeded, IntPolynomial, point_set
 from kpoly.monomial import (
     BorelPrime,
     SquareFreeIdeal,
@@ -96,7 +96,7 @@ def test_hilbert_poly_ie_two_disjoint_primes():
     # IE with k = 2 gives P_1 + P_2 - P_sum
     m = (2, 2)
     J = SquareFreeIdeal(m, ((1, 0), (0, 1)))
-    expected = SignedSupport(2, {(1, 2): 1, (2, 1): 1, (1, 1): -1})
+    expected = IntPolynomial(2, {(1, 2): 1, (2, 1): 1, (1, 1): -1})
     assert hilbert_poly_ie(J) == expected
 
 
@@ -126,12 +126,17 @@ def test_ie_methods_agree_randomized():
         J = SquareFreeIdeal(m, tuple(primes))
         assert hilbert_poly_ie(J, "subsets") == hilbert_poly_ie(J, "lattice")
         assert k_poly_ie(J, "subsets") == k_poly_ie(J, "lattice")
+    # the ideals of the 115 zero-one permutations in S_5, up to 14 primes
+    from kpoly.schubert import msupp_of_matrix_schubert, zero_one_permutations
+
+    for w in zero_one_permutations(5):
+        J = msupp_to_ideal(*msupp_of_matrix_schubert(w))
+        assert ie_join_coefficients(J, "subsets") == ie_join_coefficients(J), w
 
 
-def test_auto_switches_to_lattice_above_the_cap(monkeypatch):
-    # 25 primes exceed the default subset cap of 20; the antichain's
+def test_lattice_route_on_large_antichains():
+    # 25 primes exceed the subset oracle's default cap of 20; the antichain's
     # coefficients are +1 at each prime and -1 at each join of neighbours
-    monkeypatch.delenv("KPOLY_CAP_SUBSETS", raising=False)
     J = SquareFreeIdeal((24, 24), tuple((i, 24 - i) for i in range(25)))
     expected = {(i, 24 - i): 1 for i in range(25)}
     expected.update({(i + 1, 24 - i): -1 for i in range(24)})
@@ -149,15 +154,11 @@ def test_auto_switches_to_lattice_above_the_cap(monkeypatch):
         ie_join_coefficients(SquareFreeIdeal((100, 100, 100), line))
 
 
-def test_subset_cap_enforced(monkeypatch):
+def test_subset_cap_enforced():
     J = running_ideal()
     with pytest.raises(CapExceeded):
         hilbert_poly_ie(J, method="subsets", cap=5)
-    monkeypatch.setenv("KPOLY_CAP_SUBSETS", "5")
-    with pytest.raises(CapExceeded):
-        hilbert_poly_ie(J, method="subsets")
-    monkeypatch.setenv("KPOLY_CAP_SUBSETS", "21")
-    assert hilbert_poly_ie(J, method="subsets").terms == HILBERT_3
+    assert hilbert_poly_ie(J, method="subsets", cap=7).terms == HILBERT_3
 
 
 def test_k_poly_ie_running_example():

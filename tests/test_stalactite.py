@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from kpoly.lattice import PointSet, SignedSupport, point_set
+from kpoly.lattice import IntPolynomial, PointSet, point_set
 from kpoly.stalactite import (
     collapse_fixed_components,
     dominance_sums,
@@ -104,13 +104,13 @@ def test_hilbert_eval_at_zero_is_one():
 
 
 def test_hilbert_eval_constant():
-    H = SignedSupport(3, {(0, 0, 0): 7})
+    H = IntPolynomial(3, {(0, 0, 0): 7})
     for t in itertools.product(range(-1, 3), repeat=3):
         assert hilbert_eval(H, t) == 7
 
 
 def test_hilbert_text_mentions_binomials():
-    H = SignedSupport(2, {(1, 0): 1, (0, 0): -2})
+    H = IntPolynomial(2, {(1, 0): 1, (0, 0): -2})
     assert hilbert_text(H) == "-2*C(t1+0,0)*C(t2+0,0)+1*C(t1+1,1)*C(t2+0,0)"
 
 
@@ -166,10 +166,10 @@ def test_shelling_purity_error():
 def test_increasing_paths():
     H = hsupp_from_msupp(point_set(MSUPP_3))
     assert increasing_path_check(H)
-    gap = SignedSupport(2, {(0, 0): 1, (2, 0): 1})
+    gap = IntPolynomial(2, {(0, 0): 1, (2, 0): 1})
     chk = increasing_path_check(gap)
     assert not chk and chk.witness["stuck"] == [[0, 0]]
-    assert increasing_path_check(SignedSupport(2, {(1, 1): 1}))
+    assert increasing_path_check(IntPolynomial(2, {(1, 1): 1}))
 
 
 def test_mobius_sum_check_values():
@@ -190,7 +190,7 @@ def test_dominance_sums_match_pointwise_check():
             assert s == mobius_sum_check(H, n)
     assert verify_mobius_sums(H)
     with pytest.raises(ValueError):
-        dominance_sums(SignedSupport(3))
+        dominance_sums(IntPolynomial(3))
 
 
 def test_collapse_and_embed():
@@ -223,4 +223,4 @@ def test_stalactite_union_is_the_same_under_every_axis_order():
             for _, st in stalactite_union(P, order):
                 counts.update(st)
             signed = {n: (-1) ** (D - sum(n)) * c for n, c in counts.items()}
-            assert SignedSupport(P.ambient_p, signed) == H, (P, order)
+            assert IntPolynomial(P.ambient_p, signed) == H, (P, order)
