@@ -94,24 +94,15 @@ def check_axis_order(axis_order, p: int) -> tuple[int, ...]:
     return order
 
 
-def lex_key(u: Point, axis_order=None) -> Point:
-    """Key tuple comparing coordinates in the sequence given by axis_order (1-based)."""
-    if axis_order is None:
-        return u
-    order = check_axis_order(axis_order, len(u))
-    return tuple(u[i - 1] for i in order)
-
-
 def lex_compare(u: Point, v: Point, axis_order=None) -> int:
-    """-1, 0 or +1: lexicographic comparison along axis_order; first strict difference decides."""
+    """-1, 0 or +1: lexicographic comparison along axis_order (1-based; None
+    is the natural order); first strict difference decides."""
     if len(u) != len(v):
         raise DimensionError(f"cannot compare {u} and {v}")
-    ku, kv = lex_key(u, axis_order), lex_key(v, axis_order)
-    if ku < kv:
-        return -1
-    if ku > kv:
-        return 1
-    return 0
+    if axis_order is not None:
+        order = check_axis_order(axis_order, len(u))
+        u, v = (tuple(w[i - 1] for i in order) for w in (u, v))
+    return (u > v) - (u < v)
 
 
 class PointSet:
@@ -126,6 +117,16 @@ class PointSet:
         self.ambient_p = ambient_p
         self.points = tuple(sorted(pts))
         self._set = frozenset(pts)
+
+    @classmethod
+    def _raw(cls, ambient_p: int, points) -> "PointSet":
+        """Trusted constructor for points the library derived from a checked
+        set: sorts and deduplicates, re-checks nothing."""
+        A = cls.__new__(cls)
+        A.ambient_p = ambient_p
+        A._set = frozenset(points)
+        A.points = tuple(sorted(A._set))
+        return A
 
     def __contains__(self, q) -> bool:
         return tuple(q) in self._set
@@ -166,7 +167,7 @@ def point_set(points, ambient_p: int | None = None) -> PointSet:
 def truncate(A: PointSet, b) -> PointSet:
     """Points of A that dominate b componentwise (the b-truncation)."""
     bb = as_point(b, A.ambient_p)
-    return PointSet(A.ambient_p, (q for q in A if dominates(q, bb)))
+    return PointSet._raw(A.ambient_p, (q for q in A if dominates(q, bb)))
 
 
 def max_sum(A: PointSet) -> int:
@@ -178,13 +179,13 @@ def max_sum(A: PointSet) -> int:
 def homogenize(A: PointSet) -> PointSet:
     """Append a slack coordinate filling each point up to the maximal coordinate sum."""
     mx = max_sum(A)
-    return PointSet(A.ambient_p + 1, (q + (mx - sum(q),) for q in A))
+    return PointSet._raw(A.ambient_p + 1, (q + (mx - sum(q),) for q in A))
 
 
 def top(A: PointSet) -> PointSet:
     """Points of maximal coordinate sum."""
     mx = max_sum(A)
-    return PointSet(A.ambient_p, (q for q in A if sum(q) == mx))
+    return PointSet._raw(A.ambient_p, (q for q in A if sum(q) == mx))
 
 
 def check_index_subset(J, p: int) -> tuple[int, ...]:
@@ -265,7 +266,7 @@ class IntPolynomial:
         return sorted(self.terms.items())
 
     def support(self) -> PointSet:
-        return PointSet(self.num_vars, self.terms)
+        return PointSet._raw(self.num_vars, self.terms)
 
     def _coerce(self, other):
         if isinstance(other, IntPolynomial):
@@ -393,7 +394,7 @@ def downset(P: PointSet) -> PointSet:
     pts = set()
     for v in P:
         pts.update(itertools.product(*(range(c + 1) for c in v)))
-    return PointSet(P.ambient_p, pts)
+    return PointSet._raw(P.ambient_p, pts)
 
 
 # cells of the largest box grid_transform may run on; the largest box in the

@@ -63,9 +63,17 @@ class SquareFreeIdeal:
         for a in primes:
             if not dominates(m, a):
                 raise ValueError(f"prime vector {a} exceeds ambient {m}")
-        for a, b in itertools.combinations(primes, 2):
-            if dominates(a, b) or dominates(b, a):
-                raise ValueError(f"primes {a} and {b} are comparable")
+        # a prime strictly above another has the larger coordinate sum, so
+        # equal sums need only an equality test and dominates runs across sums
+        levels: dict[int, dict[Point, int]] = {}  # sum -> {prime: first index}
+        for k, a in enumerate(primes):
+            if levels.setdefault(sum(a), {}).setdefault(a, k) != k:
+                raise ValueError(f"primes {a} and {a} are comparable")
+        for s, t in itertools.combinations(sorted(levels), 2):
+            for (a, k), (b, l) in itertools.product(levels[s].items(), levels[t].items()):
+                if dominates(b, a):
+                    a, b = (a, b) if k < l else (b, a)
+                    raise ValueError(f"primes {a} and {b} are comparable")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "primes", primes)
 

@@ -19,7 +19,6 @@ from .lattice import (
     check_index_subset,
     homogenize,
     top,
-    truncate,
     unit_shift,
 )
 
@@ -324,7 +323,7 @@ def _integer_points(boxes: list[int], rows: list[list], cap, limit=math.inf) -> 
     more than limit points."""
     p = len(boxes)
     if any(b < 0 for b in boxes):
-        return PointSet(p)
+        return PointSet._raw(p, ())
     volume = math.prod(b + 1 for b in boxes)
     if cap is not None and volume > cap:
         raise CapExceeded(f"integer-point box has {volume} cells (cap {cap})")
@@ -345,7 +344,7 @@ def _integer_points(boxes: list[int], rows: list[list], cap, limit=math.inf) -> 
         return False
 
     walk((), [0])
-    return PointSet(p, points)
+    return PointSet._raw(p, points)
 
 
 def system_to_json(sys_: GPolyInequalitySystem) -> dict:
@@ -393,8 +392,13 @@ def is_cave(C: PointSet, order_policy="all") -> Check:
     and (off the origin) be a g-polymatroid.  A failure names its condition
     and a truncation cell b; the failed top or g-polymatroid check's own
     witness is nested under "cause".  Raises CapExceeded before the walk
-    when the truncation grid prod(max_i + 1) exceeds CAVE_GRID_CAP."""
-    from .stalactite import stalactite_union
+    when the truncation grid prod(max_i + 1) exceeds CAVE_GRID_CAP.
+
+    Truncations are bitmasks over the points of C: one mask per axis i and
+    value v marks the points with q_i >= v, and the truncation at b is the
+    AND of the masks of b_i, formed one axis at a time in grid order.  Only
+    the distinct truncations become point sets."""
+    from .stalactite import _stalactite_walk
 
     if not C:
         raise EmptySetError("cave test on an empty set")
@@ -405,16 +409,20 @@ def is_cave(C: PointSet, order_policy="all") -> Check:
     if cells > CAVE_GRID_CAP:
         raise CapExceeded(f"truncation grid has {cells} cells (cap {CAVE_GRID_CAP})")
 
+    masks = [(1 << len(C)) - 1]
+    for i, m in enumerate(maxes):
+        axis = [sum(1 << k for k, q in enumerate(C.points) if q[i] >= v) for v in range(m + 1)]
+        masks = [x & y for x in masks for y in axis]
     # distinct truncations, each with the first cell b that produces it, or
     # the first nonzero one if there is one: only those need the g-polymatroid
     # check, and a failure names that cell
     trunc = {}
-    for b in itertools.product(*(range(m + 1) for m in maxes)):
-        A = truncate(C, b)
-        if A and (A.points not in trunc or not any(trunc[A.points][1])):
-            trunc[A.points] = (A, b)
+    for mask, b in zip(masks, itertools.product(*(range(m + 1) for m in maxes))):
+        if mask and (mask not in trunc or not any(trunc[mask])):
+            trunc[mask] = b
 
-    for A, b in trunc.values():
+    for mask, b in trunc.items():
+        A = PointSet._raw(p, (q for k, q in enumerate(C.points) if mask >> k & 1))
         T = top(A)
         chk = is_base_polymatroid(T)
         if not chk:
@@ -435,19 +443,17 @@ def is_cave(C: PointSet, order_policy="all") -> Check:
                 )
         for order in orders:
             covered = set()
-            for _, st in stalactite_union(T, order):
+            for _, st in _stalactite_walk(T, order):
                 covered.update(st)
-            if covered != set(A.points):
-                missing = sorted(set(A.points) - covered)
-                extra = sorted(covered - set(A.points))
+            if covered != A._set:
                 return Check(
                     False,
                     {
                         "condition": "stalactite-union",
                         "truncation": list(b),
                         "order": list(order),
-                        "missing": [list(q) for q in missing],
-                        "extra": [list(q) for q in extra],
+                        "missing": [list(q) for q in sorted(A._set - covered)],
+                        "extra": [list(q) for q in sorted(covered - A._set)],
                     },
                 )
     return Check(True)

@@ -19,7 +19,6 @@ from .lattice import (
     check_axis_order,
     dominates,
     grid_transform,
-    lex_key,
     point_set_from_json,
     top,
     unit_shift,
@@ -48,23 +47,36 @@ def stalactite(u: Point, indices) -> PointSet:
     return PointSet(len(u), pts)
 
 
-def _neighbor_dirs(u: Point, members) -> tuple[int, ...]:
-    p = len(u)
-    dirs = []
-    for l in range(p):
-        if u[l] == 0:
-            continue
-        for j in range(p):
-            if j != l and unit_shift(u, l, j) in members:
-                dirs.append(l + 1)
-                break
-    return tuple(dirs)
-
-
 def neighbor_directions(u: Point, V: PointSet) -> tuple[int, ...]:
     """All 1-based l such that u - e_l + e_j lies in V for some j."""
     u = as_point(u, V.ambient_p)
-    return _neighbor_dirs(u, V)
+    p = len(u)
+    return tuple(
+        l + 1
+        for l in range(p)
+        if u[l] and any(j != l and unit_shift(u, l, j) in V for j in range(p))
+    )
+
+
+def _stalactite_walk(T: PointSet, axis_order):
+    """Yield (a, stalactite of a as a list) for the points a of T in the lex
+    order of the checked 1-based axis_order (None: natural order), each
+    stalactite taken against the points s before a.  It doubles along every
+    l with a - e_l + e_j = s for some j, that is a - e_l = s - e_j (j != l
+    holds by itself, as s != a)."""
+    p, pts = T.ambient_p, T.points
+    if axis_order is not None:
+        idx = [i - 1 for i in axis_order]
+        pts = sorted(pts, key=lambda q: [q[i] for i in idx])
+    below: set[Point] = set()  # s - e_j over the points s before a
+    for a in pts:
+        downs = [(l, a[:l] + (a[l] - 1,) + a[l + 1:]) for l in range(p) if a[l]]
+        st = [a]
+        for l, r in downs:
+            if r in below:
+                st += [w[:l] + (w[l] - 1,) + w[l + 1:] for w in st]
+        yield a, st
+        below.update(r for _, r in downs)
 
 
 def stalactite_union(T: PointSet, axis_order=None) -> list[tuple[Point, PointSet]]:
@@ -72,14 +84,8 @@ def stalactite_union(T: PointSet, axis_order=None) -> list[tuple[Point, PointSet
     stalactite taken against its predecessors.  Returns (point, stalactite)
     pairs in processing order."""
     if axis_order is not None:
-        check_axis_order(axis_order, T.ambient_p)
-    entries = []
-    seen: set[Point] = set()
-    for a in sorted(T, key=lambda q: lex_key(q, axis_order)):
-        st = stalactite(a, _neighbor_dirs(a, seen))
-        entries.append((a, st))
-        seen.add(a)
-    return entries
+        axis_order = check_axis_order(axis_order, T.ambient_p)
+    return [(a, PointSet._raw(T.ambient_p, st)) for a, st in _stalactite_walk(T, axis_order)]
 
 
 def hsupp_from_msupp(msupp: PointSet) -> IntPolynomial:
@@ -97,10 +103,10 @@ def hsupp_from_msupp(msupp: PointSet) -> IntPolynomial:
         raise ValueError(f"multidegree support is not a base polymatroid: {chk.witness}")
     D = sum(msupp.points[0])
     counts: Counter[Point] = Counter()
-    for _, st in stalactite_union(msupp):
+    for _, st in _stalactite_walk(msupp, None):
         counts.update(st)
     sign = lambda n: -1 if (D - sum(n)) % 2 else 1
-    return IntPolynomial(msupp.ambient_p, {n: sign(n) * c for n, c in counts.items()})
+    return IntPolynomial._raw(msupp.ambient_p, {n: sign(n) * c for n, c in counts.items()})
 
 
 def hilbert_eval(H: IntPolynomial, t) -> int:

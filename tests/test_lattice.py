@@ -14,6 +14,7 @@ from kpoly.lattice import (
     box_grid,
     downset,
     downset_difference,
+    dominates,
     grid_transform,
     homogenize,
     lex_compare,
@@ -286,3 +287,41 @@ def test_point_validation():
         PointSet(2, [(1, 1, 1)])
     with pytest.raises(ValueError):
         PointSet(2, [(1.5, 0)])
+
+
+@pytest.mark.parametrize("bad", [(True, 0), (1, -1), (1.5, 0), ("1", 0), (1, 1, 1), (1,)])
+def test_public_constructors_and_json_loader_check_every_point(bad):
+    with pytest.raises(ValueError):
+        PointSet(2, [(0, 0), bad])
+    with pytest.raises(ValueError):
+        point_set([(0, 0), bad])
+    with pytest.raises(ValueError):
+        point_set_from_json([[0, 0], list(bad)])
+    with pytest.raises(ValueError):
+        point_set_from_json([list(bad)], 2)
+
+
+def assert_checked(X, p, points):
+    """X equals the same points passed through the checked constructor, down
+    to its membership set."""
+    Y = PointSet(p, points)
+    assert X == Y and X._set == Y._set and hash(X) == hash(Y)
+
+
+def test_derived_sets_equal_their_checked_construction():
+    # truncate, top, homogenize, downset and support build their results with
+    # the trusted constructor; each must be what the checked one builds
+    rng = random.Random(4096)
+    for _ in range(300):
+        p = rng.randint(1, 4)
+        pts = [tuple(rng.randint(0, 3) for _ in range(p)) for _ in range(rng.randint(1, 8))]
+        A = PointSet(p, pts)
+        b = tuple(rng.randint(0, 2) for _ in range(p))
+        assert_checked(truncate(A, b), p, [q for q in pts if dominates(q, b)])
+        mx = max(map(sum, pts))
+        assert_checked(top(A), p, [q for q in pts if sum(q) == mx])
+        assert_checked(homogenize(A), p + 1, [q + (mx - sum(q),) for q in pts])
+        assert_checked(downset(A), p, [u for u in itertools.product(range(4), repeat=p)
+                                       if any(dominates(q, u) for q in pts)])
+        f = IntPolynomial(p, [(q, rng.choice((-2, -1, 1, 2))) for q in pts])
+        assert_checked(f.support(), p, list(f.terms))

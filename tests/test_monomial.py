@@ -78,6 +78,39 @@ def test_ideal_invariants():
         SquareFreeIdeal((3, 3), ())
     with pytest.raises(ValueError):
         SquareFreeIdeal((3, 3), ((1, 0), (2, 0)))  # comparable primes
+    # comparable primes of different sums and duplicates, in the caller's order
+    with pytest.raises(ValueError, match=r"primes \(0, 3\) and \(0, 2\) are comparable"):
+        SquareFreeIdeal((3, 3), ((0, 3), (1, 1), (0, 2)))
+    with pytest.raises(ValueError, match=r"primes \(1, 1\) and \(1, 1\) are comparable"):
+        SquareFreeIdeal((3, 3), ((1, 1), (0, 2), (1, 1)))
+
+
+def test_ideal_refuses_exactly_the_comparable_prime_lists():
+    rng = random.Random(77)
+    refused = 0
+    for _ in range(400):
+        p = rng.randint(1, 3)
+        primes = [tuple(rng.randint(0, 3) for _ in range(p)) for _ in range(rng.randint(1, 6))]
+        pairs = [(a, b) for a, b in itertools.combinations(primes, 2)
+                 if all(x <= y for x, y in zip(a, b)) or all(x >= y for x, y in zip(a, b))]
+        if not pairs:
+            assert SquareFreeIdeal((3,) * p, tuple(primes)).primes == tuple(primes)
+            continue
+        refused += 1
+        with pytest.raises(ValueError) as err:
+            SquareFreeIdeal((3,) * p, tuple(primes))
+        assert str(err.value) in {f"primes {a} and {b} are comparable" for a, b in pairs}
+    assert 50 < refused < 350
+
+
+def test_large_homogeneous_ideal_builds_before_the_ie_cap_refuses_it():
+    # the degree-15 simplex in 5 variables: 3876 pairwise incomparable primes
+    # of one coordinate sum, whose rank grid of 16^5 cells exceeds GRID_CAP
+    simplex = tuple(a + (15 - sum(a),) for a in itertools.product(range(16), repeat=4) if sum(a) <= 15)
+    J = SquareFreeIdeal((15,) * 5, simplex)
+    assert len(J.primes) == 3876
+    with pytest.raises(CapExceeded, match="1048576 cells"):
+        hilbert_poly_ie(J)
 
 
 def test_hilbert_poly_ie_matches_running_example():

@@ -1,3 +1,5 @@
+import collections
+import functools
 import itertools
 import math
 import random
@@ -9,12 +11,14 @@ from kpoly.lattice import (
     EmptySetError,
     PointSet,
     homogenize,
+    lex_compare,
     point_set,
     support_bounds,
     top,
     truncate,
 )
 from kpoly.mobius import mu_support, random_base_polymatroid
+from kpoly.stalactite import neighbor_directions, stalactite
 from kpoly.polymatroid import (
     G_POLY_METHODS,
     INTEGER_POINTS_CAP,
@@ -480,3 +484,52 @@ def test_cave_witness_keeps_its_condition_and_names_a_nonzero_truncation():
             assert w["cause"] == is_g_polymatroid(A, "paramodular").witness
             gpoly_failures += 1
     assert gpoly_failures > 20
+
+
+def literal_cave_witness(C, order_policy):
+    """is_cave's witness (None when it passes) by the definition: truncate at
+    every grid cell, keep each distinct truncation with its first cell (or its
+    first nonzero one), then test its top, the truncation itself off the origin,
+    and the union of literal stalactites under every order."""
+    p = C.ambient_p
+    trunc = {}
+    for b in itertools.product(*(range(max(q[i] for q in C) + 1) for i in range(p))):
+        A = truncate(C, b)
+        if A and (A not in trunc or not any(trunc[A])):
+            trunc[A] = b
+    for A, b in trunc.items():
+        T = top(A)
+        chk = is_base_polymatroid(T)
+        if not chk:
+            return {"condition": "top-polymatroid", "truncation": list(b), "cause": chk.witness}
+        if any(b) and not is_g_polymatroid(A, "paramodular"):
+            return {"condition": "truncation-g-polymatroid", "truncation": list(b),
+                    "cause": is_g_polymatroid(A, "paramodular").witness}
+        for order in axis_orders(p, order_policy):
+            ranked = sorted(T, key=functools.cmp_to_key(lambda u, v: lex_compare(u, v, order)))
+            covered = set()
+            for k, a in enumerate(ranked):
+                covered.update(stalactite(a, neighbor_directions(a, PointSet(p, ranked[:k]))))
+            if covered != set(A):
+                return {"condition": "stalactite-union", "truncation": list(b),
+                        "order": list(order),
+                        "missing": [list(q) for q in sorted(set(A) - covered)],
+                        "extra": [list(q) for q in sorted(covered - set(A))]}
+    return None
+
+
+def test_cave_test_matches_the_literal_oracle():
+    # seeded random sets in small boxes, under the three order policies;
+    # the verdict and the whole witness must be the oracle's
+    rng = random.Random(2718)
+    seen = collections.Counter()
+    for k in range(600):
+        p = rng.choice((1, 2, 3, 3, 4))
+        cells = list(itertools.product(range(rng.choice((2, 3, 4)) if p < 4 else 2), repeat=p))
+        C = PointSet(p, rng.sample(cells, rng.randint(1, min(len(cells), 9))))
+        policy = rng.choice(("all", "natural", ("sample", 3, k)))
+        chk = is_cave(C, policy)
+        assert (None if chk else chk.witness) == literal_cave_witness(C, policy), (list(C), policy)
+        seen["pass" if chk else chk.witness["condition"]] += 1
+    assert min(seen[c] for c in ("pass", "top-polymatroid", "truncation-g-polymatroid")) >= 15
+    assert seen["stalactite-union"] > 200

@@ -1,9 +1,10 @@
+import functools
 import itertools
 import random
 
 import pytest
 
-from kpoly.lattice import IntPolynomial, PointSet, point_set
+from kpoly.lattice import IntPolynomial, PointSet, lex_compare, point_set
 from kpoly.stalactite import (
     collapse_fixed_components,
     dominance_sums,
@@ -224,3 +225,30 @@ def test_stalactite_union_is_the_same_under_every_axis_order():
                 counts.update(st)
             signed = {n: (-1) ** (D - sum(n)) * c for n, c in counts.items()}
             assert IntPolynomial(P.ambient_p, signed) == H, (P, order)
+
+
+def literal_stalactite_union(T, order):
+    """(a, stalactite(a, neighbor_directions(a, predecessors))) for the points
+    of T sorted by lex_compare along the 1-based order."""
+    ranked = sorted(T, key=functools.cmp_to_key(lambda u, v: lex_compare(u, v, order)))
+    return [
+        (a, stalactite(a, neighbor_directions(a, PointSet(T.ambient_p, ranked[:k]))))
+        for k, a in enumerate(ranked)
+    ]
+
+
+def test_stalactite_union_matches_the_literal_stalactites():
+    # seeded random sets of every shape, not only base polymatroids, under
+    # every axis order, plus the natural order by default
+    rng = random.Random(1729)
+    doubled = 0
+    for _ in range(250):
+        p = rng.randint(1, 4)
+        cells = list(itertools.product(range(3), repeat=p))
+        T = PointSet(p, rng.sample(cells, rng.randint(1, min(8, len(cells)))))
+        assert stalactite_union(T) == literal_stalactite_union(T, range(1, p + 1))
+        for order in itertools.permutations(range(1, p + 1)):
+            entries = stalactite_union(T, order)
+            assert entries == literal_stalactite_union(T, order), (list(T), order)
+            doubled += sum(len(st) > 1 for _, st in entries)
+    assert doubled > 1000
