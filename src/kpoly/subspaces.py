@@ -1,18 +1,19 @@
 """Linear polymatroids from exact rational subspace configurations.
 
-Only the rank-function side is built: ranks come from fraction-exact
-Gaussian elimination, and the polymatroid is the set of lattice points of
-the base polytope cut out by the rank inequalities.
+Only the rank-function side is built: the rank table extends echelon bases
+subset by subset in exact integer arithmetic (fraction-exact elimination per
+subset, `rank_of`, is the tests' oracle), and the polymatroid is the set of
+lattice points of the base polytope cut out by the rank inequalities.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import PointSet, check_index_subset
+from .lattice import GRID_CAP, CapExceeded, PointSet, check_index_subset
 from .polymatroid import is_base_polymatroid
 
 
@@ -78,12 +79,57 @@ def rank_of(config: SubspaceConfig, J) -> int:
     return matrix_rank(rows)
 
 
+def _integer_row(g) -> list[int]:
+    """g scaled by the lcm of its denominators."""
+    d = math.lcm(*(x.denominator for x in g))
+    return [x.numerator * (d // x.denominator) for x in g]
+
+
 def rank_table(config: SubspaceConfig) -> dict[frozenset, int]:
+    """rank(J) for every J of [p] (1-based), in one pass over bitmasks.  The
+    echelon basis of J is that of J - {max J}, extended by the generators of
+    subspace max J reduced against it: cross-multiplied at each pivot, then
+    divided by their gcd.  Raises CapExceeded before any work when 2^p
+    exceeds GRID_CAP."""
+    p, q = config.p, config.q
+    if 1 << p > GRID_CAP:
+        raise CapExceeded(f"rank table has {1 << p} subsets (cap {GRID_CAP})")
+    rows = [[_integer_row(g) for g in gens] for gens in config.subspaces]
+    bases, subsets = [[]], [frozenset()]
     table = {frozenset(): 0}
-    for r in range(1, config.p + 1):
-        for J in itertools.combinations(range(1, config.p + 1), r):
-            table[frozenset(J)] = rank_of(config, J)
+    for mask in range(1, 1 << p):
+        hi = mask.bit_length() - 1
+        parent = mask ^ (1 << hi)
+        basis = bases[parent]  # (pivot, row) pairs; shared, never mutated
+        for v in rows[hi]:
+            if len(basis) == q:
+                break
+            for c, b in basis:
+                if v[c]:
+                    s, t = b[c], v[c]
+                    v = [s * x - t * y for x, y in zip(v, b)]
+            pivot = next((c for c, x in enumerate(v) if x), None)
+            if pivot is not None:
+                g = math.gcd(*v)
+                basis = basis + [(pivot, [x // g for x in v])]
+        bases.append(basis)
+        J = subsets[parent] | {hi + 1}
+        subsets.append(J)
+        table[J] = len(basis)
     return table
+
+
+def _base_candidates(total: int, caps) -> list[tuple[int, ...]]:
+    """Tuples y with 0 <= y_i <= caps[i] and sum(y) == total, in lex order."""
+    points = [()]
+    for i, cap in enumerate(caps):
+        rest = sum(caps[i + 1:])
+        points = [
+            y + (a,)
+            for y in points
+            for a in range(max(0, total - sum(y) - rest), min(cap, total - sum(y)) + 1)
+        ]
+    return points
 
 
 def linear_polymatroid(config: SubspaceConfig) -> PointSet:
@@ -100,9 +146,7 @@ def linear_polymatroid(config: SubspaceConfig) -> PointSet:
         if J and len(J) < p
     ]
     points = []
-    for y in itertools.product(*(range(min(s, total) + 1) for s in singles)):
-        if sum(y) != total:
-            continue
+    for y in _base_candidates(total, [min(s, total) for s in singles]):
         if all(sum(y[i] for i in idx) <= r for idx, r in constraints):
             points.append(y)
     out = PointSet(p, points)
@@ -142,13 +186,29 @@ def config_to_json(config: SubspaceConfig) -> dict:
     }
 
 
+def _json_int(x, what: str) -> int:
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError(f"subspace config: {what} must be an int, got {x!r}")
+    return x
+
+
+def _json_fraction(x) -> Fraction:
+    if not isinstance(x, list) or len(x) != 2:
+        raise ValueError(f"subspace config: entry {x!r} is not a [numerator, denominator] pair")
+    return Fraction(*(_json_int(v, "numerator or denominator") for v in x))
+
+
 def config_from_json(data) -> SubspaceConfig:
+    if not isinstance(data, dict):
+        raise ValueError("subspace config JSON must be an object with keys 'q' and 'subspaces'")
     try:
-        q = int(data["q"])
+        q = _json_int(data["q"], "q")
         spans = tuple(
-            tuple(tuple(Fraction(num, den) for num, den in g) for g in gens)
+            tuple(tuple(_json_fraction(x) for x in g) for g in gens)
             for gens in data["subspaces"]
         )
+    except KeyError as exc:
+        raise ValueError(f"subspace config is missing the key {exc}") from exc
     except (TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed subspace config: {exc}") from exc
     return SubspaceConfig(q, spans)

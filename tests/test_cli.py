@@ -259,6 +259,35 @@ def test_malformed_input_is_usage_error(tmp_path):
     assert main(["linear-polymatroid", "--random", "2,2", "--seed", "1", "--entry-bound", "0"]) == 2
 
 
+def test_malformed_subspace_configs_name_the_fault(tmp_path, capsys):
+    good = [[[[1, 1], [0, 1]]], [[[1, 1], [1, 1]]]]
+    cases = [
+        ({"q": 2.7, "subspaces": good}, "q must be an int, got 2.7"),
+        ({"q": True, "subspaces": good}, "q must be an int, got True"),
+        ({"q": 2, "subspaces": [[[[True, 1], [0, 1]]]]},
+         "numerator or denominator must be an int, got True"),
+        ({"q": 2, "subspaces": [[[[1, 1], [0, True]]]]},
+         "numerator or denominator must be an int, got True"),
+        ({"q": 2, "subspaces": [[[[1, 1], [0.5, 1]]]]},
+         "numerator or denominator must be an int, got 0.5"),
+        ({"q": 2, "subspaces": [[[[1, 1], [0, 1, 1]]]]}, "is not a [numerator, denominator] pair"),
+        ({"subspaces": good}, "missing the key 'q'"),
+        ({"q": 2}, "missing the key 'subspaces'"),
+        ([2, good], "must be an object"),
+    ]
+    for data, message in cases:
+        path = write_json(tmp_path, "config.json", data)
+        for argv in (["verify", "theorem-c", path], ["linear-polymatroid", path]):
+            assert main(argv) == 2, (argv, data)
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err, (data, err)
+
+
+def test_linear_polymatroid_refuses_2_to_the_p_above_the_grid_cap(capsys):
+    assert main(["linear-polymatroid", "--random", "20,2", "--seed", "1"]) == 2
+    assert "resource cap: rank table has 1048576 subsets" in capsys.readouterr().err
+
+
 # command prefix and a valid JSON input for every command that reads JSON
 _FUZZ_INPUTS = [
     (["verify", "gpolymatroid"], [list(q) for q in HILBERT_3], ["--method", "all"]),
