@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .lattice import (
     CapExceeded,
+    parse_vector,
     point_set_from_json,
     point_set_to_json,
     poly_text,
@@ -50,11 +51,6 @@ def _emit(result: CommandResult, args) -> int:
         with open(out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
     return _EXIT[result.status]
-
-
-def _parse_vector(text: str) -> tuple[int, ...]:
-    body = text.strip().strip("[]")
-    return tuple(int(tok) for tok in body.replace(",", " ").split())
 
 
 def _load_json(path: str):
@@ -214,7 +210,7 @@ def _base_polymatroid_input(args, subject: str):
             f"{subject} fails the polymatroid check\n  witness: {chk.witness}",
         )
     if args.ambient:
-        return msupp, _parse_vector(args.ambient)
+        return msupp, parse_vector(args.ambient)
     return msupp, tuple(max(q[i] for q in msupp) for i in range(msupp.ambient_p))
 
 
@@ -237,7 +233,7 @@ def cmd_hilbert(args) -> CommandResult:
             lines.append(f"  witness: {payload['witness']}")
             return CommandResult(VIOLATION, payload, "\n".join(lines))
     if args.eval is not None:
-        t = _parse_vector(args.eval)
+        t = parse_vector(args.eval)
         value = stalactite.hilbert_eval(H, t)
         lines.append(f"  value at t = {list(t)}: {value}")
         payload["eval"] = {"t": list(t), "value": value}
@@ -281,7 +277,7 @@ def cmd_linear_polymatroid(args) -> CommandResult:
     if args.random:
         if args.seed is None:
             raise ValueError("--random requires an explicit --seed")
-        p, q = _parse_vector(args.random)
+        p, q = parse_vector(args.random)
         rng = random.Random(args.seed)
         config = subspaces.random_config(p, q, rng, entry_bound=args.entry_bound)
     else:
@@ -413,7 +409,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         result = args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapExceeded as exc:

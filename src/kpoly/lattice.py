@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import reprlib
 
 Point = tuple[int, ...]
 
@@ -61,6 +62,12 @@ def as_point(coords, p: int | None = None) -> Point:
     return pt
 
 
+def parse_vector(text: str) -> tuple[int, ...]:
+    """Ints from text such as "1,5,3" or "[1 5 3]", split on commas or spaces."""
+    body = text.strip().strip("[]")
+    return tuple(int(tok) for tok in body.replace(",", " ").split())
+
+
 def dominates(u: Point, v: Point) -> bool:
     """u >= v componentwise."""
     return all(a >= b for a, b in zip(u, v))
@@ -108,7 +115,8 @@ def lex_compare(u: Point, v: Point, axis_order=None) -> int:
 class PointSet:
     """Finite set of lattice points in N^p, stored sorted in natural lex order."""
 
-    __slots__ = ("ambient_p", "points", "_set")
+    # _base_check: the verdict stored by polymatroid.is_base_polymatroid alone
+    __slots__ = ("ambient_p", "points", "_set", "_base_check")
 
     def __init__(self, ambient_p: int, points=()):
         if not isinstance(ambient_p, int) or ambient_p < 0:
@@ -156,7 +164,7 @@ class PointSet:
 
 def point_set(points, ambient_p: int | None = None) -> PointSet:
     """Build a PointSet, inferring the ambient dimension from the first point."""
-    pts = [as_point(q) for q in points]
+    pts = [tuple(q) for q in points]
     if ambient_p is None:
         if not pts:
             raise EmptySetError("cannot infer ambient dimension of an empty set")
@@ -257,7 +265,7 @@ class IntPolynomial:
 
     @classmethod
     def monomial(cls, num_vars: int, exponent, coeff: int = 1) -> "IntPolynomial":
-        return cls(num_vars, [(as_point(exponent, num_vars), coeff)])
+        return cls(num_vars, [(exponent, coeff)])
 
     def coeff(self, exponent) -> int:
         return self.terms.get(tuple(exponent), 0)
@@ -460,10 +468,36 @@ def point_set_to_json(A: PointSet) -> list:
     return [list(q) for q in A]
 
 
-def point_set_from_json(data, ambient_p: int | None = None) -> PointSet:
-    if not isinstance(data, list) or not all(isinstance(q, list) for q in data):
-        raise ValueError("point set JSON must be an array of arrays")
-    return point_set(data, ambient_p) if data or ambient_p is None else PointSet(ambient_p)
+def json_value(data, kind: type, path: str, what: str, length=None, minimum=None):
+    """data if it is a JSON `kind` (list, dict or int, a bool being no int) with
+    `length` items or at least `minimum`, where given; else a ValueError that
+    names path, as in "$.bases must be an array of points, got 5"."""
+    if (not isinstance(data, kind) or isinstance(data, bool) or length is not None and len(data) != length
+            or minimum is not None and data < minimum):
+        raise ValueError(f"{path} must be {what}, got {reprlib.repr(data)}")
+    return data
+
+
+def json_key(obj: dict, key: str, path: str):
+    if key not in obj:
+        raise ValueError(f"{path} is missing the key {key!r}")
+    return obj[key]
+
+
+def json_point(data, path: str, p: int) -> Point:
+    json_value(data, list, path, f"a point of length {p}", p)
+    return tuple(json_value(c, int, f"{path}[{j}]", "a nonnegative int", minimum=0) for j, c in enumerate(data))
+
+
+def point_set_from_json(data, ambient_p: int | None = None, path: str = "$") -> PointSet:
+    """PointSet from the JSON array of points at `path`, all as long as the
+    first or ambient_p long; an error names the path of the bad element."""
+    json_value(data, list, path, "an array of points")
+    if ambient_p is None:
+        if not data:
+            raise EmptySetError(f"{path} must be a nonempty array of points, got []")
+        ambient_p = len(json_value(data[0], list, f"{path}[0]", "a point"))
+    return PointSet._raw(ambient_p, [json_point(q, f"{path}[{i}]", ambient_p) for i, q in enumerate(data)])
 
 
 def poly_to_json(f: IntPolynomial) -> list:

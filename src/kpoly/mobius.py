@@ -20,8 +20,9 @@ from .lattice import (
     dominates,
     downset,
     downset_difference,
+    json_key,
+    json_value,
     point_set_from_json,
-    vec_sub,
 )
 from .polymatroid import is_base_polymatroid, is_g_polymatroid
 
@@ -46,7 +47,7 @@ def mobius_to_top(P: PointSet, method: str = "closed", cap: int = 10_000) -> Int
         raise EmptySetError("empty polymatroid")
     if method == "closed":
         diff = downset_difference(P)
-        return IntPolynomial(P.ambient_p, {u: -c for u, c in diff.items()})
+        return IntPolynomial._raw(P.ambient_p, {u: -c for u, c in diff.items()})
     if method == "recursive":
         ds = downset(P)
         if len(ds) > cap:
@@ -56,7 +57,7 @@ def mobius_to_top(P: PointSet, method: str = "closed", cap: int = 10_000) -> Int
         for u in by_sum_desc:
             above = sum(mu[w] for w in mu if w != u and dominates(w, u))
             mu[u] = -(1 + above)
-        return IntPolynomial(P.ambient_p, {u: c for u, c in mu.items() if c})
+        return IntPolynomial._raw(P.ambient_p, {u: c for u, c in mu.items() if c})
     raise ValueError(f"unknown mobius method {method!r}")
 
 
@@ -98,9 +99,8 @@ def kpoly_from_mobius(msupp: PointSet, m) -> IntPolynomial:
         if not dominates(m, n):
             raise ValueError(f"point {n} exceeds ambient {m}")
     MU = mobius_to_top(msupp)
-    return IntPolynomial(
-        len(m), {vec_sub(m, u): -c for u, c in MU.terms.items()}
-    )
+    # every u lies below a point of msupp, so below m
+    return IntPolynomial._raw(len(m), {tuple(a - b for a, b in zip(m, u)): -c for u, c in MU.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,7 @@ def verify_matroid_mu_theorem(M: Matroid) -> Check:
     if (chi == 0) != bool(cl):
         return Check(False, {"condition": "coloop-vanishing", "chi": chi, "coloops": list(cl)})
     ones = tuple(1 if (i + 1) in cl else 0 for i in range(M.ground))
-    MA = contraction(M, ones)
+    MA = contraction(M, ones) if cl else M
     keep = [i for i in range(M.ground) if ones[i] == 0]
     expected = set()
     for x in independent_sets(MA):
@@ -223,9 +223,9 @@ def matroid_to_json(M: Matroid) -> dict:
 
 
 def matroid_from_json(data) -> Matroid:
-    if not isinstance(data, dict) or not isinstance(data.get("p"), int):
-        raise ValueError('matroid JSON must be an object {"p": int, "bases": [[...], ...]}')
-    return Matroid(data["p"], point_set_from_json(data["bases"], data["p"]))
+    json_value(data, dict, "$", 'an object {"p": int, "bases": [[...], ...]}')
+    p = json_value(json_key(data, "p", "$"), int, "$.p", "a nonnegative int", minimum=0)
+    return Matroid(p, point_set_from_json(json_key(data, "bases", "$"), p, "$.bases"))
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,13 @@ class SquareFreeIdeal:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "primes", primes)
 
+    @classmethod
+    def _raw(cls, m: Point, primes: tuple[Point, ...]) -> "SquareFreeIdeal":
+        """Trusted constructor for an ideal derived from checked data."""
+        J = object.__new__(cls)
+        vars(J).update(m=m, primes=primes)
+        return J
+
     @property
     def ambient_p(self) -> int:
         return len(self.m)
@@ -101,10 +108,7 @@ def prime_sum(primes) -> BorelPrime:
 
 def hilbert_poly_prime(q: BorelPrime) -> IntPolynomial:
     """Single binomial-product term at n = m - a with coefficient 1."""
-    for i, (ai, mi) in enumerate(zip(q.a, q.m)):
-        if ai > mi:
-            raise ValueError(f"irrelevant component {i + 1}: a_i = {ai} > m_i = {mi}")
-    return IntPolynomial(len(q.m), {vec_sub(q.m, q.a): 1})
+    return IntPolynomial._raw(len(q.m), {vec_sub(q.m, q.a): 1})
 
 
 def _ie_coefficients_subsets(gens: list[Point], cap: int) -> dict[Point, int]:
@@ -176,13 +180,13 @@ def hilbert_poly_ie(J: SquareFreeIdeal, method: str = "lattice", cap: int | None
     """Inclusion-exclusion Hilbert polynomial: signed binomial-product terms
     at m - join over all nonempty prime subsets, like terms combined."""
     coeffs = ie_join_coefficients(J, method, cap)
-    return IntPolynomial(J.ambient_p, {vec_sub(J.m, v): c for v, c in coeffs.items()})
+    # every join of primes lies below m
+    return IntPolynomial._raw(J.ambient_p, {tuple(a - b for a, b in zip(J.m, v)): c for v, c in coeffs.items()})
 
 
 def k_poly_ie(J: SquareFreeIdeal, method: str = "lattice", cap: int | None = None) -> IntPolynomial:
     """Inclusion-exclusion twisted K-polynomial: the prime p_a contributes z^a."""
-    coeffs = ie_join_coefficients(J, method, cap)
-    return IntPolynomial(J.ambient_p, coeffs)
+    return IntPolynomial._raw(J.ambient_p, ie_join_coefficients(J, method, cap))
 
 
 def msupp_to_ideal(msupp: PointSet, m) -> SquareFreeIdeal:
@@ -197,7 +201,8 @@ def msupp_to_ideal(msupp: PointSet, m) -> SquareFreeIdeal:
     for n in msupp:
         if not dominates(m, n):
             raise ValueError(f"point {n} exceeds ambient {m}")
-    return SquareFreeIdeal(m, tuple(vec_sub(m, n) for n in sorted(msupp)))
+    # distinct points of one coordinate sum give pairwise incomparable primes
+    return SquareFreeIdeal._raw(m, tuple(tuple(a - b for a, b in zip(m, n)) for n in msupp))
 
 
 def hilbert_poly_shellable(J: SquareFreeIdeal) -> IntPolynomial:
@@ -206,8 +211,9 @@ def hilbert_poly_shellable(J: SquareFreeIdeal) -> IntPolynomial:
     Assumes the primes of J are listed in a shelling order of the associated
     facets (msupp_to_ideal produces one).  Each facet contributes its own
     term minus an inclusion-exclusion over the codimension-(c+1) pairwise
-    sums with its predecessors; those sums are checked at runtime to be the
-    facet's prime plus a single variable.
+    sums with its predecessors; each such sum dominates the facet's prime
+    and exceeds its codimension c by one, so it is that prime plus a single
+    variable.
     """
     codims = {sum(a) for a in J.primes}
     if len(codims) > 1:
@@ -231,12 +237,6 @@ def hilbert_poly_shellable(J: SquareFreeIdeal) -> IntPolynomial:
             if sum(q) == c + 1 and q not in seen:
                 seen.add(q)
                 block.append(q)
-        for q in block:
-            diff = vec_sub(q, aj)
-            if sum(diff) != 1:
-                raise ValueError(
-                    f"refinement shape violated: {q} is not prime {aj} plus one variable"
-                )
         for r in range(1, len(block) + 1):
             sign = 1 if (r - 1) % 2 == 0 else -1
             for sub in itertools.combinations(block, r):
@@ -244,7 +244,7 @@ def hilbert_poly_shellable(J: SquareFreeIdeal) -> IntPolynomial:
                 for q in sub[1:]:
                     v = vec_max(v, q)
                 add(vec_sub(J.m, v), -sign)
-    return IntPolynomial(J.ambient_p, acc)
+    return IntPolynomial._raw(J.ambient_p, acc)
 
 
 def _compositions(total: int, parts: int):

@@ -51,7 +51,14 @@ def is_base_polymatroid(P: PointSet) -> Check:
     the lightest and heaviest points, or `exchange` with u, v and the
     1-based i.  The support-bound walk stops after |P| + 1 points and never
     dead-ends once the pair passes, so it needs no box-volume cap.
+    The verdict is computed once per set and stored on P, which is immutable.
     """
+    if getattr(P, "_base_check", None) is None:
+        P._base_check = _base_polymatroid_check(P)
+    return P._base_check
+
+
+def _base_polymatroid_check(P: PointSet) -> Check:
     n, p = len(P), P.ambient_p
     if n * (n - 1) * p > (p + 1) ** 2 << p:
         c, b = _support_tables(P)
@@ -248,10 +255,6 @@ def inequality_system(A: PointSet) -> GPolyInequalitySystem:
     )
 
 
-def _mask(J) -> int:
-    return sum(1 << (j - 1) for j in J)
-
-
 def _paramodular_check(c: list[int], b: list[int], p: int) -> Check:
     """Whether bound tables indexed by bitmask (bit j - 1 stands for index j),
     with c = b = 0 on the empty set, form a paramodular pair: b submodular, c
@@ -306,7 +309,8 @@ def integer_points(sys_: GPolyInequalitySystem, cap: int = INTEGER_POINTS_CAP) -
     rows = [[] for _ in range(p)]
     for J in sys_.lower:
         k = max(J) - 1
-        rows[k].append((_mask(J) ^ (1 << k), sys_.lower[J], sys_.upper[J]))
+        rest = sum(1 << (j - 1) for j in J) ^ (1 << k)
+        rows[k].append((rest, sys_.lower[J], sys_.upper[J]))
     return _integer_points([sys_.upper[frozenset({i})] for i in range(1, p + 1)], rows, cap)
 
 
@@ -375,14 +379,7 @@ def axis_orders(p: int, policy):
     if isinstance(policy, tuple) and len(policy) == 3 and policy[0] == "sample":
         _, k, seed = policy
         rng = random.Random(seed)
-        orders = []
-        seen = set()
-        for _ in range(int(k)):
-            o = tuple(rng.sample(range(1, p + 1), p))
-            if o not in seen:
-                seen.add(o)
-                orders.append(o)
-        return orders
+        return list(dict.fromkeys(tuple(rng.sample(range(1, p + 1), p)) for _ in range(int(k))))
     raise ValueError(f"unknown order policy {policy!r}")
 
 

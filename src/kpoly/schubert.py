@@ -21,6 +21,7 @@ from .lattice import (
     IntPolynomial,
     Point,
     PointSet,
+    parse_vector,
 )
 
 Perm = tuple[int, ...]
@@ -37,8 +38,7 @@ def as_perm(values) -> Perm:
 
 def parse_perm(text: str) -> Perm:
     """Accept "1,5,3,2,4" and bracketed "[1,5,3,2,4]"."""
-    body = text.strip().strip("[]")
-    return as_perm(int(tok) for tok in body.replace(",", " ").split())
+    return as_perm(parse_vector(text))
 
 
 def inversions(w: Perm) -> int:
@@ -168,15 +168,9 @@ def schubert(w) -> IntPolynomial:
     return lowest_degree_part(grothendieck(w))
 
 
-def _is_zero_one_terms(terms: dict) -> bool:
-    lo = min(sum(e) for e in terms)
-    return all(c == 1 for e, c in terms.items() if sum(e) == lo)
-
-
 def is_zero_one(w) -> bool:
     """True when every Schubert coefficient lies in {0, 1}."""
-    w = as_perm(w)
-    return _is_zero_one_terms(_grothendieck_terms(w))
+    return all(c == 1 for c in schubert(w).terms.values())
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +245,11 @@ def msupp_of_matrix_schubert(w) -> tuple[PointSet, Point]:
     """Multidegree support of the matrix Schubert variety inside the product
     of p projective (p-1)-spaces: m = (p-1, ..., p-1) and the support is the
     reflection of the Schubert support.  Requires a zero-one permutation."""
-    w = as_perm(w)
-    if not is_zero_one(w):
-        raise ValueError(f"{w} is not zero-one; its multidegrees exceed 1")
-    p = len(w)
-    m = ((p - 1),) * p
     S = schubert(w)
-    msupp = PointSet(p, (tuple(mi - ei for mi, ei in zip(m, e)) for e in S.terms))
-    return msupp, m
+    if any(c != 1 for c in S.terms.values()):
+        raise ValueError(f"{as_perm(w)} is not zero-one; its multidegrees exceed 1")
+    m = (S.num_vars - 1,) * S.num_vars
+    return PointSet._raw(S.num_vars, (tuple(mi - ei for mi, ei in zip(m, e)) for e in S.terms)), m
 
 
 def grothendieck_via_stalactites(w) -> IntPolynomial:
@@ -266,11 +257,10 @@ def grothendieck_via_stalactites(w) -> IntPolynomial:
     signed Hilbert support from the multidegree support and reflect it."""
     from .stalactite import hsupp_from_msupp
 
-    w = as_perm(w)
     msupp, m = msupp_of_matrix_schubert(w)
     H = hsupp_from_msupp(msupp)
     return IntPolynomial._raw(
-        len(w),
+        len(m),
         {tuple(mi - ni for mi, ni in zip(m, n)): c for n, c in H.terms.items()},
     )
 
@@ -279,6 +269,5 @@ def grothendieck_via_mobius(w) -> IntPolynomial:
     """Grothendieck polynomial through the Mobius route on the downset poset."""
     from .mobius import kpoly_from_mobius
 
-    w = as_perm(w)
     msupp, m = msupp_of_matrix_schubert(w)
     return kpoly_from_mobius(msupp, m)

@@ -19,6 +19,9 @@ from .lattice import (
     check_axis_order,
     dominates,
     grid_transform,
+    json_key,
+    json_point,
+    json_value,
     point_set_from_json,
     top,
     unit_shift,
@@ -157,10 +160,10 @@ def facets_from_msupp(msupp: PointSet, m) -> list[Facet]:
 
 def facets_from_json(data) -> list[Facet]:
     """Facets from shelling JSON {"msupp": [[...], ...], "m": [...]}; m must
-    be an integer array as long as the points."""
-    if not isinstance(data, dict) or not isinstance(data.get("m"), list):
-        raise ValueError('shelling JSON must be an object {"msupp": [[...], ...], "m": [...]}')
-    return facets_from_msupp(point_set_from_json(data.get("msupp")), data["m"])
+    be a point as long as the points of msupp."""
+    json_value(data, dict, "$", 'an object {"msupp": [[...], ...], "m": [...]}')
+    msupp = point_set_from_json(json_key(data, "msupp", "$"), path="$.msupp")
+    return facets_from_msupp(msupp, json_point(json_key(data, "m", "$"), "$.m", msupp.ambient_p))
 
 
 def verify_shelling(facets) -> Check:
@@ -241,7 +244,7 @@ def collapse_fixed_components(msupp: PointSet, m) -> tuple[PointSet, Point, tupl
     """Drop components where every point attains the ambient bound m_i.
 
     Returns (collapsed set, collapsed m, kept 1-based components).  Inverse:
-    embed_point / embed_set below.
+    embed_signed_support below.
     """
     m = as_point(m, msupp.ambient_p)
     if not msupp:
@@ -251,20 +254,18 @@ def collapse_fixed_components(msupp: PointSet, m) -> tuple[PointSet, Point, tupl
         for i in range(msupp.ambient_p)
         if any(q[i] != m[i] for q in msupp)
     )
-    small = PointSet(len(keep), (tuple(q[i - 1] for i in keep) for q in msupp))
+    small = PointSet._raw(len(keep), (tuple(q[i - 1] for i in keep) for q in msupp))
     m_small = tuple(m[i - 1] for i in keep)
     return small, m_small, keep
 
 
-def embed_point(q: Point, keep, m) -> Point:
-    """Inverse of the collapse on a single point: dropped slots get back m_i."""
-    m = as_point(m)
-    out = list(m)
-    for value, i in zip(q, keep):
-        out[i - 1] = value
-    return tuple(out)
-
-
 def embed_signed_support(H: IntPolynomial, keep, m) -> IntPolynomial:
+    """Inverse of the collapse on a signed support: dropped slots get back m_i."""
     m = as_point(m)
-    return IntPolynomial(len(m), {embed_point(q, keep, m): c for q, c in H.terms.items()})
+    terms = []
+    for q, c in H.terms.items():
+        w = list(m)
+        for value, i in zip(q, keep):
+            w[i - 1] = value
+        terms.append((w, c))
+    return IntPolynomial(len(m), terms)

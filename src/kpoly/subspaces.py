@@ -13,13 +13,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import GRID_CAP, CapExceeded, PointSet, check_index_subset
+from .lattice import GRID_CAP, CapExceeded, PointSet, check_index_subset, json_key, json_value
 from .polymatroid import is_base_polymatroid
 
 
 @dataclass(frozen=True)
 class SubspaceConfig:
-    """For each i in [p], a list of generator vectors in Q^q."""
+    """For each i in [p], a tuple of generator vectors in Q^q (tuples of Fractions)."""
 
     q: int
     subspaces: tuple[tuple[tuple[Fraction, ...], ...], ...]
@@ -27,17 +27,12 @@ class SubspaceConfig:
     def __post_init__(self):
         if self.q <= 0:
             raise ValueError("ambient dimension must be positive")
-        spans = []
         for gens in self.subspaces:
-            fixed = []
             for g in gens:
                 if len(g) != self.q:
                     raise ValueError(f"generator {g} does not have length {self.q}")
-                fixed.append(tuple(Fraction(x) for x in g))
-            spans.append(tuple(fixed))
-        if not any(any(any(x for x in g) for g in gens) for gens in spans):
+        if not any(x for gens in self.subspaces for g in gens for x in g):
             raise ValueError("at least one subspace must be nonzero")
-        object.__setattr__(self, "subspaces", tuple(spans))
 
     @property
     def p(self) -> int:
@@ -71,12 +66,10 @@ def matrix_rank(rows) -> int:
 def rank_of(config: SubspaceConfig, J) -> int:
     """dim of the sum of the subspaces indexed by J (1-based); rank of the
     empty set is 0."""
-    J = sorted(set(J))
+    J = set(J)
     if not J:
         return 0
-    check_index_subset(J, config.p)
-    rows = [g for j in J for g in config.subspaces[j - 1]]
-    return matrix_rank(rows)
+    return matrix_rank([g for j in check_index_subset(J, config.p) for g in config.subspaces[j - 1]])
 
 
 def _integer_row(g) -> list[int]:
@@ -86,7 +79,8 @@ def _integer_row(g) -> list[int]:
 
 
 def rank_table(config: SubspaceConfig) -> dict[frozenset, int]:
-    """rank(J) for every J of [p] (1-based), in one pass over bitmasks.  The
+    """rank(J) for every J of [p] (1-based), in one pass over bitmasks, so the
+    subsets come in bitmask order (bit j - 1 stands for index j).  The
     echelon basis of J is that of J - {max J}, extended by the generators of
     subspace max J reduced against it: cross-multiplied at each pivot, then
     divided by their gcd.  Raises CapExceeded before any work when 2^p
@@ -133,23 +127,23 @@ def _base_candidates(total: int, caps) -> list[tuple[int, ...]]:
 
 
 def linear_polymatroid(config: SubspaceConfig) -> PointSet:
-    """Lattice points y >= 0 with sum_J y <= rank(J) for every J and
-    total sum equal to rank([p]).  Rank functions are submodular, so the
-    output is asserted to pass the base-polymatroid exchange."""
+    """Lattice points y >= 0 with sum_J y <= rank(J) for every J and total
+    sum equal to rank([p]).  Rank is monotone, so only the bounds for J inside
+    the support of y can bind.  Rank functions are submodular, so the output
+    is asserted to pass the base-polymatroid exchange."""
     p = config.p
-    table = rank_table(config)
-    total = table[frozenset(range(1, p + 1))]
-    singles = [table[frozenset({i})] for i in range(1, p + 1)]
-    constraints = [
-        (tuple(j - 1 for j in sorted(J)), r)
-        for J, r in table.items()
-        if J and len(J) < p
-    ]
+    ranks = list(rank_table(config).values())  # indexed by bitmask
+    total = ranks[-1]
     points = []
-    for y in _base_candidates(total, [min(s, total) for s in singles]):
-        if all(sum(y[i] for i in idx) <= r for idx, r in constraints):
+    for y in _base_candidates(total, [min(ranks[1 << i], total) for i in range(p)]):
+        sums, masks = [0], [0]  # y(J) and J over the subsets J of supp y
+        for i, v in enumerate(y):
+            if v:
+                sums += [s + v for s in sums]
+                masks += [m | 1 << i for m in masks]
+        if all(s <= ranks[m] for s, m in zip(sums, masks)):
             points.append(y)
-    out = PointSet(p, points)
+    out = PointSet._raw(p, points)
     chk = is_base_polymatroid(out)
     if not chk:
         raise RuntimeError(f"rank-function bug: output fails exchange: {chk.witness}")
@@ -186,29 +180,18 @@ def config_to_json(config: SubspaceConfig) -> dict:
     }
 
 
-def _json_int(x, what: str) -> int:
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise ValueError(f"subspace config: {what} must be an int, got {x!r}")
-    return x
-
-
-def _json_fraction(x) -> Fraction:
-    if not isinstance(x, list) or len(x) != 2:
-        raise ValueError(f"subspace config: entry {x!r} is not a [numerator, denominator] pair")
-    return Fraction(*(_json_int(v, "numerator or denominator") for v in x))
-
-
 def config_from_json(data) -> SubspaceConfig:
-    if not isinstance(data, dict):
-        raise ValueError("subspace config JSON must be an object with keys 'q' and 'subspaces'")
-    try:
-        q = _json_int(data["q"], "q")
-        spans = tuple(
-            tuple(tuple(_json_fraction(x) for x in g) for g in gens)
-            for gens in data["subspaces"]
-        )
-    except KeyError as exc:
-        raise ValueError(f"subspace config is missing the key {exc}") from exc
-    except (TypeError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed subspace config: {exc}") from exc
-    return SubspaceConfig(q, spans)
+    """SubspaceConfig from JSON {"q": q, "subspaces": [[[[num, den], ...], ...], ...]};
+    every error names the JSON path of the bad element."""
+    json_value(data, dict, "$", 'an object {"q": int, "subspaces": [...]}')
+    q = json_value(json_key(data, "q", "$"), int, "$.q", "a positive int", minimum=1)
+    spans = json_value(json_key(data, "subspaces", "$"), list, "$.subspaces", "an array of subspaces")
+    for i, gens in enumerate(spans):
+        for k, g in enumerate(json_value(gens, list, f"$.subspaces[{i}]", "an array of generators")):
+            path = f"$.subspaces[{i}][{k}]"
+            for j, x in enumerate(json_value(g, list, path, f"a generator of {q} entries", q)):
+                num, den = json_value(x, list, f"{path}[{j}]", "a [numerator, denominator] pair", 2)
+                json_value(num, int, f"{path}[{j}][0]", "an int")
+                if not json_value(den, int, f"{path}[{j}][1]", "a nonzero int"):
+                    raise ValueError(f"{path}[{j}][1] must be a nonzero int, got 0")
+    return SubspaceConfig(q, tuple(tuple(tuple(Fraction(*x) for x in g) for g in gens) for gens in spans))

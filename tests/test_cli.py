@@ -2,7 +2,7 @@ import copy
 import json
 import random
 
-from kpoly import cli, monomial, schubert
+from kpoly import cli, monomial, polymatroid, schubert
 from kpoly.cli import main
 from kpoly.lattice import IntPolynomial, point_set, point_set_to_json
 from kpoly.subspaces import config_to_json, random_config
@@ -240,6 +240,10 @@ def test_malformed_input_is_usage_error(tmp_path):
     assert main(["verify", "gpolymatroid", flat]) == 2
     int_bases = write_json(tmp_path, "matroid.json", {"p": 2, "bases": 5})
     assert main(["verify", "matroid-mu", int_bases]) == 2
+    bool_p = write_json(tmp_path, "bool_p.json", {"p": True, "bases": [[1]]})
+    assert main(["verify", "matroid-mu", bool_p]) == 2
+    no_bases = write_json(tmp_path, "no_bases.json", {"p": 2})
+    assert main(["verify", "matroid-mu", no_bases]) == 2
     zero_den = write_json(tmp_path, "config.json", {"q": 2, "subspaces": [[[[1, 0], [1, 1]]]]})
     assert main(["verify", "theorem-c", zero_den]) == 2
     assert main(["explore", "--count", "-5", "--seed", "1"]) == 2
@@ -262,18 +266,19 @@ def test_malformed_input_is_usage_error(tmp_path):
 def test_malformed_subspace_configs_name_the_fault(tmp_path, capsys):
     good = [[[[1, 1], [0, 1]]], [[[1, 1], [1, 1]]]]
     cases = [
-        ({"q": 2.7, "subspaces": good}, "q must be an int, got 2.7"),
-        ({"q": True, "subspaces": good}, "q must be an int, got True"),
+        ({"q": 2.7, "subspaces": good}, "$.q must be a positive int, got 2.7"),
+        ({"q": True, "subspaces": good}, "$.q must be a positive int, got True"),
         ({"q": 2, "subspaces": [[[[True, 1], [0, 1]]]]},
-         "numerator or denominator must be an int, got True"),
+         "$.subspaces[0][0][0][0] must be an int, got True"),
         ({"q": 2, "subspaces": [[[[1, 1], [0, True]]]]},
-         "numerator or denominator must be an int, got True"),
+         "$.subspaces[0][0][1][1] must be a nonzero int, got True"),
         ({"q": 2, "subspaces": [[[[1, 1], [0.5, 1]]]]},
-         "numerator or denominator must be an int, got 0.5"),
-        ({"q": 2, "subspaces": [[[[1, 1], [0, 1, 1]]]]}, "is not a [numerator, denominator] pair"),
-        ({"subspaces": good}, "missing the key 'q'"),
-        ({"q": 2}, "missing the key 'subspaces'"),
-        ([2, good], "must be an object"),
+         "$.subspaces[0][0][1][0] must be an int, got 0.5"),
+        ({"q": 2, "subspaces": [[[[1, 1], [0, 1, 1]]]]},
+         "$.subspaces[0][0][1] must be a [numerator, denominator] pair, got [0, 1, 1]"),
+        ({"subspaces": good}, "$ is missing the key 'q'"),
+        ({"q": 2}, "$ is missing the key 'subspaces'"),
+        ([2, good], "$ must be an object"),
     ]
     for data, message in cases:
         path = write_json(tmp_path, "config.json", data)
@@ -281,6 +286,90 @@ def test_malformed_subspace_configs_name_the_fault(tmp_path, capsys):
             assert main(argv) == 2, (argv, data)
             err = capsys.readouterr().err
             assert err.startswith("error: ") and message in err, (data, err)
+
+
+_POINT_SET_COMMANDS = [
+    ["verify", "gpolymatroid"], ["verify", "cave"], ["verify", "theorem-a"], ["hilbert"], ["mobius"],
+]
+_CONFIG_COMMANDS = [["verify", "theorem-c"], ["linear-polymatroid"]]
+_GOOD_SUBSPACES = [[[[1, 1], [0, 1]]], [[[1, 1], [1, 1]]]]
+
+# (commands, malformed input, the error line naming the bad element's JSON path)
+_JSON_PATH_CASES = [
+    (_POINT_SET_COMMANDS, 5, "$ must be an array of points, got 5"),
+    (_POINT_SET_COMMANDS, [], "$ must be a nonempty array of points, got []"),
+    (_POINT_SET_COMMANDS, [[0, [1]], [1, 0]], "$[0][1] must be a nonnegative int, got [1]"),
+    (_POINT_SET_COMMANDS, [[0, 1], [1]], "$[1] must be a point of length 2, got [1]"),
+    (_POINT_SET_COMMANDS, [[0, 1], 7], "$[1] must be a point of length 2, got 7"),
+    (_POINT_SET_COMMANDS, [[0, True], [1, 0]], "$[0][1] must be a nonnegative int, got True"),
+    (_POINT_SET_COMMANDS, [[0, -1]], "$[0][1] must be a nonnegative int, got -1"),
+    ([["verify", "matroid-mu"]], [1], '$ must be an object {"p": int, "bases": [[...], ...]}, got [1]'),
+    ([["verify", "matroid-mu"]], {"p": 2}, "$ is missing the key 'bases'"),
+    ([["verify", "matroid-mu"]], {"bases": [[1]]}, "$ is missing the key 'p'"),
+    ([["verify", "matroid-mu"]], {"p": 2, "bases": 5}, "$.bases must be an array of points, got 5"),
+    ([["verify", "matroid-mu"]], {"p": 2, "bases": [[1, 0], [0]]},
+     "$.bases[1] must be a point of length 2, got [0]"),
+    ([["verify", "matroid-mu"]], {"p": 2, "bases": [[1, "0"]]},
+     "$.bases[0][1] must be a nonnegative int, got '0'"),
+    ([["verify", "matroid-mu"]], {"p": True, "bases": [[1]]}, "$.p must be a nonnegative int, got True"),
+    ([["verify", "shelling"]], [1, 2],
+     '$ must be an object {"msupp": [[...], ...], "m": [...]}, got [1, 2]'),
+    ([["verify", "shelling"]], {"msupp": [[1, 0]]}, "$ is missing the key 'm'"),
+    ([["verify", "shelling"]], {"msupp": 3, "m": [4, 4]}, "$.msupp must be an array of points, got 3"),
+    ([["verify", "shelling"]], {"msupp": [[1, 0], [0, 1, 0]], "m": [4, 4]},
+     "$.msupp[1] must be a point of length 2, got [0, 1, 0]"),
+    ([["verify", "shelling"]], {"msupp": [[1, 0]], "m": [4]}, "$.m must be a point of length 2, got [4]"),
+    ([["verify", "shelling"]], {"msupp": [[1, 0]], "m": [4, False]},
+     "$.m[1] must be a nonnegative int, got False"),
+    (_CONFIG_COMMANDS, "x", """$ must be an object {"q": int, "subspaces": [...]}, got 'x'"""),
+    (_CONFIG_COMMANDS, {"q": 2}, "$ is missing the key 'subspaces'"),
+    (_CONFIG_COMMANDS, {"q": 2, "subspaces": 5}, "$.subspaces must be an array of subspaces, got 5"),
+    (_CONFIG_COMMANDS, {"q": 0, "subspaces": _GOOD_SUBSPACES}, "$.q must be a positive int, got 0"),
+    (_CONFIG_COMMANDS, {"q": 2, "subspaces": [None]},
+     "$.subspaces[0] must be an array of generators, got None"),
+    (_CONFIG_COMMANDS, {"q": 2, "subspaces": [[[[1, 1]]]]},
+     "$.subspaces[0][0] must be a generator of 2 entries, got [[1, 1]]"),
+    (_CONFIG_COMMANDS, {"q": 2, "subspaces": [[[[1, 1], "1/2"]]]},
+     "$.subspaces[0][0][1] must be a [numerator, denominator] pair, got '1/2'"),
+    (_CONFIG_COMMANDS, {"q": 2, "subspaces": [[[[1, 1], [1, 0]]]]},
+     "$.subspaces[0][0][1][1] must be a nonzero int, got 0"),
+    (_CONFIG_COMMANDS, {"q": 2, "subspaces": [[[[False, 1], [1, 1]]]]},
+     "$.subspaces[0][0][0][0] must be an int, got False"),
+]
+
+
+def test_malformed_json_errors_name_the_json_path(tmp_path, capsys):
+    for commands, data, message in _JSON_PATH_CASES:
+        path = write_json(tmp_path, "input.json", data)
+        for prefix in commands:
+            assert main([*prefix, path]) == 2, (prefix, data)
+            assert capsys.readouterr().err == f"error: {message}\n", (prefix, data)
+
+
+def test_base_polymatroid_check_runs_once_per_set(tmp_path, monkeypatch, capsys):
+    real, evaluated = polymatroid._base_polymatroid_check, []
+
+    def counted(P):
+        evaluated.append((P.ambient_p, P.points))
+        return real(P)
+
+    monkeypatch.setattr(polymatroid, "_base_polymatroid_check", counted)
+    msupp = write_json(tmp_path, "msupp.json", [list(q) for q in MSUPP_3])
+    config = write_json(tmp_path, "config.json", config_to_json(random_config(4, 3, random.Random(99))))
+    uniform = write_json(tmp_path, "u23.json", {"p": 3, "bases": [[1, 1, 0], [1, 0, 1], [0, 1, 1]]})
+    coloop = write_json(tmp_path, "coloop.json", {"p": 3, "bases": [[1, 1, 0], [1, 0, 1]]})
+    # argv and the number of distinct sets the command checks
+    for argv, sets in [
+        (["verify", "theorem-c", config], 1),
+        (["hilbert", msupp, "--oracle"], 1),
+        (["verify", "matroid-mu", uniform], 1),
+        (["verify", "matroid-mu", coloop], 2),  # the matroid and its contraction
+        (["mobius", msupp, "--check", "--kpoly"], 1),
+    ]:
+        evaluated.clear()
+        assert main(argv) == 0, argv
+        assert len(evaluated) == len(set(evaluated)) == sets, (argv, evaluated)
+    capsys.readouterr()
 
 
 def test_linear_polymatroid_refuses_2_to_the_p_above_the_grid_cap(capsys):

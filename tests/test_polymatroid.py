@@ -411,13 +411,33 @@ def test_base_polymatroid_routes_agree_with_the_exchange_loop():
             inputs.append(P)
     counts = {}
     for P in inputs:
-        fast, loop = is_base_polymatroid(P), _exchange_check(P)
+        # a fresh copy: linear_polymatroid and random_base_polymatroid have
+        # already stored a verdict on the sets they return
+        fast, loop = is_base_polymatroid(PointSet(P.ambient_p, P)), _exchange_check(P)
         assert bool(fast) == bool(loop), list(P)
         assert fast.witness == loop.witness, list(P)
         key = (_above_the_rule(P), bool(loop))
         counts[key] = counts.get(key, 0) + 1
     assert counts[True, True] > 40 and counts[True, False] > 100
     assert counts[False, True] > 100 and counts[False, False] > 30
+
+
+def test_base_polymatroid_verdict_is_computed_once_per_set(monkeypatch):
+    real, evaluated = polymatroid._base_polymatroid_check, []
+
+    def counted(P):
+        evaluated.append(P)
+        return real(P)
+
+    monkeypatch.setattr(polymatroid, "_base_polymatroid_check", counted)
+    good, bad = point_set(MSUPP_3), point_set([(2, 0), (0, 2)])
+    for _ in range(3):
+        assert is_base_polymatroid(good) and not is_base_polymatroid(bad)
+    assert evaluated == [good, bad]
+    assert is_base_polymatroid(bad).witness == _exchange_check(bad).witness
+    # an equal set built afresh is evaluated afresh
+    assert not is_base_polymatroid(point_set([(0, 2), (2, 0)]))
+    assert len(evaluated) == 3
 
 
 def test_homogenization_never_enters_the_paramodular_code(monkeypatch):

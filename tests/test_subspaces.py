@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from kpoly.mobius import mu_support
 from kpoly.polymatroid import is_base_polymatroid, is_g_polymatroid
 from kpoly.subspaces import (
     SubspaceConfig,
+    _base_candidates,
     config_from_json,
     config_to_json,
     linear_polymatroid,
@@ -140,6 +142,38 @@ def test_linear_polymatroid_matches_the_literal_box_filter():
             and all(sum(y[j - 1] for j in J) <= r for J, r in table.items())
         ]
         assert linear_polymatroid(config) == point_set(want, config.p), config
+
+
+def all_bounds_filter(config):
+    """The candidates of linear_polymatroid kept when they meet all 2^p rank
+    bounds y(J) <= rank(J), every J read from rank_table by its frozenset."""
+    p, table = config.p, rank_table(config)
+    ranks = [table[frozenset(j + 1 for j in range(p) if X >> j & 1)] for X in range(1 << p)]
+    total = ranks[-1]
+    kept = []
+    for y in _base_candidates(total, [min(ranks[1 << i], total) for i in range(p)]):
+        sums = [0]  # y(J) for every bitmask J
+        for v in y:
+            sums += [s + v for s in sums]
+        if all(map(operator.le, sums, ranks)):
+            kept.append(y)
+    return point_set(kept, p)
+
+
+def test_support_bounds_filter_equals_the_all_bounds_filter():
+    # the criterion-08 stream and `linear-polymatroid --random 16,2 --seed 1`;
+    # linear_polymatroid reads the rank table as a list in bitmask order
+    rng = random.Random(20240817)
+    configs = [random_config(rng.randint(2, 5), rng.randint(2, 5), rng) for _ in range(200)]
+    configs.append(random_config(16, 2, random.Random(1)))
+    for config in configs:
+        table = rank_table(config)
+        assert list(table) == [
+            frozenset(j + 1 for j in range(config.p) if X >> j & 1) for X in range(1 << config.p)
+        ]
+        P = linear_polymatroid(config)
+        assert P == all_bounds_filter(config), config
+    assert len(P) == 121
 
 
 def test_linear_polymatroid_independent_lines():
