@@ -304,25 +304,20 @@ def cmd_linear_polymatroid(args) -> CommandResult:
 
 
 def cmd_explore(args) -> CommandResult:
-    if args.count < 1:
-        raise ValueError(f"--count must be positive, got {args.count}")
     if args.max_p < 2:
         raise ValueError(f"--max-p must be at least 2, got {args.max_p}")
     if args.max_coord < 1:
         raise ValueError(f"--max-coord must be positive, got {args.max_coord}")
-    report = mobius_mod.mu_support_survey(
-        args.count, args.max_p, args.max_coord, args.seed
-    )
+    report = mobius_mod.mu_support_survey(args.max_p, args.max_coord)
     lines = [
-        f"mu-support survey: {report['tested']} base polymatroids tested "
-        f"(p <= {args.max_p}, coords <= {args.max_coord}, seed {args.seed})",
+        f"mu-support survey: all {report['tested']} loopless base polymatroids "
+        f"on 2..{args.max_p} elements with singleton ranks <= {args.max_coord}",
         f"  g-polymatroid mu-supports: {report['g_polymatroid']}",
         f"  exceptions found: {len(report['failures'])}",
     ]
     if report["failures"]:
         lines.append("  counterexample candidates (report only, nothing is asserted):")
-        for P in report["failures"]:
-            lines.append(f"    {P}")
+        lines += [f"    {P}" for P in report["failures"]]
     return CommandResult(OK, report, "\n".join(lines))
 
 
@@ -393,11 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(lp)
     lp.set_defaults(func=cmd_linear_polymatroid)
 
-    ex = sub.add_parser("explore", help="mu-support conjecture survey (reports, never asserts)")
-    ex.add_argument("--count", type=int, default=100)
-    ex.add_argument("--max-p", type=int, default=4)
-    ex.add_argument("--max-coord", type=int, default=3)
-    ex.add_argument("--seed", type=int, required=True)
+    ex = sub.add_parser("explore", help="exhaustive mu-support conjecture survey (reports, never asserts)")
+    ex.add_argument("--max-p", type=int, default=4, help="largest ground set size")
+    ex.add_argument("--max-coord", type=int, default=2, help="largest singleton rank")
     common(ex)
     ex.set_defaults(func=cmd_explore)
 

@@ -491,13 +491,17 @@ def json_point(data, path: str, p: int) -> Point:
 
 def point_set_from_json(data, ambient_p: int | None = None, path: str = "$") -> PointSet:
     """PointSet from the JSON array of points at `path`, all as long as the
-    first or ambient_p long; an error names the path of the bad element."""
+    first or ambient_p long; an error names the path of the bad element.
+    Paths are built only once the plain check of every point fails."""
     json_value(data, list, path, "an array of points")
     if ambient_p is None:
         if not data:
             raise EmptySetError(f"{path} must be a nonempty array of points, got []")
         ambient_p = len(json_value(data[0], list, f"{path}[0]", "a point"))
-    return PointSet._raw(ambient_p, [json_point(q, f"{path}[{i}]", ambient_p) for i, q in enumerate(data)])
+    if not all(type(q) is list and len(q) == ambient_p and all(type(c) is int and c >= 0 for c in q)
+               for q in data):
+        data = [json_point(q, f"{path}[{i}]", ambient_p) for i, q in enumerate(data)]
+    return PointSet._raw(ambient_p, map(tuple, data))
 
 
 def poly_to_json(f: IntPolynomial) -> list:

@@ -6,7 +6,6 @@ and the matroid specialization via coloops and contraction.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 from .lattice import (
@@ -24,7 +23,7 @@ from .lattice import (
     json_value,
     point_set_from_json,
 )
-from .polymatroid import is_base_polymatroid, is_g_polymatroid
+from .polymatroid import base_polymatroid, is_base_polymatroid, is_g_polymatroid, rank_functions
 
 
 def mobius_to_top(P: PointSet, method: str = "closed", cap: int = 10_000) -> IntPolynomial:
@@ -159,7 +158,11 @@ def independent_sets(M: Matroid) -> PointSet:
 def reduced_euler_characteristic(M: Matroid) -> int:
     """Reduced Euler characteristic of the independence complex:
     sum over faces I (including the empty one) of (-1)^(|I| - 1)."""
-    return sum(-1 if sum(I) % 2 == 0 else 1 for I in independent_sets(M))
+    return _reduced_euler(independent_sets(M))
+
+
+def _reduced_euler(faces: PointSet) -> int:
+    return sum(-1 if sum(I) % 2 == 0 else 1 for I in faces)
 
 
 def verify_matroid_mu_theorem(M: Matroid) -> Check:
@@ -171,7 +174,8 @@ def verify_matroid_mu_theorem(M: Matroid) -> Check:
     (d) the mu-support is a g-polymatroid.
     """
     MU = mobius_to_top(M.bases)
-    chi = reduced_euler_characteristic(M)
+    faces = independent_sets(M)
+    chi = _reduced_euler(faces)
     mu0 = MU.coeff((0,) * M.ground)
     if chi != mu0:
         return Check(False, {"condition": "euler-vs-mu", "chi": chi, "mu0": mu0})
@@ -179,43 +183,34 @@ def verify_matroid_mu_theorem(M: Matroid) -> Check:
     if (chi == 0) != bool(cl):
         return Check(False, {"condition": "coloop-vanishing", "chi": chi, "coloops": list(cl)})
     ones = tuple(1 if (i + 1) in cl else 0 for i in range(M.ground))
-    MA = contraction(M, ones) if cl else M
     keep = [i for i in range(M.ground) if ones[i] == 0]
     expected = set()
-    for x in independent_sets(MA):
+    for x in independent_sets(contraction(M, ones)) if cl else faces:
         full = list(ones)
         for value, i in zip(x, keep):
             full[i] = value
         expected.add(tuple(full))
-    actual = set(MU.support())
-    if expected != actual:
+    actual = MU.support()
+    if expected != actual._set:
         return Check(
             False,
             {
                 "condition": "mu-support-description",
-                "missing": [list(q) for q in sorted(expected - actual)],
-                "extra": [list(q) for q in sorted(actual - expected)],
+                "missing": [list(q) for q in sorted(expected - actual._set)],
+                "extra": [list(q) for q in sorted(actual._set - expected)],
             },
         )
-    chk = is_g_polymatroid(MU.support(), "paramodular")
+    chk = is_g_polymatroid(actual, "paramodular")
     if not chk:
         return Check(False, {"condition": "mu-support-g-polymatroid", "cause": chk.witness})
     return Check(True)
 
 
 def matroids_on_ground(p: int):
-    """Every matroid on ground set [p], enumerated by filtering all nonempty
-    families of equal-weight 0/1 vectors through basis exchange."""
-    for r in range(0, p + 1):
-        candidates = [
-            tuple(1 if i in S else 0 for i in range(p))
-            for S in map(set, itertools.combinations(range(p), r))
-        ]
-        for size in range(1, len(candidates) + 1):
-            for family in itertools.combinations(candidates, size):
-                B = PointSet(p, family)
-                if is_base_polymatroid(B):
-                    yield Matroid(p, B)
+    """Every matroid on ground set [p]: the bases of each rank function with
+    singleton ranks at most 1."""
+    for f in rank_functions(p, 1):
+        yield Matroid(p, base_polymatroid(f))
 
 
 def matroid_to_json(M: Matroid) -> dict:
@@ -232,65 +227,22 @@ def matroid_from_json(data) -> Matroid:
 # conjecture harness: is the mu-support of every base polymatroid a
 # g-polymatroid?  The survey reports and never asserts.
 
-def random_base_polymatroid(rng: random.Random, p: int, coord_max: int, grow_steps: int = 40) -> PointSet | None:
-    """Try to produce a base polymatroid by repairing a random homogeneous
-    seed set: failed exchanges get their missing targets inserted."""
-    total = rng.randint(1, coord_max * p // 2 + 1)
-
-    def random_point():
-        q = [0] * p
-        for _ in range(total):
-            choices = [i for i in range(p) if q[i] < coord_max]
-            if not choices:
-                return None
-            q[rng.choice(choices)] += 1
-        return tuple(q)
-
-    seeds = []
-    for _ in range(rng.randint(1, 4)):
-        q = random_point()
-        if q is not None:
-            seeds.append(q)
-    if not seeds:
-        return None
-    pts = set(seeds)
-    for _ in range(grow_steps):
-        P = PointSet(p, pts)
-        chk = is_base_polymatroid(P)
-        if chk:
-            return P
-        w = chk.witness
-        u, v, i = tuple(w["u"]), tuple(w["v"]), w["i"] - 1
-        fixes = [
-            tuple(c - (k == i) + (k == j) for k, c in enumerate(u))
-            for j in range(p)
-            if u[j] < v[j]
-        ]
-        if not fixes:
-            return None
-        pts.add(rng.choice(fixes))
-    return None
+# rank functions the survey may visit; `explore --max-p 4 --max-coord 3`
+# visits 35 087
+SURVEY_CAP = 50_000
 
 
-def mu_support_survey(count: int, p: int, coord_max: int, seed: int) -> dict:
-    """Generate base polymatroids and record whether each mu-support is a
+def mu_support_survey(max_p: int, max_coord: int) -> dict:
+    """Record whether the mu-support of every loopless base polymatroid on
+    [p], p = 2..max_p, with singleton ranks at most max_coord is a
     g-polymatroid.  A failure here would be a counterexample worth
-    publishing, so the survey only reports."""
-    rng = random.Random(seed)
-    tested = 0
-    attempts = 0
-    failures = []
-    while tested < count and attempts < count * 50:
-        attempts += 1
-        P = random_base_polymatroid(rng, rng.randint(2, p), coord_max)
-        if P is None:
-            continue
-        tested += 1
-        supp = mu_support(P)
-        if not is_g_polymatroid(supp, "paramodular"):
-            failures.append([list(q) for q in P])
-    return {
-        "tested": tested,
-        "g_polymatroid": tested - len(failures),
-        "failures": failures,
-    }
+    publishing, so the survey only reports.  Raises CapExceeded before any
+    mu-support when the walk visits more than SURVEY_CAP rank functions."""
+    walk = (f for p in range(2, max_p + 1) for f in rank_functions(p, max_coord))
+    ranks = list(itertools.islice(walk, SURVEY_CAP + 1))
+    if len(ranks) > SURVEY_CAP:
+        raise CapExceeded(f"survey visits more than {SURVEY_CAP} rank functions")
+    loopless = [f for f in ranks if all(f[1 << i] for i in range(len(f).bit_length() - 1))]
+    failures = [[list(q) for q in P] for P in map(base_polymatroid, loopless)
+                if not is_g_polymatroid(mu_support(P), "paramodular")]
+    return {"tested": len(loopless), "g_polymatroid": len(loopless) - len(failures), "failures": failures}

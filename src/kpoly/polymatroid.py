@@ -97,6 +97,74 @@ def _exchange_check(P: PointSet) -> Check:
     return Check(True)
 
 
+def rank_functions(p: int, K: int):
+    """Every integer polymatroid rank function on [p] with singleton ranks at
+    most K: each f with f(empty) = 0 and 0 <= f({i}) <= K that is monotone and
+    submodular, as a tuple indexed by bitmask (bit j - 1 stands for index j).
+
+    One depth-first walk fixes f(S) for S = 1, 2, ... in bitmask order.  For
+    |S| >= 2, f(S) ranges from max_i f(S - i) up to the least
+    f(S - i) + f(S - j) - f(S - i - j) over i < j in S; monotone steps and
+    these local submodular inequalities give a monotone submodular f.  A
+    prefix whose range is empty is dropped.  K = 1 yields the rank functions
+    of the matroids on [p] (OEIS A058673 counts them)."""
+    n, bits = 1 << p, [1 << i for i in range(p)]
+    f, hi = [-1] * n, [0] * n  # f[S] goes up by one before each use
+    S = 0
+    while S >= 0:
+        f[S] += 1
+        if f[S] > hi[S]:
+            S -= 1
+        elif S == n - 1:
+            yield tuple(f)
+        else:
+            S += 1
+            below = [S ^ b for b in bits if S & b]
+            if len(below) == 1:
+                f[S], hi[S] = -1, K
+            else:
+                f[S] = max(f[A] for A in below) - 1
+                hi[S] = min(f[A] + f[B] - f[A & B] for A, B in itertools.combinations(below, 2))
+
+
+def _base_candidates(total: int, caps) -> list[tuple[int, ...]]:
+    """Tuples y with 0 <= y_i <= caps[i] and sum(y) == total, in lex order."""
+    points = [()]
+    for i, cap in enumerate(caps):
+        rest = sum(caps[i + 1:])
+        points = [
+            y + (a,)
+            for y in points
+            for a in range(max(0, total - sum(y) - rest), min(cap, total - sum(y)) + 1)
+        ]
+    return points
+
+
+def base_polymatroid(ranks) -> PointSet:
+    """The base polymatroid of a rank function given as a sequence indexed by
+    bitmask (bit j - 1 stands for index j), such as rank_functions yields:
+    lattice points y >= 0 with y(J) <= rank(J) for every J and y([p]) =
+    rank([p]).  Rank is monotone, so only the bounds for J inside the support
+    of y can bind.  Rank functions are submodular, so the output is asserted
+    to pass the base-polymatroid check."""
+    p = len(ranks).bit_length() - 1
+    total = ranks[-1]
+    points = []
+    for y in _base_candidates(total, [min(ranks[1 << i], total) for i in range(p)]):
+        sums, masks = [0], [0]  # y(J) and J over the subsets J of supp y
+        for i, v in enumerate(y):
+            if v:
+                sums += [s + v for s in sums]
+                masks += [m | 1 << i for m in masks]
+        if all(s <= ranks[m] for s, m in zip(sums, masks)):
+            points.append(y)
+    out = PointSet._raw(p, points)
+    chk = is_base_polymatroid(out)
+    if not chk:
+        raise RuntimeError(f"rank-function bug: output fails exchange: {chk.witness}")
+    return out
+
+
 def check_symmetric_exchange(P: PointSet) -> Check:
     """Strengthened exchange: the swap works on both sides simultaneously.
 

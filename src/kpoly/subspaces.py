@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import GRID_CAP, CapExceeded, PointSet, check_index_subset, json_key, json_value
-from .polymatroid import is_base_polymatroid
+from .polymatroid import base_polymatroid
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,11 @@ def _integer_row(g) -> list[int]:
     return [x.numerator * (d // x.denominator) for x in g]
 
 
+def _check_rank_table_cap(p: int):
+    if 1 << p > GRID_CAP:
+        raise CapExceeded(f"rank table has {1 << p} subsets (cap {GRID_CAP})")
+
+
 def rank_table(config: SubspaceConfig) -> dict[frozenset, int]:
     """rank(J) for every J of [p] (1-based), in one pass over bitmasks, so the
     subsets come in bitmask order (bit j - 1 stands for index j).  The
@@ -86,8 +91,7 @@ def rank_table(config: SubspaceConfig) -> dict[frozenset, int]:
     divided by their gcd.  Raises CapExceeded before any work when 2^p
     exceeds GRID_CAP."""
     p, q = config.p, config.q
-    if 1 << p > GRID_CAP:
-        raise CapExceeded(f"rank table has {1 << p} subsets (cap {GRID_CAP})")
+    _check_rank_table_cap(p)
     rows = [[_integer_row(g) for g in gens] for gens in config.subspaces]
     bases, subsets = [[]], [frozenset()]
     table = {frozenset(): 0}
@@ -113,49 +117,27 @@ def rank_table(config: SubspaceConfig) -> dict[frozenset, int]:
     return table
 
 
-def _base_candidates(total: int, caps) -> list[tuple[int, ...]]:
-    """Tuples y with 0 <= y_i <= caps[i] and sum(y) == total, in lex order."""
-    points = [()]
-    for i, cap in enumerate(caps):
-        rest = sum(caps[i + 1:])
-        points = [
-            y + (a,)
-            for y in points
-            for a in range(max(0, total - sum(y) - rest), min(cap, total - sum(y)) + 1)
-        ]
-    return points
-
-
 def linear_polymatroid(config: SubspaceConfig) -> PointSet:
-    """Lattice points y >= 0 with sum_J y <= rank(J) for every J and total
-    sum equal to rank([p]).  Rank is monotone, so only the bounds for J inside
-    the support of y can bind.  Rank functions are submodular, so the output
-    is asserted to pass the base-polymatroid exchange."""
-    p = config.p
-    ranks = list(rank_table(config).values())  # indexed by bitmask
-    total = ranks[-1]
-    points = []
-    for y in _base_candidates(total, [min(ranks[1 << i], total) for i in range(p)]):
-        sums, masks = [0], [0]  # y(J) and J over the subsets J of supp y
-        for i, v in enumerate(y):
-            if v:
-                sums += [s + v for s in sums]
-                masks += [m | 1 << i for m in masks]
-        if all(s <= ranks[m] for s, m in zip(sums, masks)):
-            points.append(y)
-    out = PointSet._raw(p, points)
-    chk = is_base_polymatroid(out)
-    if not chk:
-        raise RuntimeError(f"rank-function bug: output fails exchange: {chk.witness}")
-    return out
+    """The base polymatroid of the rank function of config."""
+    return base_polymatroid(list(rank_table(config).values()))
+
+
+# entries random_config may draw, p subspaces of up to q generators of q
+# entries; the largest config the tests and the benchmark draw has 125
+RANDOM_ENTRY_CAP = 100_000
 
 
 def random_config(p: int, q: int, rng: random.Random, entry_bound: int = 3) -> SubspaceConfig:
     """Seeded random configuration with small integer entries.  Draws are
     resampled until some subspace is nonzero, which needs p, q and
-    entry_bound of at least 1; anything smaller is refused up front."""
+    entry_bound of at least 1; anything smaller is refused up front.  So, with
+    CapExceeded, is one that could draw more than RANDOM_ENTRY_CAP entries or
+    whose rank table exceeds GRID_CAP."""
     if min(p, q, entry_bound) < 1:
         raise ValueError(f"random config needs p, q and entry bound >= 1, got {p}, {q}, {entry_bound}")
+    if p * q * q > RANDOM_ENTRY_CAP:
+        raise CapExceeded(f"random config draws up to {p * q * q} entries (cap {RANDOM_ENTRY_CAP})")
+    _check_rank_table_cap(p)
     while True:
         spans = []
         for _ in range(p):

@@ -2,9 +2,11 @@ import copy
 import json
 import random
 
-from kpoly import cli, monomial, polymatroid, schubert
+import pytest
+
+from kpoly import cli, mobius, monomial, polymatroid, schubert
 from kpoly.cli import main
-from kpoly.lattice import IntPolynomial, point_set, point_set_to_json
+from kpoly.lattice import CapExceeded, IntPolynomial, parse_vector, point_set, point_set_to_json
 from kpoly.subspaces import config_to_json, random_config
 from running_example import HILBERT_3, KPOLY_3, MSUPP_3
 
@@ -214,10 +216,15 @@ def test_linear_polymatroid_random_requires_seed(capsys):
     assert main(["linear-polymatroid", "--random", "3,3", "--seed", "4", "--mu-supp"]) == 0
 
 
-def test_explore(capsys):
-    assert main(["explore", "--seed", "1", "--count", "10", "--json"]) == 0
+def test_explore(monkeypatch, capsys):
+    # 9 loopless polymatroids on 2 elements and 81 on 3 with singleton ranks <= 2
+    assert main(["explore", "--max-p", "3", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["tested"] == 10
+    assert payload["tested"] == payload["g_polymatroid"] == 9 + 81
+    assert payload["failures"] == []
+    monkeypatch.setattr(mobius, "SURVEY_CAP", 10)
+    assert main(["explore", "--max-p", "3"]) == 2
+    assert "resource cap: survey visits more than 10 rank functions" in capsys.readouterr().err
 
 
 def test_sparse_polymatroid_in_a_huge_box_hits_the_grid_cap(tmp_path, capsys):
@@ -246,10 +253,8 @@ def test_malformed_input_is_usage_error(tmp_path):
     assert main(["verify", "matroid-mu", no_bases]) == 2
     zero_den = write_json(tmp_path, "config.json", {"q": 2, "subspaces": [[[[1, 0], [1, 1]]]]})
     assert main(["verify", "theorem-c", zero_den]) == 2
-    assert main(["explore", "--count", "-5", "--seed", "1"]) == 2
-    assert main(["explore", "--count", "0", "--seed", "1"]) == 2
-    assert main(["explore", "--count", "3", "--max-coord", "0", "--seed", "1"]) == 2
-    assert main(["explore", "--count", "3", "--max-p", "1", "--seed", "1"]) == 2
+    assert main(["explore", "--max-coord", "0"]) == 2
+    assert main(["explore", "--max-p", "1"]) == 2
     assert main(["verify", "shelling", flat]) == 2
     int_m = write_json(tmp_path, "shell_int_m.json", {"msupp": [[1, 0]], "m": 5})
     assert main(["verify", "shelling", int_m]) == 2
@@ -377,6 +382,22 @@ def test_linear_polymatroid_refuses_2_to_the_p_above_the_grid_cap(capsys):
     assert "resource cap: rank table has 1048576 subsets" in capsys.readouterr().err
 
 
+def test_random_config_is_capped_before_any_draw(capsys):
+    # up to p * q^2 entries: 3.2e9 for 2,40000 and 1e6 for 1000000,1
+    for argv, err in (
+        ("2,40000", "resource cap: random config draws up to 3200000000 entries (cap 100000)"),
+        ("1000000,1", "resource cap: random config draws up to 1000000 entries (cap 100000)"),
+        ("25,1", "resource cap: rank table has 33554432 subsets (cap 1000000)"),
+    ):
+        assert main(["linear-polymatroid", "--random", argv, "--seed", "1"]) == 2
+        assert capsys.readouterr().err == err + "\n"
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(CapExceeded):
+            random_config(*parse_vector(argv), rng)
+        assert rng.getstate() == state
+
+
 # command prefix and a valid JSON input for every command that reads JSON
 _FUZZ_INPUTS = [
     (["verify", "gpolymatroid"], [list(q) for q in HILBERT_3], ["--method", "all"]),
@@ -407,7 +428,8 @@ def _nodes(data, path=()):
 def _mutate(data, rng):
     """One random edit somewhere in data: drop, duplicate or shorten a list,
     remove a key, or replace a node by another value, often of the wrong
-    kind."""
+    kind.  Returns the edited copy and whether the edit removed a key or
+    changed a node's JSON kind, which the reader must reject by its path."""
     data = copy.deepcopy(data)
     edit = rng.choice(["drop", "duplicate", "shorten", "remove-key", "replace"])
     kind = {"remove-key": dict, "replace": object}.get(edit, list)
@@ -416,7 +438,7 @@ def _mutate(data, rng):
         if isinstance(node, kind) and (node or edit == "replace")
     ]
     if not nodes:
-        return data
+        return data, False
     path, node = rng.choice(nodes)
     if edit == "drop":
         del node[rng.randrange(len(node))]
@@ -426,26 +448,29 @@ def _mutate(data, rng):
         del node[rng.randrange(len(node)):]
     elif edit == "remove-key":
         del node[rng.choice(list(node))]
-    elif not path:
-        return rng.choice(_FUZZ_VALUES)
+        return data, True
     else:
+        value = rng.choice(_FUZZ_VALUES)
+        if not path:
+            return value, type(value) is not type(node)
         parent = data
         for key in path[:-1]:
             parent = parent[key]
-        parent[path[-1]] = rng.choice(_FUZZ_VALUES)
-    return data
+        parent[path[-1]] = value
+        return data, type(value) is not type(node)
+    return data, False
 
 
 def test_exit_code_contract_under_fuzzed_json(tmp_path, capsys):
     # exit 0, 1 with a witness, or 2 with a message; never a traceback
     rng = random.Random(20241018)
     path = str(tmp_path / "fuzz.json")
-    codes = set()
+    codes, named = set(), 0
     for _ in range(150):
         for prefix, valid, flags in _FUZZ_INPUTS:
             data = valid
             for _ in range(rng.randint(1, 2)):
-                data = _mutate(data, rng)
+                data, kind_changed = _mutate(data, rng)
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(data, fh)
             argv = [*prefix, path, *flags, "--json"]
@@ -457,7 +482,12 @@ def test_exit_code_contract_under_fuzzed_json(tmp_path, capsys):
             assert rc in (0, 1, 2), (argv, data, rc)
             if rc == 2:
                 assert err.startswith(("error:", "resource cap:")), (argv, data, err)
+                # the last edit removed a key or changed a node's kind
+                if kind_changed:
+                    assert err.startswith("error: $"), (argv, data, err)
+                    named += 1
             if rc == 1:
                 assert "witness" in json.loads(out), (argv, data, out)
             codes.add(rc)
     assert codes == {0, 1, 2}
+    assert named > 200

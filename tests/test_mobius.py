@@ -5,7 +5,7 @@ import random
 import pytest
 
 from kpoly import mobius
-from kpoly.lattice import Check, PointSet, point_set
+from kpoly.lattice import CapExceeded, Check, PointSet, point_set
 from kpoly.mobius import (
     Matroid,
     coloops,
@@ -19,11 +19,11 @@ from kpoly.mobius import (
     mobius_to_top,
     mu_support,
     mu_support_survey,
-    random_base_polymatroid,
     reduced_euler_characteristic,
     verify_deg_equals_neg_mobius,
     verify_matroid_mu_theorem,
 )
+from kpoly.polymatroid import base_polymatroid, rank_functions
 from kpoly.stalactite import hsupp_from_msupp
 from running_example import AMBIENT_M3, KPOLY_3, MSUPP_3
 
@@ -71,14 +71,13 @@ def test_mobius_methods_agree_on_all_matroids_up_to_5():
             assert closed == rec, list(M.bases)
 
 
-def test_mobius_methods_agree_on_random_polymatroids():
-    rng = random.Random(4711)
-    tested = 0
-    while tested < 60:
-        P = random_base_polymatroid(rng, rng.randint(2, 4), 3)
-        if P is None:
-            continue
-        tested += 1
+def test_mobius_methods_agree_on_enumerated_polymatroids():
+    # every rank function on p <= 3 with singleton ranks <= 3, and every
+    # 20th on p = 4 with singleton ranks <= 2
+    ranks = [f for p in (2, 3) for f in rank_functions(p, 3)]
+    ranks += itertools.islice(rank_functions(4, 2), 0, None, 20)
+    for f in ranks:
+        P = base_polymatroid(f)
         assert mobius_to_top(P, "closed") == mobius_to_top(P, "recursive"), P
 
 
@@ -251,6 +250,28 @@ def test_matroid_json_roundtrip():
 
 
 def test_survey_reports_and_never_raises():
-    report = mu_support_survey(25, 4, 3, seed=11)
-    assert report["tested"] == 25
-    assert report["g_polymatroid"] + len(report["failures"]) == 25
+    # 23 loopless polymatroids on 2 elements and 457 on 3 with singleton
+    # ranks <= 3
+    report = mu_support_survey(3, 3)
+    assert report["tested"] == 23 + 457
+    assert report["g_polymatroid"] + len(report["failures"]) == 23 + 457
+
+
+def test_survey_cap_is_checked_before_any_mu_support(monkeypatch):
+    # p = 2, 3 with singleton ranks <= 3 visit 30 + 536 rank functions
+    monkeypatch.setattr(mobius, "SURVEY_CAP", 565)
+    monkeypatch.setattr(mobius, "mu_support", lambda P: pytest.fail("mu-support before the cap"))
+    with pytest.raises(CapExceeded, match="more than 565 rank functions"):
+        mu_support_survey(3, 3)
+
+
+def test_matroid_mu_theorem_builds_each_downset_once(monkeypatch):
+    calls = []
+
+    def counted(P):
+        calls.append(P)
+        return downset(P)
+
+    monkeypatch.setattr(mobius, "downset", counted)
+    assert verify_matroid_mu_theorem(uniform_matroid(2, 3))
+    assert len(calls) == 1

@@ -296,15 +296,15 @@ def test_coefficient_sum_is_one_for_polymatroid_ideals():
     assert hits > 20
 
 
-def test_shellable_refinement_matches_ie_on_random_polymatroids():
-    from kpoly.mobius import random_base_polymatroid
+def test_shellable_refinement_matches_ie_on_enumerated_polymatroids():
+    from kpoly.polymatroid import base_polymatroid, rank_functions
 
-    rng = random.Random(2718)
-    tested = 0
-    while tested < 40:
-        P = random_base_polymatroid(rng, rng.randint(2, 4), 3)
-        if P is None or len(P) < 3:
+    # every rank function on p <= 3 with singleton ranks <= 3, and every
+    # 20th on p = 4 with singleton ranks <= 2; bases of at least 3 points
+    ranks = [f for p in (2, 3) for f in rank_functions(p, 3)]
+    ranks += itertools.islice(rank_functions(4, 2), 0, None, 20)
+    for P in map(base_polymatroid, ranks):
+        if len(P) < 3:
             continue
-        tested += 1
         J = msupp_to_ideal(P, tuple(max(col) for col in zip(*P)))
         assert hilbert_poly_shellable(J) == hilbert_poly_ie(J), P

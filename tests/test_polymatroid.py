@@ -17,7 +17,7 @@ from kpoly.lattice import (
     top,
     truncate,
 )
-from kpoly.mobius import mu_support, random_base_polymatroid
+from kpoly.mobius import mu_support
 from kpoly.stalactite import neighbor_directions, stalactite
 from kpoly.polymatroid import (
     G_POLY_METHODS,
@@ -27,12 +27,14 @@ from kpoly.polymatroid import (
     _paramodular_check,
     _support_tables,
     axis_orders,
+    base_polymatroid,
     check_symmetric_exchange,
     inequality_system,
     integer_points,
     is_base_polymatroid,
     is_cave,
     is_g_polymatroid,
+    rank_functions,
 )
 from kpoly.schubert import grothendieck, zero_one_permutations
 from kpoly.subspaces import linear_polymatroid, random_config
@@ -158,13 +160,12 @@ def test_paramodular_agrees_with_axioms_randomized():
 
 
 def test_paramodular_agrees_with_axioms_on_mu_supports():
-    rng = random.Random(43)
-    tested = 0
-    while tested < 150:
-        P = random_base_polymatroid(rng, rng.randint(2, 4), 3)
-        if P is None:
-            continue
-        tested += 1
+    # every rank function on p <= 3 with singleton ranks <= 3, and every
+    # 20th on p = 4 with singleton ranks <= 2
+    ranks = [f for p in (2, 3) for f in rank_functions(p, 3)]
+    ranks += itertools.islice(rank_functions(4, 2), 0, None, 20)
+    for f in ranks:
+        P = base_polymatroid(f)
         supp = mu_support(P)
         assert bool(is_g_polymatroid(supp, "paramodular")) == bool(
             is_g_polymatroid(supp, "axioms")
@@ -391,9 +392,10 @@ def _without_a_midpoint(P):
 
 def test_base_polymatroid_routes_agree_with_the_exchange_loop():
     # linear polymatroids, the same with a midpoint dropped or an off-level
-    # point added, their mu-supports (g-polymatroids off one level), and
-    # random_base_polymatroid draws; the verdict and every witness must be
-    # the loop's on both sides of the size rule
+    # point added, their mu-supports (g-polymatroids off one level), and the
+    # bases of every 20th rank function on p = 4 with singleton ranks <= 2;
+    # the verdict and every witness must be the loop's on both sides of the
+    # size rule
     rng = random.Random(59)
     inputs = []
     for _ in range(80):
@@ -403,16 +405,11 @@ def test_base_polymatroid_routes_agree_with_the_exchange_loop():
         holed = _without_a_midpoint(P)
         if holed is not None:
             inputs.append(holed)
-    drawn = 0
-    while drawn < 150:
-        P = random_base_polymatroid(rng, rng.randint(2, 4), 4)
-        if P is not None:
-            drawn += 1
-            inputs.append(P)
+    inputs += map(base_polymatroid, itertools.islice(rank_functions(4, 2), 0, None, 20))
     counts = {}
     for P in inputs:
-        # a fresh copy: linear_polymatroid and random_base_polymatroid have
-        # already stored a verdict on the sets they return
+        # a fresh copy: base_polymatroid has already stored a verdict on the
+        # sets it returns
         fast, loop = is_base_polymatroid(PointSet(P.ambient_p, P)), _exchange_check(P)
         assert bool(fast) == bool(loop), list(P)
         assert fast.witness == loop.witness, list(P)
@@ -420,6 +417,48 @@ def test_base_polymatroid_routes_agree_with_the_exchange_loop():
         counts[key] = counts.get(key, 0) + 1
     assert counts[True, True] > 40 and counts[True, False] > 100
     assert counts[False, True] > 100 and counts[False, False] > 30
+
+
+def test_rank_functions_count_the_labelled_matroids():
+    # OEIS A058673: labelled matroids on 1..6 elements
+    counts = [sum(1 for _ in rank_functions(p, 1)) for p in range(1, 7)]
+    assert counts == [2, 5, 16, 68, 406, 3807]
+
+
+def test_rank_functions_match_the_brute_force_filter():
+    # every table with f(empty) = 0 and values up to p * K, kept when it
+    # meets the singleton bound and every monotone and submodular inequality
+    for p, K in ((1, 3), (2, 3), (3, 1)):
+        n = 1 << p
+        want = [
+            f for f in itertools.product(range(p * K + 1), repeat=n - 1)
+            for f in [(0,) + f]
+            if all(f[1 << i] <= K for i in range(p))
+            and all(f[A] <= f[A | B] for A in range(n) for B in range(n))
+            and all(f[A] + f[B] >= f[A | B] + f[A & B] for A in range(n) for B in range(n))
+        ]
+        assert sorted(rank_functions(p, K)) == want, (p, K)
+
+
+def test_base_polymatroid_has_its_rank_function_as_upper_bounds():
+    # max over the bases of y(J) is rank(J) for every J
+    for p in range(1, 4):
+        for f in rank_functions(p, 2):
+            assert _support_tables(base_polymatroid(f))[1] == list(f), f
+
+
+def test_base_polymatroid_matches_the_literal_box_filter():
+    # every point of the product box, kept when it meets every rank bound
+    ranks = [f for p in (1, 2, 3) for f in rank_functions(p, 3)]
+    ranks += itertools.islice(rank_functions(4, 2), 0, None, 20)
+    for f in ranks:
+        p, total = len(f).bit_length() - 1, f[-1]
+        want = [
+            y for y in itertools.product(range(total + 1), repeat=p)
+            if sum(y) == total
+            and all(sum(y[j] for j in range(p) if J >> j & 1) <= r for J, r in enumerate(f))
+        ]
+        assert base_polymatroid(f) == PointSet(p, want), f
 
 
 def test_base_polymatroid_verdict_is_computed_once_per_set(monkeypatch):

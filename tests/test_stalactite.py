@@ -208,15 +208,15 @@ def test_collapse_and_embed():
 def test_stalactite_union_is_the_same_under_every_axis_order():
     from collections import Counter
 
-    from kpoly.mobius import random_base_polymatroid
+    from kpoly.polymatroid import base_polymatroid, rank_functions
 
-    rng = random.Random(1984)
-    tested = 0
-    while tested < 40:
-        P = random_base_polymatroid(rng, rng.randint(2, 4), 3)
-        if P is None or len(P) < 3:
+    # every rank function on p <= 3 with singleton ranks <= 3, and every
+    # 20th on p = 4 with singleton ranks <= 2; bases of at least 3 points
+    ranks = [f for p in (2, 3) for f in rank_functions(p, 3)]
+    ranks += itertools.islice(rank_functions(4, 2), 0, None, 20)
+    for P in map(base_polymatroid, ranks):
+        if len(P) < 3:
             continue
-        tested += 1
         H = hsupp_from_msupp(P)
         D = sum(P.points[0])
         for order in itertools.permutations(range(1, P.ambient_p + 1)):

@@ -8,10 +8,9 @@ import pytest
 
 from kpoly.lattice import point_set
 from kpoly.mobius import mu_support
-from kpoly.polymatroid import is_base_polymatroid, is_g_polymatroid
+from kpoly.polymatroid import _base_candidates, is_base_polymatroid, is_g_polymatroid
 from kpoly.subspaces import (
     SubspaceConfig,
-    _base_candidates,
     config_from_json,
     config_to_json,
     linear_polymatroid,
