@@ -122,7 +122,7 @@ def cmd_grothendieck(args) -> CommandResult:
 
 def cmd_census(args) -> CommandResult:
     t0 = time.perf_counter()
-    count = schubert.count_zero_one(args.p, jobs=args.jobs)
+    count = schubert.count_zero_one(args.p)
     elapsed = time.perf_counter() - t0
     human = f"zero-one Schubert polynomials in S_{args.p}: {count}   ({elapsed:.2f}s)"
     return CommandResult(
@@ -351,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("census", help="count zero-one Schubert polynomials in S_p")
     c.add_argument("p", type=int)
-    c.add_argument("--jobs", type=int, default=1)
     common(c)
     c.set_defaults(func=cmd_census)
 

@@ -434,7 +434,8 @@ def axis_orders(p: int, policy):
 
     policy: "natural", "all", or ("sample", k, seed).  Exhausting all p!
     orders is only allowed for p <= 6; beyond that a sample policy with an
-    explicit seed is required.
+    explicit seed is required.  A sample draws 1 to 720 = 6! orders: k < 1
+    raises ValueError and k > 720 raises CapExceeded, before any draw.
     """
     if policy == "natural":
         return [tuple(range(1, p + 1))]
@@ -446,8 +447,13 @@ def axis_orders(p: int, policy):
         return [tuple(o) for o in itertools.permutations(range(1, p + 1))]
     if isinstance(policy, tuple) and len(policy) == 3 and policy[0] == "sample":
         _, k, seed = policy
+        k = int(k)
+        if k < 1:
+            raise ValueError(f"sample policy needs at least one order, got {k}")
+        if k > 720:
+            raise CapExceeded(f"sample policy draws {k} orders (cap 720)")
         rng = random.Random(seed)
-        return list(dict.fromkeys(tuple(rng.sample(range(1, p + 1), p)) for _ in range(int(k))))
+        return list(dict.fromkeys(tuple(rng.sample(range(1, p + 1), p)) for _ in range(k)))
     raise ValueError(f"unknown order policy {policy!r}")
 
 

@@ -4,15 +4,15 @@ Both recursions start from the staircase monomial at the longest permutation
 and walk down at ascents, applying one closed-form divided-difference kernel
 term by term.  The Grothendieck recursion uses the isobaric operator and
 `schubert` reads off its lowest-degree part; the zero-one census walks the
-Schubert polynomials directly with the ordinary operator, one length level
-at a time, so the Grothendieck route stays an independent check on it.  All
-polynomials use num_vars = p so that exponent vectors line up with the
-reflection n -> m - n used by the matrix-Schubert pipeline.
+Schubert polynomials directly with the ordinary operator, depth first down
+the tree whose parent map is w -> w s_j at the first ascent j of w, so the
+Grothendieck route stays an independent check on it.  All polynomials use
+num_vars = p so that exponent vectors line up with the reflection
+n -> m - n used by the matrix-Schubert pipeline.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from multiprocessing import Pool
 
@@ -176,66 +176,56 @@ def is_zero_one(w) -> bool:
 # ---------------------------------------------------------------------------
 # zero-one census
 
-def _perms_by_length(p: int) -> dict[int, list[Perm]]:
-    buckets: dict[int, list[Perm]] = {}
-    for w in itertools.permutations(range(1, p + 1)):
-        buckets.setdefault(inversions(w), []).append(w)
-    return buckets
+def _ascent_children(w: Perm, terms: dict):
+    """The children of w in the ascent tree, with their Schubert terms.
+
+    The parent of u != w0 is u s_j, j the first ascent of u, so the children
+    of w are the w s_j for the descents j of w where w s_j has no ascent
+    before j: every j below the first ascent a of w, and a + 1 when
+    w(a+2) < w(a) < w(a+1).  The Schubert polynomial of w s_j is d_j of
+    that of w."""
+    j = 1
+    while j < len(w) and w[j - 1] > w[j]:
+        yield swap_adjacent(w, j), _divided_difference_raw(terms, j)
+        j += 1
+    if j + 1 < len(w) and w[j - 1] > w[j + 1] < w[j]:
+        yield swap_adjacent(w, j + 1), _divided_difference_raw(terms, j + 1)
 
 
-def _census_block(args) -> int:
-    p, block = args
-    w0 = longest_perm(p)
-    memo: dict[Perm, dict] = {w0: staircase_terms(p)}
+def _zero_one_walk(w: Perm, terms: dict):
+    """Yield the zero-one permutations of the ascent subtree under w, depth
+    first, so only the polynomials on the current chain stay alive."""
+    if all(c == 1 for c in terms.values()):
+        yield w
+    for child in _ascent_children(w, terms):
+        yield from _zero_one_walk(*child)
 
-    def get(w: Perm) -> dict:
-        chain = []
-        while w not in memo:
-            chain.append(w)
-            w = swap_adjacent(w, ascent_positions(w)[0])
-        terms = memo[w]
-        for v in reversed(chain):
-            terms = _divided_difference_raw(terms, ascent_positions(v)[0])
-            memo[v] = terms
-        return terms
 
-    return sum(1 for w in block if all(c == 1 for c in get(w).values()))
+def _count_walk(node) -> int:
+    return sum(1 for _ in _zero_one_walk(*node))
 
 
 def count_zero_one(p: int, jobs: int = 1, cap: int = CENSUS_CAP) -> int:
-    """Number of permutations in S_p with a zero-one Schubert polynomial."""
+    """Number of permutations in S_p with a zero-one Schubert polynomial.
+
+    With jobs > 1 the root's p - 1 subtrees are walked by a pool of at most
+    p - 1 processes; the root w0 itself, with the staircase monomial, counts
+    as 1."""
     if p < 1:
         raise ValueError("p must be positive")
     if p > cap:
         raise CapExceeded(f"census for p = {p} exceeds the cap {cap}")
+    root = (longest_perm(p), staircase_terms(p))
     if jobs <= 1 or p <= 3:
-        return len(zero_one_permutations(p))
-    perms = sorted(itertools.permutations(range(1, p + 1)))
-    step = (len(perms) + jobs - 1) // jobs
-    blocks = [(p, perms[k : k + step]) for k in range(0, len(perms), step)]
-    with Pool(processes=jobs) as pool:
-        return sum(pool.map(_census_block, blocks))
+        return _count_walk(root)
+    with Pool(processes=min(jobs, p - 1)) as pool:
+        return 1 + sum(pool.map(_count_walk, list(_ascent_children(*root))))
 
 
 def zero_one_permutations(p: int) -> list[Perm]:
-    """All w in S_p with zero-one Schubert polynomial, in lex order.
-
-    One level walk down from the staircase monomial at the longest
-    permutation: the Schubert polynomial of w is d_j of that of w s_j, j
-    the first ascent of w, so each level needs only the one above it."""
-    buckets = _perms_by_length(p)
-    level = {longest_perm(p): staircase_terms(p)}
-    found = []
-    for ell in range(p * (p - 1) // 2, -1, -1):
-        found.extend(
-            w for w, terms in level.items() if all(c == 1 for c in terms.values())
-        )
-        nxt = {}
-        for w in buckets.get(ell - 1, []):
-            j = ascent_positions(w)[0]
-            nxt[w] = _divided_difference_raw(level[swap_adjacent(w, j)], j)
-        level = nxt
-    return sorted(found)
+    """All w in S_p with zero-one Schubert polynomial, in lex order: the
+    depth-first ascent walk down from the staircase monomial at w0."""
+    return sorted(_zero_one_walk(longest_perm(p), staircase_terms(p)))
 
 
 # ---------------------------------------------------------------------------

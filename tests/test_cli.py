@@ -263,6 +263,12 @@ def test_malformed_input_is_usage_error(tmp_path):
     huge = write_json(tmp_path, "huge.json", [[1000000, 1000000, 1000000]])
     assert main(["mobius", huge]) == 2
     assert main(["verify", "cave", huge]) == 2
+    # fails the stalactite-union condition, which a sample of no orders would never check
+    diagonal = write_json(tmp_path, "diagonal.json", [[1, 0], [0, 1]])
+    assert main(["verify", "cave", diagonal, "--orders", "natural"]) == 1
+    for orders in ("sample:0:1", "sample:-3:1", "sample:721:1", "sample:100000000000:1"):
+        assert main(["verify", "cave", diagonal, "--orders", orders]) == 2
+    assert main(["explore", "--max-p", "7", "--max-coord", "1"]) == 2
     # every draw of a config with p = 0 or entry bound 0 is all zero
     assert main(["linear-polymatroid", "--random", "0,0", "--seed", "1"]) == 2
     assert main(["linear-polymatroid", "--random", "2,2", "--seed", "1", "--entry-bound", "0"]) == 2

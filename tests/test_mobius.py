@@ -265,6 +265,13 @@ def test_survey_cap_is_checked_before_any_mu_support(monkeypatch):
         mu_support_survey(3, 3)
 
 
+def test_survey_refuses_seven_elements_before_the_walk(monkeypatch):
+    monkeypatch.setattr(mobius, "rank_functions", lambda p, K: pytest.fail("walk before the cap"))
+    for max_p in (7, 8):
+        with pytest.raises(CapExceeded, match=f"survey on {max_p} elements visits more than 50000"):
+            mu_support_survey(max_p, 1)
+
+
 def test_matroid_mu_theorem_builds_each_downset_once(monkeypatch):
     calls = []
 

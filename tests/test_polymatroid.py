@@ -8,6 +8,7 @@ import pytest
 
 from kpoly import polymatroid
 from kpoly.lattice import (
+    CapExceeded,
     EmptySetError,
     PointSet,
     homogenize,
@@ -330,6 +331,13 @@ def test_axis_orders_policies():
     assert axis_orders(5, ("sample", 10, 42)) == sampled  # deterministic
     with pytest.raises(ValueError):
         axis_orders(7, "all")
+    assert len(axis_orders(3, ("sample", 720, 1))) == 6
+    for k in (0, -3):
+        with pytest.raises(ValueError, match="at least one order"):
+            axis_orders(2, ("sample", k, 1))
+    for k in (721, 100_000_000_000):
+        with pytest.raises(CapExceeded, match=f"draws {k} orders"):
+            axis_orders(2, ("sample", k, 1))
 
 
 def test_cave_running_example_all_orders():

@@ -1,8 +1,10 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
+from kpoly import schubert as schubert_mod
 from kpoly.lattice import IntPolynomial, point_set, poly_text, support_bounds
 from kpoly.schubert import (
     ascent_positions,
@@ -212,7 +214,43 @@ def test_census_small_values():
 
 
 def test_census_jobs_agree():
-    assert count_zero_one(5, jobs=3) == 115
+    for p in (5, 6):
+        serial = count_zero_one(p)
+        assert [count_zero_one(p, jobs=jobs) for jobs in (2, 3)] == [serial, serial]
+
+
+def test_census_pool_is_capped_at_p_minus_1_workers(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return list(map(func, items))
+
+    monkeypatch.setattr(schubert_mod, "Pool", SerialPool)
+    assert count_zero_one(5, jobs=100_000) == 115
+    assert count_zero_one(6, jobs=2) == 605
+    assert started == [4, 2]
+
+
+def test_census_walk_keeps_only_the_current_chain():
+    # the walk holds the polynomials of one chain, at most 22 in S_7; a walk
+    # that keeps two whole length levels of S_7 peaks at about 5.5 MB
+    tracemalloc.start()
+    try:
+        assert len(zero_one_permutations(7)) == 3343
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 FMS_PATTERNS = [
