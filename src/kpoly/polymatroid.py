@@ -10,8 +10,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from operator import sub
 
 from .lattice import (
+    GRID_CAP,
     CapExceeded,
     Check,
     EmptySetError,
@@ -46,11 +48,11 @@ def is_base_polymatroid(P: PointSet) -> Check:
                    outside P.  O(|P| 2^p + p^2 2^p)
 
     The loop runs when its pair count is the smaller work,
-    |P|(|P| - 1) p <= (p + 1)^2 2^p, and whenever the support-bound route
-    does not pass, so every witness comes from the loop: `homogeneous` with
-    the lightest and heaviest points, or `exchange` with u, v and the
-    1-based i.  The support-bound walk stops after |P| + 1 points and never
-    dead-ends once the pair passes, so it needs no box-volume cap.
+    |P|(|P| - 1) p <= (p + 1)^2 2^p, or 2^p exceeds GRID_CAP, and whenever
+    the support-bound route does not pass, so every witness comes from the
+    loop: `homogeneous` with the lightest and heaviest points, or `exchange`
+    with u, v and the 1-based i.  The support-bound walk stops after |P| + 1
+    points and never dead-ends once the pair passes, so it needs no box cap.
     The verdict is computed once per set and stored on P, which is immutable.
     """
     if getattr(P, "_base_check", None) is None:
@@ -60,10 +62,9 @@ def is_base_polymatroid(P: PointSet) -> Check:
 
 def _base_polymatroid_check(P: PointSet) -> Check:
     n, p = len(P), P.ambient_p
-    if n * (n - 1) * p > (p + 1) ** 2 << p:
+    if n * (n - 1) * p > (p + 1) ** 2 << p and 1 << p <= GRID_CAP:
         c, b = _support_tables(P)
-        homogeneous = c[-1] == b[-1]
-        if homogeneous and _paramodular_check(c, b, p) and _table_points(c, b, p, None, n) == P:
+        if c[-1] == b[-1] and _paramodular_check(c, b, p) and len(_integer_points(c, b, p, None, n)) == n:
             return Check(True)
     return _exchange_check(P)
 
@@ -238,7 +239,9 @@ def is_g_polymatroid(G: PointSet, method: str = "axioms") -> Check:
                       O(|G| 2^p + p^2 2^p) plus the integer-point walk,
                       which never dead-ends once the pair passes and stops
                       after |G| + 1 points, so it needs no box-volume cap;
-                      a failure lists the points outside G among those.
+                      G lies in Q(c, b), so |Q| = |G| decides, and a failure
+                      lists the points outside G among those.  CapExceeded
+                      when 2^p exceeds GRID_CAP.
     """
     if method not in G_POLY_METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {G_POLY_METHODS}")
@@ -258,8 +261,8 @@ def is_g_polymatroid(G: PointSet, method: str = "axioms") -> Check:
     chk = _paramodular_check(c, b, p)
     if not chk:
         return chk
-    Z = _table_points(c, b, p, None, len(G))
-    if Z == G:
+    Z = _integer_points(c, b, p, None, len(G))
+    if len(Z) == len(G):
         return Check(True)
     extra = [list(q) for q in Z if q not in G]
     return Check(False, {"condition": "integer-points", "extra_points": extra})
@@ -297,20 +300,34 @@ class GPolyInequalitySystem:
 
 def _support_tables(A: PointSet) -> tuple[list[int], list[int]]:
     """(c, b): the min and max over A of sum_{j in X} a_j for every bitmask X
-    (bit j - 1 stands for index j), in one pass per point: the subset sums
-    of a point double from the sums over its first coordinates."""
-    lower = upper = None
-    for q in A:
-        sums = [0]
-        for x in q:
-            sums += [s + x for s in sums]
-        lower = sums if lower is None else list(map(min, lower, sums))
-        upper = sums if upper is None else list(map(max, upper, sums))
-    return lower, upper
+    (bit j - 1 stands for index j).  A point's subset sums double from the
+    sums over its first coordinates; one transposition of the rows, taken in
+    blocks of at most GRID_CAP entries and joined by the tables so far
+    (c <= b moves neither min nor max), gives both tables.  CapExceeded
+    before any work when 2^p exceeds GRID_CAP."""
+    p = A.ambient_p
+    _check_table_cap(p)
+    tables, points = [], iter(A)
+    while block := list(itertools.islice(points, GRID_CAP >> p)):
+        rows = []
+        for q in block:
+            sums = [0]
+            for x in q:
+                sums += [s + x for s in sums] if x else sums
+            rows.append(sums)
+        cols = list(zip(*rows, *tables))
+        tables = [list(map(min, cols)), list(map(max, cols))]
+    return tables[0], tables[1]
+
+
+def _check_table_cap(p: int) -> None:
+    if 1 << p > GRID_CAP:
+        raise CapExceeded(f"support tables have {1 << p} subsets (cap {GRID_CAP})")
 
 
 def inequality_system(A: PointSet) -> GPolyInequalitySystem:
-    """Support bounds of A over all 2^p - 1 nonempty index subsets."""
+    """Support bounds of A over all 2^p - 1 nonempty index subsets
+    (CapExceeded when 2^p exceeds GRID_CAP)."""
     if not A:
         raise EmptySetError("inequality system of an empty set")
     p = A.ambient_p
@@ -365,58 +382,54 @@ def _paramodular_witness(A: int, B: int, p: int) -> Check:
 
 
 def integer_points(sys_: GPolyInequalitySystem, cap: int = INTEGER_POINTS_CAP) -> PointSet:
-    """All lattice points y >= 0 satisfying every double inequality.
-
-    The points lie in the box 0 <= y_i <= b({i}), whose volume is checked
-    against cap before any work.  The walk fixes y_1, y_2, ... in turn; once
-    y_k is the last coordinate of a subset J, the bounds on J confine y_k to
-    [c(J) - y(J - k), b(J) - y(J - k)], so only values inside every such
-    interval are tried and no failed prefix is extended.
+    """All lattice points y >= 0 satisfying every double inequality, by the
+    table walk of _integer_points.  The points lie in the box 0 <= y_i <=
+    b({i}), so each singleton needs a bound (ValueError otherwise); the box
+    volume is checked against cap before any work.  A subset without bounds
+    gets c = 0 and b = the sum of the boxes, which no point of the box breaks.
     """
-    p = sys_.ambient_p
-    rows = [[] for _ in range(p)]
-    for J in sys_.lower:
-        k = max(J) - 1
-        rest = sum(1 << (j - 1) for j in J) ^ (1 << k)
-        rows[k].append((rest, sys_.lower[J], sys_.upper[J]))
-    return _integer_points([sys_.upper[frozenset({i})] for i in range(1, p + 1)], rows, cap)
+    p, upper = sys_.ambient_p, sys_.upper
+    boxes = [upper.get(frozenset({i})) for i in range(1, p + 1)]
+    if None in boxes:
+        raise ValueError(f"inequality system has no bound on the singleton {{{boxes.index(None) + 1}}}")
+    _check_table_cap(p)
+    c, b = [0] * (1 << p), [sum(boxes)] * (1 << p)
+    for J, lower in sys_.lower.items():
+        X = sum(1 << (j - 1) for j in J)
+        c[X], b[X] = lower, upper[J]
+    return PointSet._raw(p, _integer_points(c, b, p, cap))
 
 
-def _table_points(c: list[int], b: list[int], p: int, cap=INTEGER_POINTS_CAP, limit=math.inf):
-    """integer_points on bound tables indexed by bitmask."""
-    rows = [[(X ^ (1 << k), c[X], b[X]) for X in range(1 << k, 2 << k)] for k in range(p)]
-    return _integer_points([b[1 << k] for k in range(p)], rows, cap, limit)
-
-
-def _integer_points(boxes: list[int], rows: list[list], cap, limit=math.inf) -> PointSet:
-    """integer_points on y_{k+1} <= boxes[k] and the rows[k] of (mask of
-    J - {k + 1}, c(J), b(J)) for the subsets J whose largest index is k + 1.
-    cap None skips the box-volume check; the walk stops once it has found
-    more than limit points."""
-    p = len(boxes)
-    if any(b < 0 for b in boxes):
-        return PointSet._raw(p, ())
-    volume = math.prod(b + 1 for b in boxes)
+def _integer_points(c: list[int], b: list[int], p: int, cap, limit=math.inf) -> list:
+    """The points y >= 0 with c(X) <= y(X) <= b(X) for bound tables indexed by
+    bitmask, in lex order; cap None skips the box-volume check, and the walk
+    stops after more than limit points.  It fixes y_1, y_2, ... in turn: the
+    masks with largest bit k are 2^k + X for X < 2^k, so against a node's
+    prefix sums y(X) their bounds are the slices c[2^k:2^(k+1)] and
+    b[2^k:2^(k+1)], and y_(k+1) runs from max(0, c - sums) to min(b - sums).
+    No failed prefix is extended; the last coordinate fills the point list."""
+    volume = math.prod(max(0, b[1 << k] + 1) for k in range(p))
     if cap is not None and volume > cap:
         raise CapExceeded(f"integer-point box has {volume} cells (cap {cap})")
+    if p == 0:
+        return [()]
+    lows, highs = ([t[1 << k:2 << k] for k in range(p)] for t in (c, b))
     points = []
 
     def walk(y, sums):  # sums[X] = y(X) for every X within the fixed prefix
         k = len(y)
-        if k == p:
-            points.append(y)
+        lo = max(0, max(map(sub, lows[k], sums)))
+        hi = min(map(sub, highs[k], sums))
+        if k == p - 1:
+            points.extend(y + (v,) for v in range(lo, min(hi + 1, lo + limit + 1 - len(points))))
             return len(points) > limit
-        lo, hi = 0, boxes[k]
-        for rest, c, b in rows[k]:
-            lo = max(lo, c - sums[rest])
-            hi = min(hi, b - sums[rest])
         for v in range(lo, hi + 1):
-            if walk(y + (v,), sums + [s + v for s in sums]):
+            if walk(y + (v,), sums + ([s + v for s in sums] if v else sums)):
                 return True
         return False
 
     walk((), [0])
-    return PointSet._raw(p, points)
+    return points
 
 
 def system_to_json(sys_: GPolyInequalitySystem) -> dict:
@@ -463,7 +476,8 @@ def is_cave(C: PointSet, order_policy="all") -> Check:
     and (off the origin) be a g-polymatroid.  A failure names its condition
     and a truncation cell b; the failed top or g-polymatroid check's own
     witness is nested under "cause".  Raises CapExceeded before the walk
-    when the truncation grid prod(max_i + 1) exceeds CAVE_GRID_CAP.
+    when the truncation grid prod(max_i + 1) exceeds CAVE_GRID_CAP, and in
+    the g-polymatroid check when 2^p exceeds GRID_CAP.
 
     Truncations are bitmasks over the points of C: one mask per axis i and
     value v marks the points with q_i >= v, and the truncation at b is the

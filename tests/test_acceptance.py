@@ -26,6 +26,7 @@ from kpoly.schubert import (
     count_zero_one,
     grothendieck,
     grothendieck_via_stalactites,
+    inversions,
     msupp_of_matrix_schubert,
     zero_one_permutations,
 )
@@ -252,3 +253,23 @@ def test_criterion_12_cave_implies_g_polymatroid():
             passed += 1
             assert is_g_polymatroid(P, "axioms"), list(P)
     report(12, f"caves are g-polymatroids: 24 S_4 Hilbert supports + {passed} random passers")
+
+
+def test_criterion_13_mty_conjecture_beyond_zero_one_s6():
+    # Monical-Tokcan-Yong: supp(G_w) is a g-polymatroid for every w, not only
+    # the zero-one ones of criterion 07.  Every coefficient of G_w has the
+    # sign (-1)^(|a| - l(w)) (Fomin-Kirillov 1994; Brion 2002), a known value
+    # for the divided-difference route that builds it.
+    t0 = time.perf_counter()
+    perms = list(itertools.permutations(range(1, 7)))
+    for k, w in enumerate(perms):
+        G = grothendieck(w)
+        length = inversions(w)
+        assert all(c * (-1) ** (sum(a) - length) > 0 for a, c in G.terms.items()), w
+        supp = G.support()
+        assert is_g_polymatroid(supp, "paramodular"), w
+        if k % 10 == 0:
+            assert is_g_polymatroid(supp, "axioms"), w
+    elapsed = time.perf_counter() - t0
+    report(13, f"supp(Grothendieck) is a g-polymatroid for all 720 w in S_6 (every 10th also "
+               f"by the axioms), coefficient signs alternate with degree ({elapsed:.1f}s)")

@@ -238,6 +238,25 @@ def test_sparse_polymatroid_in_a_huge_box_hits_the_grid_cap(tmp_path, capsys):
         assert "resource cap: box grid has 1048576 cells" in capsys.readouterr().err
 
 
+def test_classifier_refuses_2_to_the_p_support_tables_above_the_grid_cap(tmp_path, capsys):
+    # two points on a ray in 24 and 28 coordinates: the support tables would
+    # hold 2^24 and 2^28 entries, so every command that builds them exits 2
+    # before allocating; the exchange-based methods still answer
+    for p in (24, 28):
+        path = write_json(tmp_path, f"ray{p}.json", [[k] + [0] * (p - 1) for k in (1, 2)])
+        for argv in (
+            ["verify", "gpolymatroid", path, "--method", "paramodular"],
+            ["verify", "gpolymatroid", path, "--method", "all"],
+            ["verify", "theorem-a", path],
+            ["verify", "cave", path, "--orders", "natural"],
+        ):
+            assert main(argv) == 2, argv
+            err = f"resource cap: support tables have {1 << p} subsets (cap 1000000)\n"
+            assert capsys.readouterr().err == err, argv
+        assert main(["verify", "gpolymatroid", path, "--method", "homogenization"]) == 0
+    capsys.readouterr()
+
+
 def test_malformed_input_is_usage_error(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")

@@ -3,11 +3,13 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from kpoly import polymatroid
 from kpoly.lattice import (
+    GRID_CAP,
     CapExceeded,
     EmptySetError,
     PointSet,
@@ -307,10 +309,99 @@ def test_integer_points_walk_matches_the_box_filter():
             sys_ = inequality_system(PointSet(p, rng.sample(cells, rng.randint(1, min(6, len(cells))))))
         else:
             sys_ = _random_system(rng, p, 2)
+        if rng.random() < 0.3:
+            # a partial system: the singletons and a random share of the rest
+            kept = [J for J in sys_.lower if len(J) == 1 or rng.random() < 0.5]
+            sys_ = GPolyInequalitySystem(
+                p, {J: sys_.lower[J] for J in kept}, {J: sys_.upper[J] for J in kept}
+            )
         Z = integer_points(sys_)
         assert Z == _box_filter(sys_), sys_
         nonempty += bool(Z)
     assert nonempty > 150
+
+
+def test_integer_points_names_a_missing_singleton_bound():
+    sys_ = GPolyInequalitySystem(3, {(1,): 0, (3,): 0, (1, 2): 1}, {(1,): 1, (3,): 1, (1, 2): 2})
+    with pytest.raises(ValueError, match=r"no bound on the singleton \{2\}"):
+        integer_points(sys_)
+
+
+def _literal_support_tables(A):
+    """Oracle: min and max of y(X) over A for every bitmask X, one subset at a time."""
+    p = A.ambient_p
+    sums = [[sum(q[j] for j in range(p) if X >> j & 1) for q in A] for X in range(1 << p)]
+    return [min(s) for s in sums], [max(s) for s in sums]
+
+
+@pytest.mark.parametrize("grid_cap", [GRID_CAP, 16])
+def test_support_tables_match_the_literal_subset_min_max(monkeypatch, grid_cap):
+    # at a grid cap of 16 the rows come in blocks of 16 >> p points
+    monkeypatch.setattr(polymatroid, "GRID_CAP", grid_cap)
+    rng = random.Random(89)
+    sizes = collections.Counter()
+    for _ in range(300):
+        p = rng.randint(1, 4)
+        cells = list(itertools.product(range(4), repeat=p))
+        A = PointSet(p, rng.sample(cells, rng.choice([1, rng.randint(1, min(20, len(cells)))])))
+        assert _support_tables(A) == _literal_support_tables(A), list(A)
+        sizes[p, len(A) == 1] += 1
+    assert min(sizes[p, single] for p in range(1, 5) for single in (True, False)) > 10
+
+
+def test_support_tables_hold_one_block_of_rows_at_a_time(monkeypatch):
+    # 2000 points in 8 coordinates whose subset sums are all distinct int
+    # objects: their 2^8-entry rows take about 18 MB at once, a block of
+    # GRID_CAP >> 8 = 4 rows about 40 kB
+    rng = random.Random(3)
+    A = PointSet(8, {tuple(rng.randrange(300, 600) for _ in range(8)) for _ in range(2000)})
+    one_block = _support_tables(A)
+    monkeypatch.setattr(polymatroid, "GRID_CAP", 1 << 10)
+    tracemalloc.start()
+    try:
+        tables = _support_tables(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tables == one_block
+    assert peak < 1 << 20, peak
+
+
+def test_paramodular_witness_lists_the_first_extra_points_of_q():
+    # a failing integer-point check lists, among the first |G| + 1 points of
+    # Q(c, b) in lex order, those outside G
+    rng = random.Random(97)
+    failures = 0
+    for _ in range(400):
+        p = rng.randint(1, 3)
+        cells = list(itertools.product(range(4), repeat=p))
+        G = PointSet(p, rng.sample(cells, rng.randint(1, min(6, len(cells)))))
+        chk = is_g_polymatroid(G, "paramodular")
+        if chk or chk.witness["condition"] != "integer-points":
+            continue
+        Q = _box_filter(inequality_system(G))
+        assert chk.witness["extra_points"] == [list(q) for q in list(Q)[:len(G) + 1] if q not in G]
+        failures += 1
+    assert failures > 50
+
+
+def test_support_tables_refuse_2_to_the_p_above_the_grid_cap(monkeypatch):
+    # the 2^p tables are refused before they are allocated; the base check
+    # falls back on the exchange loop instead
+    P = point_set([(1000 - k, 1000 + k, 1000) for k in range(8)])
+    assert _above_the_rule(P)
+    monkeypatch.setattr(polymatroid, "GRID_CAP", 4)
+    for call in (_support_tables, inequality_system, lambda A: is_g_polymatroid(A, "paramodular")):
+        with pytest.raises(CapExceeded, match=r"support tables have 8 subsets \(cap 4\)"):
+            call(P)
+    with pytest.raises(CapExceeded, match="support tables have 8 subsets"):
+        integer_points(GPolyInequalitySystem(3, {(i,): 0 for i in (1, 2, 3)}, {(i,): 0 for i in (1, 2, 3)}))
+
+    def forbidden(A):
+        raise AssertionError("the base check built support tables above the cap")
+
+    monkeypatch.setattr(polymatroid, "_support_tables", forbidden)
+    assert is_base_polymatroid(P)
 
 
 def test_fixed_point_characterizes_g_polymatroids_on_g_inputs():
