@@ -14,12 +14,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass
 
 from .lattice import (
     CapExceeded,
+    check_ambient,
     parse_vector,
     point_set_from_json,
     point_set_to_json,
@@ -61,9 +63,8 @@ def _load_json(path: str):
 def _parse_orders(text: str):
     if text in ("natural", "all"):
         return text
-    if text.startswith("sample:"):
-        _, k, seed = text.split(":")
-        return ("sample", int(k), int(seed))
+    if sample := re.fullmatch(r"sample:(-?\d+):(-?\d+)", text):
+        return ("sample", int(sample[1]), int(sample[2]))
     raise ValueError(f"bad --orders value {text!r}; use natural, all or sample:K:SEED")
 
 
@@ -155,13 +156,8 @@ def _verify_theorem_a(args, data) -> CommandResult:
     """Theorem A: the support is a g-polymatroid, which by Frank's theorem is
     the paramodular classifier's verdict; the report lists the support-bound
     inequalities."""
-    supp = point_set_from_json(data)
-    sys_ = polymatroid.inequality_system(supp)
-    res = _check_result(
-        args.kind,
-        polymatroid.is_g_polymatroid(supp, "paramodular"),
-        {"inequalities": polymatroid.system_to_json(sys_)},
-    )
+    sys_, chk = polymatroid.theorem_a_report(point_set_from_json(data))
+    res = _check_result(args.kind, chk, {"inequalities": polymatroid.system_to_json(sys_)})
     res.human += "".join(
         f"\n  {sys_.lower[J]} <= n_{{{','.join(map(str, sorted(J)))}}} <= {sys_.upper[J]}"
         for J in sys_.subsets()
@@ -199,9 +195,11 @@ def cmd_verify(args) -> CommandResult:
 
 def _base_polymatroid_input(args, subject: str):
     """(msupp, m): the point set at args.msupp and its ambient bound, --ambient
-    or else the componentwise max; or the violation result when the set fails
-    the base-polymatroid check."""
+    (checked at once, whatever the command reads of it) or else the
+    componentwise max; or the violation result when the set fails the
+    base-polymatroid check."""
     msupp = point_set_from_json(_load_json(args.msupp))
+    m = check_ambient(msupp, parse_vector(args.ambient)) if args.ambient else tuple(map(max, zip(*msupp)))
     chk = polymatroid.is_base_polymatroid(msupp)
     if not chk:
         return CommandResult(
@@ -209,9 +207,7 @@ def _base_polymatroid_input(args, subject: str):
             {"verdict": False, "witness": chk.witness},
             f"{subject} fails the polymatroid check\n  witness: {chk.witness}",
         )
-    if args.ambient:
-        return msupp, parse_vector(args.ambient)
-    return msupp, tuple(max(q[i] for q in msupp) for i in range(msupp.ambient_p))
+    return msupp, m
 
 
 def cmd_hilbert(args) -> CommandResult:

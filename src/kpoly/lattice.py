@@ -101,6 +101,15 @@ def check_axis_order(axis_order, p: int) -> tuple[int, ...]:
     return order
 
 
+def check_ambient(A: "PointSet", m) -> Point:
+    """m as a point of A's length that dominates every point of A."""
+    m = as_point(m, A.ambient_p)
+    for q in A:
+        if not dominates(m, q):
+            raise ValueError(f"point {q} exceeds ambient {m}")
+    return m
+
+
 def lex_compare(u: Point, v: Point, axis_order=None) -> int:
     """-1, 0 or +1: lexicographic comparison along axis_order (1-based; None
     is the natural order); first strict difference decides."""

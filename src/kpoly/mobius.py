@@ -16,6 +16,7 @@ from .lattice import (
     Point,
     PointSet,
     as_point,
+    check_ambient,
     dominates,
     downset,
     downset_difference,
@@ -93,10 +94,7 @@ def verify_deg_equals_neg_mobius(msupp: PointSet) -> Check:
 def kpoly_from_mobius(msupp: PointSet, m) -> IntPolynomial:
     """Twisted K-polynomial via order reversal: the coefficient of z^{m-u}
     is -mu(u, 1hat)."""
-    m = as_point(m, msupp.ambient_p)
-    for n in msupp:
-        if not dominates(m, n):
-            raise ValueError(f"point {n} exceeds ambient {m}")
+    m = check_ambient(msupp, m)
     MU = mobius_to_top(msupp)
     # every u lies below a point of msupp, so below m
     return IntPolynomial._raw(len(m), {tuple(a - b for a, b in zip(m, u)): -c for u, c in MU.terms.items()})

@@ -15,6 +15,7 @@ from .lattice import (
     Point,
     PointSet,
     as_point,
+    check_ambient,
     dominates,
     downset_difference,
     vec_max,
@@ -192,15 +193,12 @@ def k_poly_ie(J: SquareFreeIdeal, method: str = "lattice", cap: int | None = Non
 def msupp_to_ideal(msupp: PointSet, m) -> SquareFreeIdeal:
     """Primes p_{m - n} for n in msupp, ordered by natural lex on msupp
     (which is the shelling order of the associated facets)."""
-    m = as_point(m, msupp.ambient_p)
+    m = check_ambient(msupp, m)
     if not msupp:
         raise ValueError("empty multidegree support")
     sums = {sum(q) for q in msupp}
     if len(sums) > 1:
         raise ValueError("multidegree support must be homogeneous")
-    for n in msupp:
-        if not dominates(m, n):
-            raise ValueError(f"point {n} exceeds ambient {m}")
     # distinct points of one coordinate sum give pairwise incomparable primes
     return SquareFreeIdeal._raw(m, tuple(tuple(a - b for a, b in zip(m, n)) for n in msupp))
 

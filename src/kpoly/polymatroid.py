@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from operator import sub
+from operator import itemgetter, mul, sub
 
 from .lattice import (
     GRID_CAP,
@@ -256,8 +256,12 @@ def is_g_polymatroid(G: PointSet, method: str = "axioms") -> Check:
         w = dict(res.witness)
         w["condition"] = "homogenized-" + w["condition"]
         return Check(False, w)
+    return _paramodular_verdict(G, *_support_tables(G))
+
+
+def _paramodular_verdict(G: PointSet, c: list[int], b: list[int]) -> Check:
+    """is_g_polymatroid(G, "paramodular") on the given _support_tables(G)."""
     p = G.ambient_p
-    c, b = _support_tables(G)
     chk = _paramodular_check(c, b, p)
     if not chk:
         return chk
@@ -330,8 +334,19 @@ def inequality_system(A: PointSet) -> GPolyInequalitySystem:
     (CapExceeded when 2^p exceeds GRID_CAP)."""
     if not A:
         raise EmptySetError("inequality system of an empty set")
-    p = A.ambient_p
-    lower, upper = _support_tables(A)
+    return _bounds_system(A.ambient_p, *_support_tables(A))
+
+
+def theorem_a_report(A: PointSet) -> tuple[GPolyInequalitySystem, Check]:
+    """inequality_system(A) and is_g_polymatroid(A, "paramodular"), Theorem
+    A's verdict on a support, from one build of the support tables."""
+    if not A:
+        raise EmptySetError("inequality system of an empty set")
+    c, b = _support_tables(A)
+    return _bounds_system(A.ambient_p, c, b), _paramodular_verdict(A, c, b)
+
+
+def _bounds_system(p: int, lower: list[int], upper: list[int]) -> GPolyInequalitySystem:
     subsets = [tuple(j + 1 for j in range(p) if X >> j & 1) for X in range(1 << p)]
     return GPolyInequalitySystem(
         p,
@@ -482,8 +497,11 @@ def is_cave(C: PointSet, order_policy="all") -> Check:
     Truncations are bitmasks over the points of C: one mask per axis i and
     value v marks the points with q_i >= v, and the truncation at b is the
     AND of the masks of b_i, formed one axis at a time in grid order.  Only
-    the distinct truncations become point sets."""
-    from .stalactite import _stalactite_walk
+    the distinct truncations become point sets.  An axis order's lex order
+    on a top depends only on its projection onto the axes where the top's
+    points differ, so each top is walked, on cube codes, once per distinct
+    projection; a failure names the first order with that projection."""
+    from .stalactite import _cube_coding, _stalactite_walk
 
     if not C:
         raise EmptySetError("cave test on an empty set")
@@ -506,39 +524,27 @@ def is_cave(C: PointSet, order_policy="all") -> Check:
         if mask and (mask not in trunc or not any(trunc[mask])):
             trunc[mask] = b
 
+    def fail(condition, **witness):  # at the truncation cell b of the loop below
+        return Check(False, {"condition": condition, "truncation": list(b), **witness})
+
+    strides, decode = _cube_coding(max(maxes, default=0) + 1, p)
     for mask, b in trunc.items():
         A = PointSet._raw(p, (q for k, q in enumerate(C.points) if mask >> k & 1))
         T = top(A)
-        chk = is_base_polymatroid(T)
-        if not chk:
-            return Check(
-                False,
-                {"condition": "top-polymatroid", "truncation": list(b), "cause": chk.witness},
-            )
-        if any(b):
-            chk = is_g_polymatroid(A, "paramodular")
-            if not chk:
-                return Check(
-                    False,
-                    {
-                        "condition": "truncation-g-polymatroid",
-                        "truncation": list(b),
-                        "cause": chk.witness,
-                    },
-                )
+        if not (chk := is_base_polymatroid(T)):
+            return fail("top-polymatroid", cause=chk.witness)
+        if any(b) and not (chk := is_g_polymatroid(A, "paramodular")):
+            return fail("truncation-g-polymatroid", cause=chk.witness)
+        want = {sum(map(mul, q, strides)) for q in A}
+        varying = [len(set(col)) > 1 for col in zip(*T.points)]
+        firsts = {}  # projection (0-based axes) -> the first order that has it
         for order in orders:
-            covered = set()
-            for _, st in _stalactite_walk(T, order):
-                covered.update(st)
-            if covered != A._set:
-                return Check(
-                    False,
-                    {
-                        "condition": "stalactite-union",
-                        "truncation": list(b),
-                        "order": list(order),
-                        "missing": [list(q) for q in sorted(A._set - covered)],
-                        "extra": [list(q) for q in sorted(covered - A._set)],
-                    },
-                )
+            firsts.setdefault(tuple(i - 1 for i in order if varying[i - 1]), order)
+        for proj, order in firsts.items():
+            pts = sorted(T.points, key=itemgetter(*proj)) if proj else T.points
+            covered = set(itertools.chain.from_iterable(_stalactite_walk(pts, strides)))
+            if covered != want:
+                return fail("stalactite-union", order=list(order),
+                            missing=[list(decode(x)) for x in sorted(want - covered)],
+                            extra=[list(decode(x)) for x in sorted(covered - want)])
     return Check(True)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from operator import mul
 
 from .lattice import (
     Check,
@@ -61,34 +62,42 @@ def neighbor_directions(u: Point, V: PointSet) -> tuple[int, ...]:
     )
 
 
-def _stalactite_walk(T: PointSet, axis_order):
-    """Yield (a, stalactite of a as a list) for the points a of T in the lex
-    order of the checked 1-based axis_order (None: natural order), each
-    stalactite taken against the points s before a.  It doubles along every
-    l with a - e_l + e_j = s for some j, that is a - e_l = s - e_j (j != l
-    holds by itself, as s != a)."""
-    p, pts = T.ambient_p, T.points
-    if axis_order is not None:
-        idx = [i - 1 for i in axis_order]
-        pts = sorted(pts, key=lambda q: [q[i] for i in idx])
-    below: set[Point] = set()  # s - e_j over the points s before a
+def _cube_coding(r: int, p: int):
+    """(strides, decode) for the points of the cube [0, r)^p: q has the code
+    sum_i q_i * strides[i], last coordinate fastest, so codes sort as their
+    points do in natural lex order; decode maps a code back to its point."""
+    strides = [r ** k for k in range(p - 1, -1, -1)]
+    return strides, lambda code: tuple([code // s % r for s in strides])
+
+
+def _stalactite_walk(pts, strides):
+    """Yield, for each point a of the ordered sequence pts, its stalactite
+    against the points s before it as a list of cube codes (_cube_coding).  It
+    doubles along every l with a - e_l + e_j = s for some j, that is
+    a - e_l = s - e_j (j != l holds by itself, as s != a); while a_l > 0,
+    a - e_l has the code code(a) - strides[l], so stalactites stay in the cube."""
+    below: set[int] = set()  # codes of s - e_j over the points s before a
     for a in pts:
-        downs = [(l, a[:l] + (a[l] - 1,) + a[l + 1:]) for l in range(p) if a[l]]
-        st = [a]
-        for l, r in downs:
+        code = sum(map(mul, a, strides))
+        downs = [code - s for x, s in zip(a, strides) if x]
+        st = [code]
+        for r in downs:
             if r in below:
-                st += [w[:l] + (w[l] - 1,) + w[l + 1:] for w in st]
-        yield a, st
-        below.update(r for _, r in downs)
+                st += [w - code + r for w in st]
+        yield st
+        below.update(downs)
 
 
 def stalactite_union(T: PointSet, axis_order=None) -> list[tuple[Point, PointSet]]:
     """Sort T by the lex order of axis_order and attach to each point the
     stalactite taken against its predecessors.  Returns (point, stalactite)
     pairs in processing order."""
-    if axis_order is not None:
-        axis_order = check_axis_order(axis_order, T.ambient_p)
-    return [(a, PointSet._raw(T.ambient_p, st)) for a, st in _stalactite_walk(T, axis_order)]
+    p = T.ambient_p
+    order = check_axis_order(range(1, p + 1) if axis_order is None else axis_order, p)
+    pts = sorted(T.points, key=lambda q: [q[i - 1] for i in order])
+    strides, decode = _cube_coding(max(itertools.chain(*pts), default=0) + 1, p)
+    walk = _stalactite_walk(pts, strides)
+    return [(a, PointSet._raw(p, map(decode, st))) for a, st in zip(pts, walk)]
 
 
 def hsupp_from_msupp(msupp: PointSet) -> IntPolynomial:
@@ -105,11 +114,11 @@ def hsupp_from_msupp(msupp: PointSet) -> IntPolynomial:
     if not chk:
         raise ValueError(f"multidegree support is not a base polymatroid: {chk.witness}")
     D = sum(msupp.points[0])
-    counts: Counter[Point] = Counter()
-    for _, st in _stalactite_walk(msupp, None):
-        counts.update(st)
+    strides, decode = _cube_coding(D + 1, msupp.ambient_p)  # no coordinate exceeds D
+    counts = Counter(itertools.chain.from_iterable(_stalactite_walk(msupp.points, strides)))
     sign = lambda n: -1 if (D - sum(n)) % 2 else 1
-    return IntPolynomial._raw(msupp.ambient_p, {n: sign(n) * c for n, c in counts.items()})
+    terms = {decode(x): c for x, c in counts.items()}
+    return IntPolynomial._raw(msupp.ambient_p, {n: sign(n) * c for n, c in terms.items()})
 
 
 def hilbert_eval(H: IntPolynomial, t) -> int:

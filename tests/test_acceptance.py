@@ -233,8 +233,8 @@ def test_criterion_11_shelling_paths_sums_s5():
 
 
 def test_criterion_12_cave_implies_g_polymatroid():
-    # zero-one S_4 Hilbert supports (constant coordinates dropped)
-    for w in zero_one_permutations(4):
+    # zero-one S_5 Hilbert supports (constant coordinates dropped)
+    for w in zero_one_permutations(5):
         msupp, m = msupp_of_matrix_schubert(w)
         small, _, _ = collapse_fixed_components(msupp, m)
         supp = hsupp_from_msupp(small).support()
@@ -252,7 +252,7 @@ def test_criterion_12_cave_implies_g_polymatroid():
         if is_cave(P, "all"):
             passed += 1
             assert is_g_polymatroid(P, "axioms"), list(P)
-    report(12, f"caves are g-polymatroids: 24 S_4 Hilbert supports + {passed} random passers")
+    report(12, f"caves are g-polymatroids: 115 S_5 Hilbert supports + {passed} random passers")
 
 
 def test_criterion_13_mty_conjecture_beyond_zero_one_s6():

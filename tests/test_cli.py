@@ -179,6 +179,32 @@ def test_verify_theorem_a(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["witness"]["condition"] in ("submodular", "cross")
 
 
+def test_verify_theorem_a_builds_the_support_tables_once(tmp_path, monkeypatch, capsys):
+    real, built = polymatroid._support_tables, []
+
+    def counted(A):
+        built.append(A.points)
+        return real(A)
+
+    monkeypatch.setattr(polymatroid, "_support_tables", counted)
+    for points, status in [
+        ([[1, 0], [0, 1], [1, 1], [0, 0]], 0),
+        ([list(q) for q in KPOLY_3], 0),
+        ([[1, 1, 0, 0], [0, 0, 1, 1]], 1),
+        ([[2, 0], [0, 2], [1, 1], [0, 0]], 1),
+    ]:
+        path = write_json(tmp_path, "supp.json", points)
+        built.clear()
+        assert main(["verify", "theorem-a", path, "--json"]) == status, points
+        assert len(built) == 1, points
+        # the report and its witness are the library's own answers
+        payload = json.loads(capsys.readouterr().out)
+        supp = point_set(points)
+        assert payload["inequalities"] == polymatroid.system_to_json(polymatroid.inequality_system(supp))
+        chk = polymatroid.is_g_polymatroid(supp, "paramodular")
+        assert payload.get("witness") == (None if chk else chk.witness), points
+
+
 def test_verify_theorem_c(tmp_path):
     import random
 
@@ -257,7 +283,7 @@ def test_classifier_refuses_2_to_the_p_support_tables_above_the_grid_cap(tmp_pat
     capsys.readouterr()
 
 
-def test_malformed_input_is_usage_error(tmp_path):
+def test_malformed_input_is_usage_error(tmp_path, capsys):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")
     assert main(["verify", "gpolymatroid", str(path)]) == 2
@@ -288,9 +314,32 @@ def test_malformed_input_is_usage_error(tmp_path):
     for orders in ("sample:0:1", "sample:-3:1", "sample:721:1", "sample:100000000000:1"):
         assert main(["verify", "cave", diagonal, "--orders", orders]) == 2
     assert main(["explore", "--max-p", "7", "--max-coord", "1"]) == 2
+    # --ambient of the wrong length or below a point, whether or not the
+    # command goes on to read it
+    two = write_json(tmp_path, "two.json", [[1, 0], [0, 1]])
+    for command in (["hilbert", two], ["hilbert", two, "--oracle"], ["mobius", two], ["mobius", two, "--kpoly"]):
+        capsys.readouterr()
+        for ambient, err in (
+            ("1", "error: expected a point of length 2, got (1,)\n"),
+            ("1,1,1", "error: expected a point of length 2, got (1, 1, 1)\n"),
+            ("0,0", "error: point (0, 1) exceeds ambient (0, 0)\n"),
+            ("1,0", "error: point (0, 1) exceeds ambient (1, 0)\n"),
+        ):
+            assert main(command + ["--ambient", ambient]) == 2, (command, ambient)
+            assert capsys.readouterr().err == err, (command, ambient)
+        assert main(command + ["--ambient", "1,1"]) == 0, command
     # every draw of a config with p = 0 or entry bound 0 is all zero
     assert main(["linear-polymatroid", "--random", "0,0", "--seed", "1"]) == 2
     assert main(["linear-polymatroid", "--random", "2,2", "--seed", "1", "--entry-bound", "0"]) == 2
+
+
+def test_bad_orders_value_is_named(tmp_path, capsys):
+    diagonal = write_json(tmp_path, "diagonal.json", [[1, 0], [0, 1]])
+    for orders in ("sample:1", "sample:1:2:3", "sample:x:1", "sample:1:", "Sample:1:2", "every"):
+        assert main(["verify", "cave", diagonal, "--orders", orders]) == 2, orders
+        err = f"error: bad --orders value {orders!r}; use natural, all or sample:K:SEED\n"
+        assert capsys.readouterr().err == err, orders
+    assert main(["verify", "cave", diagonal, "--orders", "sample:2:5"]) == 1
 
 
 def test_malformed_subspace_configs_name_the_fault(tmp_path, capsys):

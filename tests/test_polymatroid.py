@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 
 from kpoly import polymatroid
+from kpoly import stalactite as stalactite_module
 from kpoly.lattice import (
     GRID_CAP,
     CapExceeded,
@@ -689,5 +690,79 @@ def test_cave_test_matches_the_literal_oracle():
         chk = is_cave(C, policy)
         assert (None if chk else chk.witness) == literal_cave_witness(C, policy), (list(C), policy)
         seen["pass" if chk else chk.witness["condition"]] += 1
+        if not chk and chk.witness.get("order") not in (None, list(range(1, p + 1))):
+            seen["reordered"] += 1
     assert min(seen[c] for c in ("pass", "top-polymatroid", "truncation-g-polymatroid")) >= 15
     assert seen["stalactite-union"] > 200
+    # stalactite-union failures reported under an order other than (1..p).
+    # The union over a base-polymatroid top comes out the same under every
+    # order in these sets, so "all" fails at its first order, (1..p), and
+    # only the samples, which start elsewhere, report other orders
+    assert seen["reordered"] > 40
+
+
+def _cave_truncations(C):
+    """The distinct nonempty truncations of C, literally."""
+    grid = itertools.product(*(range(max(q[i] for q in C) + 1) for i in range(C.ambient_p)))
+    return {truncate(C, b) for b in grid} - {PointSet(C.ambient_p)}
+
+
+def test_cave_walks_once_per_distinct_projection(monkeypatch):
+    # the lex order of an axis order on a top T depends only on the order's
+    # projection onto the axes where the points of T differ, so is_cave walks
+    # once per distinct (truncation, projection) instead of p! times per
+    # truncation, and the walks cover every distinct lex sequence of each top
+    walked, walk = [], stalactite_module._stalactite_walk
+
+    def counted_walk(pts, strides):
+        walked.append(tuple(pts))
+        return walk(pts, strides)
+
+    monkeypatch.setattr(stalactite_module, "_stalactite_walk", counted_walk)
+    C = point_set(HILBERT_3)
+    assert is_cave(C, "all")
+    p = C.ambient_p
+    orders = list(itertools.permutations(range(p)))
+    truncations, projections, sequences = _cave_truncations(C), 0, set()
+    for A in truncations:
+        T = top(A)
+        varying = {i for i in range(p) if len({q[i] for q in T}) > 1}
+        projections += len({tuple(i for i in o if i in varying) for o in orders})
+        sequences |= {tuple(sorted(T, key=lambda q: [q[i] for i in o])) for o in orders}
+    assert len(walked) == projections < math.factorial(p) * len(truncations)
+    assert set(walked) == sequences
+
+
+def test_cave_reports_the_first_failing_order(monkeypatch):
+    # a walk that drops the first stalactite of every sequence out of natural
+    # lex order fails exactly the orders whose lex order on the top differs
+    # from the natural one; the witness must name the first such order
+    walk = stalactite_module._stalactite_walk
+
+    def broken_walk(pts, strides):
+        stalactites = walk(pts, strides)
+        if list(pts) != sorted(pts):
+            next(stalactites)
+        return stalactites
+
+    monkeypatch.setattr(stalactite_module, "_stalactite_walk", broken_walk)
+    # the running example, and the same cave lifted by a constant first
+    # coordinate, on which orders that differ only in where they put axis 1
+    # share a walk
+    for C, policy in itertools.product(
+        (point_set(HILBERT_3), point_set([(1, *q) for q in HILBERT_3])),
+        ("all", *(("sample", 3, seed) for seed in range(20))),
+    ):
+        T = top(C)
+        orders = axis_orders(C.ambient_p, policy)
+        naturally = [sorted(T, key=lambda q: [q[i - 1] for i in o]) == list(T) for o in orders]
+        chk = is_cave(C, policy)
+        if all(naturally):
+            assert chk, policy
+        else:
+            # C itself is the first truncation walked; it is reported at
+            # its first nonzero cell
+            assert truncate(C, chk.witness["truncation"]) == C, policy
+            order = chk.witness["order"]
+            assert order == list(orders[naturally.index(False)]), policy
+            assert chk.witness["missing"] == [list(min(T, key=lambda q: [q[i - 1] for i in order]))]
