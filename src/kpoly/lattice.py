@@ -415,7 +415,8 @@ def downset(P: PointSet) -> PointSet:
 
 
 # cells of the largest box grid_transform may run on; the largest box in the
-# tests holds 16 384 cells (U_{1,14}), in the benchmark 3 125
+# tests holds 16 384 cells (U_{1,14}), in the benchmark 2 400 (a theorem_c
+# linear polymatroid; the zero-one S_5 supports span at most 96)
 GRID_CAP = 1_000_000
 
 
@@ -460,13 +461,25 @@ def grid_transform(values: list[int], dims, sign: int) -> list[int]:
 
 def downset_difference(points) -> dict[Point, int]:
     """{u: value} over the nonzero cells of the downset's indicator differenced
-    along every axis, on the bounding box of the (nonempty) points: zeta of the
-    points' indicator marks the downset, then grid_transform(-1)."""
+    along every axis, on the box the (nonempty) points span, from their
+    componentwise minimum lo to their maximum: zeta of the points' indicator
+    marks the downset, then grid_transform(-1).
+
+    Where u_i < lo_i, whether u + s lies in the downset does not depend on
+    s_i, so the difference along axis i cancels.  Above lo, u lies in the
+    downset of the points exactly when u - lo lies in the downset of the
+    points minus lo, so the grid runs on the shifted points and its cells are
+    read back from lo.  Points with lo = 0 are not copied."""
     pts = list(points)
-    dims = [max(col) + 1 for col in zip(*pts)]
+    cols = list(zip(*pts))
+    lo = list(map(min, cols))
+    end = [max(col) + 1 for col in cols]
+    dims = list(map(operator.sub, end, lo))
+    if any(lo):
+        pts = [tuple(map(operator.sub, u, lo)) for u in pts]
     values = grid_transform(box_grid(dims, ((u, 1) for u in pts)), dims, 1)
     values = grid_transform([1 if c else 0 for c in values], dims, -1)
-    cells = itertools.compress(itertools.product(*map(range, dims)), values)
+    cells = itertools.compress(itertools.product(*map(range, lo, end)), values)
     return dict(zip(cells, filter(None, values)))
 
 

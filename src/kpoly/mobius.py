@@ -34,8 +34,8 @@ def mobius_to_top(P: PointSet, method: str = "closed", cap: int = 10_000) -> Int
                mu(u, 1hat) = -sum over 0/1 offsets s with u+s in the downset
                of (-1)^|s|: minus the difference of the downset's indicator
                along every axis, computed by lattice.downset_difference on the
-               bounding box of P (CapExceeded above GRID_CAP cells, checked
-               before allocating)
+               box P spans, from its componentwise minimum to its maximum
+               (CapExceeded above GRID_CAP cells, checked before allocating)
     recursive  generic first-argument recursion mu(u) = -(1 + sum_{w>u} mu(w))
                over the literal lattice.downset, kept as a cross-check oracle
                with a size cap; it shares no code with the closed form

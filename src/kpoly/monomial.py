@@ -153,7 +153,10 @@ def _ie_coefficients_lattice(gens: list[Point]) -> dict[Point, int]:
     every axis.  Only the generators' coordinate values matter; ranking each
     axis by descending value turns the up-set into the downset of the ranked
     generators, which lattice.downset_difference differences on the rank grid
-    (CapExceeded above GRID_CAP cells, checked before allocating)."""
+    (CapExceeded above GRID_CAP cells, checked before allocating).  Rank 0 is
+    each axis's largest value, which some generator takes, so the ranked
+    generators have minimum 0 on every axis and the kernel's shift to their
+    minimum never applies here."""
     p = len(gens[0])
     values = [sorted({g[i] for g in gens}, reverse=True) for i in range(p)]
     ranks = [{x: r for r, x in enumerate(vs)} for vs in values]

@@ -133,18 +133,19 @@ def test_criterion_05_stalactite_tables_two_orders():
 
 def test_criterion_06_oracle_equivalence_s5():
     t0 = time.perf_counter()
-    perms = zero_one_permutations(5)
-    assert len(perms) == 115
-    for w in perms:
-        G = grothendieck(w)
-        assert grothendieck_via_stalactites(w) == G, w
-        msupp, m = msupp_of_matrix_schubert(w)
-        assert kpoly_from_mobius(msupp, m) == G, w
-        H = hsupp_from_msupp(msupp)
-        assert hilbert_poly_ie(msupp_to_ideal(msupp, m)) == H, w
+    for p, count in ((5, 115), (6, 605)):
+        perms = zero_one_permutations(p)
+        assert len(perms) == count
+        for w in perms:
+            G = grothendieck(w)
+            assert grothendieck_via_stalactites(w) == G, w
+            msupp, m = msupp_of_matrix_schubert(w)
+            assert kpoly_from_mobius(msupp, m) == G, w
+            H = hsupp_from_msupp(msupp)
+            assert hilbert_poly_ie(msupp_to_ideal(msupp, m)) == H, w
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
-    report(6, f"all 115 zero-one S_5: stalactite, Mobius and IE oracles agree ({elapsed:.1f}s)")
+    report(6, f"all 115 zero-one S_5 and 605 zero-one S_6: stalactite, Mobius and IE oracles agree ({elapsed:.1f}s)")
 
 
 def test_criterion_07_theorem_b_s5():

@@ -305,8 +305,17 @@ def test_malformed_input_is_usage_error(tmp_path, capsys):
     assert main(["verify", "shelling", int_m]) == 2
     short_m = write_json(tmp_path, "shell_short_m.json", {"msupp": [[1, 0]], "m": [4]})
     assert main(["verify", "shelling", short_m]) == 2
+    # one far point spans a one-cell box, so the closed Mobius route answers;
+    # U_{1,20} translated by (5, ..., 5) still spans 2^20 cells and is refused
     huge = write_json(tmp_path, "huge.json", [[1000000, 1000000, 1000000]])
-    assert main(["mobius", huge]) == 2
+    capsys.readouterr()
+    assert main(["mobius", huge, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["mu"] == [{"exp": [1000000] * 3, "coeff": -1}]
+    assert main(["mobius", huge, "--check"]) == 0
+    far_unit = write_json(tmp_path, "far_unit.json", [[5 + (i == j) for j in range(20)] for i in range(20)])
+    capsys.readouterr()
+    assert main(["mobius", far_unit]) == 2
+    assert capsys.readouterr().err == "resource cap: box grid has 1048576 cells (cap 1000000)\n"
     assert main(["verify", "cave", huge]) == 2
     # fails the stalactite-union condition, which a sample of no orders would never check
     diagonal = write_json(tmp_path, "diagonal.json", [[1, 0], [0, 1]])

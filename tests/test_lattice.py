@@ -258,12 +258,25 @@ def test_downset_difference_matches_the_literal_downset():
         p = rng.randint(1, 4)
         gens = [tuple(rng.randint(0, 3) for _ in range(p)) for _ in range(rng.randint(1, 4))]
         assert downset_difference(gens) == literal_downset_difference(gens)
-    # sparse generators in a large bounding box: U_{1,12} and the degree-6
-    # simplex in 3 variables decode their few cells correctly
+    # the same kind of sets translated by a random lo, zero on some axes and
+    # positive on others, run the kernel on the box from lo; a lo of zero
+    # everywhere keeps the box from the origin
+    shifted = 0
+    for _ in range(200):
+        p = rng.randint(1, 4)
+        lo = [rng.choice((0, rng.randint(1, 4))) for _ in range(p)]
+        gens = [tuple(a + rng.randint(0, 3) for a in lo) for _ in range(rng.randint(1, 4))]
+        shifted += any(map(min, zip(*gens)))
+        assert downset_difference(gens) == literal_downset_difference(gens)
+    assert shifted > 100
+    # sparse generators in a large box: U_{1,12}, the degree-6 simplex in 3
+    # variables and both lifted by (2, 1, 0, ...) decode their few cells correctly
     unit = [tuple(int(i == j) for j in range(12)) for i in range(12)]
     simplex = [(a, b, 6 - a - b) for a in range(7) for b in range(7 - a)]
     for gens in (unit, simplex):
         assert downset_difference(gens) == literal_downset_difference(gens)
+        lifted = [(u[0] + 2, u[1] + 1) + u[2:] for u in gens]
+        assert downset_difference(lifted) == literal_downset_difference(lifted)
 
 
 def test_box_grid_cap_fires_before_allocating():

@@ -103,6 +103,21 @@ def test_mobius_methods_agree_where_the_box_dwarfs_the_downset():
         assert mobius_to_top(P, "closed") == mobius_to_top(P, "recursive"), P
 
 
+def test_mobius_methods_agree_on_translated_polymatroids():
+    # a translate of a base polymatroid is one; its points have a positive
+    # minimum on the translated axes, where the closed form shifts its box
+    rng = random.Random(16)
+    translated = [PointSet(3, [tuple(a + b for a, b in zip(u, (1, 2, 0))) for u in MSUPP_3])]
+    # U_{2,3} with two coloops appended: lo is 1 on the coloops only
+    translated.append(PointSet(5, [b + (1, 1) for b in uniform_matroid(2, 3).bases]))
+    for f in itertools.islice(rank_functions(3, 2), 0, None, 3):
+        lo = [rng.choice((0, rng.randint(1, 3))) for _ in range(3)]
+        translated.append(PointSet(3, [tuple(a + b for a, b in zip(u, lo)) for u in base_polymatroid(f)]))
+    assert sum(any(map(min, zip(*P))) for P in translated) > len(translated) // 2
+    for P in translated:
+        assert mobius_to_top(P, "closed") == mobius_to_top(P, "recursive"), P
+
+
 def test_literal_oracles_never_enter_the_grid_kernel(monkeypatch):
     from kpoly import lattice, monomial, stalactite
     from kpoly.monomial import SquareFreeIdeal, ie_join_coefficients
