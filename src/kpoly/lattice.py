@@ -414,10 +414,16 @@ def downset(P: PointSet) -> PointSet:
     return PointSet._raw(P.ambient_p, pts)
 
 
-# cells of the largest box grid_transform may run on; the largest box in the
-# tests holds 16 384 cells (U_{1,14}), in the benchmark 2 400 (a theorem_c
-# linear polymatroid; the zero-one S_5 supports span at most 96)
+# cells of the largest box grid_transform may run on, and entries of the
+# largest subset table; the largest box in the tests holds 16 384 cells
+# (U_{1,14}), in the benchmark 2 400 (a theorem_c linear polymatroid)
 GRID_CAP = 1_000_000
+
+
+def check_subset_table(p: int, table: str, cap: int) -> None:
+    """CapExceeded, led by table ("rank table has"), above cap subsets of [p]."""
+    if 1 << p > cap:
+        raise CapExceeded(f"{table} {1 << p} subsets (cap {cap})")
 
 
 def box_grid(dims, items) -> list[int]:
@@ -459,28 +465,27 @@ def grid_transform(values: list[int], dims, sign: int) -> list[int]:
     return values
 
 
+def axis_values(points) -> list[list[int]]:
+    """The sorted distinct values the (nonempty) points take on each axis."""
+    return [sorted(set(col)) for col in zip(*points)]
+
+
 def downset_difference(points) -> dict[Point, int]:
     """{u: value} over the nonzero cells of the downset's indicator differenced
-    along every axis, on the box the (nonempty) points span, from their
-    componentwise minimum lo to their maximum: zeta of the points' indicator
-    marks the downset, then grid_transform(-1).
-
-    Where u_i < lo_i, whether u + s lies in the downset does not depend on
-    s_i, so the difference along axis i cancels.  Above lo, u lies in the
-    downset of the points exactly when u - lo lies in the downset of the
-    points minus lo, so the grid runs on the shifted points and its cells are
-    read back from lo.  Points with lo = 0 are not copied."""
+    along every axis: zeta of the points' indicator marks the downset, then
+    grid_transform(-1), on one cell per tuple of axis_values (CapExceeded
+    above GRID_CAP cells, before allocating).  Where u_i is no value on axis
+    i, u_i and u_i + 1 lie below the same points, so the difference cancels;
+    on the values only their order matters (an order isomorphism keeps the
+    Mobius function), so the grid runs on value ranks, read back as values."""
     pts = list(points)
-    cols = list(zip(*pts))
-    lo = list(map(min, cols))
-    end = [max(col) + 1 for col in cols]
-    dims = list(map(operator.sub, end, lo))
-    if any(lo):
-        pts = [tuple(map(operator.sub, u, lo)) for u in pts]
-    values = grid_transform(box_grid(dims, ((u, 1) for u in pts)), dims, 1)
-    values = grid_transform([1 if c else 0 for c in values], dims, -1)
-    cells = itertools.compress(itertools.product(*map(range, lo, end)), values)
-    return dict(zip(cells, filter(None, values)))
+    values = axis_values(pts)
+    ranks = [{x: r for r, x in enumerate(vs)} for vs in values]
+    dims = list(map(len, values))
+    grid = grid_transform(box_grid(dims, ((tuple(map(operator.getitem, ranks, u)), 1) for u in pts)), dims, 1)
+    grid = grid_transform([1 if c else 0 for c in grid], dims, -1)
+    cells = itertools.compress(itertools.product(*values), grid)
+    return dict(zip(cells, filter(None, grid)))
 
 
 # ---------------------------------------------------------------------------

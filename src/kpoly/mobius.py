@@ -27,18 +27,22 @@ from .lattice import (
 from .polymatroid import base_polymatroid, is_base_polymatroid, is_g_polymatroid, rank_functions
 
 
-def mobius_to_top(P: PointSet, method: str = "closed", cap: int = 10_000) -> IntPolynomial:
+# downset elements the recursive oracle, quadratic in them, may walk
+RECURSIVE_CAP = 10_000
+
+
+def mobius_to_top(P: PointSet, method: str = "closed") -> IntPolynomial:
     """mu(u, 1hat) for every u in the downset of P, as a signed support.
 
     closed     uses that intervals inside a downset are full boxes, so
                mu(u, 1hat) = -sum over 0/1 offsets s with u+s in the downset
                of (-1)^|s|: minus the difference of the downset's indicator
-               along every axis, computed by lattice.downset_difference on the
-               box P spans, from its componentwise minimum to its maximum
-               (CapExceeded above GRID_CAP cells, checked before allocating)
+               along every axis, computed by lattice.downset_difference on
+               the grid of the values P takes on each axis (CapExceeded above
+               GRID_CAP cells, checked before allocating)
     recursive  generic first-argument recursion mu(u) = -(1 + sum_{w>u} mu(w))
-               over the literal lattice.downset, kept as a cross-check oracle
-               with a size cap; it shares no code with the closed form
+               over the literal lattice.downset of at most RECURSIVE_CAP
+               elements, a cross-check oracle sharing no code with closed
     """
     chk = is_base_polymatroid(P)
     if not chk:
@@ -50,8 +54,8 @@ def mobius_to_top(P: PointSet, method: str = "closed", cap: int = 10_000) -> Int
         return IntPolynomial._raw(P.ambient_p, {u: -c for u, c in diff.items()})
     if method == "recursive":
         ds = downset(P)
-        if len(ds) > cap:
-            raise CapExceeded(f"downset has {len(ds)} elements (recursive cap {cap})")
+        if len(ds) > RECURSIVE_CAP:
+            raise CapExceeded(f"downset has {len(ds)} elements (recursive cap {RECURSIVE_CAP})")
         by_sum_desc = sorted(ds, key=lambda q: (-sum(q), q))
         mu: dict[Point, int] = {}
         for u in by_sum_desc:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import sub
 
 from .lattice import (
     CapExceeded,
@@ -150,25 +151,19 @@ def _ie_coefficients_subsets(gens: list[Point], cap: int) -> dict[Point, int]:
 def _ie_coefficients_lattice(gens: list[Point]) -> dict[Point, int]:
     """Same signed sums by Mobius inversion: sum_{w <= v} c_w is 1 exactly on
     the up-set of the generators, so c is that indicator differenced along
-    every axis.  Only the generators' coordinate values matter; ranking each
-    axis by descending value turns the up-set into the downset of the ranked
-    generators, which lattice.downset_difference differences on the rank grid
-    (CapExceeded above GRID_CAP cells, checked before allocating).  Rank 0 is
-    each axis's largest value, which some generator takes, so the ranked
-    generators have minimum 0 on every axis and the kernel's shift to their
-    minimum never applies here."""
-    p = len(gens[0])
-    values = [sorted({g[i] for g in gens}, reverse=True) for i in range(p)]
-    ranks = [{x: r for r, x in enumerate(vs)} for vs in values]
-    ranked = [tuple(rk[x] for rk, x in zip(ranks, g)) for g in gens]
-    diff = downset_difference(ranked)
-    return {tuple(vs[r] for vs, r in zip(values, u)): c for u, c in diff.items()}
+    every axis.  Reflecting through the generators' componentwise max M,
+    u -> M - u, turns the up-set into the downset of the reflected
+    generators, which lattice.downset_difference differences on their value
+    grid (CapExceeded above GRID_CAP cells, checked before allocating)."""
+    M = tuple(map(max, zip(*gens)))
+    diff = downset_difference([tuple(map(sub, M, g)) for g in gens])
+    return {tuple(map(sub, M, u)): c for u, c in diff.items()}
 
 
 def ie_join_coefficients(J: SquareFreeIdeal, method: str = "lattice", cap: int | None = None) -> dict[Point, int]:
     """Coefficient of each prime sum p_v in the inclusion-exclusion expansion.
 
-    method: "lattice" (Mobius inversion on the rank grid, the production
+    method: "lattice" (Mobius inversion on the value grid, the production
     route) or "subsets" (the literal Gray-code sum over all 2^k - 1 subsets,
     refused above cap primes; kept as the oracle the tests compare against).
     """

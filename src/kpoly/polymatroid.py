@@ -18,7 +18,9 @@ from .lattice import (
     Check,
     EmptySetError,
     PointSet,
+    axis_values,
     check_index_subset,
+    check_subset_table,
     homogenize,
     top,
     unit_shift,
@@ -28,8 +30,8 @@ G_POLY_METHODS = ("axioms", "homogenization", "paramodular")
 
 INTEGER_POINTS_CAP = 10_000_000
 
-# cells of the truncation grid prod(max_i + 1) that is_cave walks; the
-# largest cave the tests and the benchmark check has 625
+# cells of is_cave's truncation grid, one per tuple of axis values; the
+# largest cave the tests and the benchmark check has 96
 CAVE_GRID_CAP = 100_000
 
 
@@ -64,7 +66,7 @@ def _base_polymatroid_check(P: PointSet) -> Check:
     n, p = len(P), P.ambient_p
     if n * (n - 1) * p > (p + 1) ** 2 << p and 1 << p <= GRID_CAP:
         c, b = _support_tables(P)
-        if c[-1] == b[-1] and _paramodular_check(c, b, p) and len(_integer_points(c, b, p, None, n)) == n:
+        if c[-1] == b[-1] and _paramodular_check(c, b, p) and len(_integer_points(c, b, p, n)) == n:
             return Check(True)
     return _exchange_check(P)
 
@@ -265,7 +267,7 @@ def _paramodular_verdict(G: PointSet, c: list[int], b: list[int]) -> Check:
     chk = _paramodular_check(c, b, p)
     if not chk:
         return chk
-    Z = _integer_points(c, b, p, None, len(G))
+    Z = _integer_points(c, b, p, len(G))
     if len(Z) == len(G):
         return Check(True)
     extra = [list(q) for q in Z if q not in G]
@@ -310,7 +312,7 @@ def _support_tables(A: PointSet) -> tuple[list[int], list[int]]:
     (c <= b moves neither min nor max), gives both tables.  CapExceeded
     before any work when 2^p exceeds GRID_CAP."""
     p = A.ambient_p
-    _check_table_cap(p)
+    check_subset_table(p, "support tables have", GRID_CAP)
     tables, points = [], iter(A)
     while block := list(itertools.islice(points, GRID_CAP >> p)):
         rows = []
@@ -322,11 +324,6 @@ def _support_tables(A: PointSet) -> tuple[list[int], list[int]]:
         cols = list(zip(*rows, *tables))
         tables = [list(map(min, cols)), list(map(max, cols))]
     return tables[0], tables[1]
-
-
-def _check_table_cap(p: int) -> None:
-    if 1 << p > GRID_CAP:
-        raise CapExceeded(f"support tables have {1 << p} subsets (cap {GRID_CAP})")
 
 
 def inequality_system(A: PointSet) -> GPolyInequalitySystem:
@@ -396,36 +393,36 @@ def _paramodular_witness(A: int, B: int, p: int) -> Check:
     })
 
 
-def integer_points(sys_: GPolyInequalitySystem, cap: int = INTEGER_POINTS_CAP) -> PointSet:
+def integer_points(sys_: GPolyInequalitySystem) -> PointSet:
     """All lattice points y >= 0 satisfying every double inequality, by the
     table walk of _integer_points.  The points lie in the box 0 <= y_i <=
-    b({i}), so each singleton needs a bound (ValueError otherwise); the box
-    volume is checked against cap before any work.  A subset without bounds
-    gets c = 0 and b = the sum of the boxes, which no point of the box breaks.
-    """
+    b({i}), so each singleton needs a bound (ValueError otherwise); a box of
+    more than INTEGER_POINTS_CAP cells is refused before any work.  A subset
+    without bounds gets c = 0 and b = the sum of the boxes, which no point
+    of the box breaks."""
     p, upper = sys_.ambient_p, sys_.upper
     boxes = [upper.get(frozenset({i})) for i in range(1, p + 1)]
     if None in boxes:
         raise ValueError(f"inequality system has no bound on the singleton {{{boxes.index(None) + 1}}}")
-    _check_table_cap(p)
+    check_subset_table(p, "support tables have", GRID_CAP)
+    volume = math.prod(max(0, x + 1) for x in boxes)
+    if volume > INTEGER_POINTS_CAP:
+        raise CapExceeded(f"integer-point box has {volume} cells (cap {INTEGER_POINTS_CAP})")
     c, b = [0] * (1 << p), [sum(boxes)] * (1 << p)
     for J, lower in sys_.lower.items():
         X = sum(1 << (j - 1) for j in J)
         c[X], b[X] = lower, upper[J]
-    return PointSet._raw(p, _integer_points(c, b, p, cap))
+    return PointSet._raw(p, _integer_points(c, b, p))
 
 
-def _integer_points(c: list[int], b: list[int], p: int, cap, limit=math.inf) -> list:
+def _integer_points(c: list[int], b: list[int], p: int, limit=math.inf) -> list:
     """The points y >= 0 with c(X) <= y(X) <= b(X) for bound tables indexed by
-    bitmask, in lex order; cap None skips the box-volume check, and the walk
-    stops after more than limit points.  It fixes y_1, y_2, ... in turn: the
-    masks with largest bit k are 2^k + X for X < 2^k, so against a node's
-    prefix sums y(X) their bounds are the slices c[2^k:2^(k+1)] and
-    b[2^k:2^(k+1)], and y_(k+1) runs from max(0, c - sums) to min(b - sums).
-    No failed prefix is extended; the last coordinate fills the point list."""
-    volume = math.prod(max(0, b[1 << k] + 1) for k in range(p))
-    if cap is not None and volume > cap:
-        raise CapExceeded(f"integer-point box has {volume} cells (cap {cap})")
+    bitmask, in lex order; the walk stops after more than limit points.  It
+    fixes y_1, y_2, ... in turn: the masks with largest bit k are 2^k + X for
+    X < 2^k, so against a node's prefix sums y(X) their bounds are the slices
+    c[2^k:2^(k+1)] and b[2^k:2^(k+1)], and y_(k+1) runs from max(0, c - sums)
+    to min(b - sums).  No failed prefix is extended; the last coordinate
+    fills the point list."""
     if p == 0:
         return [()]
     lows, highs = ([t[1 << k:2 << k] for k in range(p)] for t in (c, b))
@@ -491,43 +488,46 @@ def is_cave(C: PointSet, order_policy="all") -> Check:
     and (off the origin) be a g-polymatroid.  A failure names its condition
     and a truncation cell b; the failed top or g-polymatroid check's own
     witness is nested under "cause".  Raises CapExceeded before the walk
-    when the truncation grid prod(max_i + 1) exceeds CAVE_GRID_CAP, and in
-    the g-polymatroid check when 2^p exceeds GRID_CAP.
+    when the truncation grid, one cell per tuple of axis_values(C), exceeds
+    CAVE_GRID_CAP, and in the g-polymatroid check when 2^p exceeds GRID_CAP.
 
-    Truncations are bitmasks over the points of C: one mask per axis i and
-    value v marks the points with q_i >= v, and the truncation at b is the
-    AND of the masks of b_i, formed one axis at a time in grid order.  Only
-    the distinct truncations become point sets.  An axis order's lex order
-    on a top depends only on its projection onto the axes where the top's
-    points differ, so each top is walked, on cube codes, once per distinct
-    projection; a failure names the first order with that projection."""
+    On axis i the b_i above one value of C (or from 0) up to the next value
+    keep the same points; a cell names that class by its least b_i.
+    Truncations are bitmasks over the points, the AND of one mask per axis
+    in grid order; each distinct one is checked at its first cell, except C,
+    first met at the origin: it is named at the first nonzero integer cell
+    that keeps it, e_k for the last axis k with a positive minimum, if any,
+    so it too is checked as a g-polymatroid.  Each top is walked on cube
+    codes once per distinct projection of the orders onto the axes where its
+    points differ; a failure names the first such order."""
     from .stalactite import _cube_coding, _stalactite_walk
 
     if not C:
         raise EmptySetError("cave test on an empty set")
     p = C.ambient_p
     orders = axis_orders(p, order_policy)
-    maxes = [max(q[i] for q in C) for i in range(p)]
-    cells = math.prod(m + 1 for m in maxes)
+    values = axis_values(C)
+    cells = math.prod(map(len, values))
     if cells > CAVE_GRID_CAP:
         raise CapExceeded(f"truncation grid has {cells} cells (cap {CAVE_GRID_CAP})")
 
-    masks = [(1 << len(C)) - 1]
-    for i, m in enumerate(maxes):
-        axis = [sum(1 << k for k, q in enumerate(C.points) if q[i] >= v) for v in range(m + 1)]
+    full = (1 << len(C)) - 1
+    masks = [full]
+    for i, vs in enumerate(values):
+        axis = [sum(1 << k for k, q in enumerate(C.points) if q[i] >= v) for v in vs]
         masks = [x & y for x in masks for y in axis]
-    # distinct truncations, each with the first cell b that produces it, or
-    # the first nonzero one if there is one: only those need the g-polymatroid
-    # check, and a failure names that cell
-    trunc = {}
-    for mask, b in zip(masks, itertools.product(*(range(m + 1) for m in maxes))):
-        if mask and (mask not in trunc or not any(trunc[mask])):
-            trunc[mask] = b
+    least = [[0] + [v + 1 for v in vs[:-1]] for vs in values]  # each class's least b_i
+    trunc = {}  # distinct truncation -> the first cell that produces it
+    for mask, b in zip(masks, itertools.product(*least)):
+        if mask:
+            trunc.setdefault(mask, b)
+    if positive := [i for i, vs in enumerate(values) if vs[0]]:
+        trunc[full] = tuple(int(i == positive[-1]) for i in range(p))
 
     def fail(condition, **witness):  # at the truncation cell b of the loop below
         return Check(False, {"condition": condition, "truncation": list(b), **witness})
 
-    strides, decode = _cube_coding(max(maxes, default=0) + 1, p)
+    strides, decode = _cube_coding(max((vs[-1] for vs in values), default=0) + 1, p)
     for mask, b in trunc.items():
         A = PointSet._raw(p, (q for k, q in enumerate(C.points) if mask >> k & 1))
         T = top(A)

@@ -205,16 +205,16 @@ def _count_walk(node) -> int:
     return sum(1 for _ in _zero_one_walk(*node))
 
 
-def count_zero_one(p: int, jobs: int = 1, cap: int = CENSUS_CAP) -> int:
+def count_zero_one(p: int, jobs: int = 1) -> int:
     """Number of permutations in S_p with a zero-one Schubert polynomial.
 
     With jobs > 1 the root's p - 1 subtrees are walked by a pool of at most
     p - 1 processes; the root w0 itself, with the staircase monomial, counts
-    as 1."""
+    as 1.  CapExceeded above p = CENSUS_CAP, before the walk."""
     if p < 1:
         raise ValueError("p must be positive")
-    if p > cap:
-        raise CapExceeded(f"census for p = {p} exceeds the cap {cap}")
+    if p > CENSUS_CAP:
+        raise CapExceeded(f"census for p = {p} exceeds the cap {CENSUS_CAP}")
     root = (longest_perm(p), staircase_terms(p))
     if jobs <= 1 or p <= 3:
         return _count_walk(root)

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import GRID_CAP, CapExceeded, PointSet, check_index_subset, json_key, json_value
+from .lattice import GRID_CAP, CapExceeded, PointSet, check_index_subset, check_subset_table, json_key, json_value
 from .polymatroid import base_polymatroid
 
 
@@ -78,11 +78,6 @@ def _integer_row(g) -> list[int]:
     return [x.numerator * (d // x.denominator) for x in g]
 
 
-def _check_rank_table_cap(p: int):
-    if 1 << p > GRID_CAP:
-        raise CapExceeded(f"rank table has {1 << p} subsets (cap {GRID_CAP})")
-
-
 def rank_table(config: SubspaceConfig) -> dict[frozenset, int]:
     """rank(J) for every J of [p] (1-based), in one pass over bitmasks, so the
     subsets come in bitmask order (bit j - 1 stands for index j).  The
@@ -91,7 +86,7 @@ def rank_table(config: SubspaceConfig) -> dict[frozenset, int]:
     divided by their gcd.  Raises CapExceeded before any work when 2^p
     exceeds GRID_CAP."""
     p, q = config.p, config.q
-    _check_rank_table_cap(p)
+    check_subset_table(p, "rank table has", GRID_CAP)
     rows = [[_integer_row(g) for g in gens] for gens in config.subspaces]
     bases, subsets = [[]], [frozenset()]
     table = {frozenset(): 0}
@@ -137,7 +132,7 @@ def random_config(p: int, q: int, rng: random.Random, entry_bound: int = 3) -> S
         raise ValueError(f"random config needs p, q and entry bound >= 1, got {p}, {q}, {entry_bound}")
     if p * q * q > RANDOM_ENTRY_CAP:
         raise CapExceeded(f"random config draws up to {p * q * q} entries (cap {RANDOM_ENTRY_CAP})")
-    _check_rank_table_cap(p)
+    check_subset_table(p, "rank table has", GRID_CAP)
     while True:
         spans = []
         for _ in range(p):

@@ -316,7 +316,15 @@ def test_malformed_input_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["mobius", far_unit]) == 2
     assert capsys.readouterr().err == "resource cap: box grid has 1048576 cells (cap 1000000)\n"
-    assert main(["verify", "cave", huge]) == 2
+    # the truncation grid has one cell per tuple of axis values, so the far
+    # point is a one-cell cave; the line (k, 400 - k) takes 401 values on
+    # each axis, and its 160 801-cell grid is refused before any mask
+    capsys.readouterr()
+    assert main(["verify", "cave", huge, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] is True
+    line = write_json(tmp_path, "line.json", [[k, 400 - k] for k in range(401)])
+    assert main(["verify", "cave", line]) == 2
+    assert capsys.readouterr().err == "resource cap: truncation grid has 160801 cells (cap 100000)\n"
     # fails the stalactite-union condition, which a sample of no orders would never check
     diagonal = write_json(tmp_path, "diagonal.json", [[1, 0], [0, 1]])
     assert main(["verify", "cave", diagonal, "--orders", "natural"]) == 1

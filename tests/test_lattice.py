@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from kpoly import lattice
 from kpoly.lattice import (
     CapExceeded,
     DimensionError,
@@ -10,6 +11,7 @@ from kpoly.lattice import (
     GRID_CAP,
     IntPolynomial,
     PointSet,
+    axis_values,
     binomial_at,
     box_grid,
     downset,
@@ -259,8 +261,7 @@ def test_downset_difference_matches_the_literal_downset():
         gens = [tuple(rng.randint(0, 3) for _ in range(p)) for _ in range(rng.randint(1, 4))]
         assert downset_difference(gens) == literal_downset_difference(gens)
     # the same kind of sets translated by a random lo, zero on some axes and
-    # positive on others, run the kernel on the box from lo; a lo of zero
-    # everywhere keeps the box from the origin
+    # positive on others
     shifted = 0
     for _ in range(200):
         p = rng.randint(1, 4)
@@ -269,6 +270,16 @@ def test_downset_difference_matches_the_literal_downset():
         shifted += any(map(min, zip(*gens)))
         assert downset_difference(gens) == literal_downset_difference(gens)
     assert shifted > 100
+    # scaled per axis and translated: gaps between the values and lo != 0
+    gapped = 0
+    for _ in range(150):
+        p = rng.randint(1, 4)
+        scale = [rng.randint(1, 3) for _ in range(p)]
+        lo = [rng.randint(0, 3) for _ in range(p)]
+        gens = [tuple(a + k * rng.randint(0, 2) for a, k in zip(lo, scale)) for _ in range(rng.randint(1, 4))]
+        gapped += any(vs[-1] - vs[0] >= len(vs) for vs in axis_values(gens)) and any(map(min, zip(*gens)))
+        assert downset_difference(gens) == literal_downset_difference(gens)
+    assert gapped > 50
     # sparse generators in a large box: U_{1,12}, the degree-6 simplex in 3
     # variables and both lifted by (2, 1, 0, ...) decode their few cells correctly
     unit = [tuple(int(i == j) for j in range(12)) for i in range(12)]
@@ -277,6 +288,20 @@ def test_downset_difference_matches_the_literal_downset():
         assert downset_difference(gens) == literal_downset_difference(gens)
         lifted = [(u[0] + 2, u[1] + 1) + u[2:] for u in gens]
         assert downset_difference(lifted) == literal_downset_difference(lifted)
+
+
+def test_downset_difference_grid_has_one_cell_per_tuple_of_axis_values(monkeypatch):
+    gens = [(0, 7, 3), (5, 2, 3), (9, 2, 3)]
+    assert axis_values(gens) == [[0, 5, 9], [2, 7], [3]]
+    dims = []
+
+    def recorded(d, items):
+        dims.append(list(d))
+        return box_grid(d, items)
+
+    monkeypatch.setattr(lattice, "box_grid", recorded)
+    assert downset_difference(gens) == literal_downset_difference(gens)
+    assert dims == [[3, 2, 1]]
 
 
 def test_box_grid_cap_fires_before_allocating():

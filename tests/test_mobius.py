@@ -140,6 +140,19 @@ def test_literal_oracles_never_enter_the_grid_kernel(monkeypatch):
     assert reduced_euler_characteristic(uniform_matroid(2, 4)) == -3
 
 
+def test_recursive_oracle_refuses_a_downset_above_its_cap(monkeypatch):
+    # the running example's downset has 89 elements; the closed route has no
+    # such cap
+    P = point_set(MSUPP_3)
+    expected = mobius_to_top(P)
+    monkeypatch.setattr(mobius, "RECURSIVE_CAP", 88)
+    with pytest.raises(CapExceeded, match=r"^downset has 89 elements \(recursive cap 88\)$"):
+        mobius_to_top(P, "recursive")
+    assert mobius_to_top(P) == expected
+    monkeypatch.setattr(mobius, "RECURSIVE_CAP", 89)
+    assert mobius_to_top(P, "recursive") == expected
+
+
 def test_mobius_requires_polymatroid():
     with pytest.raises(ValueError):
         mobius_to_top(point_set([(2, 0), (0, 2)]))

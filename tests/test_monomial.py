@@ -105,7 +105,7 @@ def test_ideal_refuses_exactly_the_comparable_prime_lists():
 
 def test_large_homogeneous_ideal_builds_before_the_ie_cap_refuses_it():
     # the degree-15 simplex in 5 variables: 3876 pairwise incomparable primes
-    # of one coordinate sum, whose rank grid of 16^5 cells exceeds GRID_CAP
+    # of one coordinate sum, whose value grid of 16^5 cells exceeds GRID_CAP
     simplex = tuple(a + (15 - sum(a),) for a in itertools.product(range(16), repeat=4) if sum(a) <= 15)
     J = SquareFreeIdeal((15,) * 5, simplex)
     assert len(J.primes) == 3876
@@ -174,13 +174,13 @@ def test_lattice_route_on_large_antichains():
     expected = {(i, 24 - i): 1 for i in range(25)}
     expected.update({(i + 1, 24 - i): -1 for i in range(24)})
     assert ie_join_coefficients(J) == expected
-    # the 231-prime plane's rank grid holds 21^3 cells; the grid kernel must
+    # the 231-prime plane's value grid holds 21^3 cells; the grid kernel must
     # match the dict oracle differencing the literal downset of the ranked primes
     plane = tuple((a, b, 20 - a - b) for a in range(21) for b in range(21 - a))
     ranked = [tuple(20 - x for x in a) for a in plane]
     expected = {tuple(20 - r for r in u): c for u, c in literal_downset_difference(ranked).items()}
     assert ie_join_coefficients(SquareFreeIdeal((20, 20, 20), plane)) == expected
-    # 101 primes with 101 distinct values on each axis: the rank grid of
+    # 101 primes with 101 distinct values on each axis: the value grid of
     # 101^3 cells exceeds GRID_CAP, and the cap fires before allocating
     line = tuple((i, 100 - i, i) for i in range(101))
     with pytest.raises(CapExceeded, match="1030301 cells"):

@@ -12,6 +12,7 @@ from kpoly import stalactite as stalactite_module
 from kpoly.lattice import (
     GRID_CAP,
     CapExceeded,
+    Check,
     EmptySetError,
     PointSet,
     homogenize,
@@ -320,6 +321,15 @@ def test_integer_points_walk_matches_the_box_filter():
         assert Z == _box_filter(sys_), sys_
         nonempty += bool(Z)
     assert nonempty > 150
+
+
+def test_integer_points_refuses_a_box_above_its_cap_before_the_walk(monkeypatch):
+    # the box 0 <= y_i <= 2 in three coordinates holds 27 cells
+    sys_ = GPolyInequalitySystem(3, {(i,): 0 for i in (1, 2, 3)}, {(i,): 2 for i in (1, 2, 3)})
+    monkeypatch.setattr(polymatroid, "INTEGER_POINTS_CAP", 26)
+    monkeypatch.setattr(polymatroid, "_integer_points", lambda *args: pytest.fail("walk before the cap"))
+    with pytest.raises(CapExceeded, match=r"^integer-point box has 27 cells \(cap 26\)$"):
+        integer_points(sys_)
 
 
 def test_integer_points_names_a_missing_singleton_bound():
@@ -699,6 +709,46 @@ def test_cave_test_matches_the_literal_oracle():
     # order in these sets, so "all" fails at its first order, (1..p), and
     # only the samples, which start elsewhere, report other orders
     assert seen["reordered"] > 40
+    # the same kind of sets scaled per axis and translated, so their values
+    # have gaps and a positive least value on some axes, which the oracle
+    # still truncates at every cell of the grid from the origin
+    moved = collections.Counter()
+    for k in range(300):
+        p = rng.choice((1, 2, 3, 3, 4))
+        cells = list(itertools.product(range(rng.choice((2, 3)) if p < 4 else 2), repeat=p))
+        scale = [rng.randint(1, 3) for _ in range(p)]
+        lo = [rng.randint(0, 2) for _ in range(p)]
+        base = rng.sample(cells, rng.randint(1, min(len(cells), 9)))
+        C = PointSet(p, [tuple(a + s * x for a, s, x in zip(lo, scale, q)) for q in base])
+        policy = rng.choice(("all", "natural", ("sample", 3, k)))
+        chk = is_cave(C, policy)
+        assert (None if chk else chk.witness) == literal_cave_witness(C, policy), (list(C), policy)
+        moved["pass" if chk else chk.witness["condition"]] += 1
+        b = [] if chk else chk.witness["truncation"]
+        moved["C at a unit cell"] += any(b) and truncate(C, b) == C
+    conditions = ("pass", "top-polymatroid", "truncation-g-polymatroid", "stalactite-union")
+    assert min(moved[c] for c in conditions) >= 15
+    # a failure at C itself off the origin names e_k, k the last positive axis
+    assert moved["C at a unit cell"] > 100
+
+
+def test_cave_names_each_truncation_at_its_first_nonzero_integer_cell(monkeypatch):
+    # a translated cave passes every check, so failing the g-polymatroid
+    # check of one truncation at a time shows the cell that names it: the
+    # first nonzero cell of the integer grid from the origin that gives it
+    C = PointSet(3, [(a + 1, b, c + 2) for a, b, c in HILBERT_3])
+    assert is_cave(C, "natural")
+    first = {}
+    for b in itertools.product(*(range(max(q[i] for q in C) + 1) for i in range(3))):
+        if any(b):
+            first.setdefault(truncate(C, b), list(b))
+    del first[PointSet(3)]
+    real = polymatroid.is_g_polymatroid
+    for T, b in first.items():
+        monkeypatch.setattr(polymatroid, "is_g_polymatroid",
+                            lambda A, method, T=T: Check(False, {}) if A == T else real(A, method))
+        assert is_cave(C, "natural").witness["truncation"] == b, list(T)
+    assert len(first) == 16
 
 
 def _cave_truncations(C):
