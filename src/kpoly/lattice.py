@@ -470,20 +470,31 @@ def axis_values(points) -> list[list[int]]:
     return [sorted(set(col)) for col in zip(*points)]
 
 
-def downset_difference(points) -> dict[Point, int]:
-    """{u: value} over the nonzero cells of the downset's indicator differenced
-    along every axis: zeta of the points' indicator marks the downset, then
-    grid_transform(-1), on one cell per tuple of axis_values (CapExceeded
-    above GRID_CAP cells, before allocating).  Where u_i is no value on axis
-    i, u_i and u_i + 1 lie below the same points, so the difference cancels;
-    on the values only their order matters (an order isomorphism keeps the
-    Mobius function), so the grid runs on value ranks, read back as values."""
-    pts = list(points)
-    values = axis_values(pts)
+def class_floors(values) -> list[list[int]]:
+    """The least coordinate of each value class: on an axis with sorted values
+    v, the x in (v_{r-1}, v_r] lie below the same points (class 0 from 0)."""
+    return [[0] + [v + 1 for v in vs[:-1]] for vs in values]
+
+
+def value_zeta(terms: dict) -> tuple[list[list[int]], list[int]]:
+    """(axis_values of the points of {point: c}, the zeta sum_{w >= u} c(w) on
+    one cell per tuple of those values, in C order).  The grid runs on value
+    ranks, as an order isomorphism keeps zeta and Mobius (CapExceeded above
+    GRID_CAP cells, checked before allocating)."""
+    values = axis_values(terms)
     ranks = [{x: r for r, x in enumerate(vs)} for vs in values]
     dims = list(map(len, values))
-    grid = grid_transform(box_grid(dims, ((tuple(map(operator.getitem, ranks, u)), 1) for u in pts)), dims, 1)
-    grid = grid_transform([1 if c else 0 for c in grid], dims, -1)
+    grid = box_grid(dims, ((tuple(map(operator.getitem, ranks, u)), c) for u, c in terms.items()))
+    return values, grid_transform(grid, dims, 1)
+
+
+def downset_difference(points) -> dict[Point, int]:
+    """{u: value} over the nonzero cells of the downset's indicator differenced
+    along every axis: grid_transform(-1) of the value_zeta that marks the
+    downset, read back as values.  Where u_i is no value on axis i, u_i and
+    u_i + 1 lie below the same points, so the difference cancels."""
+    values, grid = value_zeta(dict.fromkeys(points, 1))
+    grid = grid_transform([1 if c else 0 for c in grid], list(map(len, values)), -1)
     cells = itertools.compress(itertools.product(*values), grid)
     return dict(zip(cells, filter(None, grid)))
 

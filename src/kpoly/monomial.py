@@ -23,12 +23,15 @@ from .lattice import (
     vec_sub,
 )
 
-DEFAULT_SUBSET_CAP = 20
+# primes the literal subset route may take (2^k - 1 subsets), and monomials
+# hilbert_function_bruteforce may enumerate
+SUBSET_CAP = 20
+BRUTEFORCE_CAP = 2_000_000
 
 
 def subset_cap(cap: int | None = None) -> int:
-    """The subset route's prime cap: cap, or DEFAULT_SUBSET_CAP when None."""
-    return DEFAULT_SUBSET_CAP if cap is None else cap
+    """The subset route's prime cap: cap, or SUBSET_CAP when None."""
+    return SUBSET_CAP if cap is None else cap
 
 
 @dataclass(frozen=True)
@@ -113,38 +116,17 @@ def hilbert_poly_prime(q: BorelPrime) -> IntPolynomial:
     return IntPolynomial._raw(len(q.m), {vec_sub(q.m, q.a): 1})
 
 
-def _ie_coefficients_subsets(gens: list[Point], cap: int) -> dict[Point, int]:
-    """Signed subset sums grouped by join, by Gray-code iteration over 2^k - 1
-    nonempty subsets (incremental max on insert, recompute on removal)."""
+def _ie_coefficients_subsets(gens: list[Point]) -> dict[Point, int]:
+    """Signed subset sums grouped by join, literally: (-1)^(r-1) at the
+    componentwise max of each of the 2^k - 1 nonempty subsets of r primes."""
     k = len(gens)
-    if k > cap:
-        raise CapExceeded(
-            f"inclusion-exclusion over {k} primes exceeds the 2^{cap} subset cap"
-        )
+    if k > SUBSET_CAP:
+        raise CapExceeded(f"inclusion-exclusion over {k} primes exceeds the 2^{SUBSET_CAP} subset cap")
     coeffs: dict[Point, int] = {}
-    members: list[bool] = [False] * k
-    size = 0
-    current: Point | None = None
-    prev_gray = 0
-    for g in range(1, 1 << k):
-        gray = g ^ (g >> 1)
-        bit = (gray ^ prev_gray).bit_length() - 1
-        prev_gray = gray
-        if members[bit]:
-            members[bit] = False
-            size -= 1
-            current = None
-            for i in range(k):
-                if members[i]:
-                    current = gens[i] if current is None else vec_max(current, gens[i])
-        else:
-            members[bit] = True
-            size += 1
-            current = gens[bit] if current is None else vec_max(current, gens[bit])
-        if size == 0:
-            continue
-        sign = 1 if (size - 1) % 2 == 0 else -1
-        coeffs[current] = coeffs.get(current, 0) + sign
+    for r in range(1, k + 1):
+        for sub in itertools.combinations(gens, r):
+            v = tuple(map(max, zip(*sub)))
+            coeffs[v] = coeffs.get(v, 0) + (-1) ** (r - 1)
     return {v: c for v, c in coeffs.items() if c}
 
 
@@ -153,39 +135,40 @@ def _ie_coefficients_lattice(gens: list[Point]) -> dict[Point, int]:
     the up-set of the generators, so c is that indicator differenced along
     every axis.  Reflecting through the generators' componentwise max M,
     u -> M - u, turns the up-set into the downset of the reflected
-    generators, which lattice.downset_difference differences on their value
-    grid (CapExceeded above GRID_CAP cells, checked before allocating)."""
+    generators, which lattice.downset_difference, the Mobius kernel,
+    differences on their value grid (CapExceeded above GRID_CAP cells,
+    checked before allocating)."""
     M = tuple(map(max, zip(*gens)))
     diff = downset_difference([tuple(map(sub, M, g)) for g in gens])
     return {tuple(map(sub, M, u)): c for u, c in diff.items()}
 
 
-def ie_join_coefficients(J: SquareFreeIdeal, method: str = "lattice", cap: int | None = None) -> dict[Point, int]:
+def ie_join_coefficients(J: SquareFreeIdeal, method: str = "lattice") -> dict[Point, int]:
     """Coefficient of each prime sum p_v in the inclusion-exclusion expansion.
 
-    method: "lattice" (Mobius inversion on the value grid, the production
-    route) or "subsets" (the literal Gray-code sum over all 2^k - 1 subsets,
-    refused above cap primes; kept as the oracle the tests compare against).
+    method: "lattice" (the Mobius kernel on the value grid, the production
+    route) or "subsets" (the literal sum over all 2^k - 1 nonempty subsets,
+    refused above SUBSET_CAP primes; the oracle the tests compare against).
     """
     gens = list(J.primes)
     if method == "lattice":
         return _ie_coefficients_lattice(gens)
     if method == "subsets":
-        return _ie_coefficients_subsets(gens, subset_cap(cap))
+        return _ie_coefficients_subsets(gens)
     raise ValueError(f"unknown IE method {method!r}")
 
 
-def hilbert_poly_ie(J: SquareFreeIdeal, method: str = "lattice", cap: int | None = None) -> IntPolynomial:
+def hilbert_poly_ie(J: SquareFreeIdeal, method: str = "lattice") -> IntPolynomial:
     """Inclusion-exclusion Hilbert polynomial: signed binomial-product terms
     at m - join over all nonempty prime subsets, like terms combined."""
-    coeffs = ie_join_coefficients(J, method, cap)
+    coeffs = ie_join_coefficients(J, method)
     # every join of primes lies below m
     return IntPolynomial._raw(J.ambient_p, {tuple(a - b for a, b in zip(J.m, v)): c for v, c in coeffs.items()})
 
 
-def k_poly_ie(J: SquareFreeIdeal, method: str = "lattice", cap: int | None = None) -> IntPolynomial:
+def k_poly_ie(J: SquareFreeIdeal, method: str = "lattice") -> IntPolynomial:
     """Inclusion-exclusion twisted K-polynomial: the prime p_a contributes z^a."""
-    return IntPolynomial._raw(J.ambient_p, ie_join_coefficients(J, method, cap))
+    return IntPolynomial._raw(J.ambient_p, ie_join_coefficients(J, method))
 
 
 def msupp_to_ideal(msupp: PointSet, m) -> SquareFreeIdeal:
@@ -257,21 +240,22 @@ def count_monomials(v: Point, m: Point) -> int:
     return math.prod(math.comb(vi + mi, mi) for vi, mi in zip(v, m))
 
 
-def hilbert_function_bruteforce(J: SquareFreeIdeal, v, cap: int = 2_000_000) -> int:
+def hilbert_function_bruteforce(J: SquareFreeIdeal, v) -> int:
     """Number of multidegree-v monomials outside J, computed two ways:
 
     * direct enumeration of all monomials of multidegree v (a monomial
       survives iff its variables avoid some minimal prime entirely), and
     * the closed form: the IE Hilbert polynomial evaluated at v.
 
-    The two counts must agree; a mismatch is an internal error.
+    The two counts must agree; a mismatch is an internal error.  CapExceeded
+    above BRUTEFORCE_CAP monomials, before the enumeration.
     """
     from .stalactite import hilbert_eval
 
     v = as_point(v, J.ambient_p)
     n_monomials = count_monomials(v, J.m)
-    if n_monomials > cap:
-        raise CapExceeded(f"{n_monomials} monomials exceed the enumeration cap {cap}")
+    if n_monomials > BRUTEFORCE_CAP:
+        raise CapExceeded(f"{n_monomials} monomials exceed the enumeration cap {BRUTEFORCE_CAP}")
 
     # A monomial avoids p_a iff, in every component i, it only uses variables
     # x_{i,j} with j >= a_i; only the smallest used index per component matters.

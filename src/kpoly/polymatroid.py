@@ -21,9 +21,11 @@ from .lattice import (
     axis_values,
     check_index_subset,
     check_subset_table,
+    class_floors,
     homogenize,
     top,
     unit_shift,
+    value_zeta,
 )
 
 G_POLY_METHODS = ("axioms", "homogenization", "paramodular")
@@ -492,9 +494,10 @@ def is_cave(C: PointSet, order_policy="all") -> Check:
     CAVE_GRID_CAP, and in the g-polymatroid check when 2^p exceeds GRID_CAP.
 
     On axis i the b_i above one value of C (or from 0) up to the next value
-    keep the same points; a cell names that class by its least b_i.
-    Truncations are bitmasks over the points, the AND of one mask per axis
-    in grid order; each distinct one is checked at its first cell, except C,
+    keep the same points; a cell names that class by its least b_i
+    (class_floors).  Truncations are bitmasks over the points, the value_zeta
+    of the distinct point bits 2^k, so a sum of bits is their OR; each
+    distinct one is checked at its first cell in grid order, except C,
     first met at the origin: it is named at the first nonzero integer cell
     that keeps it, e_k for the last axis k with a positive minimum, if any,
     so it too is checked as a g-polymatroid.  Each top is walked on cube
@@ -511,18 +514,13 @@ def is_cave(C: PointSet, order_policy="all") -> Check:
     if cells > CAVE_GRID_CAP:
         raise CapExceeded(f"truncation grid has {cells} cells (cap {CAVE_GRID_CAP})")
 
-    full = (1 << len(C)) - 1
-    masks = [full]
-    for i, vs in enumerate(values):
-        axis = [sum(1 << k for k, q in enumerate(C.points) if q[i] >= v) for v in vs]
-        masks = [x & y for x in masks for y in axis]
-    least = [[0] + [v + 1 for v in vs[:-1]] for vs in values]  # each class's least b_i
+    _, masks = value_zeta({q: 1 << k for k, q in enumerate(C.points)})
     trunc = {}  # distinct truncation -> the first cell that produces it
-    for mask, b in zip(masks, itertools.product(*least)):
+    for mask, b in zip(masks, itertools.product(*class_floors(values))):
         if mask:
             trunc.setdefault(mask, b)
     if positive := [i for i, vs in enumerate(values) if vs[0]]:
-        trunc[full] = tuple(int(i == positive[-1]) for i in range(p))
+        trunc[masks[0]] = tuple(int(i == positive[-1]) for i in range(p))  # the origin keeps all of C
 
     def fail(condition, **witness):  # at the truncation cell b of the loop below
         return Check(False, {"condition": condition, "truncation": list(b), **witness})

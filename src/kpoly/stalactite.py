@@ -16,16 +16,16 @@ from .lattice import (
     PointSet,
     as_point,
     binomial_at,
-    box_grid,
     check_axis_order,
+    class_floors,
     dominates,
-    grid_transform,
     json_key,
     json_point,
     json_value,
     point_set_from_json,
     top,
     unit_shift,
+    value_zeta,
 )
 from .polymatroid import is_base_polymatroid
 
@@ -225,26 +225,24 @@ def mobius_sum_check(H: IntPolynomial, n) -> int:
 
 
 def dominance_sums(H: IntPolynomial) -> dict[Point, int]:
-    """S(n) = sum_{w >= n} H(w) for every n in the bounding box of the support,
-    the zeta transform of H by lattice.grid_transform on that box (CapExceeded
-    above GRID_CAP cells, checked before allocating)."""
+    """S(n) = sum_{w >= n} H(w) by lattice.value_zeta, keyed by class floors
+    (lattice.class_floors): S is constant on each class, and the classes tile
+    the box from the origin to the support's maximum."""
     if not H:
         raise EmptySetError("empty support")
-    dims = [max(col) + 1 for col in zip(*H.terms)]
-    sums = grid_transform(box_grid(dims, H.terms.items()), dims, 1)
-    return dict(zip(itertools.product(*map(range, dims)), sums))
+    values, sums = value_zeta(H.terms)
+    return dict(zip(itertools.product(*class_floors(values)), sums))
 
 
 def verify_mobius_sums(H: IntPolynomial) -> Check:
-    """Check sum_{w >= n} H(w) = 1 for every n dominated by some top point."""
-    if not H:
-        raise EmptySetError("empty support")
+    """Check sum_{w >= n} H(w) = 1 for every n dominated by some top point:
+    the classes where value_zeta of the tops' indicator is nonzero.  A failure
+    names the first such n in natural lex order, its class floor."""
     sums = dominance_sums(H)
-    tops = list(top(H.support()))
-    for n, s in sums.items():
-        if not any(dominates(w, n) for w in tops):
-            continue
-        if s != 1:
+    tops = top(H.support())._set
+    _, below = value_zeta({u: int(u in tops) for u in H.terms})
+    for (n, s), hit in zip(sums.items(), below):
+        if hit and s != 1:
             return Check(False, {"condition": "dominance-sum", "n": list(n), "sum": s})
     return Check(True)
 

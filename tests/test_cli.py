@@ -107,6 +107,25 @@ def test_explicit_route_on_non_zero_one_is_usage_error(capsys):
     assert main(["grothendieck", arg, "--via", "stalactites"]) == 2
 
 
+def test_grothendieck_refuses_p_above_its_cap_before_any_work(monkeypatch, capsys):
+    # p = 46 used to recurse past Python's stack limit; every route and the
+    # zero-one test reach grothendieck, so each inherits its cap
+    identity = ",".join(map(str, range(1, 47)))
+    for argv in (["grothendieck", identity], ["schubert", identity], ["grothendieck", identity, "--verify"]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "resource cap: Grothendieck polynomial for p = 46 exceeds the cap 10\n"
+    monkeypatch.setattr(schubert, "_isobaric_raw", lambda *args: pytest.fail("divided difference before the cap"))
+    for route in (schubert.grothendieck, schubert.is_zero_one, schubert.msupp_of_matrix_schubert):
+        with pytest.raises(CapExceeded, match="p = 11 exceeds the cap 10"):
+            route(range(1, 12))
+    monkeypatch.undo()
+    monkeypatch.setattr(schubert, "GROTHENDIECK_CAP", 3)
+    assert main(["grothendieck", "1,2,3"]) == 0
+    assert main(["grothendieck", "1,2,3,4"]) == 2
+    assert capsys.readouterr().err == "resource cap: Grothendieck polynomial for p = 4 exceeds the cap 3\n"
+
+
 def test_census(capsys):
     assert main(["census", "4"]) == 0
     assert "24" in capsys.readouterr().out

@@ -14,6 +14,7 @@ from kpoly.lattice import (
     axis_values,
     binomial_at,
     box_grid,
+    class_floors,
     downset,
     downset_difference,
     dominates,
@@ -28,6 +29,7 @@ from kpoly.lattice import (
     support_bounds,
     top,
     truncate,
+    value_zeta,
     vec_max,
 )
 from running_example import MSUPP_3
@@ -302,6 +304,43 @@ def test_downset_difference_grid_has_one_cell_per_tuple_of_axis_values(monkeypat
     monkeypatch.setattr(lattice, "box_grid", recorded)
     assert downset_difference(gens) == literal_downset_difference(gens)
     assert dims == [[3, 2, 1]]
+
+
+def test_value_zeta_matches_the_literal_zeta_on_every_value_class():
+    assert class_floors([[0, 5, 9], [2, 7], [3]]) == [[0, 1, 6], [0, 3], [0]]
+    rng = random.Random(19)
+    for _ in range(200):
+        p = rng.randint(1, 3)
+        lo = [rng.randint(0, 3) for _ in range(p)]
+        scale = [rng.randint(1, 3) for _ in range(p)]
+        pts = [tuple(a + k * rng.randint(0, 3) for a, k in zip(lo, scale)) for _ in range(rng.randint(1, 5))]
+        terms = {q: rng.choice((-2, -1, 1, 2)) for q in pts}
+        values, zeta = value_zeta(terms)
+        assert values == axis_values(terms)
+        for b, u, s in zip(itertools.product(*class_floors(values)), itertools.product(*values), zeta):
+            # from its floor b up to its values u, a class lies below the same points
+            assert s == sum(c for w, c in terms.items() if dominates(w, b))
+            assert s == sum(c for w, c in terms.items() if dominates(w, u))
+
+
+def test_every_zeta_runs_on_the_value_grid(monkeypatch):
+    from kpoly.polymatroid import is_cave
+    from kpoly.stalactite import dominance_sums, verify_mobius_sums
+
+    # the box from the origin holds 1002^3 cells; the value grid holds 8
+    far = [(1000, 1000, 1001), (1000, 1001, 1000), (1001, 1000, 1000)]
+    dims = []
+
+    def recorded(d, items):
+        dims.append(list(d))
+        return box_grid(d, items)
+
+    monkeypatch.setattr(lattice, "box_grid", recorded)
+    downset_difference(far)
+    dominance_sums(IntPolynomial(3, dict.fromkeys(far, 1)))
+    verify_mobius_sums(IntPolynomial(3, dict.fromkeys(far, 1)))  # the sums and the tops' indicator
+    is_cave(PointSet(3, far))
+    assert dims == [[2, 2, 2]] * 5
 
 
 def test_box_grid_cap_fires_before_allocating():

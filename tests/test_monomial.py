@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from kpoly import monomial
 from kpoly.lattice import CapExceeded, IntPolynomial, point_set
 from kpoly.monomial import (
     BorelPrime,
@@ -187,11 +188,13 @@ def test_lattice_route_on_large_antichains():
         ie_join_coefficients(SquareFreeIdeal((100, 100, 100), line))
 
 
-def test_subset_cap_enforced():
+def test_subset_cap_enforced(monkeypatch):
     J = running_ideal()
+    monkeypatch.setattr(monomial, "SUBSET_CAP", 5)
     with pytest.raises(CapExceeded):
-        hilbert_poly_ie(J, method="subsets", cap=5)
-    assert hilbert_poly_ie(J, method="subsets", cap=7).terms == HILBERT_3
+        hilbert_poly_ie(J, method="subsets")
+    monkeypatch.setattr(monomial, "SUBSET_CAP", 7)
+    assert hilbert_poly_ie(J, method="subsets").terms == HILBERT_3
 
 
 def test_k_poly_ie_running_example():
@@ -268,11 +271,12 @@ def test_hilbert_function_equals_polynomial_running_example():
         assert hilbert_function_bruteforce(J, v) == hilbert_eval(H, v)
 
 
-def test_bruteforce_cap():
+def test_bruteforce_cap(monkeypatch):
     J = running_ideal()
     assert count_monomials((3, 3, 3), (4, 4, 4)) == 35**3
+    monkeypatch.setattr(monomial, "BRUTEFORCE_CAP", 100)
     with pytest.raises(CapExceeded):
-        hilbert_function_bruteforce(J, (3, 3, 3), cap=100)
+        hilbert_function_bruteforce(J, (3, 3, 3))
 
 
 def test_coefficient_sum_is_one_for_polymatroid_ideals():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from kpoly.lattice import IntPolynomial, PointSet, lex_compare, point_set
+from kpoly.lattice import IntPolynomial, PointSet, dominates, lex_compare, point_set, top
 from kpoly.stalactite import (
     collapse_fixed_components,
     dominance_sums,
@@ -192,6 +192,60 @@ def test_dominance_sums_match_pointwise_check():
     assert verify_mobius_sums(H)
     with pytest.raises(ValueError):
         dominance_sums(IntPolynomial(3))
+
+
+def literal_dominance_witness(H):
+    """verify_mobius_sums's witness by the literal loop over the box from the
+    origin to the support's maximum, in natural lex order; None on a pass."""
+    tops = top(H.support())
+    for n in itertools.product(*(range(max(col) + 1) for col in zip(*H.terms))):
+        if any(dominates(w, n) for w in tops):
+            s = sum(c for w, c in H.terms.items() if dominates(w, n))
+            if s != 1:
+                return {"condition": "dominance-sum", "n": list(n), "sum": s}
+    return None
+
+
+def test_dominance_sums_and_witnesses_match_the_literal_origin_box():
+    rng = random.Random(19)
+    supports = []
+    # gaps between the values, lo != 0 and negative coefficients
+    for _ in range(300):
+        p = rng.randint(1, 3)
+        lo = [rng.randint(0, 3) for _ in range(p)]
+        scale = [rng.randint(1, 3) for _ in range(p)]
+        pts = [tuple(a + k * rng.randint(0, 3) for a, k in zip(lo, scale)) for _ in range(rng.randint(1, 5))]
+        supports.append(IntPolynomial(p, {q: rng.choice((-2, -1, 1, 1, 2)) for q in pts}))
+    # Hilbert supports, which pass, and their translates by (1, 2, 3, ...)
+    for msupp in ([(2, 0, 1), (1, 1, 1), (0, 2, 1), (1, 2, 0), (2, 1, 0)], MSUPP_3):
+        H = hsupp_from_msupp(point_set(msupp))
+        supports.append(H)
+        supports.append(IntPolynomial(3, {tuple(c + k for k, c in enumerate(q, 1)): v for q, v in H.terms.items()}))
+    failed = 0
+    for H in supports:
+        literal = {}  # class floor -> the literal sum at every n of its class
+        cols = list(zip(*H.terms))
+        for n in itertools.product(*(range(max(col) + 1) for col in cols)):
+            floor = tuple(max([0] + [v + 1 for v in col if v < x]) for col, x in zip(cols, n))
+            s = sum(c for w, c in H.terms.items() if dominates(w, n))
+            assert literal.setdefault(floor, s) == s
+        assert dominance_sums(H) == literal
+        chk = verify_mobius_sums(H)
+        assert chk.witness == literal_dominance_witness(H)
+        failed += not chk
+    assert 200 < failed < len(supports) - 3
+
+
+def test_dominance_sums_run_on_the_value_grid_far_from_the_origin():
+    # the box from the origin to (1001, 1001, 1001) holds more than GRID_CAP
+    # cells; the values 1000 and 1001 on each axis give 8 classes
+    P = point_set([(1000, 1000, 1001), (1000, 1001, 1000), (1001, 1000, 1000)])
+    H = hsupp_from_msupp(P)
+    assert len(H.terms) == 4
+    assert verify_mobius_sums(H)
+    sums = dominance_sums(H)
+    assert len(sums) == 8
+    assert sums[(0, 0, 0)] == sums[(1001, 0, 0)] == 1 and sums[(1001, 1001, 1001)] == 0
 
 
 def test_collapse_and_embed():
