@@ -426,6 +426,15 @@ def check_subset_table(p: int, table: str, cap: int) -> None:
         raise CapExceeded(f"{table} {1 << p} subsets (cap {cap})")
 
 
+def _cube_coding(r: int, p: int):
+    """(strides, decode) of the one integer coding of points, on the cube
+    [0, r)^p: q has the code sum_i q_i * r^(p-1-i), last coordinate fastest,
+    so codes sort as their points in natural lex order, q_i is
+    code // strides[i] % r and q - e_i is code - strides[i]."""
+    strides = [r ** k for k in range(p - 1, -1, -1)]
+    return strides, lambda code: tuple([code // s % r for s in strides])
+
+
 def box_grid(dims, items) -> list[int]:
     """Flat C-order list over the box of the given side lengths, 0 except value c
     at each (point, c) of items.  Raises CapExceeded before allocating when the

@@ -18,6 +18,7 @@ from .lattice import (
     Check,
     EmptySetError,
     PointSet,
+    _cube_coding,
     axis_values,
     check_index_subset,
     check_subset_table,
@@ -503,7 +504,7 @@ def is_cave(C: PointSet, order_policy="all") -> Check:
     so it too is checked as a g-polymatroid.  Each top is walked on cube
     codes once per distinct projection of the orders onto the axes where its
     points differ; a failure names the first such order."""
-    from .stalactite import _cube_coding, _stalactite_walk
+    from .stalactite import _stalactite_walk
 
     if not C:
         raise EmptySetError("cave test on an empty set")

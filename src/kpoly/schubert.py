@@ -1,26 +1,29 @@
 """Permutations, divided differences, and Grothendieck/Schubert polynomials.
 
-Both recursions start from the staircase monomial at the longest permutation
-and walk down at ascents, applying one closed-form divided-difference kernel
-term by term.  The Grothendieck recursion uses the isobaric operator and
-`schubert` reads off its lowest-degree part; the zero-one census walks the
-Schubert polynomials directly with the ordinary operator, depth first down
-the tree whose parent map is w -> w s_j at the first ascent j of w, so the
-Grothendieck route stays an independent check on it.  All polynomials use
-num_vars = p so that exponent vectors line up with the reflection
-n -> m - n used by the matrix-Schubert pipeline.
+Both recursions walk down at ascents from the staircase monomial at the
+longest permutation with one closed-form divided-difference kernel on cube
+codes of radix p (lattice._cube_coding; for w in S_p every exponent at z_i
+stays <= p - i, also after the (1 - z_{j+1}) step).  The Grothendieck
+recursion is isobaric and `schubert` reads off its lowest-degree part; the
+zero-one census walks the Schubert polynomials with the ordinary operator,
+depth first down the tree with parent map w -> w s_j, j the first ascent of
+w, so the Grothendieck route checks it independently.  num_vars = p lines
+the exponents up with the matrix-Schubert reflection n -> m - n.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from multiprocessing import Pool
+from operator import mul
 
 from .lattice import (
     CapExceeded,
     IntPolynomial,
     Point,
     PointSet,
+    _cube_coding,
     parse_vector,
 )
 
@@ -29,7 +32,7 @@ Perm = tuple[int, ...]
 CENSUS_CAP = 8
 
 # largest p grothendieck accepts: through the CLI, 6,1,10,3,8,2,9,4,7,5 takes
-# about 6 s and 333 MB peak RSS on a 2-CPU x86 host
+# 4-6 s and 341 MB peak RSS on a 2-CPU x86 host
 GROTHENDIECK_CAP = 10
 
 
@@ -46,12 +49,7 @@ def parse_perm(text: str) -> Perm:
 
 
 def inversions(w: Perm) -> int:
-    return sum(
-        1
-        for i in range(len(w))
-        for j in range(i + 1, len(w))
-        if w[i] > w[j]
-    )
+    return sum(a > b for a, b in itertools.combinations(w, 2))
 
 
 def longest_perm(p: int) -> Perm:
@@ -60,16 +58,7 @@ def longest_perm(p: int) -> Perm:
 
 def rothe_diagram(w: Perm) -> frozenset[tuple[int, int]]:
     """Cells D(w) = {(i, j) : w(i) > j and w^{-1}(j) > i}, 1-based."""
-    p = len(w)
-    winv = [0] * (p + 1)
-    for i, v in enumerate(w, start=1):
-        winv[v] = i
-    return frozenset(
-        (i, j)
-        for i in range(1, p + 1)
-        for j in range(1, w[i - 1])
-        if winv[j] > i
-    )
+    return frozenset((i, j) for i, v in enumerate(w, 1) for j in range(1, v) if j not in w[:i])
 
 
 def ascent_positions(w: Perm) -> list[int]:
@@ -78,77 +67,86 @@ def ascent_positions(w: Perm) -> list[int]:
 
 def swap_adjacent(w: Perm, j: int) -> Perm:
     """Exchange the entries in positions j and j+1 (1-based)."""
-    u = list(w)
-    u[j - 1], u[j] = u[j], u[j - 1]
-    return tuple(u)
+    return w[:j - 1] + (w[j], w[j - 1]) + w[j + 1:]
 
 
 # ---------------------------------------------------------------------------
-# divided-difference kernels on raw {exponent tuple: coeff} dicts
+# divided-difference kernels on (cube code, coeff) pairs; a code may repeat
 
-def _divided_difference_raw(terms: dict, j: int) -> dict:
-    """d_j term by term, in closed form.  With i = j - 1, a = e[i] and
-    b = e[i+1], a monomial c * z^e contributes nothing when a = b and
-    otherwise sign(a - b) * c * z_i^k z_{i+1}^(a+b-1-k) for each k from
-    min(a, b) to max(a, b) - 1."""
-    i = j - 1
-    out: dict[Point, int] = {}
-    for e, c in terms.items():
-        a, b = e[i], e[i + 1]
-        if a == b:
-            continue
-        if a < b:
-            a, b, c = b, a, -c
-        head, tail = e[:i], e[i + 2 :]
-        for k in range(b, a):
-            key = head + (k, a + b - 1 - k) + tail
-            out[key] = out.get(key, 0) + c
-    return {e: c for e, c in out.items() if c}
+def _divided_difference_codes(terms, j: int, strides) -> dict:
+    """d_j in closed form.  With a and b the digits of z_j and z_{j+1}
+    (strides s_j, s_{j+1}), c * z^e gives sign(a - b) * c * z_j^k z_{j+1}^(a+b-1-k)
+    for k from min(a, b) to max(a, b) - 1: |a - b| codes in steps of s_j - s_{j+1},
+    the last below code - s_{j+1} when a > b, the first at it when a < b.  Only
+    a negative contribution can cancel a sum, so zeros are filtered only after one."""
+    sa, sb = strides[j - 1], strides[j]
+    r, step = sa // sb, sa - sb
+    out, neg = {}, False
+    get = out.get
+    for code, c in terms:
+        if d := code // sa % r - code // sb % r:
+            end = code - sb
+            if d < 0:
+                c, d, end = -c, -d, end - d * step
+            for x in range(end - d * step, end, step):
+                out[x] = get(x, 0) + c
+            neg = neg or c < 0
+    return {x: c for x, c in out.items() if c} if neg else out
 
 
-def _isobaric_raw(terms: dict, j: int) -> dict:
-    # (1 - z_{j+1}) * f, then the ordinary divided difference
-    shifted: dict[Point, int] = dict(terms)
-    for e, c in terms.items():
-        e2 = list(e)
-        e2[j] += 1
-        e2 = tuple(e2)
-        v = shifted.get(e2, 0) - c
-        if v:
-            shifted[e2] = v
-        else:
-            del shifted[e2]
-    return _divided_difference_raw(shifted, j)
+def _isobaric_codes(terms, j: int, strides) -> dict:
+    # d_j of (1 - z_{j+1}) * f; terms are iterated twice
+    shifted = [(code + strides[j], -c) for code, c in terms]
+    return _divided_difference_codes(itertools.chain(terms, shifted), j, strides)
+
+
+def _on_codes(kernel, f: IntPolynomial, j: int) -> IntPolynomial:
+    # radix max exponent + 2: the (1 - z_{j+1}) step raises one exponent by 1
+    if not 1 <= j <= f.num_vars - 1:
+        raise ValueError(f"operator index {j} outside 1..{f.num_vars - 1}")
+    strides, decode = _cube_coding(max(itertools.chain(*f.terms), default=0) + 2, f.num_vars)
+    codes = [(sum(map(mul, e, strides)), c) for e, c in f.terms.items()]
+    return IntPolynomial._raw(f.num_vars, {decode(x): c for x, c in kernel(codes, j, strides).items()})
 
 
 def divided_difference(f: IntPolynomial, j: int) -> IntPolynomial:
     """(f - f with z_j, z_{j+1} swapped) / (z_j - z_{j+1}), exactly."""
-    if not 1 <= j <= f.num_vars - 1:
-        raise ValueError(f"operator index {j} outside 1..{f.num_vars - 1}")
-    return IntPolynomial._raw(f.num_vars, _divided_difference_raw(f.terms, j))
+    return _on_codes(_divided_difference_codes, f, j)
 
 
 def isobaric_divided_difference(f: IntPolynomial, j: int) -> IntPolynomial:
     """Divided difference of (1 - z_{j+1}) * f."""
-    if not 1 <= j <= f.num_vars - 1:
-        raise ValueError(f"operator index {j} outside 1..{f.num_vars - 1}")
-    return IntPolynomial._raw(f.num_vars, _isobaric_raw(f.terms, j))
+    return _on_codes(_isobaric_codes, f, j)
 
 
 # ---------------------------------------------------------------------------
 # Grothendieck and Schubert polynomials
 
-def staircase_terms(p: int) -> dict:
-    return {tuple(range(p - 1, -1, -1)): 1}
+@lru_cache(maxsize=None)
+def _perm_coding(p: int):
+    # the cube coding of radix p, its decode memoized: the G_w of S_p share monomials
+    strides, decode = _cube_coding(p, p)
+    return strides, lru_cache(maxsize=None)(decode)
+
+
+def _staircase(p: int) -> dict:
+    # z_1^(p-1) ... z_p^0 at radix p: the exponent k has the stride p^k
+    return {sum(k * p ** k for k in range(p)): 1}
 
 
 @lru_cache(maxsize=None)
-def _grothendieck_terms(w: Perm):
+def _grothendieck_codes(w: Perm) -> dict:
     p = len(w)
     if w == longest_perm(p):
-        return staircase_terms(p)
+        return _staircase(p)
     j = ascent_positions(w)[0]
-    return _isobaric_raw(_grothendieck_terms(swap_adjacent(w, j)), j)
+    return _isobaric_codes(_grothendieck_codes(swap_adjacent(w, j)).items(), j, _perm_coding(p)[0])
+
+
+@lru_cache(maxsize=None)
+def _grothendieck_terms(w: Perm) -> dict:
+    decode = _perm_coding(len(w))[1]
+    return {decode(x): c for x, c in _grothendieck_codes(w).items()}
 
 
 def grothendieck(w) -> IntPolynomial:
@@ -162,12 +160,8 @@ def grothendieck(w) -> IntPolynomial:
 
 
 def lowest_degree_part(f: IntPolynomial) -> IntPolynomial:
-    if not f.terms:
-        return f
-    lo = min(sum(e) for e in f.terms)
-    return IntPolynomial._raw(
-        f.num_vars, {e: c for e, c in f.terms.items() if sum(e) == lo}
-    )
+    lo = min(map(sum, f.terms), default=0)
+    return IntPolynomial._raw(f.num_vars, {e: c for e, c in f.terms.items() if sum(e) == lo})
 
 
 def schubert(w) -> IntPolynomial:
@@ -183,8 +177,8 @@ def is_zero_one(w) -> bool:
 # ---------------------------------------------------------------------------
 # zero-one census
 
-def _ascent_children(w: Perm, terms: dict):
-    """The children of w in the ascent tree, with their Schubert terms.
+def _ascent_children(w: Perm, terms: dict, strides):
+    """The children of w in the ascent tree, with their Schubert codes.
 
     The parent of u != w0 is u s_j, j the first ascent of u, so the children
     of w are the w s_j for the descents j of w where w s_j has no ascent
@@ -193,18 +187,18 @@ def _ascent_children(w: Perm, terms: dict):
     that of w."""
     j = 1
     while j < len(w) and w[j - 1] > w[j]:
-        yield swap_adjacent(w, j), _divided_difference_raw(terms, j)
+        yield swap_adjacent(w, j), _divided_difference_codes(terms.items(), j, strides), strides
         j += 1
     if j + 1 < len(w) and w[j - 1] > w[j + 1] < w[j]:
-        yield swap_adjacent(w, j + 1), _divided_difference_raw(terms, j + 1)
+        yield swap_adjacent(w, j + 1), _divided_difference_codes(terms.items(), j + 1, strides), strides
 
 
-def _zero_one_walk(w: Perm, terms: dict):
+def _zero_one_walk(w: Perm, terms: dict, strides):
     """Yield the zero-one permutations of the ascent subtree under w, depth
     first, so only the polynomials on the current chain stay alive."""
     if all(c == 1 for c in terms.values()):
         yield w
-    for child in _ascent_children(w, terms):
+    for child in _ascent_children(w, terms, strides):
         yield from _zero_one_walk(*child)
 
 
@@ -212,17 +206,20 @@ def _count_walk(node) -> int:
     return sum(1 for _ in _zero_one_walk(*node))
 
 
-def count_zero_one(p: int, jobs: int = 1) -> int:
-    """Number of permutations in S_p with a zero-one Schubert polynomial.
-
-    With jobs > 1 the root's p - 1 subtrees are walked by a pool of at most
-    p - 1 processes; the root w0 itself, with the staircase monomial, counts
-    as 1.  CapExceeded above p = CENSUS_CAP, before the walk."""
+def _census_root(p: int):
+    """(w0, its staircase, the strides of radix p), after the checks on p."""
     if p < 1:
         raise ValueError("p must be positive")
     if p > CENSUS_CAP:
         raise CapExceeded(f"census for p = {p} exceeds the cap {CENSUS_CAP}")
-    root = (longest_perm(p), staircase_terms(p))
+    return longest_perm(p), _staircase(p), _perm_coding(p)[0]
+
+
+def count_zero_one(p: int, jobs: int = 1) -> int:
+    """Number of permutations in S_p with a zero-one Schubert polynomial,
+    after the checks of zero_one_permutations.  With jobs > 1 a pool of at
+    most p - 1 processes walks the root's subtrees; w0 itself counts as 1."""
+    root = _census_root(p)
     if jobs <= 1 or p <= 3:
         return _count_walk(root)
     with Pool(processes=min(jobs, p - 1)) as pool:
@@ -230,9 +227,10 @@ def count_zero_one(p: int, jobs: int = 1) -> int:
 
 
 def zero_one_permutations(p: int) -> list[Perm]:
-    """All w in S_p with zero-one Schubert polynomial, in lex order: the
-    depth-first ascent walk down from the staircase monomial at w0."""
-    return sorted(_zero_one_walk(longest_perm(p), staircase_terms(p)))
+    """All w in S_p with zero-one Schubert polynomial, in lex order, by the
+    depth-first ascent walk from the staircase monomial at w0.  ValueError
+    for p < 1 and CapExceeded above p = CENSUS_CAP, before the walk."""
+    return sorted(_zero_one_walk(*_census_root(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +254,8 @@ def grothendieck_via_stalactites(w) -> IntPolynomial:
 
     msupp, m = msupp_of_matrix_schubert(w)
     H = hsupp_from_msupp(msupp)
-    return IntPolynomial._raw(
-        len(m),
-        {tuple(mi - ni for mi, ni in zip(m, n)): c for n, c in H.terms.items()},
-    )
+    terms = {tuple(mi - ni for mi, ni in zip(m, n)): c for n, c in H.terms.items()}
+    return IntPolynomial._raw(len(m), terms)
 
 
 def grothendieck_via_mobius(w) -> IntPolynomial:

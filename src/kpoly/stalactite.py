@@ -14,6 +14,7 @@ from .lattice import (
     IntPolynomial,
     Point,
     PointSet,
+    _cube_coding,
     as_point,
     binomial_at,
     check_axis_order,
@@ -60,14 +61,6 @@ def neighbor_directions(u: Point, V: PointSet) -> tuple[int, ...]:
         for l in range(p)
         if u[l] and any(j != l and unit_shift(u, l, j) in V for j in range(p))
     )
-
-
-def _cube_coding(r: int, p: int):
-    """(strides, decode) for the points of the cube [0, r)^p: q has the code
-    sum_i q_i * strides[i], last coordinate fastest, so codes sort as their
-    points do in natural lex order; decode maps a code back to its point."""
-    strides = [r ** k for k in range(p - 1, -1, -1)]
-    return strides, lambda code: tuple([code // s % r for s in strides])
 
 
 def _stalactite_walk(pts, strides):

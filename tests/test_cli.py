@@ -115,7 +115,7 @@ def test_grothendieck_refuses_p_above_its_cap_before_any_work(monkeypatch, capsy
         capsys.readouterr()
         assert main(argv) == 2
         assert capsys.readouterr().err == "resource cap: Grothendieck polynomial for p = 46 exceeds the cap 10\n"
-    monkeypatch.setattr(schubert, "_isobaric_raw", lambda *args: pytest.fail("divided difference before the cap"))
+    monkeypatch.setattr(schubert, "_isobaric_codes", lambda *args: pytest.fail("divided difference before the cap"))
     for route in (schubert.grothendieck, schubert.is_zero_one, schubert.msupp_of_matrix_schubert):
         with pytest.raises(CapExceeded, match="p = 11 exceeds the cap 10"):
             route(range(1, 12))

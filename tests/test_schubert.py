@@ -5,8 +5,9 @@ import tracemalloc
 import pytest
 
 from kpoly import schubert as schubert_mod
-from kpoly.lattice import IntPolynomial, point_set, poly_text, support_bounds
+from kpoly.lattice import CapExceeded, IntPolynomial, _cube_coding, point_set, poly_text, support_bounds
 from kpoly.schubert import (
+    CENSUS_CAP,
     ascent_positions,
     count_zero_one,
     divided_difference,
@@ -38,11 +39,61 @@ def rand_poly(rng, nv, max_exp=3, n_terms=5):
     )
 
 
+def divided_difference_literal(terms: dict, j: int) -> dict:
+    """The literal oracle of the code kernel: d_j on {exponent tuple: coeff}.
+    With i = j - 1, a = e[i] and b = e[i+1], a monomial c * z^e contributes
+    nothing when a = b and otherwise sign(a - b) * c * z_i^k z_{i+1}^(a+b-1-k)
+    for each k from min(a, b) to max(a, b) - 1."""
+    i = j - 1
+    out = {}
+    for e, c in terms.items():
+        a, b = e[i], e[i + 1]
+        if a == b:
+            continue
+        if a < b:
+            a, b, c = b, a, -c
+        head, tail = e[:i], e[i + 2 :]
+        for k in range(b, a):
+            key = head + (k, a + b - 1 - k) + tail
+            out[key] = out.get(key, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def isobaric_literal(terms: dict, j: int) -> dict:
+    # (1 - z_{j+1}) * f, then the literal divided difference
+    shifted = dict(terms)
+    for e, c in terms.items():
+        e2 = e[:j] + (e[j] + 1,) + e[j + 1 :]
+        shifted[e2] = shifted.get(e2, 0) - c
+    return divided_difference_literal({e: c for e, c in shifted.items() if c}, j)
+
+
+def literal_children(w, terms):
+    """_ascent_children on exponent tuples with the literal kernel."""
+    j = 1
+    while j < len(w) and w[j - 1] > w[j]:
+        yield swap_adjacent(w, j), divided_difference_literal(terms, j)
+        j += 1
+    if j + 1 < len(w) and w[j - 1] > w[j + 1] < w[j]:
+        yield swap_adjacent(w, j + 1), divided_difference_literal(terms, j + 1)
+
+
+def literal_zero_one_walk(w, terms):
+    if all(c == 1 for c in terms.values()):
+        yield w
+    for child in literal_children(w, terms):
+        yield from literal_zero_one_walk(*child)
+
+
+def staircase(p):
+    return {tuple(range(p - 1, -1, -1)): 1}
+
+
 def schubert_direct(w):
     """Independent oracle: ordinary divided differences from the staircase."""
     p = len(w)
     if w == longest_perm(p):
-        return IntPolynomial(p, {tuple(range(p - 1, -1, -1)): 1})
+        return IntPolynomial(p, staircase(p))
     j = ascent_positions(w)[-1]
     return divided_difference(schubert_direct(swap_adjacent(w, j)), j)
 
@@ -51,7 +102,7 @@ def grothendieck_chain(w, pick):
     """Grothendieck recursion along the ascent chosen by `pick`."""
     p = len(w)
     if w == longest_perm(p):
-        return IntPolynomial(p, {tuple(range(p - 1, -1, -1)): 1})
+        return IntPolynomial(p, staircase(p))
     j = pick(ascent_positions(w))
     return isobaric_divided_difference(grothendieck_chain(swap_adjacent(w, j), pick), j)
 
@@ -99,6 +150,41 @@ def test_divided_difference_matches_its_definition():
         zj = IntPolynomial(nv, {tuple(int(k == j - 1) for k in range(nv)): 1})
         zj1 = IntPolynomial(nv, {tuple(int(k == j) for k in range(nv)): 1})
         assert (zj - zj1) * divided_difference(f, j) == f - f.swap_vars(j)
+
+
+def test_code_kernels_match_the_literal_kernels():
+    # through the public operators, whose radix is the largest exponent + 2:
+    # the monomial with every exponent at that largest value meets the edge
+    rng = random.Random(61)
+    for _ in range(300):
+        nv = rng.randint(2, 5)
+        edge = rng.randint(0, 5)
+        f = rand_poly(rng, nv, max_exp=edge, n_terms=rng.randint(0, 8))
+        f = f + IntPolynomial.monomial(nv, (edge,) * nv, rng.choice((-2, -1, 1, 3)))
+        j = rng.randint(1, nv - 1)
+        assert divided_difference(f, j).terms == divided_difference_literal(f.terms, j)
+        assert isobaric_divided_difference(f, j).terms == isobaric_literal(f.terms, j)
+    for op in (divided_difference, isobaric_divided_difference):
+        with pytest.raises(ValueError, match="outside 1..0"):
+            op(IntPolynomial(1, {(3,): 1}), 1)
+    # the kernels themselves at radix r, every digit up to r - 1 (up to r - 2
+    # at z_{j+1} for the isobaric one, whose shift raises it by 1)
+    for _ in range(300):
+        nv, r = rng.randint(2, 5), rng.randint(2, 7)
+        strides, decode = _cube_coding(r, nv)
+        j = rng.randint(1, nv - 1)
+        for kernel, literal, cap in (
+            (schubert_mod._divided_difference_codes, divided_difference_literal, r - 1),
+            (schubert_mod._isobaric_codes, isobaric_literal, r - 2),
+        ):
+            f = IntPolynomial(nv, [
+                (tuple(rng.choice((0, cap, rng.randint(0, cap))) if k == j else rng.randint(0, r - 1)
+                       for k in range(nv)), rng.randint(-3, 3))
+                for _ in range(rng.randint(1, 12))
+            ])
+            codes = {sum(x * s for x, s in zip(e, strides)): c for e, c in f.terms.items()}
+            got = {decode(x): c for x, c in kernel(codes.items(), j, strides).items()}
+            assert got == literal(f.terms, j)
 
 
 def test_divided_difference_kills_symmetric_parts():
@@ -156,6 +242,26 @@ def test_grothendieck_s3_values():
     assert grothendieck((2, 1, 3)).terms == {(1, 0, 0): 1}
     assert grothendieck((2, 3, 1)).terms == {(1, 1, 0): 1}
     assert grothendieck((3, 1, 2)).terms == {(2, 0, 0): 1}
+
+
+def test_every_polynomial_of_s6_matches_the_literal_kernels():
+    # Grothendieck: the first-ascent recursion with the literal isobaric kernel
+    literal = {longest_perm(6): staircase(6)}
+    for w in sorted(itertools.permutations(range(1, 7)), key=inversions, reverse=True):
+        if w not in literal:
+            j = ascent_positions(w)[0]
+            literal[w] = isobaric_literal(literal[swap_adjacent(w, j)], j)
+        assert grothendieck(w).terms == literal[w]
+    # Schubert: every node of the census walk against the literal d_j of its parent
+    _, decode = _cube_coding(6, 6)
+    stack, seen = [(schubert_mod._census_root(6), staircase(6))], 0
+    while stack:
+        node, terms = stack.pop()
+        assert {decode(x): c for x, c in node[1].items()} == terms
+        seen += 1
+        children = zip(schubert_mod._ascent_children(*node), literal_children(node[0], terms))
+        stack += [(child, t) for child, (_, t) in children]
+    assert seen == 720
 
 
 def test_grothendieck_running_example():
@@ -253,6 +359,19 @@ def test_census_walk_keeps_only_the_current_chain():
     assert peak < 1.5e6
 
 
+def test_zero_one_permutations_checks_p_before_any_walk(monkeypatch):
+    monkeypatch.setattr(schubert_mod, "_zero_one_walk", lambda *args: pytest.fail("walk before the checks"))
+    for p in (0, -2):
+        with pytest.raises(ValueError, match="p must be positive"):
+            zero_one_permutations(p)
+    with pytest.raises(CapExceeded, match=f"p = {CENSUS_CAP + 1} exceeds the cap {CENSUS_CAP}"):
+        zero_one_permutations(CENSUS_CAP + 1)
+
+
+def test_census_walk_matches_the_literal_tuple_walk():
+    assert zero_one_permutations(7) == sorted(literal_zero_one_walk(longest_perm(7), staircase(7)))
+
+
 FMS_PATTERNS = [
     (1, 2, 5, 4, 3), (1, 3, 2, 5, 4), (1, 3, 5, 2, 4), (1, 3, 5, 4, 2),
     (2, 1, 5, 4, 3), (1, 2, 5, 3, 6, 4), (1, 2, 5, 6, 3, 4), (2, 1, 5, 3, 6, 4),
@@ -266,6 +385,48 @@ def contains_pattern(w, pattern):
         all((w[pos[x]] < w[pos[y]]) == (pattern[x] < pattern[y]) for x, y in pairs)
         for pos in itertools.combinations(range(len(w)), len(pattern))
     )
+
+
+def fms_avoiders(max_p: int):
+    """Yield the avoiders of FMS_PATTERNS in S_1, ..., S_max_p in lex order,
+    by a generating tree: avoidance is closed under deleting the entry p, so
+    w in S_p avoids the patterns iff w without p does and no occurrence uses
+    p.  p can only play a pattern's largest entry, so each pattern is tested
+    by the choices of entries on either side of p whose values are ordered
+    as the pattern's other entries."""
+    shapes = []
+    for pat in FMS_PATTERNS:
+        m = pat.index(len(pat))
+        rest = pat[:m] + pat[m + 1 :]
+        shapes.append((m, len(rest) - m, sorted(range(len(rest)), key=rest.__getitem__)))
+
+    def occurs(left, right, m, n, order):
+        for lv in itertools.combinations(left, m):
+            for rv in itertools.combinations(right, n):
+                v = lv + rv
+                if all(v[x] < v[y] for x, y in zip(order, order[1:])):
+                    return True
+        return False
+
+    level = [()]
+    for p in range(1, max_p + 1):
+        level = sorted(
+            u[:pos] + (p,) + u[pos:]
+            for u in level
+            for pos in range(p)
+            if not any(m <= pos and n <= p - 1 - pos and occurs(u[:pos], u[pos:], m, n, order)
+                       for m, n, order in shapes)
+        )
+        yield level
+
+
+def test_zero_one_census_matches_the_generating_tree():
+    # Fink-Meszaros-St. Dizier, a route that computes no polynomial
+    counts = []
+    for p, avoiders in enumerate(fms_avoiders(7), start=1):
+        assert zero_one_permutations(p) == avoiders
+        counts.append(len(avoiders))
+    assert counts == [1, 2, 6, 24, 115, 605, 3343]
 
 
 def test_zero_one_census_matches_independent_oracles():
