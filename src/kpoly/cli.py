@@ -3,10 +3,13 @@
 Every command prints a human-readable report; ``--json`` switches stdout to
 the JSON payload and ``--out PATH`` writes the JSON alongside the report.
 Exit codes: 0 ok; 1 mathematical violation (failed axiom, route or oracle
-mismatch), always with a machine-readable witness; 2 usage or resource error.
-The parser is built once per process.  Each command decides nothing the
-library already decides: it loads its input, calls the library routes and
-reports their verdicts.
+mismatch); 2 usage or resource error, raised as an exception and reported
+on stderr by ``main``.  Every result is built by ``_result``, and exit 1
+comes only from a failed ``Check``: its witness goes into the payload under
+``witness`` and ends the report as a ``  witness: {...}`` line.  The parser
+is built once per process.  Each command decides nothing the library
+already decides: it loads its input, calls the library routes and reports
+their verdicts.
 """
 
 from __future__ import annotations
@@ -16,12 +19,13 @@ import functools
 import json
 import re
 import sys
-import time
 from dataclasses import dataclass
 
 from .lattice import (
     CapExceeded,
+    Check,
     check_ambient,
+    first_difference,
     parse_vector,
     point_set_from_json,
     point_set_to_json,
@@ -31,8 +35,8 @@ from .lattice import (
 from . import mobius as mobius_mod
 from . import monomial, polymatroid, schubert, stalactite, subspaces
 
-OK, VIOLATION, ERROR = "ok", "violation", "error"
-_EXIT = {OK: 0, VIOLATION: 1, ERROR: 2}
+OK, VIOLATION = "ok", "violation"
+_EXIT = {OK: 0, VIOLATION: 1}
 
 
 @dataclass
@@ -42,16 +46,23 @@ class CommandResult:
     human: str
 
 
+def _result(payload: dict, lines: list[str], chk: Check | None = None) -> CommandResult:
+    """A command's result, OK unless chk is a failed Check.  A failed check
+    is a VIOLATION: its witness goes into the payload and ends the report."""
+    if chk is None or chk:
+        return CommandResult(OK, payload, "\n".join(lines))
+    payload["witness"] = chk.witness
+    return CommandResult(VIOLATION, payload, "\n".join([*lines, f"  witness: {chk.witness}"]))
+
+
 def _emit(result: CommandResult, args) -> int:
-    payload = {"status": result.status, **result.payload}
-    if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(result.human)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+    text = None
+    if args.json or args.out:
+        text = json.dumps({"status": result.status, **result.payload}, indent=2, sort_keys=True)
+    print(text if args.json else result.human)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     return _EXIT[result.status]
 
 
@@ -77,15 +88,6 @@ ROUTES = {
     "stalactites": "grothendieck_via_stalactites",
     "mobius": "grothendieck_via_mobius",
 }
-
-
-def _first_difference(named: dict):
-    """The first exponent, in sorted order, where the named term maps
-    disagree, and each one's coefficient there."""
-    for e in sorted(set().union(*(f.terms for f in named.values()))):
-        coeffs = {name: f.terms.get(e, 0) for name, f in named.items()}
-        if len(set(coeffs.values())) > 1:
-            return list(e), coeffs
 
 
 def cmd_grothendieck(args) -> CommandResult:
@@ -114,33 +116,22 @@ def cmd_grothendieck(args) -> CommandResult:
         "routes_agree": agree,
     }
     if agree:
-        return CommandResult(OK, payload, "\n".join(lines))
-    exp, coeffs = _first_difference(routes)
-    payload["witness"] = {"condition": "route-mismatch", "exp": exp, "coeffs": coeffs}
-    lines.append(f"  witness: {payload['witness']}")
-    return CommandResult(VIOLATION, payload, "\n".join(lines))
+        return _result(payload, lines)
+    exp, coeffs = first_difference({route: f.terms for route, f in routes.items()})
+    mismatch = Check(False, {"condition": "route-mismatch", "exp": exp, "coeffs": coeffs})
+    return _result(payload, lines, mismatch)
 
 
 def cmd_census(args) -> CommandResult:
-    t0 = time.perf_counter()
     count = schubert.count_zero_one(args.p)
-    elapsed = time.perf_counter() - t0
-    human = f"zero-one Schubert polynomials in S_{args.p}: {count}   ({elapsed:.2f}s)"
-    return CommandResult(
-        OK, {"p": args.p, "count": count, "seconds": round(elapsed, 3)}, human
-    )
+    lines = [f"zero-one Schubert polynomials in S_{args.p}: {count}"]
+    return _result({"p": args.p, "count": count}, lines)
 
 
-def _check_result(kind: str, chk, extra: dict | None = None) -> CommandResult:
-    payload = {"kind": kind, "verdict": bool(chk)}
-    if extra:
-        payload.update(extra)
-    if chk:
-        return CommandResult(OK, payload, f"{kind}: ok")
-    payload["witness"] = chk.witness
-    return CommandResult(
-        VIOLATION, payload, f"{kind}: violation\n  witness: {chk.witness}"
-    )
+def _check_result(kind: str, chk: Check, extra: dict | None = None, details=()) -> CommandResult:
+    """A verify kind's result: the verdict line, then any detail lines."""
+    payload = {"kind": kind, "verdict": bool(chk), **(extra or {})}
+    return _result(payload, [f"{kind}: {'ok' if chk else 'violation'}", *details], chk)
 
 
 def _verify_gpolymatroid(args, data) -> CommandResult:
@@ -157,12 +148,11 @@ def _verify_theorem_a(args, data) -> CommandResult:
     the paramodular classifier's verdict; the report lists the support-bound
     inequalities."""
     sys_, chk = polymatroid.theorem_a_report(point_set_from_json(data))
-    res = _check_result(args.kind, chk, {"inequalities": polymatroid.system_to_json(sys_)})
-    res.human += "".join(
-        f"\n  {sys_.lower[J]} <= n_{{{','.join(map(str, sorted(J)))}}} <= {sys_.upper[J]}"
+    details = [
+        f"  {sys_.lower[J]} <= n_{{{','.join(map(str, sorted(J)))}}} <= {sys_.upper[J]}"
         for J in sys_.subsets()
-    )
-    return res
+    ]
+    return _check_result(args.kind, chk, {"inequalities": polymatroid.system_to_json(sys_)}, details)
 
 
 def _verify_theorem_c(args, data) -> CommandResult:
@@ -202,11 +192,7 @@ def _base_polymatroid_input(args, subject: str):
     m = check_ambient(msupp, parse_vector(args.ambient)) if args.ambient else tuple(map(max, zip(*msupp)))
     chk = polymatroid.is_base_polymatroid(msupp)
     if not chk:
-        return CommandResult(
-            VIOLATION,
-            {"verdict": False, "witness": chk.witness},
-            f"{subject} fails the polymatroid check\n  witness: {chk.witness}",
-        )
+        return _result({"verdict": False}, [f"{subject} fails the polymatroid check"], chk)
     return msupp, m
 
 
@@ -224,16 +210,15 @@ def cmd_hilbert(args) -> CommandResult:
         lines.append(f"  inclusion-exclusion oracle agrees: {agree}")
         payload["oracle_agrees"] = agree
         if not agree:
-            n, coeffs = _first_difference({"stalactites": H, "inclusion_exclusion": Hie})
-            payload["witness"] = {"condition": "oracle-mismatch", "n": n, **coeffs}
-            lines.append(f"  witness: {payload['witness']}")
-            return CommandResult(VIOLATION, payload, "\n".join(lines))
+            n, coeffs = first_difference({"stalactites": H.terms, "inclusion_exclusion": Hie.terms})
+            mismatch = Check(False, {"condition": "oracle-mismatch", "n": n, **coeffs})
+            return _result(payload, lines, mismatch)
     if args.eval is not None:
         t = parse_vector(args.eval)
         value = stalactite.hilbert_eval(H, t)
         lines.append(f"  value at t = {list(t)}: {value}")
         payload["eval"] = {"t": list(t), "value": value}
-    return CommandResult(OK, payload, "\n".join(lines))
+    return _result(payload, lines)
 
 
 def cmd_mobius(args) -> CommandResult:
@@ -257,14 +242,13 @@ def cmd_mobius(args) -> CommandResult:
         lines.append(f"deg = -mu identity: {bool(deg)}")
         payload["deg_equals_neg_mu"] = bool(deg)
         if not deg:
-            payload["witness"] = deg.witness
-            return CommandResult(VIOLATION, payload, "\n".join(lines))
+            return _result(payload, lines, deg)
     if args.kpoly:
         K = mobius_mod.kpoly_from_mobius(msupp, m)
         lines.append(f"twisted K-polynomial: {poly_text(K)}")
         payload["kpoly"] = poly_to_json(K)
         payload["ambient"] = list(m)
-    return CommandResult(OK, payload, "\n".join(lines))
+    return _result(payload, lines)
 
 
 def cmd_linear_polymatroid(args) -> CommandResult:
@@ -293,10 +277,8 @@ def cmd_linear_polymatroid(args) -> CommandResult:
         lines.append(f"mu-support ({len(supp)} points) is a g-polymatroid: {bool(chk)}")
         payload["mu_support"] = point_set_to_json(supp)
         payload["mu_support_g_polymatroid"] = bool(chk)
-        if not chk:
-            payload["witness"] = chk.witness
-            return CommandResult(VIOLATION, payload, "\n".join(lines))
-    return CommandResult(OK, payload, "\n".join(lines))
+        return _result(payload, lines, chk)
+    return _result(payload, lines)
 
 
 def cmd_explore(args) -> CommandResult:
@@ -314,7 +296,7 @@ def cmd_explore(args) -> CommandResult:
     if report["failures"]:
         lines.append("  counterexample candidates (report only, nothing is asserted):")
         lines += [f"    {P}" for P in report["failures"]]
-    return CommandResult(OK, report, "\n".join(lines))
+    return _result(report, lines)
 
 
 # ---------------------------------------------------------------------------

@@ -364,22 +364,32 @@ class IntPolynomial:
         return f"IntPolynomial({self.num_vars}, {poly_text(self)!r})"
 
 
+def terms_text(f: IntPolynomial, factor) -> str:
+    """Signed-term text of f, one term per point in lex order: "+" or "-",
+    then |c| and the nonempty factor(i, a) of each 1-based coordinate i with
+    value a, joined by "*"; the zero map is "0"."""
+    parts = []
+    for e, c in f.items():
+        factors = [str(abs(c))] + [factor(i, a) for i, a in enumerate(e, start=1)]
+        parts.append(("+" if c > 0 else "-") + "*".join(filter(None, factors)))
+    return "".join(parts) or "0"
+
+
 def poly_text(f: IntPolynomial) -> str:
     """Canonical text form: terms in natural lex order on exponents,
     "+c*z1^a1*..." with zero exponents omitted and coefficient kept explicit."""
-    if not f.terms:
-        return "0"
-    parts = []
-    for e, c in f.items():
-        sign = "+" if c > 0 else "-"
-        factors = [str(abs(c))]
-        for i, a in enumerate(e, start=1):
-            if a == 1:
-                factors.append(f"z{i}")
-            elif a > 1:
-                factors.append(f"z{i}^{a}")
-        parts.append(sign + "*".join(factors))
-    return "".join(parts)
+    return terms_text(f, lambda i, a: f"z{i}^{a}" if a > 1 else f"z{i}" if a else "")
+
+
+def first_difference(named: dict):
+    """The first point, in lex order, where the named term maps {point: c}
+    disagree, as (point list, {name: coefficient there}); None when they
+    all agree."""
+    for e in sorted(set().union(*named.values())):
+        coeffs = {name: terms.get(e, 0) for name, terms in named.items()}
+        if len(set(coeffs.values())) > 1:
+            return list(e), coeffs
+    return None
 
 
 def binomial_at(t: int, n: int) -> int:

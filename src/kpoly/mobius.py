@@ -20,6 +20,7 @@ from .lattice import (
     dominates,
     downset,
     downset_difference,
+    first_difference,
     json_key,
     json_value,
     point_set_from_json,
@@ -76,23 +77,11 @@ def verify_deg_equals_neg_mobius(msupp: PointSet) -> Check:
     from .stalactite import hsupp_from_msupp
 
     H = hsupp_from_msupp(msupp)
-    MU = mobius_to_top(msupp)
-    neg = {q: -c for q, c in MU.terms.items()}
+    neg = {q: -c for q, c in mobius_to_top(msupp).terms.items()}
     if neg == H.terms:
         return Check(True)
-    bad = sorted(set(neg) ^ set(H.terms)) or sorted(
-        q for q in neg if neg[q] != H.terms.get(q)
-    )
-    q = bad[0]
-    return Check(
-        False,
-        {
-            "condition": "deg-vs-mobius",
-            "n": list(q),
-            "deg": H.terms.get(q, 0),
-            "neg_mu": neg.get(q, 0),
-        },
-    )
+    n, coeffs = first_difference({"deg": H.terms, "neg_mu": neg})
+    return Check(False, {"condition": "deg-vs-mobius", "n": n, **coeffs})
 
 
 def kpoly_from_mobius(msupp: PointSet, m) -> IntPolynomial:

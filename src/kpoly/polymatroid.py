@@ -69,7 +69,7 @@ def _base_polymatroid_check(P: PointSet) -> Check:
     n, p = len(P), P.ambient_p
     if n * (n - 1) * p > (p + 1) ** 2 << p and 1 << p <= GRID_CAP:
         c, b = _support_tables(P)
-        if c[-1] == b[-1] and _paramodular_check(c, b, p) and len(_integer_points(c, b, p, n)) == n:
+        if c[-1] == b[-1] and _paramodular_verdict(P, c, b):
             return Check(True)
     return _exchange_check(P)
 
@@ -470,7 +470,8 @@ def axis_orders(p: int, policy):
     if policy == "all":
         if p > 6:
             raise ValueError(
-                f"all-orders policy would enumerate {p}! orders; pass ('sample', k, seed)"
+                f"all-orders policy would enumerate {p}! orders; pass ('sample', k, seed), "
+                "or --orders sample:K:SEED on the command line"
             )
         return [tuple(o) for o in itertools.permutations(range(1, p + 1))]
     if isinstance(policy, tuple) and len(policy) == 3 and policy[0] == "sample":

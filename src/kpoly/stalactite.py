@@ -24,6 +24,7 @@ from .lattice import (
     json_point,
     json_value,
     point_set_from_json,
+    terms_text,
     top,
     unit_shift,
     value_zeta,
@@ -131,15 +132,7 @@ def hilbert_eval(H: IntPolynomial, t) -> int:
 def hilbert_text(H: IntPolynomial) -> str:
     """Render a Hilbert polynomial in binomial-product notation,
     one "+c*C(t1+n1,n1)*...*C(tp+np,np)" term per support point."""
-    if not H:
-        return "0"
-    parts = []
-    for n, c in H.items():
-        sign = "+" if c > 0 else "-"
-        factors = [str(abs(c))]
-        factors += [f"C(t{i}+{ni},{ni})" for i, ni in enumerate(n, start=1)]
-        parts.append(sign + "*".join(factors))
-    return "".join(parts)
+    return terms_text(H, lambda i, n: f"C(t{i}+{n},{n})")
 
 
 Facet = frozenset

@@ -1,12 +1,13 @@
+import ast
 import copy
 import json
 import random
 
 import pytest
 
-from kpoly import cli, mobius, monomial, polymatroid, schubert
+from kpoly import cli, mobius, monomial, polymatroid, schubert, stalactite
 from kpoly.cli import main
-from kpoly.lattice import CapExceeded, IntPolynomial, parse_vector, point_set, point_set_to_json
+from kpoly.lattice import CapExceeded, Check, IntPolynomial, parse_vector, point_set, point_set_to_json
 from kpoly.subspaces import config_to_json, random_config
 from running_example import HILBERT_3, KPOLY_3, MSUPP_3
 
@@ -132,6 +133,14 @@ def test_census(capsys):
     assert main(["census", "9"]) == 2
 
 
+def test_census_json_is_deterministic(capsys):
+    assert main(["census", "5", "--json"]) == 0
+    first = capsys.readouterr().out
+    assert main(["census", "5", "--json"]) == 0
+    assert capsys.readouterr().out == first
+    assert json.loads(first) == {"status": "ok", "p": 5, "count": 115}
+
+
 def test_verify_gpolymatroid_ok_and_violation(tmp_path, capsys):
     good = write_json(tmp_path, "good.json", point_set_to_json(point_set(list(HILBERT_3))))
     assert main(["verify", "gpolymatroid", good, "--method", "all", "--json"]) == 0
@@ -149,6 +158,10 @@ def test_verify_gpolymatroid_ok_and_violation(tmp_path, capsys):
     payload = json.loads((tmp_path / "out.json").read_text())
     assert payload["status"] == "violation"
     assert payload["witness"]["condition"] == "expansion"
+    # --json --out prints the file's bytes, which end without a newline
+    capsys.readouterr()
+    assert main(["verify", "gpolymatroid", bad, "--json", "--out", payload_path]) == 1
+    assert capsys.readouterr().out == (tmp_path / "out.json").read_text() + "\n"
     assert main(["verify", "gpolymatroid", bad, "--method", "paramodular", "--out", payload_path]) == 1
     payload = json.loads((tmp_path / "out.json").read_text())
     assert payload["witness"] == {"condition": "integer-points", "extra_points": [[0, 1], [1, 0]]}
@@ -240,6 +253,74 @@ def test_hilbert_command(tmp_path, capsys):
     assert payload["eval"]["value"] == 1
     got = {tuple(t["exp"]): t["coeff"] for t in payload["hilbert"]}
     assert got == HILBERT_3
+
+
+def _plus_one_at_origin(f):
+    return f + IntPolynomial.monomial(f.num_vars, (0,) * f.num_vars)
+
+
+def _perturb(monkeypatch, module, name, change):
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: change(real(*args)))
+
+
+def _route_mismatch(monkeypatch, tmp_path):
+    _perturb(monkeypatch, schubert, "grothendieck_via_mobius", _plus_one_at_origin)
+    return ["grothendieck", "1,5,3,2,4", "--verify"]
+
+
+def _oracle_mismatch(monkeypatch, tmp_path):
+    _perturb(monkeypatch, monomial, "hilbert_poly_ie", _plus_one_at_origin)
+    return ["hilbert", write_json(tmp_path, "msupp.json", [list(q) for q in MSUPP_3]), "--oracle"]
+
+
+def _hilbert_of_a_non_polymatroid(monkeypatch, tmp_path):
+    return ["hilbert", write_json(tmp_path, "bad.json", [[2, 0], [0, 2]])]
+
+
+def _mobius_of_a_non_polymatroid(monkeypatch, tmp_path):
+    return ["mobius", write_json(tmp_path, "bad.json", [[2, 0], [0, 2]]), "--check"]
+
+
+def _verify_gpolymatroid(monkeypatch, tmp_path):
+    return ["verify", "gpolymatroid", write_json(tmp_path, "bad.json", [[0, 0], [1, 1]])]
+
+
+def _verify_theorem_a(monkeypatch, tmp_path):
+    # the inequality lines come before the witness line
+    return ["verify", "theorem-a", write_json(tmp_path, "diagonals.json", [[1, 1, 0, 0], [0, 0, 1, 1]])]
+
+
+def _mobius_check(monkeypatch, tmp_path):
+    _perturb(monkeypatch, stalactite, "hsupp_from_msupp", _plus_one_at_origin)
+    return ["mobius", write_json(tmp_path, "msupp.json", [list(q) for q in MSUPP_3]), "--check"]
+
+
+def _linear_polymatroid_mu_supp(monkeypatch, tmp_path):
+    forced = Check(False, {"condition": "forced"})
+    monkeypatch.setattr(polymatroid, "is_g_polymatroid", lambda G, method="axioms": forced)
+    return ["linear-polymatroid", "--random", "2,2", "--seed", "1", "--mu-supp"]
+
+
+@pytest.mark.parametrize("case", [
+    _route_mismatch,
+    _oracle_mismatch,
+    _hilbert_of_a_non_polymatroid,
+    _mobius_of_a_non_polymatroid,
+    _verify_gpolymatroid,
+    _verify_theorem_a,
+    _mobius_check,
+    _linear_polymatroid_mu_supp,
+], ids=lambda case: case.__name__.lstrip("_"))
+def test_every_violation_exits_1_and_ends_with_its_witness(case, monkeypatch, tmp_path, capsys):
+    argv = case(monkeypatch, tmp_path)
+    assert main(argv + ["--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "violation" and payload["witness"]
+    assert main(argv) == 1
+    last = capsys.readouterr().out.rstrip("\n").split("\n")[-1]
+    assert last.startswith("  witness: ")
+    assert ast.literal_eval(last.removeprefix("  witness: ")) == payload["witness"]
 
 
 def test_hilbert_precondition_violation(tmp_path):
@@ -376,6 +457,11 @@ def test_bad_orders_value_is_named(tmp_path, capsys):
         err = f"error: bad --orders value {orders!r}; use natural, all or sample:K:SEED\n"
         assert capsys.readouterr().err == err, orders
     assert main(["verify", "cave", diagonal, "--orders", "sample:2:5"]) == 1
+    # all 7! orders of 7 coordinates are refused with the option that samples
+    seven = write_json(tmp_path, "seven.json", [[0] * 7])
+    assert main(["verify", "cave", seven, "--orders", "all"]) == 2
+    assert "--orders sample:K:SEED" in capsys.readouterr().err
+    assert main(["verify", "cave", seven, "--orders", "sample:3:1"]) == 0
 
 
 def test_malformed_subspace_configs_name_the_fault(tmp_path, capsys):

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from kpoly import mobius
-from kpoly.lattice import CapExceeded, Check, PointSet, point_set
+from kpoly import mobius, stalactite
+from kpoly.lattice import CapExceeded, Check, IntPolynomial, PointSet, point_set
 from kpoly.mobius import (
     Matroid,
     coloops,
@@ -161,6 +161,21 @@ def test_mobius_requires_polymatroid():
 def test_deg_equals_neg_mobius():
     assert verify_deg_equals_neg_mobius(point_set(MSUPP_3))
     assert verify_deg_equals_neg_mobius(point_set([(2, 1, 0)]))
+
+
+def test_deg_vs_mobius_witness_is_the_first_differing_point(monkeypatch):
+    # a coefficient changed at (2, 2, 3) and a point added at (5, 5, 5): the
+    # witness is the lex-first of the two, inside the support or not
+    real = stalactite.hsupp_from_msupp
+
+    def perturbed(msupp):
+        H = real(msupp)
+        return IntPolynomial(H.num_vars, {**H.terms, (2, 2, 3): H.coeff((2, 2, 3)) + 7, (5, 5, 5): 1})
+
+    monkeypatch.setattr(stalactite, "hsupp_from_msupp", perturbed)
+    chk = verify_deg_equals_neg_mobius(point_set(MSUPP_3))
+    assert not chk
+    assert chk.witness == {"condition": "deg-vs-mobius", "n": [2, 2, 3], "deg": 5, "neg_mu": -2}
 
 
 def test_deg_equals_neg_mobius_randomized():
