@@ -2,12 +2,12 @@
 
 Every command prints a human-readable report; ``--json`` switches stdout to
 the JSON payload and ``--out PATH`` writes the JSON alongside the report.
-Exit codes: 0 ok; 1 mathematical violation (failed axiom, route or oracle
-mismatch); 2 usage or resource error, raised as an exception and reported
-on stderr by ``main``.  Every result is built by ``_result``, and exit 1
-comes only from a failed ``Check``: its witness goes into the payload under
-``witness`` and ends the report as a ``  witness: {...}`` line.  The parser
-is built once per process.  Each command decides nothing the library
+Exit codes: 0 ok; 1 mathematical violation (failed axiom; route, oracle or
+method mismatch); 2 usage or resource error, raised as an exception and
+reported on stderr by ``main``.  Every result is built by ``_result``, and
+exit 1 comes only from a failed ``Check``: its witness goes into the payload
+under ``witness`` and ends the report as a ``  witness: {...}`` line.  The
+parser is built once per process.  Each command decides nothing the library
 already decides: it loads its input, calls the library routes and reports
 their verdicts.
 """
@@ -102,7 +102,8 @@ def cmd_grothendieck(args) -> CommandResult:
     agree = all(f == result for f in routes.values())
     shown = schubert.lowest_degree_part(result) if args.schubert else result
     name = "Schubert" if args.schubert else "Grothendieck"
-    lines = [f"{name} polynomial of {list(w)}:", f"  {poly_text(shown)}"]
+    text = poly_text(shown)
+    lines = [f"{name} polynomial of {list(w)}:", f"  {text}"]
     lines.append(f"  zero-one: {zero_one}")
     if args.verify:
         lines.append(f"  routes computed: {sorted(routes)}")
@@ -111,7 +112,7 @@ def cmd_grothendieck(args) -> CommandResult:
         "permutation": list(w),
         "zero_one": zero_one,
         "polynomial": poly_to_json(shown),
-        "text": poly_text(shown),
+        "text": text,
         "routes": sorted(routes),
         "routes_agree": agree,
     }
@@ -140,7 +141,10 @@ def _verify_gpolymatroid(args, data) -> CommandResult:
         return _check_result(args.kind, polymatroid.is_g_polymatroid(G, args.method))
     checks = {m: polymatroid.is_g_polymatroid(G, m) for m in polymatroid.G_POLY_METHODS}
     verdicts = {m: bool(c) for m, c in checks.items()}
-    return _check_result(args.kind, checks["axioms"], {"methods": verdicts})
+    chk = checks["axioms"]
+    if len(set(verdicts.values())) > 1:
+        chk = Check(False, {"condition": "method-mismatch", "verdicts": verdicts})
+    return _check_result(args.kind, chk, {"methods": verdicts})
 
 
 def _verify_theorem_a(args, data) -> CommandResult:
@@ -202,8 +206,9 @@ def cmd_hilbert(args) -> CommandResult:
         return loaded
     msupp, m = loaded
     H = stalactite.hsupp_from_msupp(msupp)
-    lines = ["Hilbert polynomial (binomial-product basis):", f"  {stalactite.hilbert_text(H)}"]
-    payload = {"hilbert": poly_to_json(H), "text": stalactite.hilbert_text(H)}
+    text = stalactite.hilbert_text(H)
+    lines = ["Hilbert polynomial (binomial-product basis):", f"  {text}"]
+    payload = {"hilbert": poly_to_json(H), "text": text}
     if args.oracle:
         Hie = monomial.hilbert_poly_ie(monomial.msupp_to_ideal(msupp, m))
         agree = Hie == H
@@ -227,16 +232,14 @@ def cmd_mobius(args) -> CommandResult:
         return loaded
     msupp, m = loaded
     MU = mobius_mod.mobius_to_top(msupp)
+    mu = poly_to_json(MU)
     supp = MU.support()
     lines = [
         "mu(u, 1hat) over the downset (nonzero values):",
-        f"  {poly_to_json(MU)}",
+        f"  {mu}",
         f"mu-support size: {len(supp)}",
     ]
-    payload = {
-        "mu": poly_to_json(MU),
-        "mu_support": point_set_to_json(supp),
-    }
+    payload = {"mu": mu, "mu_support": point_set_to_json(supp)}
     if args.check:
         deg = mobius_mod.verify_deg_equals_neg_mobius(msupp)
         lines.append(f"deg = -mu identity: {bool(deg)}")
@@ -257,7 +260,10 @@ def cmd_linear_polymatroid(args) -> CommandResult:
     if args.random:
         if args.seed is None:
             raise ValueError("--random requires an explicit --seed")
-        p, q = parse_vector(args.random)
+        dims = parse_vector(args.random)
+        if len(dims) != 2:
+            raise ValueError(f"--random takes two sizes P,Q, got {args.random!r}")
+        p, q = dims
         rng = random.Random(args.seed)
         config = subspaces.random_config(p, q, rng, entry_bound=args.entry_bound)
     else:
@@ -265,12 +271,9 @@ def cmd_linear_polymatroid(args) -> CommandResult:
             raise ValueError("pass a config file or --random P,Q --seed S")
         config = subspaces.config_from_json(_load_json(args.config))
     P = subspaces.linear_polymatroid(config)
-    lines = [f"linear polymatroid on [{config.p}] with {len(P)} lattice points:"]
-    lines.append(f"  {point_set_to_json(P)}")
-    payload = {
-        "config": subspaces.config_to_json(config),
-        "polymatroid": point_set_to_json(P),
-    }
+    points = point_set_to_json(P)
+    lines = [f"linear polymatroid on [{config.p}] with {len(P)} lattice points:", f"  {points}"]
+    payload = {"config": subspaces.config_to_json(config), "polymatroid": points}
     if args.mu_supp:
         supp = mobius_mod.mu_support(P)
         chk = polymatroid.is_g_polymatroid(supp, "paramodular")

@@ -32,38 +32,36 @@ from .polymatroid import base_polymatroid, is_base_polymatroid, is_g_polymatroid
 RECURSIVE_CAP = 10_000
 
 
-def mobius_to_top(P: PointSet, method: str = "closed") -> IntPolynomial:
+def mobius_to_top(P: PointSet) -> IntPolynomial:
     """mu(u, 1hat) for every u in the downset of P, as a signed support.
 
-    closed     uses that intervals inside a downset are full boxes, so
-               mu(u, 1hat) = -sum over 0/1 offsets s with u+s in the downset
-               of (-1)^|s|: minus the difference of the downset's indicator
-               along every axis, computed by lattice.downset_difference on
-               the grid of the values P takes on each axis (CapExceeded above
-               GRID_CAP cells, checked before allocating)
-    recursive  generic first-argument recursion mu(u) = -(1 + sum_{w>u} mu(w))
-               over the literal lattice.downset of at most RECURSIVE_CAP
-               elements, a cross-check oracle sharing no code with closed
+    Intervals inside a downset are full boxes, so mu(u, 1hat) = -sum over
+    0/1 offsets s with u+s in the downset of (-1)^|s|: minus the difference
+    of the downset's indicator along every axis, computed by
+    lattice.downset_difference on the grid of the values P takes on each
+    axis (CapExceeded above GRID_CAP cells, checked before allocating).
     """
     chk = is_base_polymatroid(P)
     if not chk:
         raise ValueError(f"not a base polymatroid: {chk.witness}")
     if not P:
         raise EmptySetError("empty polymatroid")
-    if method == "closed":
-        diff = downset_difference(P)
-        return IntPolynomial._raw(P.ambient_p, {u: -c for u, c in diff.items()})
-    if method == "recursive":
-        ds = downset(P)
-        if len(ds) > RECURSIVE_CAP:
-            raise CapExceeded(f"downset has {len(ds)} elements (recursive cap {RECURSIVE_CAP})")
-        by_sum_desc = sorted(ds, key=lambda q: (-sum(q), q))
-        mu: dict[Point, int] = {}
-        for u in by_sum_desc:
-            above = sum(mu[w] for w in mu if w != u and dominates(w, u))
-            mu[u] = -(1 + above)
-        return IntPolynomial._raw(P.ambient_p, {u: c for u, c in mu.items() if c})
-    raise ValueError(f"unknown mobius method {method!r}")
+    diff = downset_difference(P)
+    return IntPolynomial._raw(P.ambient_p, {u: -c for u, c in diff.items()})
+
+
+def _mobius_recursive(P: PointSet) -> IntPolynomial:
+    """The tests' oracle for mobius_to_top on a base polymatroid P: the
+    generic first-argument recursion mu(u) = -(1 + sum_{w>u} mu(w)) over the
+    literal lattice.downset of at most RECURSIVE_CAP elements, sharing no
+    code with mobius_to_top."""
+    ds = downset(P)
+    if len(ds) > RECURSIVE_CAP:
+        raise CapExceeded(f"downset has {len(ds)} elements (recursive cap {RECURSIVE_CAP})")
+    mu: dict[Point, int] = {}
+    for u in sorted(ds, key=lambda q: (-sum(q), q)):
+        mu[u] = -(1 + sum(mu[w] for w in mu if w != u and dominates(w, u)))
+    return IntPolynomial._raw(P.ambient_p, {u: c for u, c in mu.items() if c})
 
 
 def mu_support(P: PointSet) -> PointSet:

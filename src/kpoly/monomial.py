@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import sub
 
@@ -116,9 +117,11 @@ def hilbert_poly_prime(q: BorelPrime) -> IntPolynomial:
     return IntPolynomial._raw(len(q.m), {vec_sub(q.m, q.a): 1})
 
 
-def _ie_coefficients_subsets(gens: list[Point]) -> dict[Point, int]:
-    """Signed subset sums grouped by join, literally: (-1)^(r-1) at the
-    componentwise max of each of the 2^k - 1 nonempty subsets of r primes."""
+def _ie_coefficients_subsets(gens: Sequence[Point]) -> dict[Point, int]:
+    """Coefficient of each prime sum p_v in the inclusion-exclusion
+    expansion, literally: (-1)^(r-1) at the componentwise max of each of the
+    2^k - 1 nonempty subsets of r primes, refused above SUBSET_CAP primes.
+    The oracle the tests compare the lattice route against."""
     k = len(gens)
     if k > SUBSET_CAP:
         raise CapExceeded(f"inclusion-exclusion over {k} primes exceeds the 2^{SUBSET_CAP} subset cap")
@@ -130,45 +133,30 @@ def _ie_coefficients_subsets(gens: list[Point]) -> dict[Point, int]:
     return {v: c for v, c in coeffs.items() if c}
 
 
-def _ie_coefficients_lattice(gens: list[Point]) -> dict[Point, int]:
-    """Same signed sums by Mobius inversion: sum_{w <= v} c_w is 1 exactly on
-    the up-set of the generators, so c is that indicator differenced along
-    every axis.  Reflecting through the generators' componentwise max M,
-    u -> M - u, turns the up-set into the downset of the reflected
-    generators, which lattice.downset_difference, the Mobius kernel,
-    differences on their value grid (CapExceeded above GRID_CAP cells,
-    checked before allocating)."""
+def _ie_coefficients_lattice(gens: Sequence[Point]) -> dict[Point, int]:
+    """The same coefficients by Mobius inversion, the production route:
+    sum_{w <= v} c_w is 1 exactly on the up-set of the generators, so c is
+    that indicator differenced along every axis.  Reflecting through the
+    generators' componentwise max M, u -> M - u, turns the up-set into the
+    downset of the reflected generators, which lattice.downset_difference,
+    the Mobius kernel, differences on their value grid (CapExceeded above
+    GRID_CAP cells, checked before allocating)."""
     M = tuple(map(max, zip(*gens)))
     diff = downset_difference([tuple(map(sub, M, g)) for g in gens])
     return {tuple(map(sub, M, u)): c for u, c in diff.items()}
 
 
-def ie_join_coefficients(J: SquareFreeIdeal, method: str = "lattice") -> dict[Point, int]:
-    """Coefficient of each prime sum p_v in the inclusion-exclusion expansion.
-
-    method: "lattice" (the Mobius kernel on the value grid, the production
-    route) or "subsets" (the literal sum over all 2^k - 1 nonempty subsets,
-    refused above SUBSET_CAP primes; the oracle the tests compare against).
-    """
-    gens = list(J.primes)
-    if method == "lattice":
-        return _ie_coefficients_lattice(gens)
-    if method == "subsets":
-        return _ie_coefficients_subsets(gens)
-    raise ValueError(f"unknown IE method {method!r}")
-
-
-def hilbert_poly_ie(J: SquareFreeIdeal, method: str = "lattice") -> IntPolynomial:
+def hilbert_poly_ie(J: SquareFreeIdeal) -> IntPolynomial:
     """Inclusion-exclusion Hilbert polynomial: signed binomial-product terms
     at m - join over all nonempty prime subsets, like terms combined."""
-    coeffs = ie_join_coefficients(J, method)
+    coeffs = _ie_coefficients_lattice(J.primes)
     # every join of primes lies below m
     return IntPolynomial._raw(J.ambient_p, {tuple(a - b for a, b in zip(J.m, v)): c for v, c in coeffs.items()})
 
 
-def k_poly_ie(J: SquareFreeIdeal, method: str = "lattice") -> IntPolynomial:
+def k_poly_ie(J: SquareFreeIdeal) -> IntPolynomial:
     """Inclusion-exclusion twisted K-polynomial: the prime p_a contributes z^a."""
-    return IntPolynomial._raw(J.ambient_p, ie_join_coefficients(J, method))
+    return IntPolynomial._raw(J.ambient_p, _ie_coefficients_lattice(J.primes))
 
 
 def msupp_to_ideal(msupp: PointSet, m) -> SquareFreeIdeal:
@@ -216,13 +204,9 @@ def hilbert_poly_shellable(J: SquareFreeIdeal) -> IntPolynomial:
             if sum(q) == c + 1 and q not in seen:
                 seen.add(q)
                 block.append(q)
-        for r in range(1, len(block) + 1):
-            sign = 1 if (r - 1) % 2 == 0 else -1
-            for sub in itertools.combinations(block, r):
-                v = sub[0]
-                for q in sub[1:]:
-                    v = vec_max(v, q)
-                add(vec_sub(J.m, v), -sign)
+        # block holds at most p primes, far below SUBSET_CAP
+        for v, coeff in _ie_coefficients_subsets(block).items():
+            add(vec_sub(J.m, v), -coeff)
     return IntPolynomial._raw(J.ambient_p, acc)
 
 

@@ -143,12 +143,6 @@ def _grothendieck_codes(w: Perm) -> dict:
     return _isobaric_codes(_grothendieck_codes(swap_adjacent(w, j)).items(), j, _perm_coding(p)[0])
 
 
-@lru_cache(maxsize=None)
-def _grothendieck_terms(w: Perm) -> dict:
-    decode = _perm_coding(len(w))[1]
-    return {decode(x): c for x, c in _grothendieck_codes(w).items()}
-
-
 def grothendieck(w) -> IntPolynomial:
     """Grothendieck polynomial, memoized along the ascent chain up to the
     longest permutation; the result is independent of the ascent choices.
@@ -156,7 +150,8 @@ def grothendieck(w) -> IntPolynomial:
     w = as_perm(w)
     if len(w) > GROTHENDIECK_CAP:
         raise CapExceeded(f"Grothendieck polynomial for p = {len(w)} exceeds the cap {GROTHENDIECK_CAP}")
-    return IntPolynomial._raw(len(w), dict(_grothendieck_terms(w)))
+    decode = _perm_coding(len(w))[1]
+    return IntPolynomial._raw(len(w), {decode(x): c for x, c in _grothendieck_codes(w).items()})
 
 
 def lowest_degree_part(f: IntPolynomial) -> IntPolynomial:

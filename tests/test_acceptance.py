@@ -15,7 +15,7 @@ from kpoly.mobius import (
     mu_support,
     verify_matroid_mu_theorem,
 )
-from kpoly.monomial import hilbert_function_bruteforce, hilbert_poly_ie, msupp_to_ideal
+from kpoly.monomial import _ie_coefficients_subsets, hilbert_function_bruteforce, hilbert_poly_ie, msupp_to_ideal
 from kpoly.polymatroid import (
     inequality_system,
     integer_points,
@@ -145,9 +145,9 @@ def test_criterion_06_oracle_equivalence_s5():
             J = msupp_to_ideal(msupp, m)
             assert hilbert_poly_ie(J) == H, w
             # the lattice IE route runs the Mobius kernel; the literal subset
-            # sum shares no code with it
+            # sum shares no code with divided differences
             if p == 5:
-                assert hilbert_poly_ie(J, "subsets") == H, w
+                assert _ie_coefficients_subsets(J.primes) == G.terms, w
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
     report(6, f"all 115 zero-one S_5 and 605 zero-one S_6: stalactite, Mobius and IE oracles agree, "

@@ -286,6 +286,14 @@ def _verify_gpolymatroid(monkeypatch, tmp_path):
     return ["verify", "gpolymatroid", write_json(tmp_path, "bad.json", [[0, 0], [1, 1]])]
 
 
+def _verify_gpolymatroid_methods_disagree(monkeypatch, tmp_path):
+    real = polymatroid.is_g_polymatroid
+    forced = Check(False, {"condition": "forced"})
+    monkeypatch.setattr(polymatroid, "is_g_polymatroid",
+                        lambda G, method="axioms": forced if method == "paramodular" else real(G, method))
+    return ["verify", "gpolymatroid", write_json(tmp_path, "axes.json", [[1, 0], [0, 1]]), "--method", "all"]
+
+
 def _verify_theorem_a(monkeypatch, tmp_path):
     # the inequality lines come before the witness line
     return ["verify", "theorem-a", write_json(tmp_path, "diagonals.json", [[1, 1, 0, 0], [0, 0, 1, 1]])]
@@ -308,6 +316,7 @@ def _linear_polymatroid_mu_supp(monkeypatch, tmp_path):
     _hilbert_of_a_non_polymatroid,
     _mobius_of_a_non_polymatroid,
     _verify_gpolymatroid,
+    _verify_gpolymatroid_methods_disagree,
     _verify_theorem_a,
     _mobius_check,
     _linear_polymatroid_mu_supp,
@@ -321,6 +330,15 @@ def test_every_violation_exits_1_and_ends_with_its_witness(case, monkeypatch, tm
     last = capsys.readouterr().out.rstrip("\n").split("\n")[-1]
     assert last.startswith("  witness: ")
     assert ast.literal_eval(last.removeprefix("  witness: ")) == payload["witness"]
+
+
+def test_disagreeing_g_polymatroid_methods_name_every_verdict(monkeypatch, tmp_path, capsys):
+    argv = _verify_gpolymatroid_methods_disagree(monkeypatch, tmp_path)
+    assert main(argv + ["--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    verdicts = {"axioms": True, "homogenization": True, "paramodular": False}
+    assert payload["verdict"] is False and payload["methods"] == verdicts
+    assert payload["witness"] == {"condition": "method-mismatch", "verdicts": verdicts}
 
 
 def test_hilbert_precondition_violation(tmp_path):
@@ -340,6 +358,12 @@ def test_mobius_command(tmp_path, capsys):
 def test_linear_polymatroid_random_requires_seed(capsys):
     assert main(["linear-polymatroid", "--random", "3,3"]) == 2
     assert main(["linear-polymatroid", "--random", "3,3", "--seed", "4", "--mu-supp"]) == 0
+
+
+def test_linear_polymatroid_random_needs_two_sizes(capsys):
+    for sizes in ("2", "2,2,2"):
+        assert main(["linear-polymatroid", "--random", sizes, "--seed", "1"]) == 2
+        assert capsys.readouterr().err == f"error: --random takes two sizes P,Q, got {sizes!r}\n"
 
 
 def test_explore(monkeypatch, capsys):

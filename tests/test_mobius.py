@@ -1,6 +1,10 @@
+import importlib
+import inspect
 import itertools
 import math
+import pkgutil
 import random
+import sys
 
 import pytest
 
@@ -8,6 +12,7 @@ from kpoly import mobius, stalactite
 from kpoly.lattice import CapExceeded, Check, IntPolynomial, PointSet, point_set
 from kpoly.mobius import (
     Matroid,
+    _mobius_recursive,
     coloops,
     contraction,
     downset,
@@ -60,14 +65,14 @@ def test_mobius_running_example_value():
 
 def test_mobius_methods_agree_running_example():
     P = point_set(MSUPP_3)
-    assert mobius_to_top(P, "closed") == mobius_to_top(P, "recursive")
+    assert mobius_to_top(P) == _mobius_recursive(P)
 
 
 def test_mobius_methods_agree_on_all_matroids_up_to_5():
     for p in range(1, 6):
         for M in matroids_on_ground(p):
-            closed = mobius_to_top(M.bases, "closed")
-            rec = mobius_to_top(M.bases, "recursive")
+            closed = mobius_to_top(M.bases)
+            rec = _mobius_recursive(M.bases)
             assert closed == rec, list(M.bases)
 
 
@@ -78,7 +83,7 @@ def test_mobius_methods_agree_on_enumerated_polymatroids():
     ranks += itertools.islice(rank_functions(4, 2), 0, None, 20)
     for f in ranks:
         P = base_polymatroid(f)
-        assert mobius_to_top(P, "closed") == mobius_to_top(P, "recursive"), P
+        assert mobius_to_top(P) == _mobius_recursive(P), P
 
 
 def test_mobius_methods_agree_on_zero_one_s4_supports():
@@ -88,7 +93,7 @@ def test_mobius_methods_agree_on_zero_one_s4_supports():
     assert len(perms) == 24  # every permutation in S_4 is zero-one
     for w in perms:
         msupp, _ = msupp_of_matrix_schubert(w)
-        assert mobius_to_top(msupp, "closed") == mobius_to_top(msupp, "recursive"), w
+        assert mobius_to_top(msupp) == _mobius_recursive(msupp), w
 
 
 def test_mobius_methods_agree_where_the_box_dwarfs_the_downset():
@@ -100,7 +105,7 @@ def test_mobius_methods_agree_where_the_box_dwarfs_the_downset():
         sparse.append(PointSet(p, pts))
     for P in sparse:
         assert 3 * len(downset(P)) < math.prod(max(col) + 1 for col in zip(*P))
-        assert mobius_to_top(P, "closed") == mobius_to_top(P, "recursive"), P
+        assert mobius_to_top(P) == _mobius_recursive(P), P
 
 
 def test_mobius_methods_agree_on_translated_polymatroids():
@@ -115,16 +120,81 @@ def test_mobius_methods_agree_on_translated_polymatroids():
         translated.append(PointSet(3, [tuple(a + b for a, b in zip(u, lo)) for u in base_polymatroid(f)]))
     assert sum(any(map(min, zip(*P))) for P in translated) > len(translated) // 2
     for P in translated:
-        assert mobius_to_top(P, "closed") == mobius_to_top(P, "recursive"), P
+        assert mobius_to_top(P) == _mobius_recursive(P), P
+
+
+# kpoly functions that a production route and its literal oracle may both
+# reach: the raw constructor and container protocol of the value types
+SHARED_PRIMITIVES = (
+    "kpoly.lattice.IntPolynomial._raw",
+    "kpoly.lattice.PointSet.__bool__",
+    "kpoly.lattice.PointSet.__iter__",
+    "kpoly.lattice.PointSet.__len__",
+)
+
+
+def _kpoly_functions() -> dict:
+    """{code object: function} for every function and method a kpoly module
+    defines, through caches, properties and class or static methods."""
+    import kpoly
+
+    index = {}
+    for info in pkgutil.iter_modules(kpoly.__path__):
+        module = importlib.import_module(f"kpoly.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            for f in [obj, *vars(obj).values()] if isinstance(obj, type) else [obj]:
+                f = getattr(f, "__func__", f)
+                f = inspect.unwrap(getattr(f, "fget", f))
+                if inspect.isfunction(f):
+                    index[f.__code__] = f
+    return index
+
+
+def _reached(index: dict, route, inputs) -> set[str]:
+    """Qualified names of the functions in index that route calls on inputs."""
+    seen = set()
+
+    def record(frame, event, arg):
+        f = index.get(frame.f_code)
+        if event == "call" and f is not None:
+            seen.add(f"{f.__module__}.{f.__qualname__}")
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        for x in inputs:
+            route(x)
+    finally:
+        sys.setprofile(previous)
+    return seen
 
 
 def test_literal_oracles_never_enter_the_grid_kernel(monkeypatch):
     from kpoly import lattice, monomial, stalactite
-    from kpoly.monomial import SquareFreeIdeal, ie_join_coefficients
+    from kpoly.monomial import SquareFreeIdeal, _ie_coefficients_subsets, k_poly_ie, msupp_to_ideal
+    from kpoly.schubert import msupp_of_matrix_schubert, zero_one_permutations
+
+    # each production route and its oracle reach disjoint sets of kpoly
+    # functions, up to SHARED_PRIMITIVES, on the running example and the
+    # zero-one supports of S_4
+    pairs = [(point_set(MSUPP_3), AMBIENT_M3)] + [msupp_of_matrix_schubert(w) for w in zero_one_permutations(4)]
+    msupps = [P for P, _ in pairs]
+    ideals = [msupp_to_ideal(P, m) for P, m in pairs]
+    index = _kpoly_functions()
+    for route, oracle, inputs in (
+        (mobius_to_top, _mobius_recursive, msupps),
+        (k_poly_ie, lambda J: _ie_coefficients_subsets(J.primes), ideals),
+    ):
+        production = _reached(index, route, inputs)
+        assert "kpoly.lattice.downset_difference" in production
+        shared = production & _reached(index, oracle, inputs)
+        assert shared <= set(SHARED_PRIMITIVES), sorted(shared)
 
     expected_mu = mobius_to_top(point_set(MSUPP_3))
     J = SquareFreeIdeal((4, 4), ((0, 3), (1, 2), (3, 0)))
-    expected_ie = ie_join_coefficients(J, "subsets")
+    expected_ie = _ie_coefficients_subsets(J.primes)
 
     def refuse(*args):
         raise AssertionError("grid kernel called")
@@ -135,9 +205,17 @@ def test_literal_oracles_never_enter_the_grid_kernel(monkeypatch):
                 monkeypatch.setattr(module, name, refuse)
     with pytest.raises(AssertionError):
         mobius_to_top(point_set(MSUPP_3))
-    assert mobius_to_top(point_set(MSUPP_3), "recursive") == expected_mu
-    assert ie_join_coefficients(J, "subsets") == expected_ie
+    assert _mobius_recursive(point_set(MSUPP_3)) == expected_mu
+    assert _ie_coefficients_subsets(J.primes) == expected_ie
     assert reduced_euler_characteristic(uniform_matroid(2, 4)) == -3
+
+
+def test_only_is_g_polymatroid_takes_a_method():
+    # every other route has one production kernel; its literal oracle is a
+    # function of its own, not a switch
+    takers = [f"{f.__module__}.{f.__qualname__}" for f in _kpoly_functions().values()
+              if "method" in inspect.signature(f).parameters]
+    assert takers == ["kpoly.polymatroid.is_g_polymatroid"]
 
 
 def test_recursive_oracle_refuses_a_downset_above_its_cap(monkeypatch):
@@ -147,10 +225,10 @@ def test_recursive_oracle_refuses_a_downset_above_its_cap(monkeypatch):
     expected = mobius_to_top(P)
     monkeypatch.setattr(mobius, "RECURSIVE_CAP", 88)
     with pytest.raises(CapExceeded, match=r"^downset has 89 elements \(recursive cap 88\)$"):
-        mobius_to_top(P, "recursive")
+        _mobius_recursive(P)
     assert mobius_to_top(P) == expected
     monkeypatch.setattr(mobius, "RECURSIVE_CAP", 89)
-    assert mobius_to_top(P, "recursive") == expected
+    assert _mobius_recursive(P) == expected
 
 
 def test_mobius_requires_polymatroid():

@@ -8,13 +8,13 @@ from kpoly import monomial
 from kpoly.lattice import CapExceeded, IntPolynomial, point_set
 from kpoly.monomial import (
     BorelPrime,
+    _ie_coefficients_subsets,
     SquareFreeIdeal,
     count_monomials,
     hilbert_function_bruteforce,
     hilbert_poly_ie,
     hilbert_poly_prime,
     hilbert_poly_shellable,
-    ie_join_coefficients,
     k_poly_ie,
     msupp_to_ideal,
     prime_sum,
@@ -26,6 +26,13 @@ from test_lattice import literal_downset_difference
 
 def running_ideal() -> SquareFreeIdeal:
     return msupp_to_ideal(point_set(MSUPP_3), AMBIENT_M3)
+
+
+def hilbert_poly_subsets(J: SquareFreeIdeal) -> IntPolynomial:
+    # the Hilbert polynomial from the literal subset sum, as hilbert_poly_ie
+    # builds it from the lattice route
+    coeffs = _ie_coefficients_subsets(J.primes)
+    return IntPolynomial(J.ambient_p, {tuple(a - b for a, b in zip(J.m, v)): c for v, c in coeffs.items()})
 
 
 def test_prime_sum_is_componentwise_max():
@@ -116,9 +123,9 @@ def test_large_homogeneous_ideal_builds_before_the_ie_cap_refuses_it():
 
 def test_hilbert_poly_ie_matches_running_example():
     J = running_ideal()
-    H = hilbert_poly_ie(J, method="subsets")
+    H = hilbert_poly_subsets(J)
     assert H.terms == HILBERT_3
-    assert hilbert_poly_ie(J, method="lattice") == H
+    assert hilbert_poly_ie(J) == H
 
 
 def test_hilbert_poly_ie_single_prime():
@@ -158,14 +165,14 @@ def test_ie_methods_agree_randomized():
         if not primes:
             continue
         J = SquareFreeIdeal(m, tuple(primes))
-        assert hilbert_poly_ie(J, "subsets") == hilbert_poly_ie(J, "lattice")
-        assert k_poly_ie(J, "subsets") == k_poly_ie(J, "lattice")
+        assert hilbert_poly_subsets(J) == hilbert_poly_ie(J)
+        assert _ie_coefficients_subsets(J.primes) == k_poly_ie(J).terms
     # the ideals of the 115 zero-one permutations in S_5, up to 14 primes
     from kpoly.schubert import msupp_of_matrix_schubert, zero_one_permutations
 
     for w in zero_one_permutations(5):
         J = msupp_to_ideal(*msupp_of_matrix_schubert(w))
-        assert ie_join_coefficients(J, "subsets") == ie_join_coefficients(J), w
+        assert _ie_coefficients_subsets(J.primes) == k_poly_ie(J).terms, w
 
 
 def test_lattice_route_on_large_antichains():
@@ -174,27 +181,27 @@ def test_lattice_route_on_large_antichains():
     J = SquareFreeIdeal((24, 24), tuple((i, 24 - i) for i in range(25)))
     expected = {(i, 24 - i): 1 for i in range(25)}
     expected.update({(i + 1, 24 - i): -1 for i in range(24)})
-    assert ie_join_coefficients(J) == expected
+    assert k_poly_ie(J).terms == expected
     # the 231-prime plane's value grid holds 21^3 cells; the grid kernel must
     # match the dict oracle differencing the literal downset of the ranked primes
     plane = tuple((a, b, 20 - a - b) for a in range(21) for b in range(21 - a))
     ranked = [tuple(20 - x for x in a) for a in plane]
     expected = {tuple(20 - r for r in u): c for u, c in literal_downset_difference(ranked).items()}
-    assert ie_join_coefficients(SquareFreeIdeal((20, 20, 20), plane)) == expected
+    assert k_poly_ie(SquareFreeIdeal((20, 20, 20), plane)).terms == expected
     # 101 primes with 101 distinct values on each axis: the value grid of
     # 101^3 cells exceeds GRID_CAP, and the cap fires before allocating
     line = tuple((i, 100 - i, i) for i in range(101))
     with pytest.raises(CapExceeded, match="1030301 cells"):
-        ie_join_coefficients(SquareFreeIdeal((100, 100, 100), line))
+        k_poly_ie(SquareFreeIdeal((100, 100, 100), line))
 
 
 def test_subset_cap_enforced(monkeypatch):
     J = running_ideal()
     monkeypatch.setattr(monomial, "SUBSET_CAP", 5)
     with pytest.raises(CapExceeded):
-        hilbert_poly_ie(J, method="subsets")
+        hilbert_poly_subsets(J)
     monkeypatch.setattr(monomial, "SUBSET_CAP", 7)
-    assert hilbert_poly_ie(J, method="subsets").terms == HILBERT_3
+    assert hilbert_poly_subsets(J).terms == HILBERT_3
 
 
 def test_k_poly_ie_running_example():
