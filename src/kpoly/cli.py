@@ -26,6 +26,7 @@ from .lattice import (
     Check,
     check_ambient,
     first_difference,
+    members,
     parse_vector,
     point_set_from_json,
     point_set_to_json,
@@ -153,8 +154,8 @@ def _verify_theorem_a(args, data) -> CommandResult:
     inequalities."""
     sys_, chk = polymatroid.theorem_a_report(point_set_from_json(data))
     details = [
-        f"  {sys_.lower[J]} <= n_{{{','.join(map(str, sorted(J)))}}} <= {sys_.upper[J]}"
-        for J in sys_.subsets()
+        f"  {sys_.lower[X]} <= n_{{{','.join(map(str, members(X)))}}} <= {sys_.upper[X]}"
+        for X in sys_.subsets()
     ]
     return _check_result(args.kind, chk, {"inequalities": polymatroid.system_to_json(sys_)}, details)
 

@@ -65,7 +65,10 @@ def as_point(coords, p: int | None = None) -> Point:
 def parse_vector(text: str) -> tuple[int, ...]:
     """Ints from text such as "1,5,3" or "[1 5 3]", split on commas or spaces."""
     body = text.strip().strip("[]")
-    return tuple(int(tok) for tok in body.replace(",", " ").split())
+    try:
+        return tuple(int(tok) for tok in body.replace(",", " ").split())
+    except ValueError:
+        raise ValueError(f"expected integers separated by commas or spaces, got {text!r}") from None
 
 
 def dominates(u: Point, v: Point) -> bool:
@@ -434,6 +437,12 @@ def check_subset_table(p: int, table: str, cap: int) -> None:
     """CapExceeded, led by table ("rank table has"), above cap subsets of [p]."""
     if 1 << p > cap:
         raise CapExceeded(f"{table} {1 << p} subsets (cap {cap})")
+
+
+def members(X: int) -> list[int]:
+    """The 1-based indices of the subset with bitmask X (bit j - 1 stands for
+    index j), in increasing order."""
+    return [j + 1 for j in range(X.bit_length()) if X >> j & 1]
 
 
 def _cube_coding(r: int, p: int):

@@ -3,6 +3,10 @@
 Every checker returns a Check whose witness pinpoints the first violated
 condition (points are reported as lists, indices 1-based) so failures are
 debuggable from test output and from the CLI.
+
+A set function on [p] (support bounds, rank functions, the bounds of an
+inequality system) is a table indexed by bitmask: bit j - 1 stands for
+index j, entry 0 is the empty set, and lattice.members decodes a mask.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from operator import itemgetter, mul, sub
 
 from .lattice import (
@@ -20,10 +25,10 @@ from .lattice import (
     PointSet,
     _cube_coding,
     axis_values,
-    check_index_subset,
     check_subset_table,
     class_floors,
     homogenize,
+    members,
     top,
     unit_shift,
     value_zeta,
@@ -277,34 +282,26 @@ def _paramodular_verdict(G: PointSet, c: list[int], b: list[int]) -> Check:
     return Check(False, {"condition": "integer-points", "extra_points": extra})
 
 
+@dataclass(frozen=True)
 class GPolyInequalitySystem:
-    """Lower/upper bounds c(J) <= sum_{j in J} y_j <= b(J) for all nonempty J."""
+    """Lower/upper bounds c(X) <= sum_{j in X} y_j <= b(X) for every subset X
+    of [p], as two tables indexed by bitmask (bit j - 1 stands for index j;
+    entry 0 is the empty set), stored as tuples."""
 
-    __slots__ = ("ambient_p", "lower", "upper")
+    ambient_p: int
+    lower: tuple[int, ...]
+    upper: tuple[int, ...]
 
-    def __init__(self, ambient_p: int, lower: dict, upper: dict):
-        self.ambient_p = ambient_p
-        self.lower = {frozenset(check_index_subset(J, ambient_p)): int(c) for J, c in lower.items()}
-        self.upper = {frozenset(check_index_subset(J, ambient_p)): int(b) for J, b in upper.items()}
-        if set(self.lower) != set(self.upper):
-            raise ValueError("lower and upper bounds must cover the same subsets")
+    def __post_init__(self):
+        for name in ("lower", "upper"):
+            table = tuple(getattr(self, name))
+            if len(table) != 1 << self.ambient_p:
+                raise ValueError(f"{name} table has {len(table)} entries, expected one per subset of [{self.ambient_p}]")
+            object.__setattr__(self, name, table)
 
-    def subsets(self):
-        return sorted(self.lower, key=lambda J: (len(J), sorted(J)))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GPolyInequalitySystem)
-            and self.ambient_p == other.ambient_p
-            and self.lower == other.lower
-            and self.upper == other.upper
-        )
-
-    def __repr__(self) -> str:
-        rows = ", ".join(
-            f"{self.lower[J]}<=sum{sorted(J)}<={self.upper[J]}" for J in self.subsets()
-        )
-        return f"GPolyInequalitySystem(p={self.ambient_p}, {rows})"
+    def subsets(self) -> list[int]:
+        """The nonempty masks, by size, then by their sorted members."""
+        return sorted(range(1, 1 << self.ambient_p), key=lambda X: (X.bit_count(), members(X)))
 
 
 def _support_tables(A: PointSet) -> tuple[list[int], list[int]]:
@@ -330,29 +327,18 @@ def _support_tables(A: PointSet) -> tuple[list[int], list[int]]:
 
 
 def inequality_system(A: PointSet) -> GPolyInequalitySystem:
-    """Support bounds of A over all 2^p - 1 nonempty index subsets
-    (CapExceeded when 2^p exceeds GRID_CAP)."""
+    """Support bounds of A over all 2^p subsets (CapExceeded when 2^p
+    exceeds GRID_CAP)."""
     if not A:
         raise EmptySetError("inequality system of an empty set")
-    return _bounds_system(A.ambient_p, *_support_tables(A))
+    return GPolyInequalitySystem(A.ambient_p, *_support_tables(A))
 
 
 def theorem_a_report(A: PointSet) -> tuple[GPolyInequalitySystem, Check]:
     """inequality_system(A) and is_g_polymatroid(A, "paramodular"), Theorem
     A's verdict on a support, from one build of the support tables."""
-    if not A:
-        raise EmptySetError("inequality system of an empty set")
-    c, b = _support_tables(A)
-    return _bounds_system(A.ambient_p, c, b), _paramodular_verdict(A, c, b)
-
-
-def _bounds_system(p: int, lower: list[int], upper: list[int]) -> GPolyInequalitySystem:
-    subsets = [tuple(j + 1 for j in range(p) if X >> j & 1) for X in range(1 << p)]
-    return GPolyInequalitySystem(
-        p,
-        {subsets[X]: lower[X] for X in range(1, 1 << p)},
-        {subsets[X]: upper[X] for X in range(1, 1 << p)},
-    )
+    sys_ = inequality_system(A)
+    return sys_, _paramodular_verdict(A, sys_.lower, sys_.upper)
 
 
 def _paramodular_check(c: list[int], b: list[int], p: int) -> Check:
@@ -369,7 +355,7 @@ def _paramodular_check(c: list[int], b: list[int], p: int) -> Check:
     pairs.  The witness names the violated family and its 1-based X and Y.
     """
     full = (1 << p) - 1
-    rho = b + [-c[full ^ X] for X in range(full + 1)]
+    rho = list(b) + [-c[full ^ X] for X in range(full + 1)]
     for e, f in itertools.combinations([1 << i for i in range(p + 1)], 2):
         ef = e | f
         for W in range(len(rho)):
@@ -389,33 +375,20 @@ def _paramodular_witness(A: int, B: int, p: int) -> Check:
         condition, A, B = "supermodular", full & ~A, full & ~B
     else:
         condition, B = "cross", full & ~B
-    return Check(False, {
-        "condition": condition,
-        "X": [i + 1 for i in range(p) if A >> i & 1],
-        "Y": [i + 1 for i in range(p) if B >> i & 1],
-    })
+    return Check(False, {"condition": condition, "X": members(A), "Y": members(B)})
 
 
 def integer_points(sys_: GPolyInequalitySystem) -> PointSet:
     """All lattice points y >= 0 satisfying every double inequality, by the
     table walk of _integer_points.  The points lie in the box 0 <= y_i <=
-    b({i}), so each singleton needs a bound (ValueError otherwise); a box of
-    more than INTEGER_POINTS_CAP cells is refused before any work.  A subset
-    without bounds gets c = 0 and b = the sum of the boxes, which no point
-    of the box breaks."""
-    p, upper = sys_.ambient_p, sys_.upper
-    boxes = [upper.get(frozenset({i})) for i in range(1, p + 1)]
-    if None in boxes:
-        raise ValueError(f"inequality system has no bound on the singleton {{{boxes.index(None) + 1}}}")
+    b({i}); CapExceeded before any work when 2^p exceeds GRID_CAP or the box
+    has more than INTEGER_POINTS_CAP cells."""
+    p = sys_.ambient_p
     check_subset_table(p, "support tables have", GRID_CAP)
-    volume = math.prod(max(0, x + 1) for x in boxes)
+    volume = math.prod(max(0, sys_.upper[1 << i] + 1) for i in range(p))
     if volume > INTEGER_POINTS_CAP:
         raise CapExceeded(f"integer-point box has {volume} cells (cap {INTEGER_POINTS_CAP})")
-    c, b = [0] * (1 << p), [sum(boxes)] * (1 << p)
-    for J, lower in sys_.lower.items():
-        X = sum(1 << (j - 1) for j in J)
-        c[X], b[X] = lower, upper[J]
-    return PointSet._raw(p, _integer_points(c, b, p))
+    return PointSet._raw(p, _integer_points(sys_.lower, sys_.upper, p))
 
 
 def _integer_points(c: list[int], b: list[int], p: int, limit=math.inf) -> list:
@@ -451,8 +424,8 @@ def system_to_json(sys_: GPolyInequalitySystem) -> dict:
     return {
         "p": sys_.ambient_p,
         "bounds": [
-            {"J": sorted(J), "c": sys_.lower[J], "b": sys_.upper[J]}
-            for J in sys_.subsets()
+            {"J": members(X), "c": sys_.lower[X], "b": sys_.upper[X]}
+            for X in sys_.subsets()
         ],
     }
 

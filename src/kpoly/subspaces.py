@@ -2,8 +2,10 @@
 
 Only the rank-function side is built: the rank table extends echelon bases
 subset by subset in exact integer arithmetic (fraction-exact elimination per
-subset, `rank_of`, is the tests' oracle), and the polymatroid is the set of
-lattice points of the base polytope cut out by the rank inequalities.
+subset, `rank_of`, is the tests' oracle) and lists the ranks by bitmask, the
+one encoding of set functions on [p] (lattice.members decodes a mask); the
+polymatroid is the set of lattice points of the base polytope cut out by the
+rank inequalities.
 """
 
 from __future__ import annotations
@@ -78,22 +80,20 @@ def _integer_row(g) -> list[int]:
     return [x.numerator * (d // x.denominator) for x in g]
 
 
-def rank_table(config: SubspaceConfig) -> dict[frozenset, int]:
-    """rank(J) for every J of [p] (1-based), in one pass over bitmasks, so the
-    subsets come in bitmask order (bit j - 1 stands for index j).  The
-    echelon basis of J is that of J - {max J}, extended by the generators of
-    subspace max J reduced against it: cross-multiplied at each pivot, then
-    divided by their gcd.  Raises CapExceeded before any work when 2^p
-    exceeds GRID_CAP."""
+def rank_table(config: SubspaceConfig) -> list[int]:
+    """rank(X) for every subset X of [p], as a list indexed by bitmask (bit
+    j - 1 stands for index j; entry 0 is the empty set).  The echelon basis
+    of X is that of X - {max X}, extended by the generators of subspace
+    max X reduced against it: cross-multiplied at each pivot, then divided
+    by their gcd.  Raises CapExceeded before any work when 2^p exceeds
+    GRID_CAP."""
     p, q = config.p, config.q
     check_subset_table(p, "rank table has", GRID_CAP)
     rows = [[_integer_row(g) for g in gens] for gens in config.subspaces]
-    bases, subsets = [[]], [frozenset()]
-    table = {frozenset(): 0}
+    bases = [[]]
     for mask in range(1, 1 << p):
         hi = mask.bit_length() - 1
-        parent = mask ^ (1 << hi)
-        basis = bases[parent]  # (pivot, row) pairs; shared, never mutated
+        basis = bases[mask ^ (1 << hi)]  # (pivot, row) pairs; shared, never mutated
         for v in rows[hi]:
             if len(basis) == q:
                 break
@@ -106,15 +106,12 @@ def rank_table(config: SubspaceConfig) -> dict[frozenset, int]:
                 g = math.gcd(*v)
                 basis = basis + [(pivot, [x // g for x in v])]
         bases.append(basis)
-        J = subsets[parent] | {hi + 1}
-        subsets.append(J)
-        table[J] = len(basis)
-    return table
+    return list(map(len, bases))
 
 
 def linear_polymatroid(config: SubspaceConfig) -> PointSet:
     """The base polymatroid of the rank function of config."""
-    return base_polymatroid(list(rank_table(config).values()))
+    return base_polymatroid(rank_table(config))
 
 
 # entries random_config may draw, p subspaces of up to q generators of q

@@ -8,7 +8,7 @@ import itertools
 import random
 import time
 
-from kpoly.lattice import PointSet, point_set
+from kpoly.lattice import PointSet, members, point_set
 from kpoly.mobius import (
     kpoly_from_mobius,
     matroids_on_ground,
@@ -95,10 +95,9 @@ def test_criterion_02_running_example_hilbert_polynomial():
 def test_criterion_03_inequality_description():
     supp = point_set(list(KPOLY_3))
     sys_ = inequality_system(supp)
-    assert len(sys_.lower) == 7
-    for J, (lo, hi) in INEQUALITIES.items():
-        assert sys_.lower[frozenset(J)] == lo, J
-        assert sys_.upper[frozenset(J)] == hi, J
+    assert len(sys_.subsets()) == 7
+    for X in sys_.subsets():
+        assert (sys_.lower[X], sys_.upper[X]) == INEQUALITIES[tuple(members(X))], X
     assert integer_points(sys_) == supp
     # the full 5-variable support passes the same fixed-point test
     supp5 = point_set(list(KPOLY_5))

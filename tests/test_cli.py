@@ -366,6 +366,21 @@ def test_linear_polymatroid_random_needs_two_sizes(capsys):
         assert capsys.readouterr().err == f"error: --random takes two sizes P,Q, got {sizes!r}\n"
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["grothendieck", "1,x"], "1,x"),
+    (["hilbert", "MSUPP", "--ambient", "1,x"], "1,x"),
+    (["hilbert", "MSUPP", "--eval=1,x"], "1,x"),
+    (["mobius", "MSUPP", "--kpoly", "--ambient", "1;1"], "1;1"),
+    (["linear-polymatroid", "--random", "a,b", "--seed", "1"], "a,b"),
+])
+def test_a_vector_that_is_not_integers_is_named(argv, text, tmp_path, capsys):
+    path = write_json(tmp_path, "msupp.json", [[1, 0], [0, 1]])
+    assert main([path if a == "MSUPP" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: expected integers separated by commas or spaces, got {text!r}\n"
+
+
 def test_explore(monkeypatch, capsys):
     # 9 loopless polymatroids on 2 elements and 81 on 3 with singleton ranks <= 2
     assert main(["explore", "--max-p", "3", "--json"]) == 0

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from kpoly import mobius, stalactite
-from kpoly.lattice import CapExceeded, Check, IntPolynomial, PointSet, point_set
+from kpoly.lattice import CapExceeded, Check, IntPolynomial, PointSet, members, point_set
 from kpoly.mobius import (
     Matroid,
     _mobius_recursive,
@@ -28,8 +28,10 @@ from kpoly.mobius import (
     verify_deg_equals_neg_mobius,
     verify_matroid_mu_theorem,
 )
-from kpoly.polymatroid import base_polymatroid, rank_functions
+from kpoly.polymatroid import G_POLY_METHODS, base_polymatroid, is_g_polymatroid, rank_functions
+from kpoly.schubert import grothendieck
 from kpoly.stalactite import hsupp_from_msupp
+from kpoly.subspaces import random_config, rank_of, rank_table
 from running_example import AMBIENT_M3, KPOLY_3, MSUPP_3
 
 
@@ -208,6 +210,31 @@ def test_literal_oracles_never_enter_the_grid_kernel(monkeypatch):
     assert _mobius_recursive(point_set(MSUPP_3)) == expected_mu
     assert _ie_coefficients_subsets(J.primes) == expected_ie
     assert reduced_euler_characteristic(uniform_matroid(2, 4)) == -3
+
+
+def test_rank_table_and_g_polymatroid_methods_share_only_declared_names():
+    # rank_table against rank_of on every mask over the criterion-08 configs,
+    # and the three g-polymatroid methods pairwise on the Grothendieck
+    # supports of S_4; each pair's names beyond SHARED_PRIMITIVES are
+    # declared with it
+    rng = random.Random(20240817)  # the stream of acceptance criterion 08
+    configs = [random_config(rng.randint(2, 5), rng.randint(2, 5), rng) for _ in range(200)]
+    supps = [grothendieck(w).support() for w in itertools.permutations(range(1, 5))]
+    index = _kpoly_functions()
+    reached = {m: _reached(index, lambda G, m=m: is_g_polymatroid(G, m), supps) for m in G_POLY_METHODS}
+    dispatch = {"kpoly.polymatroid.is_g_polymatroid", "kpoly.lattice.Check.__init__"}
+    for one, other, declared in (
+        (_reached(index, rank_table, configs),
+         _reached(index, lambda c: [rank_of(c, members(X)) for X in range(1 << c.p)], configs),
+         {"kpoly.subspaces.SubspaceConfig.p"}),
+        (reached["axioms"], reached["homogenization"],
+         dispatch | {"kpoly.lattice.unit_shift", "kpoly.lattice.PointSet.__contains__"}),
+        (reached["axioms"], reached["paramodular"], dispatch),
+        (reached["homogenization"], reached["paramodular"], dispatch | {"kpoly.lattice.Check.__bool__"}),
+    ):
+        shared = one & other
+        assert one - shared and other - shared
+        assert shared <= set(SHARED_PRIMITIVES) | declared, sorted(shared)
 
 
 def test_only_is_g_polymatroid_takes_a_method():

@@ -17,6 +17,7 @@ from kpoly.lattice import (
     PointSet,
     homogenize,
     lex_compare,
+    members,
     point_set,
     support_bounds,
     top,
@@ -198,34 +199,24 @@ def test_paramodular_rejects_opposite_diagonals_with_a_witness():
 
 def _literal_paramodular(sys_):
     """Oracle: every one of the 4^p pairs (X, Y) of subsets, literally."""
-    p = sys_.ambient_p
-    subsets = [frozenset(J) for r in range(p + 1) for J in itertools.combinations(range(1, p + 1), r)]
-    b = {J: sys_.upper[J] if J else 0 for J in subsets}
-    c = {J: sys_.lower[J] if J else 0 for J in subsets}
+    b, c = sys_.upper, sys_.lower
     return all(
         b[X] + b[Y] >= b[X | Y] + b[X & Y]
         and c[X] + c[Y] <= c[X | Y] + c[X & Y]
-        and b[X] - c[Y] >= b[X - Y] - c[Y - X]
-        for X in subsets
-        for Y in subsets
+        and b[X] - c[Y] >= b[X & ~Y] - c[Y & ~X]
+        for X in range(len(b))
+        for Y in range(len(b))
     )
 
 
-def _bound_tables(sys_):
-    """(c, b) of a complete system as tables indexed by bitmask."""
-    c, b = [0] * (1 << sys_.ambient_p), [0] * (1 << sys_.ambient_p)
-    for J in sys_.lower:
-        X = sum(1 << (j - 1) for j in J)
-        c[X], b[X] = sys_.lower[J], sys_.upper[J]
-    return c, b
-
-
 def _random_system(rng, p, spread):
-    lower, upper = {}, {}
+    """Random bounds with c = b = 0 on the empty set, drawn by size, then by members."""
+    lower, upper = [0] * (1 << p), [0] * (1 << p)
     for r in range(1, p + 1):
-        for J in itertools.combinations(range(1, p + 1), r):
+        for J in itertools.combinations(range(p), r):
+            X = sum(1 << j for j in J)
             lo = rng.randint(0, spread * r)
-            lower[J], upper[J] = lo, lo + rng.randint(-1, spread * r)
+            lower[X], upper[X] = lo, lo + rng.randint(-1, spread * r)
     return GPolyInequalitySystem(p, lower, upper)
 
 
@@ -237,31 +228,30 @@ def test_paramodular_check_matches_the_literal_pair_oracle():
         if rng.random() < 0.5:
             cells = list(itertools.product(range(3), repeat=p))
             A = PointSet(p, rng.sample(cells, rng.randint(1, min(5, len(cells)))))
-            sys_, tables = inequality_system(A), _support_tables(A)
+            sys_ = inequality_system(A)
+            assert (list(sys_.lower), list(sys_.upper)) == _support_tables(A)
         else:
             sys_ = _random_system(rng, p, 1)
-            tables = _bound_tables(sys_)
-        chk = _paramodular_check(*tables, p)
+        chk = _paramodular_check(sys_.lower, sys_.upper, p)
         assert bool(chk) == _literal_paramodular(sys_), sys_
         verdicts[bool(chk)] += 1
         if not chk:
-            X, Y = frozenset(chk.witness["X"]), frozenset(chk.witness["Y"])
-            b = lambda Z: sys_.upper[Z] if Z else 0  # noqa: E731
-            c = lambda Z: sys_.lower[Z] if Z else 0  # noqa: E731
+            X, Y = (sum(1 << (j - 1) for j in chk.witness[k]) for k in "XY")
+            assert (members(X), members(Y)) == (chk.witness["X"], chk.witness["Y"])
+            b, c = sys_.upper, sys_.lower
             assert {
-                "submodular": b(X) + b(Y) < b(X | Y) + b(X & Y),
-                "supermodular": c(X) + c(Y) > c(X | Y) + c(X & Y),
-                "cross": b(X) - c(Y) < b(X - Y) - c(Y - X),
+                "submodular": b[X] + b[Y] < b[X | Y] + b[X & Y],
+                "supermodular": c[X] + c[Y] > c[X | Y] + c[X & Y],
+                "cross": b[X] - c[Y] < b[X & ~Y] - c[Y & ~X],
             }[chk.witness["condition"]], (sys_, chk)
     assert min(verdicts.values()) > 100
 
 
 def test_inequality_system_running_example():
     sys_ = inequality_system(point_set(list(KPOLY_3)))
-    assert len(sys_.lower) == 7
-    for J, (lo, hi) in INEQUALITIES.items():
-        assert sys_.lower[frozenset(J)] == lo
-        assert sys_.upper[frozenset(J)] == hi
+    assert len(sys_.subsets()) == 7
+    for X in sys_.subsets():
+        assert (sys_.lower[X], sys_.upper[X]) == INEQUALITIES[tuple(members(X))]
 
 
 def test_inequality_system_singleton():
@@ -272,7 +262,7 @@ def test_inequality_system_singleton():
 
 def test_inequality_system_homogeneous_top_slice():
     sys_ = inequality_system(point_set(MSUPP_3))
-    full = frozenset({1, 2, 3})
+    full = 0b111
     assert sys_.lower[full] == sys_.upper[full] == 8
 
 
@@ -285,19 +275,20 @@ def test_integer_points_interval_and_empty():
     sys_ = inequality_system(point_set([(2,), (4,)]))
     assert integer_points(sys_) == point_set([(2,), (3,), (4,)])
     # infeasible: force c > b by hand
-    from kpoly.polymatroid import GPolyInequalitySystem
-
-    bad = GPolyInequalitySystem(1, {(1,): 3}, {(1,): 2})
+    bad = GPolyInequalitySystem(1, [0, 3], [0, 2])
     assert len(integer_points(bad)) == 0
 
 
 def _box_filter(sys_):
     """Oracle: every cell of the box 0 <= y_i <= b({i}) that meets every bound."""
     p = sys_.ambient_p
-    boxes = [sys_.upper[frozenset({i})] for i in range(1, p + 1)]
+    boxes = [sys_.upper[1 << i] for i in range(p)]
     return PointSet(p, (
         y for y in itertools.product(*(range(b + 1) for b in boxes))
-        if all(sys_.lower[J] <= sum(y[j - 1] for j in J) <= sys_.upper[J] for J in sys_.lower)
+        if all(
+            sys_.lower[X] <= sum(y[j - 1] for j in members(X)) <= sys_.upper[X]
+            for X in sys_.subsets()
+        )
     ))
 
 
@@ -309,14 +300,19 @@ def test_integer_points_walk_matches_the_box_filter():
         if rng.random() < 0.5:
             cells = list(itertools.product(range(4), repeat=p))
             sys_ = inequality_system(PointSet(p, rng.sample(cells, rng.randint(1, min(6, len(cells))))))
+            order = range(1, 1 << p)
         else:
             sys_ = _random_system(rng, p, 2)
+            order = sys_.subsets()
         if rng.random() < 0.3:
-            # a partial system: the singletons and a random share of the rest
-            kept = [J for J in sys_.lower if len(J) == 1 or rng.random() < 0.5]
-            sys_ = GPolyInequalitySystem(
-                p, {J: sys_.lower[J] for J in kept}, {J: sys_.upper[J] for J in kept}
-            )
+            # a "partial" system: the singletons and a random share of the
+            # rest keep their bounds, each other subset gets c = 0 and b = the
+            # sum of the singleton boxes, which no point of the box breaks
+            lower, upper = list(sys_.lower), list(sys_.upper)
+            for X in order:
+                if X.bit_count() > 1 and rng.random() >= 0.5:
+                    lower[X], upper[X] = 0, sum(upper[1 << i] for i in range(p))
+            sys_ = GPolyInequalitySystem(p, lower, upper)
         Z = integer_points(sys_)
         assert Z == _box_filter(sys_), sys_
         nonempty += bool(Z)
@@ -325,17 +321,28 @@ def test_integer_points_walk_matches_the_box_filter():
 
 def test_integer_points_refuses_a_box_above_its_cap_before_the_walk(monkeypatch):
     # the box 0 <= y_i <= 2 in three coordinates holds 27 cells
-    sys_ = GPolyInequalitySystem(3, {(i,): 0 for i in (1, 2, 3)}, {(i,): 2 for i in (1, 2, 3)})
+    sys_ = GPolyInequalitySystem(3, [0] * 8, [0, 2, 2, 6, 2, 6, 6, 6])
     monkeypatch.setattr(polymatroid, "INTEGER_POINTS_CAP", 26)
     monkeypatch.setattr(polymatroid, "_integer_points", lambda *args: pytest.fail("walk before the cap"))
     with pytest.raises(CapExceeded, match=r"^integer-point box has 27 cells \(cap 26\)$"):
         integer_points(sys_)
 
 
-def test_integer_points_names_a_missing_singleton_bound():
-    sys_ = GPolyInequalitySystem(3, {(1,): 0, (3,): 0, (1, 2): 1}, {(1,): 1, (3,): 1, (1, 2): 2})
-    with pytest.raises(ValueError, match=r"no bound on the singleton \{2\}"):
-        integer_points(sys_)
+def test_inequality_system_needs_one_bound_per_subset():
+    with pytest.raises(ValueError, match=r"^lower table has 7 entries, expected one per subset of \[3\]$"):
+        GPolyInequalitySystem(3, [0] * 7, [0] * 8)
+    with pytest.raises(ValueError, match=r"^upper table has 2 entries, expected one per subset of \[0\]$"):
+        GPolyInequalitySystem(0, [0], [0, 1])
+    sys_ = GPolyInequalitySystem(2, [0, 1, 2, 3], range(4))
+    assert sys_ == GPolyInequalitySystem(2, (0, 1, 2, 3), [0, 1, 2, 3])
+    assert (sys_.lower, sys_.upper) == ((0, 1, 2, 3), (0, 1, 2, 3))
+
+
+def test_subsets_come_by_size_then_by_sorted_members():
+    for p in range(6):
+        sys_ = GPolyInequalitySystem(p, [0] * (1 << p), [0] * (1 << p))
+        subsets = [list(J) for r in range(1, p + 1) for J in itertools.combinations(range(1, p + 1), r)]
+        assert [members(X) for X in sys_.subsets()] == sorted(subsets, key=lambda J: (len(J), J))
 
 
 def _literal_support_tables(A):
@@ -406,7 +413,7 @@ def test_support_tables_refuse_2_to_the_p_above_the_grid_cap(monkeypatch):
         with pytest.raises(CapExceeded, match=r"support tables have 8 subsets \(cap 4\)"):
             call(P)
     with pytest.raises(CapExceeded, match="support tables have 8 subsets"):
-        integer_points(GPolyInequalitySystem(3, {(i,): 0 for i in (1, 2, 3)}, {(i,): 0 for i in (1, 2, 3)}))
+        integer_points(GPolyInequalitySystem(3, [0] * 8, [0] * 8))
 
     def forbidden(A):
         raise AssertionError("the base check built support tables above the cap")
