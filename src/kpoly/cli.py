@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import random
 import re
 import sys
 from dataclasses import dataclass
@@ -256,8 +257,6 @@ def cmd_mobius(args) -> CommandResult:
 
 
 def cmd_linear_polymatroid(args) -> CommandResult:
-    import random
-
     if args.random:
         if args.seed is None:
             raise ValueError("--random requires an explicit --seed")

@@ -454,6 +454,24 @@ def _cube_coding(r: int, p: int):
     return strides, lambda code: tuple([code // s % r for s in strides])
 
 
+def _stalactite_walk(pts, strides):
+    """Yield, for each point a of the ordered sequence pts, its stalactite
+    against the points s before it as a list of cube codes (_cube_coding).  It
+    doubles along every l with a - e_l + e_j = s for some j, that is
+    a - e_l = s - e_j (j != l holds by itself, as s != a); while a_l > 0,
+    a - e_l has the code code(a) - strides[l], so stalactites stay in the cube."""
+    below: set[int] = set()  # codes of s - e_j over the points s before a
+    for a in pts:
+        code = sum(map(operator.mul, a, strides))
+        downs = [code - s for x, s in zip(a, strides) if x]
+        st = [code]
+        for r in downs:
+            if r in below:
+                st += [w - code + r for w in st]
+        yield st
+        below.update(downs)
+
+
 def box_grid(dims, items) -> list[int]:
     """Flat C-order list over the box of the given side lengths, 0 except value c
     at each (point, c) of items.  Raises CapExceeded before allocating when the

@@ -26,6 +26,8 @@ from .lattice import (
     _cube_coding,
     parse_vector,
 )
+from .mobius import kpoly_from_mobius
+from .stalactite import hsupp_from_msupp
 
 Perm = tuple[int, ...]
 
@@ -245,8 +247,6 @@ def msupp_of_matrix_schubert(w) -> tuple[PointSet, Point]:
 def grothendieck_via_stalactites(w) -> IntPolynomial:
     """Grothendieck polynomial through the stalactite route: reconstruct the
     signed Hilbert support from the multidegree support and reflect it."""
-    from .stalactite import hsupp_from_msupp
-
     msupp, m = msupp_of_matrix_schubert(w)
     H = hsupp_from_msupp(msupp)
     terms = {tuple(mi - ni for mi, ni in zip(m, n)): c for n, c in H.terms.items()}
@@ -255,7 +255,5 @@ def grothendieck_via_stalactites(w) -> IntPolynomial:
 
 def grothendieck_via_mobius(w) -> IntPolynomial:
     """Grothendieck polynomial through the Mobius route on the downset poset."""
-    from .mobius import kpoly_from_mobius
-
     msupp, m = msupp_of_matrix_schubert(w)
     return kpoly_from_mobius(msupp, m)

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from operator import mul
 
 from .lattice import (
     Check,
@@ -15,6 +14,7 @@ from .lattice import (
     Point,
     PointSet,
     _cube_coding,
+    _stalactite_walk,
     as_point,
     binomial_at,
     check_axis_order,
@@ -62,24 +62,6 @@ def neighbor_directions(u: Point, V: PointSet) -> tuple[int, ...]:
         for l in range(p)
         if u[l] and any(j != l and unit_shift(u, l, j) in V for j in range(p))
     )
-
-
-def _stalactite_walk(pts, strides):
-    """Yield, for each point a of the ordered sequence pts, its stalactite
-    against the points s before it as a list of cube codes (_cube_coding).  It
-    doubles along every l with a - e_l + e_j = s for some j, that is
-    a - e_l = s - e_j (j != l holds by itself, as s != a); while a_l > 0,
-    a - e_l has the code code(a) - strides[l], so stalactites stay in the cube."""
-    below: set[int] = set()  # codes of s - e_j over the points s before a
-    for a in pts:
-        code = sum(map(mul, a, strides))
-        downs = [code - s for x, s in zip(a, strides) if x]
-        st = [code]
-        for r in downs:
-            if r in below:
-                st += [w - code + r for w in st]
-        yield st
-        below.update(downs)
 
 
 def stalactite_union(T: PointSet, axis_order=None) -> list[tuple[Point, PointSet]]:

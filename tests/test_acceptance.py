@@ -202,14 +202,16 @@ def test_criterion_10_hilbert_function_equals_polynomial():
     msupp3 = point_set(MSUPP_3)
     H3 = hsupp_from_msupp(msupp3)
     J3 = msupp_to_ideal(msupp3, AMBIENT_M3)
+    IE3 = hilbert_poly_ie(J3)
     for v in itertools.product(range(4), repeat=3):
-        assert hilbert_function_bruteforce(J3, v) == hilbert_eval(H3, v)
+        assert hilbert_function_bruteforce(J3, v) == hilbert_eval(H3, v) == hilbert_eval(IE3, v)
     # running example, full 5-coordinate form on the small box
     msupp5 = point_set(MSUPP_5)
     H5 = hsupp_from_msupp(msupp5)
     J5 = msupp_to_ideal(msupp5, AMBIENT_M5)
+    IE5 = hilbert_poly_ie(J5)
     for v in itertools.product(range(2), repeat=5):
-        assert hilbert_function_bruteforce(J5, v) == hilbert_eval(H5, v)
+        assert hilbert_function_bruteforce(J5, v) == hilbert_eval(H5, v) == hilbert_eval(IE5, v)
     # 50 seeded random zero-one S_4 instances, collapsed where constant
     rng = random.Random(41)
     s4 = zero_one_permutations(4)
@@ -219,9 +221,11 @@ def test_criterion_10_hilbert_function_equals_polynomial():
         small, m_small, _ = collapse_fixed_components(msupp, m)
         H = hsupp_from_msupp(small)
         J = msupp_to_ideal(small, m_small)
+        IE = hilbert_poly_ie(J)
         for v in itertools.product(range(4), repeat=small.ambient_p):
-            assert hilbert_function_bruteforce(J, v) == hilbert_eval(H, v), (w, v)
-    report(10, "hilbert_eval = brute-force count on [0,3]^p for running example and 50 S_4 draws")
+            assert hilbert_function_bruteforce(J, v) == hilbert_eval(H, v) == hilbert_eval(IE, v), (w, v)
+    report(10, "brute-force count = hilbert_eval of the stalactite and IE polynomials on [0,3]^p "
+               "for running example and 50 S_4 draws")
 
 
 def test_criterion_11_shelling_paths_sums_s5():

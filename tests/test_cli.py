@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from kpoly import cli, mobius, monomial, polymatroid, schubert, stalactite
+from kpoly import cli, mobius, monomial, polymatroid, schubert
 from kpoly.cli import main
 from kpoly.lattice import CapExceeded, Check, IntPolynomial, parse_vector, point_set, point_set_to_json
 from kpoly.subspaces import config_to_json, random_config
@@ -165,6 +165,11 @@ def test_verify_gpolymatroid_ok_and_violation(tmp_path, capsys):
     assert main(["verify", "gpolymatroid", bad, "--method", "paramodular", "--out", payload_path]) == 1
     payload = json.loads((tmp_path / "out.json").read_text())
     assert payload["witness"] == {"condition": "integer-points", "extra_points": [[0, 1], [1, 0]]}
+    # the one point of [0]^0 passes every method
+    origin = write_json(tmp_path, "p0.json", [[]])
+    capsys.readouterr()
+    assert main(["verify", "gpolymatroid", origin, "--method", "all", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["methods"] == dict.fromkeys(polymatroid.G_POLY_METHODS, True)
 
 
 def test_sparse_g_polymatroid_in_a_huge_box_gets_a_witness(tmp_path, capsys):
@@ -209,6 +214,10 @@ def test_verify_theorem_a(tmp_path, capsys):
     diagonals = write_json(tmp_path, "diagonals.json", [[1, 1, 0, 0], [0, 0, 1, 1]])
     assert main(["verify", "theorem-a", diagonals, "--json"]) == 1
     assert json.loads(capsys.readouterr().out)["witness"]["condition"] in ("submodular", "cross")
+    # the one point of [0]^0: no nonempty subset, so no inequality
+    origin = write_json(tmp_path, "p0.json", [[]])
+    assert main(["verify", "theorem-a", origin, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["inequalities"] == {"p": 0, "bounds": []}
 
 
 def test_verify_theorem_a_builds_the_support_tables_once(tmp_path, monkeypatch, capsys):
@@ -300,7 +309,7 @@ def _verify_theorem_a(monkeypatch, tmp_path):
 
 
 def _mobius_check(monkeypatch, tmp_path):
-    _perturb(monkeypatch, stalactite, "hsupp_from_msupp", _plus_one_at_origin)
+    _perturb(monkeypatch, mobius, "hsupp_from_msupp", _plus_one_at_origin)
     return ["mobius", write_json(tmp_path, "msupp.json", [list(q) for q in MSUPP_3]), "--check"]
 
 
@@ -357,6 +366,8 @@ def test_mobius_command(tmp_path, capsys):
 
 def test_linear_polymatroid_random_requires_seed(capsys):
     assert main(["linear-polymatroid", "--random", "3,3"]) == 2
+    assert main(["linear-polymatroid"]) == 2
+    assert capsys.readouterr().err.endswith("error: pass a config file or --random P,Q --seed S\n")
     assert main(["linear-polymatroid", "--random", "3,3", "--seed", "4", "--mu-supp"]) == 0
 
 
@@ -601,9 +612,10 @@ def test_base_polymatroid_check_runs_once_per_set(tmp_path, monkeypatch, capsys)
     # argv and the number of distinct sets the command checks
     for argv, sets in [
         (["verify", "theorem-c", config], 1),
+        (["linear-polymatroid", config], 1),
         (["hilbert", msupp, "--oracle"], 1),
         (["verify", "matroid-mu", uniform], 1),
-        (["verify", "matroid-mu", coloop], 2),  # the matroid and its contraction
+        (["verify", "matroid-mu", coloop], 1),  # no contraction is built
         (["mobius", msupp, "--check", "--kpoly"], 1),
     ]:
         evaluated.clear()
@@ -615,6 +627,12 @@ def test_base_polymatroid_check_runs_once_per_set(tmp_path, monkeypatch, capsys)
 def test_linear_polymatroid_refuses_2_to_the_p_above_the_grid_cap(capsys):
     assert main(["linear-polymatroid", "--random", "20,2", "--seed", "1"]) == 2
     assert "resource cap: rank table has 1048576 subsets" in capsys.readouterr().err
+
+
+def test_linear_polymatroid_refuses_a_base_polymatroid_above_its_candidate_cap(capsys):
+    # rank 10 on [12]: up to C(21, 11) candidate points by stars and bars
+    assert main(["linear-polymatroid", "--random", "12,10", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == "resource cap: base polymatroid has up to 352716 candidate points (cap 100000)\n"
 
 
 def test_random_config_is_capped_before_any_draw(capsys):

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from kpoly import mobius, stalactite
+from kpoly import mobius
 from kpoly.lattice import CapExceeded, Check, IntPolynomial, PointSet, members, point_set
 from kpoly.mobius import (
     Matroid,
@@ -28,6 +28,7 @@ from kpoly.mobius import (
     verify_deg_equals_neg_mobius,
     verify_matroid_mu_theorem,
 )
+from kpoly.monomial import hilbert_function_bruteforce, hilbert_poly_ie, msupp_to_ideal
 from kpoly.polymatroid import G_POLY_METHODS, base_polymatroid, is_g_polymatroid, rank_functions
 from kpoly.schubert import grothendieck
 from kpoly.stalactite import hsupp_from_msupp
@@ -212,6 +213,20 @@ def test_literal_oracles_never_enter_the_grid_kernel(monkeypatch):
     assert reduced_euler_characteristic(uniform_matroid(2, 4)) == -3
 
 
+def test_bruteforce_hilbert_count_runs_neither_hilbert_route():
+    # the direct monomial count against the inclusion-exclusion and the
+    # stalactite Hilbert polynomials on the running example: beyond
+    # SHARED_PRIMITIVES they share only the ideal's own ambient_p
+    P = point_set(MSUPP_3)
+    J = msupp_to_ideal(P, AMBIENT_M3)
+    index = _kpoly_functions()
+    count = _reached(index, lambda v: hilbert_function_bruteforce(J, v), itertools.product(range(3), repeat=3))
+    declared = {"kpoly.monomial.SquareFreeIdeal.ambient_p"}
+    for route, inputs in ((hilbert_poly_ie, [J]), (hsupp_from_msupp, [P])):
+        shared = count & _reached(index, route, inputs)
+        assert shared <= set(SHARED_PRIMITIVES) | declared, sorted(shared)
+
+
 def test_rank_table_and_g_polymatroid_methods_share_only_declared_names():
     # rank_table against rank_of on every mask over the criterion-08 configs,
     # and the three g-polymatroid methods pairwise on the Grothendieck
@@ -271,13 +286,11 @@ def test_deg_equals_neg_mobius():
 def test_deg_vs_mobius_witness_is_the_first_differing_point(monkeypatch):
     # a coefficient changed at (2, 2, 3) and a point added at (5, 5, 5): the
     # witness is the lex-first of the two, inside the support or not
-    real = stalactite.hsupp_from_msupp
-
     def perturbed(msupp):
-        H = real(msupp)
+        H = hsupp_from_msupp(msupp)
         return IntPolynomial(H.num_vars, {**H.terms, (2, 2, 3): H.coeff((2, 2, 3)) + 7, (5, 5, 5): 1})
 
-    monkeypatch.setattr(stalactite, "hsupp_from_msupp", perturbed)
+    monkeypatch.setattr(mobius, "hsupp_from_msupp", perturbed)
     chk = verify_deg_equals_neg_mobius(point_set(MSUPP_3))
     assert not chk
     assert chk.witness == {"condition": "deg-vs-mobius", "n": [2, 2, 3], "deg": 5, "neg_mu": -2}
@@ -421,6 +434,8 @@ def test_survey_refuses_seven_elements_before_the_walk(monkeypatch):
 
 
 def test_matroid_mu_theorem_builds_each_downset_once(monkeypatch):
+    # with a coloop too: the description is read off the faces, so no
+    # contraction and no second downset is built
     calls = []
 
     def counted(P):
@@ -428,5 +443,7 @@ def test_matroid_mu_theorem_builds_each_downset_once(monkeypatch):
         return downset(P)
 
     monkeypatch.setattr(mobius, "downset", counted)
-    assert verify_matroid_mu_theorem(uniform_matroid(2, 3))
-    assert len(calls) == 1
+    for M in (uniform_matroid(2, 3), Matroid(3, point_set([(1, 1, 0), (1, 0, 1)]))):
+        calls.clear()
+        assert verify_matroid_mu_theorem(M)
+        assert len(calls) == 1

@@ -274,8 +274,9 @@ def test_hilbert_function_bruteforce_basics():
 def test_hilbert_function_equals_polynomial_running_example():
     J = running_ideal()
     H = hsupp_from_msupp(point_set(MSUPP_3))
+    IE = hilbert_poly_ie(J)
     for v in itertools.product(range(3), repeat=3):
-        assert hilbert_function_bruteforce(J, v) == hilbert_eval(H, v)
+        assert hilbert_function_bruteforce(J, v) == hilbert_eval(H, v) == hilbert_eval(IE, v)
 
 
 def test_bruteforce_cap(monkeypatch):

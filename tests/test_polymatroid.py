@@ -8,7 +8,6 @@ import tracemalloc
 import pytest
 
 from kpoly import polymatroid
-from kpoly import stalactite as stalactite_module
 from kpoly.lattice import (
     GRID_CAP,
     CapExceeded,
@@ -104,9 +103,8 @@ def test_g_polymatroid_examples():
 
 
 def test_g_polymatroid_methods_on_true_inputs():
-    G = point_set(list(HILBERT_3))
-    for method in G_POLY_METHODS:
-        assert is_g_polymatroid(G, method), method
+    for G, method in itertools.product((point_set(list(HILBERT_3)), PointSet(3)), G_POLY_METHODS):
+        assert is_g_polymatroid(G, method), (G, method)
 
 
 def test_axioms_equal_homogenization_exhaustive_small():
@@ -317,6 +315,20 @@ def test_integer_points_walk_matches_the_box_filter():
         assert Z == _box_filter(sys_), sys_
         nonempty += bool(Z)
     assert nonempty > 150
+
+
+def test_base_polymatroid_refuses_candidates_above_its_cap_before_the_enumeration(monkeypatch):
+    # the uniform matroid U_{4,5}: rank 4 on [5] bounds the candidate points
+    # by C(4 + 4, 4) = 70, of which the singleton ranks leave 5
+    ranks = [min(X.bit_count(), 4) for X in range(1 << 5)]
+    expected = base_polymatroid(ranks)
+    monkeypatch.setattr(polymatroid, "BASE_CANDIDATE_CAP", 69)
+    with monkeypatch.context() as m:
+        m.setattr(polymatroid, "_base_candidates", lambda *args: pytest.fail("enumeration before the cap"))
+        with pytest.raises(CapExceeded, match=r"^base polymatroid has up to 70 candidate points \(cap 69\)$"):
+            base_polymatroid(ranks)
+    monkeypatch.setattr(polymatroid, "BASE_CANDIDATE_CAP", 70)
+    assert base_polymatroid(ranks) == expected and len(expected) == 5
 
 
 def test_integer_points_refuses_a_box_above_its_cap_before_the_walk(monkeypatch):
@@ -769,13 +781,13 @@ def test_cave_walks_once_per_distinct_projection(monkeypatch):
     # projection onto the axes where the points of T differ, so is_cave walks
     # once per distinct (truncation, projection) instead of p! times per
     # truncation, and the walks cover every distinct lex sequence of each top
-    walked, walk = [], stalactite_module._stalactite_walk
+    walked, walk = [], polymatroid._stalactite_walk
 
     def counted_walk(pts, strides):
         walked.append(tuple(pts))
         return walk(pts, strides)
 
-    monkeypatch.setattr(stalactite_module, "_stalactite_walk", counted_walk)
+    monkeypatch.setattr(polymatroid, "_stalactite_walk", counted_walk)
     C = point_set(HILBERT_3)
     assert is_cave(C, "all")
     p = C.ambient_p
@@ -794,7 +806,7 @@ def test_cave_reports_the_first_failing_order(monkeypatch):
     # a walk that drops the first stalactite of every sequence out of natural
     # lex order fails exactly the orders whose lex order on the top differs
     # from the natural one; the witness must name the first such order
-    walk = stalactite_module._stalactite_walk
+    walk = polymatroid._stalactite_walk
 
     def broken_walk(pts, strides):
         stalactites = walk(pts, strides)
@@ -802,7 +814,7 @@ def test_cave_reports_the_first_failing_order(monkeypatch):
             next(stalactites)
         return stalactites
 
-    monkeypatch.setattr(stalactite_module, "_stalactite_walk", broken_walk)
+    monkeypatch.setattr(polymatroid, "_stalactite_walk", broken_walk)
     # the running example, and the same cave lifted by a constant first
     # coordinate, on which orders that differ only in where they put axis 1
     # share a walk
