@@ -319,16 +319,12 @@ def test_integer_points_walk_matches_the_box_filter():
 
 def test_base_polymatroid_refuses_candidates_above_its_cap_before_the_enumeration(monkeypatch):
     # the uniform matroid U_{4,5}: rank 4 on [5] bounds the candidate points
-    # by C(4 + 4, 4) = 70, of which the singleton ranks leave 5
+    # by C(4 + 4, 4) = 70
     ranks = [min(X.bit_count(), 4) for X in range(1 << 5)]
-    expected = base_polymatroid(ranks)
     monkeypatch.setattr(polymatroid, "BASE_CANDIDATE_CAP", 69)
-    with monkeypatch.context() as m:
-        m.setattr(polymatroid, "_base_candidates", lambda *args: pytest.fail("enumeration before the cap"))
-        with pytest.raises(CapExceeded, match=r"^base polymatroid has up to 70 candidate points \(cap 69\)$"):
-            base_polymatroid(ranks)
-    monkeypatch.setattr(polymatroid, "BASE_CANDIDATE_CAP", 70)
-    assert base_polymatroid(ranks) == expected and len(expected) == 5
+    monkeypatch.setattr(polymatroid, "_base_candidates", lambda *args: pytest.fail("enumeration before the cap"))
+    with pytest.raises(CapExceeded, match=r"^base polymatroid has up to 70 candidate points \(cap 69\)$"):
+        base_polymatroid(ranks)
 
 
 def test_integer_points_refuses_a_box_above_its_cap_before_the_walk(monkeypatch):
