@@ -158,20 +158,23 @@ def _base_candidates(total: int, caps) -> list[tuple[int, ...]]:
     return points
 
 
+def check_base_candidates(total: int, p: int) -> None:
+    """CapExceeded when C(total + p - 1, p - 1), the y >= 0 with y([p]) = total, exceeds BASE_CANDIDATE_CAP."""
+    bound = math.comb(total + p - 1, p - 1) if p else 1
+    if bound > BASE_CANDIDATE_CAP:
+        raise CapExceeded(f"base polymatroid has up to {bound} candidate points (cap {BASE_CANDIDATE_CAP})")
+
+
 def base_polymatroid(ranks) -> PointSet:
     """The base polymatroid of a rank function given as a sequence indexed by
     bitmask (bit j - 1 stands for index j), such as rank_functions yields:
     lattice points y >= 0 with y(J) <= rank(J) for every J and y([p]) =
     rank([p]).  Rank is monotone, so only the bounds for J inside the support
     of y can bind.  Rank functions are submodular, so the output is asserted
-    to pass the base-polymatroid check.  CapExceeded before any enumeration
-    when the candidates y >= 0 with y([p]) = rank([p]) may exceed
-    BASE_CANDIDATE_CAP."""
-    p = len(ranks).bit_length() - 1
-    total = ranks[-1]
-    bound = math.comb(total + p - 1, p - 1) if p else 1
-    if bound > BASE_CANDIDATE_CAP:
-        raise CapExceeded(f"base polymatroid has up to {bound} candidate points (cap {BASE_CANDIDATE_CAP})")
+    to pass the base-polymatroid check.  check_base_candidates refuses
+    rank([p]) before any enumeration."""
+    p, total = len(ranks).bit_length() - 1, ranks[-1]
+    check_base_candidates(total, p)
     points = []
     for y in _base_candidates(total, [min(ranks[1 << i], total) for i in range(p)]):
         sums, masks = [0], [0]  # y(J) and J over the subsets J of supp y

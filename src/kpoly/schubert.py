@@ -1,14 +1,14 @@
 """Permutations, divided differences, and Grothendieck/Schubert polynomials.
 
-Both recursions walk down at ascents from the staircase monomial at the
-longest permutation with one closed-form divided-difference kernel on cube
-codes of radix p (lattice._cube_coding; for w in S_p every exponent at z_i
-stays <= p - i, also after the (1 - z_{j+1}) step).  The Grothendieck
-recursion is isobaric and `schubert` reads off its lowest-degree part; the
-zero-one census walks the Schubert polynomials with the ordinary operator,
-depth first down the tree with parent map w -> w s_j, j the first ascent of
-w, so the Grothendieck route checks it independently.  num_vars = p lines
-the exponents up with the matrix-Schubert reflection n -> m - n.
+Both recursions walk down at ascents from the staircase monomial at the longest
+permutation with one closed-form divided-difference kernel on cube codes of
+radix p (lattice._cube_coding; for w in S_p every exponent at z_i stays <= p - i,
+also after the (1 - z_{j+1}) step).  The Grothendieck recursion is isobaric and
+`schubert` reads off its lowest-degree part; the zero-one census walks the
+Schubert polynomials with the ordinary operator, depth first down the tree with
+parent map w -> w s_j, j the first ascent of w, so the Grothendieck route checks
+it independently, and hands each zero-one node to a callback.  num_vars = p
+lines the exponents up with the matrix-Schubert reflection n -> m - n.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .stalactite import hsupp_from_msupp
 Perm = tuple[int, ...]
 
 CENSUS_CAP = 8
+_ONE = frozenset((1,))  # the coefficients of a zero-one polynomial
 
 # largest p grothendieck accepts: through the CLI, 6,1,10,3,8,2,9,4,7,5 takes
 # 4-6 s and 341 MB peak RSS on a 2-CPU x86 host
@@ -76,22 +77,29 @@ def swap_adjacent(w: Perm, j: int) -> Perm:
 # divided-difference kernels on (cube code, coeff) pairs; a code may repeat
 
 def _divided_difference_codes(terms, j: int, strides) -> dict:
-    """d_j in closed form.  With a and b the digits of z_j and z_{j+1}
-    (strides s_j, s_{j+1}), c * z^e gives sign(a - b) * c * z_j^k z_{j+1}^(a+b-1-k)
-    for k from min(a, b) to max(a, b) - 1: |a - b| codes in steps of s_j - s_{j+1},
-    the last below code - s_{j+1} when a > b, the first at it when a < b.  Only
-    a negative contribution can cancel a sum, so zeros are filtered only after one."""
+    """d_j in closed form.  With a and b the digits of z_j and z_{j+1} (strides s_j,
+    s_{j+1}), c * z^e gives sign(a - b) * c * z_j^k z_{j+1}^(a+b-1-k) for k from min(a, b)
+    to max(a, b) - 1: |a - b| codes in steps of s_j - s_{j+1}, the last below code - s_{j+1}
+    when a > b, the first at it when a < b, written directly when |a - b| = 1.  Only a
+    negative contribution can cancel a sum, so zeros are filtered only after one."""
     sa, sb = strides[j - 1], strides[j]
     r, step = sa // sb, sa - sb
     out, neg = {}, False
     get = out.get
     for code, c in terms:
         if d := code // sa % r - code // sb % r:
-            end = code - sb
-            if d < 0:
-                c, d, end = -c, -d, end - d * step
-            for x in range(end - d * step, end, step):
+            if d == 1:
+                x = code - sa
                 out[x] = get(x, 0) + c
+            elif d == -1:
+                x, c = code - sb, -c
+                out[x] = get(x, 0) + c
+            else:
+                end = code - sb
+                if d < 0:
+                    c, d, end = -c, -d, end - d * step
+                for x in range(end - d * step, end, step):
+                    out[x] = get(x, 0) + c
             neg = neg or c < 0
     return {x: c for x, c in out.items() if c} if neg else out
 
@@ -190,17 +198,19 @@ def _ascent_children(w: Perm, terms: dict, strides):
         yield swap_adjacent(w, j + 1), _divided_difference_codes(terms.items(), j + 1, strides), strides
 
 
-def _zero_one_walk(w: Perm, terms: dict, strides):
-    """Yield the zero-one permutations of the ascent subtree under w, depth
-    first, so only the polynomials on the current chain stay alive."""
-    if all(c == 1 for c in terms.values()):
-        yield w
+def _zero_one_walk(w: Perm, terms: dict, strides, emit) -> None:
+    """emit(u) for each zero-one permutation u of the ascent subtree under w,
+    depth first, so only the polynomials on the current chain stay alive."""
+    if _ONE.issuperset(terms.values()):
+        emit(w)
     for child in _ascent_children(w, terms, strides):
-        yield from _zero_one_walk(*child)
+        _zero_one_walk(*child, emit)
 
 
 def _count_walk(node) -> int:
-    return sum(1 for _ in _zero_one_walk(*node))
+    hits = itertools.count()
+    _zero_one_walk(*node, lambda w: next(hits))
+    return next(hits)
 
 
 def _census_root(p: int):
@@ -227,7 +237,9 @@ def zero_one_permutations(p: int) -> list[Perm]:
     """All w in S_p with zero-one Schubert polynomial, in lex order, by the
     depth-first ascent walk from the staircase monomial at w0.  ValueError
     for p < 1 and CapExceeded above p = CENSUS_CAP, before the walk."""
-    return sorted(_zero_one_walk(*_census_root(p)))
+    found = []
+    _zero_one_walk(*_census_root(p), found.append)
+    return sorted(found)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import GRID_CAP, CapExceeded, PointSet, check_index_subset, check_subset_table, json_key, json_value
-from .polymatroid import base_polymatroid
+from .polymatroid import base_polymatroid, check_base_candidates
 
 
 @dataclass(frozen=True)
@@ -80,37 +80,42 @@ def _integer_row(g) -> list[int]:
     return [x.numerator * (d // x.denominator) for x in g]
 
 
+def _echelon_extend(basis: list, rows, q: int) -> list:
+    """basis ((pivot, row) pairs, never mutated) extended by rows, each reduced against it
+    (cross-multiplied at each pivot, then divided by its gcd) and kept unless zero."""
+    for v in rows:
+        if len(basis) == q:
+            break
+        for c, b in basis:
+            if v[c]:
+                s, t = b[c], v[c]
+                v = [s * x - t * y for x, y in zip(v, b)]
+        pivot = next((c for c, x in enumerate(v) if x), None)
+        if pivot is not None:
+            g = math.gcd(*v)
+            basis = basis + [(pivot, [x // g for x in v])]
+    return basis
+
+
 def rank_table(config: SubspaceConfig) -> list[int]:
     """rank(X) for every subset X of [p], as a list indexed by bitmask (bit
     j - 1 stands for index j; entry 0 is the empty set).  The echelon basis
     of X is that of X - {max X}, extended by the generators of subspace
-    max X reduced against it: cross-multiplied at each pivot, then divided
-    by their gcd.  Raises CapExceeded before any work when 2^p exceeds
-    GRID_CAP."""
+    max X.  Raises CapExceeded before any work when 2^p exceeds GRID_CAP."""
     p, q = config.p, config.q
     check_subset_table(p, "rank table has", GRID_CAP)
     rows = [[_integer_row(g) for g in gens] for gens in config.subspaces]
-    bases = [[]]
+    bases = [[]]  # (pivot, row) pairs, each basis shared with its supersets
     for mask in range(1, 1 << p):
         hi = mask.bit_length() - 1
-        basis = bases[mask ^ (1 << hi)]  # (pivot, row) pairs; shared, never mutated
-        for v in rows[hi]:
-            if len(basis) == q:
-                break
-            for c, b in basis:
-                if v[c]:
-                    s, t = b[c], v[c]
-                    v = [s * x - t * y for x, y in zip(v, b)]
-            pivot = next((c for c, x in enumerate(v) if x), None)
-            if pivot is not None:
-                g = math.gcd(*v)
-                basis = basis + [(pivot, [x // g for x in v])]
-        bases.append(basis)
+        bases.append(_echelon_extend(bases[mask ^ (1 << hi)], rows[hi], q))
     return list(map(len, bases))
 
 
 def linear_polymatroid(config: SubspaceConfig) -> PointSet:
-    """The base polymatroid of the rank function of config."""
+    """The base polymatroid of the rank function of config; the candidate cap sees rank([p]) first."""
+    rows = (_integer_row(g) for gens in config.subspaces for g in gens)
+    check_base_candidates(len(_echelon_extend([], rows, config.q)), config.p)
     return base_polymatroid(rank_table(config))
 
 

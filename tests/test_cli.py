@@ -635,6 +635,13 @@ def test_linear_polymatroid_refuses_a_base_polymatroid_above_its_candidate_cap(c
     assert capsys.readouterr().err == "resource cap: base polymatroid has up to 352716 candidate points (cap 100000)\n"
 
 
+def test_linear_polymatroid_refuses_a_large_rank_before_the_rank_table(capsys):
+    # rank 72 on [19]: refused before the 2^19-entry rank table is built
+    assert main(["linear-polymatroid", "--random", "19,72", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "resource cap: base polymatroid has up to 3789648142708598775 candidate points (cap 100000)\n")
+
+
 def test_random_config_is_capped_before_any_draw(capsys):
     # up to p * q^2 entries: 3.2e9 for 2,40000 and 1e6 for 1000000,1
     for argv, err in (

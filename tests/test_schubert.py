@@ -244,24 +244,63 @@ def test_grothendieck_s3_values():
     assert grothendieck((3, 1, 2)).terms == {(2, 0, 0): 1}
 
 
-def test_every_polynomial_of_s6_matches_the_literal_kernels():
-    # Grothendieck: the first-ascent recursion with the literal isobaric kernel
-    literal = {longest_perm(6): staircase(6)}
-    for w in sorted(itertools.permutations(range(1, 7)), key=inversions, reverse=True):
+def check_grothendieck_against_the_literal_kernel(p: int) -> int:
+    """Every G_w of S_p against the first-ascent recursion with the literal
+    isobaric kernel; returns the number of permutations checked."""
+    literal = {longest_perm(p): staircase(p)}
+    for w in sorted(itertools.permutations(range(1, p + 1)), key=inversions, reverse=True):
         if w not in literal:
             j = ascent_positions(w)[0]
             literal[w] = isobaric_literal(literal[swap_adjacent(w, j)], j)
-        assert grothendieck(w).terms == literal[w]
-    # Schubert: every node of the census walk against the literal d_j of its parent
-    _, decode = _cube_coding(6, 6)
-    stack, seen = [(schubert_mod._census_root(6), staircase(6))], 0
+        assert grothendieck(w).terms == literal[w], w
+    return len(literal)
+
+
+def check_census_walk_against_the_literal_kernel(p: int) -> int:
+    """Every node of the census walk of S_p against the literal d_j of its
+    parent; returns the number of nodes checked."""
+    _, decode = _cube_coding(p, p)
+    stack, seen = [(schubert_mod._census_root(p), staircase(p))], 0
     while stack:
         node, terms = stack.pop()
-        assert {decode(x): c for x, c in node[1].items()} == terms
+        assert {decode(x): c for x, c in node[1].items()} == terms, node[0]
         seen += 1
         children = zip(schubert_mod._ascent_children(*node), literal_children(node[0], terms))
         stack += [(child, t) for child, (_, t) in children]
-    assert seen == 720
+    return seen
+
+
+def test_every_polynomial_of_s6_matches_the_literal_kernels():
+    assert check_grothendieck_against_the_literal_kernel(6) == 720
+    assert check_census_walk_against_the_literal_kernel(6) == 720
+
+
+def test_code_kernels_match_the_literal_kernels_on_mixed_signs():
+    # pair lists as the recursions feed them: codes may repeat and signs mix,
+    # so sums cancel; the literal kernels see the merged dict
+    rng = random.Random(25)
+    for _ in range(400):
+        nv, r = rng.randint(2, 5), rng.randint(2, 6)
+        strides, decode = _cube_coding(r, nv)
+        j = rng.randint(1, nv - 1)
+        for kernel, literal, cap in (
+            (schubert_mod._divided_difference_codes, divided_difference_literal, r - 1),
+            (schubert_mod._isobaric_codes, isobaric_literal, r - 2),
+        ):
+            exps = [tuple(rng.randint(0, cap if k == j else r - 1) for k in range(nv))
+                    for _ in range(rng.randint(1, 4))]
+            pairs = [(rng.choice(exps), rng.choice((-2, -1, 1, 2))) for _ in range(rng.randint(1, 10))]
+            merged = {}
+            for e, c in pairs:
+                merged[e] = merged.get(e, 0) + c
+            codes = [(sum(x * s for x, s in zip(e, strides)), c) for e, c in pairs]
+            got = {decode(x): c for x, c in kernel(codes, j, strides).items()}
+            assert got == literal({e: c for e, c in merged.items() if c}, j)
+    # d_1 of z_1^2 z_2 is z_1 z_2 (|a - b| = 1): the term with c < 0 cancels the
+    # sum to zero, alone after an equal term or after a d = -1 term of z_1 z_2^2
+    strides = (3, 1)
+    for pairs in ([(7, 1), (7, -1)], [(5, -1), (7, -1)]):
+        assert schubert_mod._divided_difference_codes(pairs, 1, strides) == {}
 
 
 def test_grothendieck_running_example():
@@ -320,9 +359,10 @@ def test_census_small_values():
 
 
 def test_census_jobs_agree():
-    for p in (5, 6):
-        serial = count_zero_one(p)
-        assert [count_zero_one(p, jobs=jobs) for jobs in (2, 3)] == [serial, serial]
+    # real worker processes, at most 3 at a time; p = 3 takes the serial branch
+    for p, count in ((5, 115), (6, 605)):
+        assert [count_zero_one(p, jobs=jobs) for jobs in (1, 2, 3)] == [count] * 3
+    assert count_zero_one(3, jobs=2) == 6
 
 
 def test_census_pool_is_capped_at_p_minus_1_workers(monkeypatch):
@@ -344,6 +384,7 @@ def test_census_pool_is_capped_at_p_minus_1_workers(monkeypatch):
     monkeypatch.setattr(schubert_mod, "Pool", SerialPool)
     assert count_zero_one(5, jobs=100_000) == 115
     assert count_zero_one(6, jobs=2) == 605
+    assert count_zero_one(3, jobs=2) == 6
     assert started == [4, 2]
 
 

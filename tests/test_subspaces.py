@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from kpoly.lattice import members, point_set
+from kpoly import polymatroid, subspaces
+from kpoly.lattice import CapExceeded, members, point_set
 from kpoly.mobius import mu_support
 from kpoly.polymatroid import _base_candidates, is_base_polymatroid, is_g_polymatroid
 from kpoly.subspaces import (
@@ -121,6 +122,16 @@ def test_generic_lines_give_the_uniform_matroid(n, r):
     P = linear_polymatroid(config)
     assert len(P) == math.comb(n, r)
     assert P == point_set([y for y in itertools.product((0, 1), repeat=n) if sum(y) == r])
+
+
+def test_linear_polymatroid_refuses_candidates_above_the_cap_before_the_rank_table(monkeypatch):
+    # five generic lines in Q^4, the uniform matroid U_{4,5}: rank 4 on [5]
+    # bounds the candidate points by C(4 + 4, 4) = 70
+    config = lines(*[[t**k for k in range(4)] for t in range(1, 6)])
+    monkeypatch.setattr(polymatroid, "BASE_CANDIDATE_CAP", 69)
+    monkeypatch.setattr(subspaces, "rank_table", lambda *args: pytest.fail("rank table before the cap"))
+    with pytest.raises(CapExceeded, match=r"^base polymatroid has up to 70 candidate points \(cap 69\)$"):
+        linear_polymatroid(config)
 
 
 def test_linear_polymatroid_matches_the_literal_box_filter():
