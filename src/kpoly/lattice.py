@@ -127,7 +127,7 @@ def lex_compare(u: Point, v: Point, axis_order=None) -> int:
 class PointSet:
     """Finite set of lattice points in N^p, stored sorted in natural lex order."""
 
-    # _base_check: the verdict stored by polymatroid.is_base_polymatroid alone
+    # _base_check: the verdict stored by polymatroid.is_base_polymatroid and base_polymatroid
     __slots__ = ("ambient_p", "points", "_set", "_base_check")
 
     def __init__(self, ambient_p: int, points=()):

@@ -39,10 +39,10 @@ G_POLY_METHODS = ("axioms", "homogenization", "paramodular")
 
 INTEGER_POINTS_CAP = 10_000_000
 
-# candidate points base_polymatroid may enumerate, bounded by stars and bars:
+# points base_polymatroid may return, bounded by stars and bars:
 # C(r + p - 1, p - 1) for rank r on [p]; the largest bound the tests, the CI
 # steps and the benchmark reach is 462 (the matroids on 6 elements), and
-# --random 10,10 --seed 1, bound 92 378, takes about 9 s on a 2-CPU x86 host
+# --random 10,10 --seed 1, bound 92 378, takes about 3.3 s on a 2-CPU x86 host
 BASE_CANDIDATE_CAP = 100_000
 
 # cells of is_cave's truncation grid, one per tuple of axis values; the
@@ -70,7 +70,8 @@ def is_base_polymatroid(P: PointSet) -> Check:
     loop: `homogeneous` with the lightest and heaviest points, or `exchange`
     with u, v and the 1-based i.  The support-bound walk stops after |P| + 1
     points and never dead-ends once the pair passes, so it needs no box cap.
-    The verdict is computed once per set and stored on P, which is immutable.
+    The verdict is computed once per set and stored on P, which is immutable;
+    base_polymatroid stores a passed one on its output.
     """
     if getattr(P, "_base_check", None) is None:
         P._base_check = _base_polymatroid_check(P)
@@ -145,19 +146,6 @@ def rank_functions(p: int, K: int):
                 hi[S] = min(f[A] + f[B] - f[A & B] for A, B in itertools.combinations(below, 2))
 
 
-def _base_candidates(total: int, caps) -> list[tuple[int, ...]]:
-    """Tuples y with 0 <= y_i <= caps[i] and sum(y) == total, in lex order."""
-    points = [()]
-    for i, cap in enumerate(caps):
-        rest = sum(caps[i + 1:])
-        points = [
-            y + (a,)
-            for y in points
-            for a in range(max(0, total - sum(y) - rest), min(cap, total - sum(y)) + 1)
-        ]
-    return points
-
-
 def check_base_candidates(total: int, p: int) -> None:
     """CapExceeded when C(total + p - 1, p - 1), the y >= 0 with y([p]) = total, exceeds BASE_CANDIDATE_CAP."""
     bound = math.comb(total + p - 1, p - 1) if p else 1
@@ -166,28 +154,32 @@ def check_base_candidates(total: int, p: int) -> None:
 
 
 def base_polymatroid(ranks) -> PointSet:
-    """The base polymatroid of a rank function given as a sequence indexed by
-    bitmask (bit j - 1 stands for index j), such as rank_functions yields:
-    lattice points y >= 0 with y(J) <= rank(J) for every J and y([p]) =
-    rank([p]).  Rank is monotone, so only the bounds for J inside the support
-    of y can bind.  Rank functions are submodular, so the output is asserted
-    to pass the base-polymatroid check.  check_base_candidates refuses
-    rank([p]) before any enumeration."""
-    p, total = len(ranks).bit_length() - 1, ranks[-1]
+    """The base polymatroid of a rank function f given as a sequence indexed
+    by bitmask (bit j - 1 stands for index j), such as rank_functions yields:
+    the lattice points y with y(J) <= f(J) for every J and y([p]) = f([p]),
+    that is Q(c, f) for c(X) = f([p]) - f([p] - X) (Edmonds 1970; Frank,
+    Generalized polymatroids, 1984).  (c, f) is paramodular exactly when f
+    is submodular, and then the walk of _integer_points has no dead ends; f
+    is then monotone exactly when every c({i}) >= 0, so Q(c, f) lies in
+    y >= 0.  ValueError when the table does not have 2^p entries, f(empty)
+    != 0, or f is not submodular (naming X and Y) or not monotone; then
+    check_base_candidates refuses f([p]).  The output carries its passed
+    verdict, which is_base_polymatroid returns without a recheck."""
+    n = len(ranks)
+    if not n or n & (n - 1):
+        raise ValueError(f"rank table has {n} entries, expected one per subset of [p]")
+    if ranks[0]:
+        raise ValueError(f"rank table has f(empty) = {ranks[0]}, expected 0")
+    p, total = n.bit_length() - 1, ranks[-1]
+    c = [total - r for r in reversed(ranks)]  # c(X) = f([p]) - f([p] - X)
+    if not (chk := _paramodular_check(c, ranks, p)):
+        raise ValueError("rank table is not submodular: f(X) + f(Y) < f(X | Y) + f(X & Y) "
+                         "for X = {X}, Y = {Y}".format(**chk.witness))
+    if low := [i + 1 for i in range(p) if c[1 << i] < 0]:
+        raise ValueError(f"rank table is not monotone: f([p]) < f([p] - {{{low[0]}}})")
     check_base_candidates(total, p)
-    points = []
-    for y in _base_candidates(total, [min(ranks[1 << i], total) for i in range(p)]):
-        sums, masks = [0], [0]  # y(J) and J over the subsets J of supp y
-        for i, v in enumerate(y):
-            if v:
-                sums += [s + v for s in sums]
-                masks += [m | 1 << i for m in masks]
-        if all(s <= ranks[m] for s, m in zip(sums, masks)):
-            points.append(y)
-    out = PointSet._raw(p, points)
-    chk = is_base_polymatroid(out)
-    if not chk:
-        raise RuntimeError(f"rank-function bug: output fails exchange: {chk.witness}")
+    out = PointSet._raw(p, _integer_points(c, ranks, p))
+    out._base_check = Check(True)
     return out
 
 

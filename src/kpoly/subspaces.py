@@ -4,12 +4,13 @@ Only the rank-function side is built: the rank table extends echelon bases
 subset by subset in exact integer arithmetic (fraction-exact elimination per
 subset, `rank_of`, is the tests' oracle) and lists the ranks by bitmask, the
 one encoding of set functions on [p] (lattice.members decodes a mask); the
-polymatroid is the set of lattice points of the base polytope cut out by the
-rank inequalities.
+polymatroid is polymatroid.base_polymatroid of that table, the integer points
+of the base polytope walked coordinate by coordinate.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -101,22 +102,27 @@ def rank_table(config: SubspaceConfig) -> list[int]:
     """rank(X) for every subset X of [p], as a list indexed by bitmask (bit
     j - 1 stands for index j; entry 0 is the empty set).  The echelon basis
     of X is that of X - {max X}, extended by the generators of subspace
-    max X.  Raises CapExceeded before any work when 2^p exceeds GRID_CAP."""
-    p, q = config.p, config.q
-    check_subset_table(p, "rank table has", GRID_CAP)
-    rows = [[_integer_row(g) for g in gens] for gens in config.subspaces]
+    max X.  Raises CapExceeded before any echelon basis when 2^p exceeds
+    GRID_CAP."""
+    return _rank_table([[_integer_row(g) for g in gens] for gens in config.subspaces], config.q)
+
+
+def _rank_table(rows: list, q: int) -> list[int]:
+    """rank_table on the integer rows of each subspace."""
+    check_subset_table(len(rows), "rank table has", GRID_CAP)
     bases = [[]]  # (pivot, row) pairs, each basis shared with its supersets
-    for mask in range(1, 1 << p):
+    for mask in range(1, 1 << len(rows)):
         hi = mask.bit_length() - 1
         bases.append(_echelon_extend(bases[mask ^ (1 << hi)], rows[hi], q))
     return list(map(len, bases))
 
 
 def linear_polymatroid(config: SubspaceConfig) -> PointSet:
-    """The base polymatroid of the rank function of config; the candidate cap sees rank([p]) first."""
-    rows = (_integer_row(g) for gens in config.subspaces for g in gens)
-    check_base_candidates(len(_echelon_extend([], rows, config.q)), config.p)
-    return base_polymatroid(rank_table(config))
+    """The base polymatroid of the rank function of config; the candidate cap sees rank([p])
+    first, from one echelon pass over the integer rows that the rank table reuses."""
+    rows = [[_integer_row(g) for g in gens] for gens in config.subspaces]
+    check_base_candidates(len(_echelon_extend([], itertools.chain(*rows), config.q)), config.p)
+    return base_polymatroid(_rank_table(rows, config.q))
 
 
 # entries random_config may draw, p subspaces of up to q generators of q

@@ -609,10 +609,11 @@ def test_base_polymatroid_check_runs_once_per_set(tmp_path, monkeypatch, capsys)
     config = write_json(tmp_path, "config.json", config_to_json(random_config(4, 3, random.Random(99))))
     uniform = write_json(tmp_path, "u23.json", {"p": 3, "bases": [[1, 1, 0], [1, 0, 1], [0, 1, 1]]})
     coloop = write_json(tmp_path, "coloop.json", {"p": 3, "bases": [[1, 1, 0], [1, 0, 1]]})
-    # argv and the number of distinct sets the command checks
+    # argv and the number of distinct sets the command checks; a linear
+    # polymatroid carries the verdict base_polymatroid stored on it
     for argv, sets in [
-        (["verify", "theorem-c", config], 1),
-        (["linear-polymatroid", config], 1),
+        (["verify", "theorem-c", config], 0),
+        (["linear-polymatroid", config], 0),
         (["hilbert", msupp, "--oracle"], 1),
         (["verify", "matroid-mu", uniform], 1),
         (["verify", "matroid-mu", coloop], 1),  # no contraction is built

@@ -34,6 +34,7 @@ from kpoly.schubert import grothendieck
 from kpoly.stalactite import hsupp_from_msupp
 from kpoly.subspaces import random_config, rank_of, rank_table
 from running_example import AMBIENT_M3, KPOLY_3, MSUPP_3
+from test_polymatroid import candidate_filter
 
 
 def uniform_matroid(r, p):
@@ -229,14 +230,20 @@ def test_bruteforce_hilbert_count_runs_neither_hilbert_route():
 
 def test_rank_table_and_g_polymatroid_methods_share_only_declared_names():
     # rank_table against rank_of on every mask over the criterion-08 configs,
-    # and the three g-polymatroid methods pairwise on the Grothendieck
-    # supports of S_4; each pair's names beyond SHARED_PRIMITIVES are
-    # declared with it
+    # base_polymatroid against the candidate filter on their rank tables, and
+    # the three g-polymatroid methods pairwise on the Grothendieck supports of
+    # S_4; each pair's names beyond SHARED_PRIMITIVES are declared with it.
+    # base_polymatroid walks Q(c, f) of a rank table with the paramodular
+    # method's pair check and integer-point walk, which that method runs on
+    # the support bounds of a point set; it shares no kernel with axioms
     rng = random.Random(20240817)  # the stream of acceptance criterion 08
     configs = [random_config(rng.randint(2, 5), rng.randint(2, 5), rng) for _ in range(200)]
+    tables = list(map(rank_table, configs))
     supps = [grothendieck(w).support() for w in itertools.permutations(range(1, 5))]
     index = _kpoly_functions()
     reached = {m: _reached(index, lambda G, m=m: is_g_polymatroid(G, m), supps) for m in G_POLY_METHODS}
+    base = _reached(index, base_polymatroid, tables)
+    assert base & _reached(index, candidate_filter, tables) <= set(SHARED_PRIMITIVES)
     dispatch = {"kpoly.polymatroid.is_g_polymatroid", "kpoly.lattice.Check.__init__"}
     for one, other, declared in (
         (_reached(index, rank_table, configs),
@@ -246,6 +253,10 @@ def test_rank_table_and_g_polymatroid_methods_share_only_declared_names():
          dispatch | {"kpoly.lattice.unit_shift", "kpoly.lattice.PointSet.__contains__"}),
         (reached["axioms"], reached["paramodular"], dispatch),
         (reached["homogenization"], reached["paramodular"], dispatch | {"kpoly.lattice.Check.__bool__"}),
+        (base, reached["axioms"], dispatch),
+        (base, reached["paramodular"], dispatch | {"kpoly.lattice.Check.__bool__",
+                                                   "kpoly.polymatroid._paramodular_check",
+                                                   "kpoly.polymatroid._integer_points"}),
     ):
         shared = one & other
         assert one - shared and other - shared

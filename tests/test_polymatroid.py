@@ -42,7 +42,7 @@ from kpoly.polymatroid import (
     rank_functions,
 )
 from kpoly.schubert import grothendieck, zero_one_permutations
-from kpoly.subspaces import linear_polymatroid, random_config
+from kpoly.subspaces import linear_polymatroid, random_config, rank_table
 from running_example import HILBERT_3, INEQUALITIES, KPOLY_3, MSUPP_3
 
 
@@ -322,7 +322,7 @@ def test_base_polymatroid_refuses_candidates_above_its_cap_before_the_enumeratio
     # by C(4 + 4, 4) = 70
     ranks = [min(X.bit_count(), 4) for X in range(1 << 5)]
     monkeypatch.setattr(polymatroid, "BASE_CANDIDATE_CAP", 69)
-    monkeypatch.setattr(polymatroid, "_base_candidates", lambda *args: pytest.fail("enumeration before the cap"))
+    monkeypatch.setattr(polymatroid, "_integer_points", lambda *args: pytest.fail("enumeration before the cap"))
     with pytest.raises(CapExceeded, match=r"^base polymatroid has up to 70 candidate points \(cap 69\)$"):
         base_polymatroid(ranks)
 
@@ -584,6 +584,80 @@ def test_base_polymatroid_matches_the_literal_box_filter():
             and all(sum(y[j] for j in range(p) if J >> j & 1) <= r for J, r in enumerate(f))
         ]
         assert base_polymatroid(f) == PointSet(p, want), f
+
+
+def base_candidates(total, caps):
+    """Tuples y with 0 <= y_i <= caps[i] and sum(y) == total, in lex order."""
+    points = [()]
+    for i, cap in enumerate(caps):
+        rest = sum(caps[i + 1:])
+        points = [
+            y + (a,)
+            for y in points
+            for a in range(max(0, total - sum(y) - rest), min(cap, total - sum(y)) + 1)
+        ]
+    return points
+
+
+def candidate_filter(ranks):
+    """The base polymatroid of a rank table by the literal route, in lex
+    order: every stars-and-bars candidate inside the singleton ranks, kept
+    when it meets the rank bound of every subset of its support (rank is
+    monotone, so no other bound can bind)."""
+    p, total = len(ranks).bit_length() - 1, ranks[-1]
+    points = []
+    for y in base_candidates(total, [min(ranks[1 << i], total) for i in range(p)]):
+        sums, masks = [0], [0]  # y(J) and J over the subsets J of supp y
+        for i, v in enumerate(y):
+            if v:
+                sums += [s + v for s in sums]
+                masks += [m | 1 << i for m in masks]
+        if all(s <= ranks[m] for s, m in zip(sums, masks)):
+            points.append(y)
+    return points
+
+
+def check_walk_against_the_candidate_filter(ranks) -> int:
+    """Assert that base_polymatroid returns the candidate filter's points in
+    its order, and that each output passes the exchange loop, the evidence
+    for the verdict base_polymatroid stores; returns how many tables ran."""
+    n = 0
+    for f in ranks:
+        P = base_polymatroid(f)
+        assert list(P.points) == candidate_filter(f), f
+        assert _exchange_check(P), f
+        n += 1
+    return n
+
+
+def test_base_polymatroid_walk_matches_the_candidate_filter():
+    # every rank function of six (p, K) families and the rank tables of the
+    # criterion-08 configs
+    families = ((2, 3), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1))
+    assert check_walk_against_the_candidate_filter(f for p, K in families for f in rank_functions(p, K)) == 3195
+    rng = random.Random(20240817)  # the stream of acceptance criterion 08
+    configs = [random_config(rng.randint(2, 5), rng.randint(2, 5), rng) for _ in range(200)]
+    assert check_walk_against_the_candidate_filter(map(rank_table, configs)) == 200
+
+
+def test_base_polymatroid_refuses_a_bad_table_before_the_walk(monkeypatch):
+    monkeypatch.setattr(polymatroid, "_integer_points", lambda *args: pytest.fail("walk on a bad table"))
+    for ranks, message in (
+        ([0, 1, 1, 3], r"^rank table is not submodular: f\(X\) \+ f\(Y\) < f\(X \| Y\) \+ f\(X & Y\) "
+                       r"for X = \[1\], Y = \[2\]$"),
+        ([0, 1, 1], r"^rank table has 3 entries, expected one per subset of \[p\]$"),
+        ([], r"^rank table has 0 entries, expected one per subset of \[p\]$"),
+        ([1, 1, 1, 2], r"^rank table has f\(empty\) = 1, expected 0$"),
+        ([0, 2, 0, 1], r"^rank table is not monotone: f\(\[p\]\) < f\(\[p\] - \{2\}\)$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            base_polymatroid(ranks)
+
+
+def test_base_polymatroid_stores_its_verdict(monkeypatch):
+    monkeypatch.setattr(polymatroid, "_base_polymatroid_check", lambda P: pytest.fail("recheck of a stored verdict"))
+    for f in rank_functions(3, 2):
+        assert is_base_polymatroid(base_polymatroid(f))
 
 
 def test_base_polymatroid_verdict_is_computed_once_per_set(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from kpoly import polymatroid, subspaces
 from kpoly.lattice import CapExceeded, members, point_set
 from kpoly.mobius import mu_support
-from kpoly.polymatroid import _base_candidates, is_base_polymatroid, is_g_polymatroid
+from kpoly.polymatroid import is_base_polymatroid, is_g_polymatroid
 from kpoly.subspaces import (
     SubspaceConfig,
     config_from_json,
@@ -20,6 +20,7 @@ from kpoly.subspaces import (
     rank_of,
     rank_table,
 )
+from test_polymatroid import base_candidates
 
 F = Fraction
 
@@ -134,6 +135,23 @@ def test_linear_polymatroid_refuses_candidates_above_the_cap_before_the_rank_tab
         linear_polymatroid(config)
 
 
+def test_linear_polymatroid_converts_each_generator_once(monkeypatch):
+    # the rank([p]) pass and the rank table share one integer row per generator
+    converted, convert = [], subspaces._integer_row
+
+    def counted(g):
+        converted.append(g)
+        return convert(g)
+
+    monkeypatch.setattr(subspaces, "_integer_row", counted)
+    rng = random.Random(20240817)  # the stream of acceptance criterion 08
+    for _ in range(20):
+        config = random_config(rng.randint(2, 5), rng.randint(2, 5), rng)
+        converted.clear()
+        linear_polymatroid(config)
+        assert sorted(converted) == sorted(g for gens in config.subspaces for g in gens), config
+
+
 def test_linear_polymatroid_matches_the_literal_box_filter():
     # every point of the product box, kept when it meets every rank_of bound
     rng = random.Random(4242)
@@ -156,7 +174,7 @@ def all_bounds_filter(config):
     p, ranks = config.p, rank_table(config)
     total = ranks[-1]
     kept = []
-    for y in _base_candidates(total, [min(ranks[1 << i], total) for i in range(p)]):
+    for y in base_candidates(total, [min(ranks[1 << i], total) for i in range(p)]):
         sums = [0]  # y(J) for every bitmask J
         for v in y:
             sums += [s + v for s in sums]
