@@ -61,16 +61,19 @@ def _emit(result: CommandResult, args) -> int:
     text = None
     if args.json or args.out:
         text = json.dumps({"status": result.status, **result.payload}, indent=2, sort_keys=True)
-    print(text if args.json else result.human)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    print(text if args.json else result.human)
     return _EXIT[result.status]
 
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path} nests its JSON too deeply to read") from None
 
 
 def _parse_orders(text: str):
@@ -381,14 +384,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        result = args.func(args)
+        return _emit(args.func(args), args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 2
-    return _emit(result, args)
 
 
 if __name__ == "__main__":

@@ -76,17 +76,6 @@ def dominates(u: Point, v: Point) -> bool:
     return all(a >= b for a, b in zip(u, v))
 
 
-def vec_max(u: Point, v: Point) -> Point:
-    return tuple(max(a, b) for a, b in zip(u, v))
-
-
-def vec_sub(u: Point, v: Point) -> Point:
-    out = tuple(a - b for a, b in zip(u, v))
-    if any(c < 0 for c in out):
-        raise ValueError(f"{u} - {v} leaves the nonnegative orthant")
-    return out
-
-
 def unit_shift(u: Point, minus: int | None = None, plus: int | None = None) -> Point:
     """u - e_minus + e_plus with 0-based indices; either side optional."""
     w = list(u)

@@ -20,8 +20,6 @@ from .lattice import (
     check_ambient,
     dominates,
     downset_difference,
-    vec_max,
-    vec_sub,
 )
 
 # primes the literal subset route may take (2^k - 1 subsets), and monomials
@@ -108,13 +106,13 @@ def prime_sum(primes) -> BorelPrime:
     for q in primes[1:]:
         if q.m != m:
             raise ValueError("primes live in different ambients")
-        a = vec_max(a, q.a)
+        a = tuple(map(max, a, q.a))
     return BorelPrime(a, m)
 
 
 def hilbert_poly_prime(q: BorelPrime) -> IntPolynomial:
     """Single binomial-product term at n = m - a with coefficient 1."""
-    return IntPolynomial._raw(len(q.m), {vec_sub(q.m, q.a): 1})
+    return IntPolynomial._raw(len(q.m), {tuple(map(sub, q.m, q.a)): 1})
 
 
 def _ie_coefficients_subsets(gens: Sequence[Point]) -> dict[Point, int]:
@@ -196,17 +194,17 @@ def hilbert_poly_shellable(J: SquareFreeIdeal) -> IntPolynomial:
             acc.pop(n, None)
 
     for j, aj in enumerate(J.primes):
-        add(vec_sub(J.m, aj), 1)
+        add(tuple(map(sub, J.m, aj)), 1)
         block: list[Point] = []
         seen = set()
         for l in range(j):
-            q = vec_max(J.primes[l], aj)
+            q = tuple(map(max, J.primes[l], aj))
             if sum(q) == c + 1 and q not in seen:
                 seen.add(q)
                 block.append(q)
         # block holds at most p primes, far below SUBSET_CAP
         for v, coeff in _ie_coefficients_subsets(block).items():
-            add(vec_sub(J.m, v), -coeff)
+            add(tuple(map(sub, J.m, v)), -coeff)
     return IntPolynomial._raw(J.ambient_p, acc)
 
 

@@ -162,22 +162,22 @@ def base_polymatroid(ranks) -> PointSet:
     is submodular, and then the walk of _integer_points has no dead ends; f
     is then monotone exactly when every c({i}) >= 0, so Q(c, f) lies in
     y >= 0.  ValueError when the table does not have 2^p entries, f(empty)
-    != 0, or f is not submodular (naming X and Y) or not monotone; then
-    check_base_candidates refuses f([p]).  The output carries its passed
-    verdict, which is_base_polymatroid returns without a recheck."""
+    != 0, or f is not submodular (by _submodular_violation, naming X and Y)
+    or not monotone; then check_base_candidates refuses f([p]); c is built
+    last.  The output carries its passed verdict for is_base_polymatroid."""
     n = len(ranks)
     if not n or n & (n - 1):
         raise ValueError(f"rank table has {n} entries, expected one per subset of [p]")
     if ranks[0]:
         raise ValueError(f"rank table has f(empty) = {ranks[0]}, expected 0")
     p, total = n.bit_length() - 1, ranks[-1]
-    c = [total - r for r in reversed(ranks)]  # c(X) = f([p]) - f([p] - X)
-    if not (chk := _paramodular_check(c, ranks, p)):
+    if XY := _submodular_violation(ranks):
         raise ValueError("rank table is not submodular: f(X) + f(Y) < f(X | Y) + f(X & Y) "
-                         "for X = {X}, Y = {Y}".format(**chk.witness))
-    if low := [i + 1 for i in range(p) if c[1 << i] < 0]:
+                         f"for X = {members(XY[0])}, Y = {members(XY[1])}")
+    if low := [i + 1 for i in range(p) if ranks[~(1 << i)] > total]:  # ranks[~X] = f([p] - X)
         raise ValueError(f"rank table is not monotone: f([p]) < f([p] - {{{low[0]}}})")
     check_base_candidates(total, p)
+    c = [total - r for r in reversed(ranks)]
     out = PointSet._raw(p, _integer_points(c, ranks, p))
     out._base_check = Check(True)
     return out
@@ -356,19 +356,29 @@ def _paramodular_check(c: list[int], b: list[int], p: int) -> Check:
 
     The three families are exactly the submodular inequalities of one set
     function rho on the subsets of [p] plus a slack element s: rho(X) = b(X)
-    and rho(X + s) = -c([p] - X).  A set function is submodular when
-    rho(W + i) + rho(W + j) >= rho(W + i + j) + rho(W) for every W and
-    i != j outside W, so p(p + 1) 2^(p - 2) local checks replace the 4^p
-    pairs.  The witness names the violated family and its 1-based X and Y.
+    and rho(X + s) = -c([p] - X); _submodular_violation scans them.  The
+    witness names the violated family and its 1-based X and Y.
     """
     full = (1 << p) - 1
     rho = list(b) + [-c[full ^ X] for X in range(full + 1)]
-    for e, f in itertools.combinations([1 << i for i in range(p + 1)], 2):
-        ef = e | f
-        for W in range(len(rho)):
-            if not W & ef and rho[W | e] + rho[W | f] < rho[W | ef] + rho[W]:
-                return _paramodular_witness(W | e, W | f, p)
-    return Check(True)
+    AB = _submodular_violation(rho)
+    return _paramodular_witness(*AB, p) if AB else Check(True)
+
+
+def _submodular_violation(t) -> tuple[int, int] | None:
+    """The first masks (W + i, W + j) with t(W + i) + t(W + j) < t(W + i + j)
+    + t(W) for a table t on [n] indexed by bitmask, or None: t is submodular
+    exactly when none exists, so n(n - 1) 2^(n - 3) local checks replace the
+    4^n pairs.  Pairs i < j come in combinations order, then the W without
+    i and j in increasing order."""
+    n = len(t).bit_length() - 1
+    for e, f in itertools.combinations([1 << i for i in range(n)], 2):
+        ef, W = e | f, 0
+        while W < len(t):
+            if t[W | e] + t[W | f] < t[W | ef] + t[W]:
+                return W | e, W | f
+            W = (W | ef) + 1 & ~ef
+    return None
 
 
 def _paramodular_witness(A: int, B: int, p: int) -> Check:

@@ -141,6 +141,28 @@ def test_census_json_is_deterministic(capsys):
     assert json.loads(first) == {"status": "ok", "p": 5, "count": 115}
 
 
+@pytest.mark.parametrize("target", ["", "missing/out.json"], ids=["directory", "missing-directory"])
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["report", "json"])
+def test_an_unwritable_out_prints_only_the_error(target, mode, tmp_path, capsys):
+    # the payload is written before anything is printed, inside main's error
+    # boundary, so a failed write leaves stdout empty and exits 2
+    out = tmp_path / target
+    assert main(["census", "3", *mode, "--out", str(out)]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == "" and stderr.startswith("error: ") and str(out) in stderr
+
+
+JSON_READERS = [["verify", kind] for kind in cli.VERIFY_KINDS] + [["hilbert"], ["mobius"], ["linear-polymatroid"]]
+
+
+@pytest.mark.parametrize("command", JSON_READERS, ids=" ".join)
+def test_too_deep_json_exits_2_naming_the_file(command, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main([*command, str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path} nests its JSON too deeply to read\n")
+
+
 def test_verify_gpolymatroid_ok_and_violation(tmp_path, capsys):
     good = write_json(tmp_path, "good.json", point_set_to_json(point_set(list(HILBERT_3))))
     assert main(["verify", "gpolymatroid", good, "--method", "all", "--json"]) == 0

@@ -30,7 +30,6 @@ from kpoly.lattice import (
     top,
     truncate,
     value_zeta,
-    vec_max,
 )
 from running_example import MSUPP_3
 
@@ -84,7 +83,7 @@ def test_truncate_composes_to_componentwise_max():
         A = PointSet(p, [tuple(rng.randint(0, 4) for _ in range(p)) for _ in range(rng.randint(0, 8))])
         b1 = tuple(rng.randint(0, 3) for _ in range(p))
         b2 = tuple(rng.randint(0, 3) for _ in range(p))
-        assert truncate(truncate(A, b1), b2) == truncate(A, vec_max(b1, b2))
+        assert truncate(truncate(A, b1), b2) == truncate(A, tuple(map(max, b1, b2)))
 
 
 def test_homogenize_already_homogeneous():

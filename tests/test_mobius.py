@@ -234,8 +234,9 @@ def test_rank_table_and_g_polymatroid_methods_share_only_declared_names():
     # the three g-polymatroid methods pairwise on the Grothendieck supports of
     # S_4; each pair's names beyond SHARED_PRIMITIVES are declared with it.
     # base_polymatroid walks Q(c, f) of a rank table with the paramodular
-    # method's pair check and integer-point walk, which that method runs on
-    # the support bounds of a point set; it shares no kernel with axioms
+    # method's local-submodularity scan and integer-point walk, which that
+    # method runs on the support bounds of a point set; it shares no kernel
+    # with axioms
     rng = random.Random(20240817)  # the stream of acceptance criterion 08
     configs = [random_config(rng.randint(2, 5), rng.randint(2, 5), rng) for _ in range(200)]
     tables = list(map(rank_table, configs))
@@ -255,12 +256,28 @@ def test_rank_table_and_g_polymatroid_methods_share_only_declared_names():
         (reached["homogenization"], reached["paramodular"], dispatch | {"kpoly.lattice.Check.__bool__"}),
         (base, reached["axioms"], dispatch),
         (base, reached["paramodular"], dispatch | {"kpoly.lattice.Check.__bool__",
-                                                   "kpoly.polymatroid._paramodular_check",
+                                                   "kpoly.polymatroid._submodular_violation",
                                                    "kpoly.polymatroid._integer_points"}),
     ):
         shared = one & other
         assert one - shared and other - shared
         assert shared <= set(SHARED_PRIMITIVES) | declared, sorted(shared)
+
+
+def test_base_polymatroid_checks_its_table_without_the_paramodular_pair():
+    # the rank table goes to the local-submodularity scan as given: no slack
+    # element table, so neither the pair check nor its witness translation
+    tables = [*rank_functions(3, 2), [0, 1, 1, 3], [0, 2, 0, 1], [0, 1, 1, 1, 1, 2, 2, 3]]
+
+    def route(f):
+        try:
+            base_polymatroid(f)
+        except ValueError:
+            pass
+
+    reached = _reached(_kpoly_functions(), route, tables)
+    assert "kpoly.polymatroid._submodular_violation" in reached
+    assert not reached & {"kpoly.polymatroid._paramodular_check", "kpoly.polymatroid._paramodular_witness"}
 
 
 def test_only_is_g_polymatroid_takes_a_method():

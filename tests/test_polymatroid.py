@@ -30,6 +30,8 @@ from kpoly.polymatroid import (
     GPolyInequalitySystem,
     _exchange_check,
     _paramodular_check,
+    _paramodular_witness,
+    _submodular_violation,
     _support_tables,
     axis_orders,
     base_polymatroid,
@@ -243,6 +245,88 @@ def test_paramodular_check_matches_the_literal_pair_oracle():
                 "cross": b[X] - c[Y] < b[X & ~Y] - c[Y & ~X],
             }[chk.witness["condition"]], (sys_, chk)
     assert min(verdicts.values()) > 100
+
+
+def _first_violation_full_range(t):
+    """Oracle for _submodular_violation, literally: for each pair of bits in
+    combinations order, every mask W of the table in turn, skipping those
+    that hold either bit."""
+    n = len(t).bit_length() - 1
+    for e, f in itertools.combinations([1 << i for i in range(n)], 2):
+        ef = e | f
+        for W in range(len(t)):
+            if not W & ef and t[W | e] + t[W | f] < t[W | ef] + t[W]:
+                return W | e, W | f
+    return None
+
+
+def _random_submodular(rng, n):
+    """A random submodular table on [n] with t(empty) = 0: a weighted
+    coverage function (monotone) plus a random cut function (not)."""
+    sets = [rng.getrandbits(6) for _ in range(n)]
+    weights = [rng.randint(0, 3) for _ in range(6)]
+    edges = [(rng.randrange(n), rng.randrange(n), rng.randint(0, 2)) for _ in range(rng.randint(0, 2 * n))]
+    table = []
+    for X in range(1 << n):
+        covered = functools.reduce(int.__or__, (sets[i] for i in range(n) if X >> i & 1), 0)
+        cut = sum(w for i, j, w in edges if (X >> i ^ X >> j) & 1)
+        table.append(sum(w for k, w in enumerate(weights) if covered >> k & 1) + cut)
+    return table
+
+
+def _random_tables(rng, count):
+    """Random tables on [n] for n <= 6: submodular ones, and ones with one
+    entry other than t(empty) moved by a nonzero amount."""
+    for _ in range(count):
+        n = rng.randint(0, 6)
+        t = _random_submodular(rng, n)
+        if n and rng.random() < 0.7:
+            t[rng.randrange(1, 1 << n)] += rng.choice([-2, -1, 1, 2])
+        yield t
+
+
+def test_submodular_violation_matches_the_full_range_oracle():
+    rng = random.Random(2718)
+    found = {True: 0, False: 0}
+    for t in _random_tables(rng, 1500):
+        want = _first_violation_full_range(t)
+        assert _submodular_violation(t) == want, t
+        assert _submodular_violation(tuple(t)) == want, t
+        found[want is None] += 1
+    assert min(found.values()) > 300
+
+
+def test_paramodular_check_witness_is_the_oracle_s_first_violation():
+    # rho as _paramodular_check builds it from (c, b); its first violation
+    # by the full-range oracle, translated back, is the check's witness
+    rng = random.Random(3141)
+    verdicts = {True: 0, False: 0}
+    for _ in range(800):
+        p = rng.randint(1, 5)
+        sys_ = _random_system(rng, p, rng.randint(1, 2))
+        c, b, full = sys_.lower, sys_.upper, (1 << p) - 1
+        AB = _first_violation_full_range(list(b) + [-c[full ^ X] for X in range(full + 1)])
+        chk = _paramodular_check(c, b, p)
+        want = _paramodular_witness(*AB, p) if AB else Check(True)
+        assert (bool(chk), chk.witness) == (bool(want), want.witness), sys_
+        verdicts[bool(chk)] += 1
+    assert min(verdicts.values()) > 100
+
+
+def test_base_polymatroid_names_the_oracle_s_first_violation():
+    rng = random.Random(1618)
+    refused = 0
+    for t in _random_tables(rng, 1500):
+        AB = _first_violation_full_range(t)
+        if AB is None:
+            continue
+        X, Y = map(members, AB)
+        message = f"rank table is not submodular: f(X) + f(Y) < f(X | Y) + f(X & Y) for X = {X}, Y = {Y}"
+        with pytest.raises(ValueError) as err:
+            base_polymatroid(t)
+        assert str(err.value) == message, t
+        refused += 1
+    assert refused > 400
 
 
 def test_inequality_system_running_example():
