@@ -7,9 +7,20 @@ method mismatch); 2 usage or resource error, raised as an exception and
 reported on stderr by ``main``.  Every result is built by ``_result``, and
 exit 1 comes only from a failed ``Check``: its witness goes into the payload
 under ``witness`` and ends the report as a ``  witness: {...}`` line.  The
-parser is built once per process.  Each command decides nothing the library
+report is a function that formats its lines only when the report is printed,
+never when only the JSON is.  Each command decides nothing the library
 already decides: it loads its input, calls the library routes and reports
 their verdicts.
+
+The parser is built once per process, with one subparser per command.
+``main`` parses the arguments after a command name with that command's
+parser alone, and goes through the whole parser when the first argument
+names no command or the command's parser leaves arguments over, so help,
+usage and every error read as the whole parser prints them.  The JSON text
+is ``_json_text(payload)``, which equals ``json.dumps(payload, indent=2,
+sort_keys=True)`` byte for byte: it joins a list of plain ints in one
+``str.join`` where the stdlib's indenting encoder, pure Python, visits each
+int.
 """
 
 from __future__ import annotations
@@ -20,7 +31,9 @@ import json
 import random
 import re
 import sys
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .lattice import (
     CapExceeded,
@@ -45,26 +58,56 @@ _EXIT = {OK: 0, VIOLATION: 1}
 class CommandResult:
     status: str
     payload: dict
-    human: str
+    lines: Callable[[], Iterable[str]]  # the report, formatted when called
 
 
-def _result(payload: dict, lines: list[str], chk: Check | None = None) -> CommandResult:
+def _result(payload: dict, lines: Callable[[], Iterable[str]], chk: Check | None = None) -> CommandResult:
     """A command's result, OK unless chk is a failed Check.  A failed check
     is a VIOLATION: its witness goes into the payload and ends the report."""
     if chk is None or chk:
-        return CommandResult(OK, payload, "\n".join(lines))
+        return CommandResult(OK, payload, lines)
     payload["witness"] = chk.witness
-    return CommandResult(VIOLATION, payload, "\n".join([*lines, f"  witness: {chk.witness}"]))
+    return CommandResult(VIOLATION, payload, lambda: [*lines(), f"  witness: {chk.witness}"])
+
+
+def _json_text(value, pad: str = "") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for a value whose first
+    line starts at column len(pad): dicts with str keys by sorted key, lists
+    and tuples of plain ints in one join, other lists and tuples item by
+    item, str and int directly, and anything else (bools, None, floats,
+    other keys) through json.dumps, re-indented."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return str(value)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if kind is dict and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
+        items = sep.join(f"{encode_basestring_ascii(key)}: {_json_text(v, inner)}"
+                         for key, v in sorted(value.items()))
+        return f"{{\n{inner}{items}\n{pad}}}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        if all(type(x) is int for x in value):
+            items = sep.join(map(str, value))
+        else:
+            items = sep.join(_json_text(x, inner) for x in value)
+        return f"[\n{inner}{items}\n{pad}]"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
 def _emit(result: CommandResult, args) -> int:
     text = None
     if args.json or args.out:
-        text = json.dumps({"status": result.status, **result.payload}, indent=2, sort_keys=True)
+        text = _json_text({"status": result.status, **result.payload})
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    print(text if args.json else result.human)
+    print(text if args.json else "\n".join(result.lines()))
     return _EXIT[result.status]
 
 
@@ -108,11 +151,15 @@ def cmd_grothendieck(args) -> CommandResult:
     shown = schubert.lowest_degree_part(result) if args.schubert else result
     name = "Schubert" if args.schubert else "Grothendieck"
     text = poly_text(shown)
-    lines = [f"{name} polynomial of {list(w)}:", f"  {text}"]
-    lines.append(f"  zero-one: {zero_one}")
-    if args.verify:
-        lines.append(f"  routes computed: {sorted(routes)}")
-        lines.append(f"  routes agree: {agree}")
+
+    def lines():
+        yield f"{name} polynomial of {list(w)}:"
+        yield f"  {text}"
+        yield f"  zero-one: {zero_one}"
+        if args.verify:
+            yield f"  routes computed: {sorted(routes)}"
+            yield f"  routes agree: {agree}"
+
     payload = {
         "permutation": list(w),
         "zero_one": zero_one,
@@ -130,14 +177,14 @@ def cmd_grothendieck(args) -> CommandResult:
 
 def cmd_census(args) -> CommandResult:
     count = schubert.count_zero_one(args.p)
-    lines = [f"zero-one Schubert polynomials in S_{args.p}: {count}"]
-    return _result({"p": args.p, "count": count}, lines)
+    return _result({"p": args.p, "count": count},
+                   lambda: [f"zero-one Schubert polynomials in S_{args.p}: {count}"])
 
 
-def _check_result(kind: str, chk: Check, extra: dict | None = None, details=()) -> CommandResult:
-    """A verify kind's result: the verdict line, then any detail lines."""
+def _check_result(kind: str, chk: Check, extra: dict | None = None, details=lambda: ()) -> CommandResult:
+    """A verify kind's result: the verdict line, then the lines details() formats."""
     payload = {"kind": kind, "verdict": bool(chk), **(extra or {})}
-    return _result(payload, [f"{kind}: {'ok' if chk else 'violation'}", *details], chk)
+    return _result(payload, lambda: [f"{kind}: {'ok' if chk else 'violation'}", *details()], chk)
 
 
 def _verify_gpolymatroid(args, data) -> CommandResult:
@@ -157,10 +204,11 @@ def _verify_theorem_a(args, data) -> CommandResult:
     the paramodular classifier's verdict; the report lists the support-bound
     inequalities."""
     sys_, chk = polymatroid.theorem_a_report(point_set_from_json(data))
-    details = [
-        f"  {sys_.lower[X]} <= n_{{{','.join(map(str, members(X)))}}} <= {sys_.upper[X]}"
-        for X in sys_.subsets()
-    ]
+
+    def details():
+        for X in sys_.subsets():
+            yield f"  {sys_.lower[X]} <= n_{{{','.join(map(str, members(X)))}}} <= {sys_.upper[X]}"
+
     return _check_result(args.kind, chk, {"inequalities": polymatroid.system_to_json(sys_)}, details)
 
 
@@ -201,7 +249,7 @@ def _base_polymatroid_input(args, subject: str):
     m = check_ambient(msupp, parse_vector(args.ambient)) if args.ambient else tuple(map(max, zip(*msupp)))
     chk = polymatroid.is_base_polymatroid(msupp)
     if not chk:
-        return _result({"verdict": False}, [f"{subject} fails the polymatroid check"], chk)
+        return _result({"verdict": False}, lambda: [f"{subject} fails the polymatroid check"], chk)
     return msupp, m
 
 
@@ -212,12 +260,19 @@ def cmd_hilbert(args) -> CommandResult:
     msupp, m = loaded
     H = stalactite.hsupp_from_msupp(msupp)
     text = stalactite.hilbert_text(H)
-    lines = ["Hilbert polynomial (binomial-product basis):", f"  {text}"]
     payload = {"hilbert": poly_to_json(H), "text": text}
+
+    def lines():
+        yield "Hilbert polynomial (binomial-product basis):"
+        yield f"  {text}"
+        if "oracle_agrees" in payload:
+            yield f"  inclusion-exclusion oracle agrees: {payload['oracle_agrees']}"
+        if "eval" in payload:
+            yield f"  value at t = {payload['eval']['t']}: {payload['eval']['value']}"
+
     if args.oracle:
         Hie = monomial.hilbert_poly_ie(monomial.msupp_to_ideal(msupp, m))
         agree = Hie == H
-        lines.append(f"  inclusion-exclusion oracle agrees: {agree}")
         payload["oracle_agrees"] = agree
         if not agree:
             n, coeffs = first_difference({"stalactites": H.terms, "inclusion_exclusion": Hie.terms})
@@ -225,9 +280,7 @@ def cmd_hilbert(args) -> CommandResult:
             return _result(payload, lines, mismatch)
     if args.eval is not None:
         t = parse_vector(args.eval)
-        value = stalactite.hilbert_eval(H, t)
-        lines.append(f"  value at t = {list(t)}: {value}")
-        payload["eval"] = {"t": list(t), "value": value}
+        payload["eval"] = {"t": list(t), "value": stalactite.hilbert_eval(H, t)}
     return _result(payload, lines)
 
 
@@ -239,21 +292,24 @@ def cmd_mobius(args) -> CommandResult:
     MU = mobius_mod.mobius_to_top(msupp)
     mu = poly_to_json(MU)
     supp = MU.support()
-    lines = [
-        "mu(u, 1hat) over the downset (nonzero values):",
-        f"  {mu}",
-        f"mu-support size: {len(supp)}",
-    ]
     payload = {"mu": mu, "mu_support": point_set_to_json(supp)}
+
+    def lines():
+        yield "mu(u, 1hat) over the downset (nonzero values):"
+        yield f"  {mu}"
+        yield f"mu-support size: {len(supp)}"
+        if "deg_equals_neg_mu" in payload:
+            yield f"deg = -mu identity: {payload['deg_equals_neg_mu']}"
+        if "kpoly" in payload:
+            yield f"twisted K-polynomial: {poly_text(K)}"
+
     if args.check:
         deg = mobius_mod.verify_deg_equals_neg_mobius(msupp)
-        lines.append(f"deg = -mu identity: {bool(deg)}")
         payload["deg_equals_neg_mu"] = bool(deg)
         if not deg:
             return _result(payload, lines, deg)
     if args.kpoly:
         K = mobius_mod.kpoly_from_mobius(msupp, m)
-        lines.append(f"twisted K-polynomial: {poly_text(K)}")
         payload["kpoly"] = poly_to_json(K)
         payload["ambient"] = list(m)
     return _result(payload, lines)
@@ -275,12 +331,17 @@ def cmd_linear_polymatroid(args) -> CommandResult:
         config = subspaces.config_from_json(_load_json(args.config))
     P = subspaces.linear_polymatroid(config)
     points = point_set_to_json(P)
-    lines = [f"linear polymatroid on [{config.p}] with {len(P)} lattice points:", f"  {points}"]
     payload = {"config": subspaces.config_to_json(config), "polymatroid": points}
+
+    def lines():
+        yield f"linear polymatroid on [{config.p}] with {len(P)} lattice points:"
+        yield f"  {points}"
+        if args.mu_supp:
+            yield f"mu-support ({len(supp)} points) is a g-polymatroid: {bool(chk)}"
+
     if args.mu_supp:
         supp = mobius_mod.mu_support(P)
         chk = polymatroid.is_g_polymatroid(supp, "paramodular")
-        lines.append(f"mu-support ({len(supp)} points) is a g-polymatroid: {bool(chk)}")
         payload["mu_support"] = point_set_to_json(supp)
         payload["mu_support_g_polymatroid"] = bool(chk)
         return _result(payload, lines, chk)
@@ -293,15 +354,16 @@ def cmd_explore(args) -> CommandResult:
     if args.max_coord < 1:
         raise ValueError(f"--max-coord must be positive, got {args.max_coord}")
     report = mobius_mod.mu_support_survey(args.max_p, args.max_coord)
-    lines = [
-        f"mu-support survey: all {report['tested']} loopless base polymatroids "
-        f"on 2..{args.max_p} elements with singleton ranks <= {args.max_coord}",
-        f"  g-polymatroid mu-supports: {report['g_polymatroid']}",
-        f"  exceptions found: {len(report['failures'])}",
-    ]
-    if report["failures"]:
-        lines.append("  counterexample candidates (report only, nothing is asserted):")
-        lines += [f"    {P}" for P in report["failures"]]
+
+    def lines():
+        yield (f"mu-support survey: all {report['tested']} loopless base polymatroids "
+               f"on 2..{args.max_p} elements with singleton ranks <= {args.max_coord}")
+        yield f"  g-polymatroid mu-supports: {report['g_polymatroid']}"
+        yield f"  exceptions found: {len(report['failures'])}"
+        if report["failures"]:
+            yield "  counterexample candidates (report only, nothing is asserted):"
+            yield from (f"    {P}" for P in report["failures"])
+
     return _result(report, lines)
 
 
@@ -377,12 +439,20 @@ def build_parser() -> argparse.ArgumentParser:
     common(ex)
     ex.set_defaults(func=cmd_explore)
 
+    parser.commands = sub.choices  # command name -> its own parser, for main
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if rest:  # the whole parser names the arguments left over
+            args = parser.parse_args(argv)
     try:
         return _emit(args.func(args), args)
     except (ValueError, OSError) as exc:

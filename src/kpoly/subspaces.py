@@ -167,7 +167,19 @@ def config_to_json(config: SubspaceConfig) -> dict:
 
 def config_from_json(data) -> SubspaceConfig:
     """SubspaceConfig from JSON {"q": q, "subspaces": [[[[num, den], ...], ...], ...]};
-    every error names the JSON path of the bad element."""
+    every error names the JSON path of the bad element.  Paths are built
+    only once the plain check of the whole config fails."""
+    if not (type(data) is dict and type(q := data.get("q")) is int and q > 0
+            and type(spans := data.get("subspaces")) is list
+            and all(type(gens) is list and all(type(g) is list and len(g) == q and all(
+                type(x) is list and len(x) == 2 and type(x[0]) is int and type(x[1]) is int and x[1]
+                for x in g) for g in gens) for gens in spans)):
+        q, spans = _checked_config(data)
+    return SubspaceConfig(q, tuple(tuple(tuple(Fraction(*x) for x in g) for g in gens) for gens in spans))
+
+
+def _checked_config(data) -> tuple[int, list]:
+    """(q, subspaces) of a JSON config; a ValueError names the path of its first bad element."""
     json_value(data, dict, "$", 'an object {"q": int, "subspaces": [...]}')
     q = json_value(json_key(data, "q", "$"), int, "$.q", "a positive int", minimum=1)
     spans = json_value(json_key(data, "subspaces", "$"), list, "$.subspaces", "an array of subspaces")
@@ -179,4 +191,4 @@ def config_from_json(data) -> SubspaceConfig:
                 json_value(num, int, f"{path}[{j}][0]", "an int")
                 if not json_value(den, int, f"{path}[{j}][1]", "a nonzero int"):
                     raise ValueError(f"{path}[{j}][1] must be a nonzero int, got 0")
-    return SubspaceConfig(q, tuple(tuple(tuple(Fraction(*x) for x in g) for g in gens) for gens in spans))
+    return q, spans

@@ -29,6 +29,66 @@ def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
 
+def _exit_and_output(run, capsys):
+    try:
+        rc = run()
+    except SystemExit as exc:
+        rc = exc.code
+    return rc, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["verify", "-h"], ["bogus"], ["census", "3", "4"],
+    ["verify", "theorem-c", "PATH", "--jsn"], ["verify", "nokind", "PATH"],
+    ["grothendieck", "2,1", "--ver"],  # an abbreviation of --verify
+    ["census", "3", "--json"], ["census", "--", "3"], ["verify", "theorem-c", "PATH", "--out"],
+])
+def test_main_parses_as_the_whole_parser(argv, tmp_path, monkeypatch, capsys):
+    # main parses a command's arguments with that command's own parser; the
+    # exit code, stdout, stderr and parsed arguments are the whole parser's
+    path = write_json(tmp_path, "config.json", {"q": 2, "subspaces": [[[[1, 1], [0, 1]]], [[[1, 1], [1, 1]]]]})
+    argv = [path if a == "PATH" else a for a in argv]
+    parser = cli.build_parser()
+
+    def whole():
+        args = parser.parse_args(argv)
+        return cli._emit(args.func(args), args)
+
+    assert _exit_and_output(lambda: main(argv), capsys) == _exit_and_output(whole, capsys)
+    parsed = []
+    monkeypatch.setattr(cli, "_emit", lambda result, args: parsed.append(args) or 0)
+    _exit_and_output(lambda: main(argv), capsys)
+    if parsed:
+        assert parsed == [parser.parse_args(argv)]
+
+
+def test_json_writer_matches_the_stdlib_encoder(tmp_path):
+    msupp = write_json(tmp_path, "msupp.json", [list(q) for q in MSUPP_3])
+    supp = write_json(tmp_path, "supp.json", [list(q) for q in HILBERT_3])
+    not_g = write_json(tmp_path, "not_g.json", [[1, 2], [2, 0]])  # a truncation is no g-polymatroid
+    payloads = []
+    for argv in (
+        ["explore", "--max-p", "3"],
+        ["mobius", msupp, "--check", "--kpoly"],
+        ["hilbert", msupp, "--eval", "0,0,0"],
+        ["verify", "gpolymatroid", supp, "--method", "all"],
+        ["verify", "cave", not_g],
+    ):
+        args = cli.build_parser().parse_args(argv)
+        result = args.func(args)
+        payloads.append({"status": result.status, **result.payload})
+    assert "cause" in payloads[-1]["witness"]
+    payloads += [
+        [], {}, [[]], [{}], {"a": [], "b": {}}, True, False, None, 0, -7, 10**30, 1.5, "",
+        "caf\u00e9 \u2603 \U0001d11e \"quoted\" \\ \n", (1, 2), [(1, 2), (), (3,)], ((1, (2, 3)), "x"),
+        [True, 1, 2], [1, None], {"z": 1, "a": [1, 2], "m": {"y": [True, False], "x": None}},
+        [{"points": [[0, 1], [2, 3]], "n": 1}, {"points": [], "n": 0}],
+        {"nested": [[{"exp": [0, 1], "coeff": -1}]], "\u00fc": "\u00fc"}, {1: [1, 2], 2: {"a": 1}},
+    ]
+    for payload in payloads:
+        assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True), payload
+
+
 def test_route_mismatch_carries_a_witness(monkeypatch, capsys):
     real = schubert.grothendieck_via_mobius
 

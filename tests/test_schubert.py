@@ -244,6 +244,13 @@ def test_grothendieck_s3_values():
     assert grothendieck((3, 1, 2)).terms == {(2, 0, 0): 1}
 
 
+def test_grothendieck_is_one_at_all_ones_on_s6():
+    # a known value: G_w(1, ..., 1) = 1 for every permutation w
+    perms = list(itertools.permutations(range(1, 7)))
+    assert len(perms) == 720
+    assert [w for w in perms if sum(grothendieck(w).terms.values()) != 1] == []
+
+
 def check_grothendieck_against_the_literal_kernel(p: int) -> int:
     """Every G_w of S_p against the first-ascent recursion with the literal
     isobaric kernel; returns the number of permutations checked."""

@@ -89,6 +89,23 @@ def test_rank_table_matches_oracle_on_criterion_08_stream():
         assert rank_table(config) == oracle_table(config), config
 
 
+def test_rank_tables_of_the_criterion_08_stream_satisfy_ingleton():
+    # r(A) + r(B) + r(A+B+C) + r(A+B+D) + r(C+D) <= r(A+B) + r(A+C) + r(A+D) + r(B+C) + r(B+D)
+    # holds for every arrangement of subspaces (Ingleton 1971), here on every
+    # ordered 4-tuple of distinct subspaces
+    rng = random.Random(20240817)  # the stream of acceptance criterion 08
+    checks = 0
+    for _ in range(200):
+        p, q = rng.randint(2, 5), rng.randint(2, 5)
+        config = random_config(p, q, rng)
+        r = rank_table(config)
+        for A, B, C, D in itertools.permutations([1 << i for i in range(p)], 4):
+            assert (r[A] + r[B] + r[A | B | C] + r[A | B | D] + r[C | D]
+                    <= r[A | B] + r[A | C] + r[A | D] + r[B | C] + r[B | D]), (config, A, B, C, D)
+            checks += 1
+    assert checks == 6000
+
+
 @pytest.mark.parametrize(
     "q, subspaces, full",
     [
@@ -251,3 +268,37 @@ def test_config_json_roundtrip():
     rng = random.Random(8)
     config = random_config(3, 3, rng)
     assert config_from_json(config_to_json(config)) == config
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"q": 2, "subspaces": [[[[1, 1], [True, 1]]]]}, "$.subspaces[0][0][1][0] must be an int, got True"),
+    ({"q": 2, "subspaces": [[[[1, 1], [0, 1]]], [[[1, 0], [1, 1]]]]},
+     "$.subspaces[1][0][0][1] must be a nonzero int, got 0"),
+    ({"q": 2, "subspaces": [[[[1, 1, 1], [0, 1]]]]},
+     "$.subspaces[0][0][0] must be a [numerator, denominator] pair, got [1, 1, 1]"),
+    ({"q": 2, "subspaces": [[[[1.5, 1], [0, 1]]]]}, "$.subspaces[0][0][0][0] must be an int, got 1.5"),
+    ({"q": 2, "subspaces": [[[[1, 1], [0, 1], [0, 1]]]]},
+     "$.subspaces[0][0] must be a generator of 2 entries, got [[1, 1], [0, 1], [0, 1]]"),
+    ({"q": 2, "subspaces": [[[[1, 1], [0, 1]]], 5]}, "$.subspaces[1] must be an array of generators, got 5"),
+    ({"q": True, "subspaces": []}, "$.q must be a positive int, got True"),
+    ({"subspaces": []}, "$ is missing the key 'q'"),
+    ([1], '$ must be an object {"q": int, "subspaces": [...]}, got [1]'),
+])
+def test_config_from_json_names_the_path_of_a_malformed_element(data, message):
+    with pytest.raises(ValueError) as exc:
+        config_from_json(data)
+    assert str(exc.value) == message
+
+
+def test_config_from_json_reads_a_valid_config_without_the_path_walk(monkeypatch):
+    def refuse(data):
+        raise AssertionError("path walk on a valid config")
+
+    monkeypatch.setattr(subspaces, "_checked_config", refuse)
+    rng = random.Random(28)
+    configs = [random_config(rng.randint(1, 5), rng.randint(1, 5), rng) for _ in range(50)]
+    assert [config_from_json(config_to_json(c)) for c in configs] == configs
+    # fractions, a negative denominator, a subspace with no generators, a big int
+    data = {"q": 3, "subspaces": [[[[1, 3], [-2, -5], [0, 7]]], [], [[[4, -6], [0, 1], [10**30, 1]]]]}
+    assert config_from_json(data) == SubspaceConfig(3, (
+        ((F(1, 3), F(2, 5), F(0)),), (), ((F(-2, 3), F(0), F(10**30)),)))
