@@ -493,7 +493,19 @@ def is_cave(C: PointSet, order_policy="all") -> Check:
     that keeps it, e_k for the last axis k with a positive minimum, if any,
     so it too is checked as a g-polymatroid.  Each top is walked on cube
     codes once per distinct projection of the orders onto the axes where its
-    points differ; a failure names the first such order."""
+    points differ; a failure names the first such order.
+
+    When 2^p <= GRID_CAP, C itself is first checked once by
+    is_g_polymatroid(C, "paramodular").  If it passes, the top and
+    g-polymatroid checks of every truncation pass too, and the loop runs
+    only the stalactite-union check: a g-polymatroid meets an integral box
+    in an integral g-polymatroid (Frank and Tardos 1988; an M-natural-convex
+    set restricted to an interval stays M-natural-convex, Murota 2003), and
+    the face of a g-polymatroid that maximises y([p]) is a base polyhedron.
+    If C fails, or 2^p exceeds GRID_CAP (where the loop may decide without
+    building any support table, as for a lone point), every check runs on
+    every truncation as described above, so the verdict, the witness and
+    the CapExceeded cases do not depend on the shortcut."""
     if not C:
         raise EmptySetError("cave test on an empty set")
     p = C.ambient_p
@@ -514,14 +526,16 @@ def is_cave(C: PointSet, order_policy="all") -> Check:
     def fail(condition, **witness):  # at the truncation cell b of the loop below
         return Check(False, {"condition": condition, "truncation": list(b), **witness})
 
+    implied = 1 << p <= GRID_CAP and is_g_polymatroid(C, "paramodular")
     strides, decode = _cube_coding(max((vs[-1] for vs in values), default=0) + 1, p)
     for mask, b in trunc.items():
         A = PointSet._raw(p, (q for k, q in enumerate(C.points) if mask >> k & 1))
         T = top(A)
-        if not (chk := is_base_polymatroid(T)):
-            return fail("top-polymatroid", cause=chk.witness)
-        if any(b) and not (chk := is_g_polymatroid(A, "paramodular")):
-            return fail("truncation-g-polymatroid", cause=chk.witness)
+        if not implied:
+            if not (chk := is_base_polymatroid(T)):
+                return fail("top-polymatroid", cause=chk.witness)
+            if any(b) and not (chk := is_g_polymatroid(A, "paramodular")):
+                return fail("truncation-g-polymatroid", cause=chk.witness)
         want = {sum(map(mul, q, strides)) for q in A}
         varying = [len(set(col)) > 1 for col in zip(*T.points)]
         firsts = {}  # projection (0-based axes) -> the first order that has it

@@ -582,6 +582,31 @@ def test_malformed_input_is_usage_error(tmp_path, capsys):
     assert main(["linear-polymatroid", "--random", "2,2", "--seed", "1", "--entry-bound", "0"]) == 2
 
 
+def test_cave_at_twenty_coordinates_checks_c_only_within_the_grid_cap(tmp_path, capsys):
+    # 2^20 subsets exceed GRID_CAP, so is_cave takes no verdict on C and the
+    # loop decides as it does on a set that fails it: a lone point or a
+    # failure at the origin never reaches a support table, while (1, ..., 1)
+    # is named at e_20 and refused by its g-polymatroid check
+    p = 20
+
+    def unit(i, k=1):
+        return [k * (j == i) for j in range(p)]
+
+    def run(points):
+        capsys.readouterr()
+        rc = main(["verify", "cave", write_json(tmp_path, "cave.json", points), "--orders", "natural", "--json"])
+        out, err = capsys.readouterr()
+        return rc, json.loads(out) if out else None, err
+
+    assert run([[0] * p]) == (0, {"kind": "cave", "status": "ok", "verdict": True}, "")
+    assert run([[1] * p]) == (2, None, "resource cap: support tables have 1048576 subsets (cap 1000000)\n")
+    for points, missing in (([[0] * p, unit(0)], [0] * p), ([unit(0, 2), unit(1)], unit(1))):
+        rc, payload, err = run(points)
+        assert (rc, err) == (1, "")
+        assert payload["witness"] == {"condition": "stalactite-union", "truncation": [0] * p,
+                                      "order": list(range(1, p + 1)), "missing": [missing], "extra": []}
+
+
 def test_bad_orders_value_is_named(tmp_path, capsys):
     diagonal = write_json(tmp_path, "diagonal.json", [[1, 0], [0, 1]])
     for orders in ("sample:1", "sample:1:2:3", "sample:x:1", "sample:1:", "Sample:1:2", "every"):

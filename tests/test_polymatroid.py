@@ -14,6 +14,7 @@ from kpoly.lattice import (
     Check,
     EmptySetError,
     PointSet,
+    axis_values,
     homogenize,
     lex_compare,
     members,
@@ -23,7 +24,7 @@ from kpoly.lattice import (
     truncate,
 )
 from kpoly.mobius import mu_support
-from kpoly.stalactite import neighbor_directions, stalactite
+from kpoly.stalactite import collapse_fixed_components, hsupp_from_msupp, neighbor_directions, stalactite
 from kpoly.polymatroid import (
     G_POLY_METHODS,
     INTEGER_POINTS_CAP,
@@ -43,7 +44,7 @@ from kpoly.polymatroid import (
     is_g_polymatroid,
     rank_functions,
 )
-from kpoly.schubert import grothendieck, zero_one_permutations
+from kpoly.schubert import grothendieck, msupp_of_matrix_schubert, zero_one_permutations
 from kpoly.subspaces import linear_polymatroid, random_config, rank_table
 from running_example import HILBERT_3, INEQUALITIES, KPOLY_3, MSUPP_3
 
@@ -908,7 +909,9 @@ def test_cave_test_matches_the_literal_oracle():
 def test_cave_names_each_truncation_at_its_first_nonzero_integer_cell(monkeypatch):
     # a translated cave passes every check, so failing the g-polymatroid
     # check of one truncation at a time shows the cell that names it: the
-    # first nonzero cell of the integer grid from the origin that gives it
+    # first nonzero cell of the integer grid from the origin that gives it.
+    # The first call is is_cave's verdict on C itself; it fails too, so the
+    # loop checks each truncation instead of taking them as implied
     C = PointSet(3, [(a + 1, b, c + 2) for a, b, c in HILBERT_3])
     assert is_cave(C, "natural")
     first = {}
@@ -918,10 +921,69 @@ def test_cave_names_each_truncation_at_its_first_nonzero_integer_cell(monkeypatc
     del first[PointSet(3)]
     real = polymatroid.is_g_polymatroid
     for T, b in first.items():
-        monkeypatch.setattr(polymatroid, "is_g_polymatroid",
-                            lambda A, method, T=T: Check(False, {}) if A == T else real(A, method))
+        calls = []
+
+        def failing(A, method, T=T, calls=calls):
+            calls.append(A)
+            return Check(False, {}) if A == T or len(calls) == 1 else real(A, method)
+
+        monkeypatch.setattr(polymatroid, "is_g_polymatroid", failing)
         assert is_cave(C, "natural").witness["truncation"] == b, list(T)
+        assert calls[0] == C
     assert len(first) == 16
+
+
+def _box_truncations(C):
+    """The distinct nonempty C intersected with an integral box lo <= y <= hi;
+    lo and hi may be taken among the values of C on each axis."""
+    boxes = itertools.product(*([(lo, hi) for lo in vs for hi in vs if lo <= hi] for vs in axis_values(C)))
+    return {PointSet(C.ambient_p, (q for q in C if all(lo <= x <= hi for x, (lo, hi) in zip(q, box))))
+            for box in boxes} - {PointSet(C.ambient_p)}
+
+
+def test_g_polymatroid_box_truncations_and_their_tops_pass_the_definitions():
+    # the two theorems behind is_cave's verdict on C, checked by the
+    # definitions alone: a g-polymatroid meets an integral box in a
+    # g-polymatroid (Frank and Tardos 1988), and the face of a g-polymatroid
+    # that maximises y([p]) is a base polymatroid
+    sets = []
+    for w in zero_one_permutations(5):
+        msupp, m = msupp_of_matrix_schubert(w)
+        small, _, _ = collapse_fixed_components(msupp, m)
+        sets.append(hsupp_from_msupp(small).support())
+    rng = random.Random(1988)
+    for _ in range(400):
+        p = rng.randint(1, 4)
+        cells = list(itertools.product(range(3 if p < 4 else 2), repeat=p))
+        sets.append(PointSet(p, rng.sample(cells, rng.randint(1, min(len(cells), 8)))))
+    passed = truncations = 0
+    for C in sets:
+        if not is_g_polymatroid(C, "axioms"):
+            continue
+        passed += 1
+        for A in _box_truncations(C):
+            truncations += 1
+            assert is_g_polymatroid(A, "axioms"), (list(C), list(A))
+            assert _exchange_check(top(A)), (list(C), list(A))
+    assert len(sets) == 515 and passed > 200 and truncations > 3000
+
+
+def test_a_passing_cave_builds_its_support_tables_once(monkeypatch):
+    # C passes the paramodular check, so is_cave takes every truncation's
+    # top and g-polymatroid checks as implied and checks no top
+    builds, tops = [], []
+    support_tables, base = polymatroid._support_tables, polymatroid.is_base_polymatroid
+    monkeypatch.setattr(polymatroid, "_support_tables", lambda A: builds.append(A) or support_tables(A))
+    monkeypatch.setattr(polymatroid, "is_base_polymatroid", lambda T: tops.append(T) or base(T))
+    for C in (point_set(HILBERT_3), PointSet(3, [(a + 1, b, c + 2) for a, b, c in HILBERT_3])):
+        builds.clear()
+        assert is_cave(C, "all")
+        assert builds == [C] and not tops
+    # C fails, so the loop checks the truncations one by one, from C on
+    C = point_set([(0, 0), (2, 0)])
+    builds.clear()
+    assert not is_cave(C, "natural")
+    assert builds[0] == C and tops
 
 
 def _cave_truncations(C):
