@@ -32,7 +32,6 @@ import random
 import re
 import sys
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from .lattice import (
@@ -54,11 +53,13 @@ OK, VIOLATION = "ok", "violation"
 _EXIT = {OK: 0, VIOLATION: 1}
 
 
-@dataclass
 class CommandResult:
-    status: str
-    payload: dict
-    lines: Callable[[], Iterable[str]]  # the report, formatted when called
+    __slots__ = ("status", "payload", "lines")
+
+    def __init__(self, status: str, payload: dict, lines: Callable[[], Iterable[str]]):
+        self.status = status
+        self.payload = payload
+        self.lines = lines  # the report, formatted when called
 
 
 def _result(payload: dict, lines: Callable[[], Iterable[str]], chk: Check | None = None) -> CommandResult:

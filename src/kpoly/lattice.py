@@ -50,6 +50,44 @@ class Check:
         return f"Check(ok=False, witness={self.witness!r})"
 
 
+class Record:
+    """Immutable record that behaves as a frozen dataclass without importing
+    dataclasses: a subclass's __init__ checks its arguments and hands the
+    values of its __slots__ fields, in order, to Record.__init__.  Equality
+    is by class and field values, hash and repr are a frozen dataclass's, and
+    copy, deepcopy and pickle rebuild a record through its constructor."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 def as_point(coords, p: int | None = None) -> Point:
     pt = tuple(coords)
     for c in pt:

@@ -6,7 +6,6 @@ and the matroid specialization via coloops and contraction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .lattice import (
     CapExceeded,
@@ -15,6 +14,7 @@ from .lattice import (
     IntPolynomial,
     Point,
     PointSet,
+    Record,
     as_point,
     check_ambient,
     dominates,
@@ -93,24 +93,23 @@ def kpoly_from_mobius(msupp: PointSet, m) -> IntPolynomial:
 # ---------------------------------------------------------------------------
 # matroids
 
-@dataclass(frozen=True)
-class Matroid:
+class Matroid(Record):
     """Matroid given by its set of bases as 0/1 indicator vectors."""
 
-    ground: int
-    bases: PointSet
+    __slots__ = ("ground", "bases")
 
-    def __post_init__(self):
-        if self.bases.ambient_p != self.ground:
+    def __init__(self, ground: int, bases: PointSet):
+        if bases.ambient_p != ground:
             raise ValueError("basis vectors must have length equal to the ground size")
-        if not self.bases and self.ground >= 0:
+        if not bases and ground >= 0:
             raise ValueError("a matroid needs at least one basis")
-        for b in self.bases:
+        for b in bases:
             if any(c not in (0, 1) for c in b):
                 raise ValueError(f"basis {b} is not a 0/1 vector")
-        chk = is_base_polymatroid(self.bases)
+        chk = is_base_polymatroid(bases)
         if not chk:
             raise ValueError(f"basis exchange fails: {chk.witness}")
+        super().__init__(ground, bases)
 
     @property
     def rank(self) -> int:

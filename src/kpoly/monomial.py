@@ -8,7 +8,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from operator import sub
 
 from .lattice import (
@@ -16,6 +15,7 @@ from .lattice import (
     IntPolynomial,
     Point,
     PointSet,
+    Record,
     as_point,
     check_ambient,
     dominates,
@@ -33,35 +33,30 @@ def subset_cap(cap: int | None = None) -> int:
     return SUBSET_CAP if cap is None else cap
 
 
-@dataclass(frozen=True)
-class BorelPrime:
+class BorelPrime(Record):
     """Monomial prime generated by the first a_i variables of each component,
     inside the ambient with m_i + 1 variables of each degree e_i."""
 
-    a: Point
-    m: Point
+    __slots__ = ("a", "m")
 
-    def __post_init__(self):
-        a = as_point(self.a)
-        m = as_point(self.m, len(a))
+    def __init__(self, a: Point, m: Point):
+        a = as_point(a)
+        m = as_point(m, len(a))
         if not dominates(m, a):
             raise ValueError(f"prime vector {a} exceeds ambient {m}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "m", m)
+        super().__init__(a, m)
 
 
-@dataclass(frozen=True)
-class SquareFreeIdeal:
+class SquareFreeIdeal(Record):
     """Intersection of pairwise incomparable Borel primes, stored as the
     tuple of a-vectors in the caller's order (the order matters for the
     shellable refinement)."""
 
-    m: Point
-    primes: tuple[Point, ...]
+    __slots__ = ("m", "primes")
 
-    def __post_init__(self):
-        m = as_point(self.m)
-        primes = tuple(as_point(a, len(m)) for a in self.primes)
+    def __init__(self, m: Point, primes: tuple[Point, ...]):
+        m = as_point(m)
+        primes = tuple(as_point(a, len(m)) for a in primes)
         if not primes:
             raise ValueError("an ideal needs at least one minimal prime")
         for a in primes:
@@ -78,14 +73,13 @@ class SquareFreeIdeal:
                 if dominates(b, a):
                     a, b = (a, b) if k < l else (b, a)
                     raise ValueError(f"primes {a} and {b} are comparable")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "primes", primes)
+        super().__init__(m, primes)
 
     @classmethod
     def _raw(cls, m: Point, primes: tuple[Point, ...]) -> "SquareFreeIdeal":
         """Trusted constructor for an ideal derived from checked data."""
         J = object.__new__(cls)
-        vars(J).update(m=m, primes=primes)
+        Record.__init__(J, m, primes)
         return J
 
     @property

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from operator import itemgetter, mul, sub
 
 from .lattice import (
@@ -23,6 +22,7 @@ from .lattice import (
     Check,
     EmptySetError,
     PointSet,
+    Record,
     _cube_coding,
     _stalactite_walk,
     axis_values,
@@ -289,22 +289,21 @@ def _paramodular_verdict(G: PointSet, c: list[int], b: list[int]) -> Check:
     return Check(False, {"condition": "integer-points", "extra_points": extra})
 
 
-@dataclass(frozen=True)
-class GPolyInequalitySystem:
+class GPolyInequalitySystem(Record):
     """Lower/upper bounds c(X) <= sum_{j in X} y_j <= b(X) for every subset X
     of [p], as two tables indexed by bitmask (bit j - 1 stands for index j;
     entry 0 is the empty set), stored as tuples."""
 
-    ambient_p: int
-    lower: tuple[int, ...]
-    upper: tuple[int, ...]
+    __slots__ = ("ambient_p", "lower", "upper")
 
-    def __post_init__(self):
-        for name in ("lower", "upper"):
-            table = tuple(getattr(self, name))
-            if len(table) != 1 << self.ambient_p:
-                raise ValueError(f"{name} table has {len(table)} entries, expected one per subset of [{self.ambient_p}]")
-            object.__setattr__(self, name, table)
+    def __init__(self, ambient_p: int, lower: tuple[int, ...], upper: tuple[int, ...]):
+        tables = []
+        for name, table in (("lower", lower), ("upper", upper)):
+            table = tuple(table)
+            if len(table) != 1 << ambient_p:
+                raise ValueError(f"{name} table has {len(table)} entries, expected one per subset of [{ambient_p}]")
+            tables.append(table)
+        super().__init__(ambient_p, *tables)
 
     def subsets(self) -> list[int]:
         """The nonempty masks, by size, then by their sorted members."""

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from multiprocessing import Pool
 from operator import mul
 
 from .lattice import (
@@ -207,12 +206,6 @@ def _zero_one_walk(w: Perm, terms: dict, strides, emit) -> None:
         _zero_one_walk(*child, emit)
 
 
-def _count_walk(node) -> int:
-    hits = itertools.count()
-    _zero_one_walk(*node, lambda w: next(hits))
-    return next(hits)
-
-
 def _census_root(p: int):
     """(w0, its staircase, the strides of radix p), after the checks on p."""
     if p < 1:
@@ -224,13 +217,12 @@ def _census_root(p: int):
 
 def count_zero_one(p: int, jobs: int = 1) -> int:
     """Number of permutations in S_p with a zero-one Schubert polynomial,
-    after the checks of zero_one_permutations.  With jobs > 1 a pool of at
-    most p - 1 processes walks the root's subtrees; w0 itself counts as 1."""
-    root = _census_root(p)
-    if jobs <= 1 or p <= 3:
-        return _count_walk(root)
-    with Pool(processes=min(jobs, p - 1)) as pool:
-        return 1 + sum(pool.map(_count_walk, list(_ascent_children(*root))))
+    after the checks of zero_one_permutations, by the serial walk whatever
+    jobs is.  jobs is kept for callers that still pass it: the benchmark's
+    traced census pass times count_zero_one(7, jobs=2)."""
+    hits = itertools.count()
+    _zero_one_walk(*_census_root(p), lambda w: next(hits))
+    return next(hits)
 
 
 def zero_one_permutations(p: int) -> list[Perm]:

@@ -13,29 +13,27 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import GRID_CAP, CapExceeded, PointSet, check_index_subset, check_subset_table, json_key, json_value
+from .lattice import GRID_CAP, CapExceeded, PointSet, Record, check_index_subset, check_subset_table, json_key, json_value
 from .polymatroid import base_polymatroid, check_base_candidates
 
 
-@dataclass(frozen=True)
-class SubspaceConfig:
+class SubspaceConfig(Record):
     """For each i in [p], a tuple of generator vectors in Q^q (tuples of Fractions)."""
 
-    q: int
-    subspaces: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    __slots__ = ("q", "subspaces")
 
-    def __post_init__(self):
-        if self.q <= 0:
+    def __init__(self, q: int, subspaces: tuple[tuple[tuple[Fraction, ...], ...], ...]):
+        if q <= 0:
             raise ValueError("ambient dimension must be positive")
-        for gens in self.subspaces:
+        for gens in subspaces:
             for g in gens:
-                if len(g) != self.q:
-                    raise ValueError(f"generator {g} does not have length {self.q}")
-        if not any(x for gens in self.subspaces for g in gens for x in g):
+                if len(g) != q:
+                    raise ValueError(f"generator {g} does not have length {q}")
+        if not any(x for gens in subspaces for g in gens for x in g):
             raise ValueError("at least one subspace must be nonzero")
+        super().__init__(q, subspaces)
 
     @property
     def p(self) -> int:

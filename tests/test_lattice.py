@@ -1,5 +1,8 @@
+import copy
 import itertools
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +14,7 @@ from kpoly.lattice import (
     GRID_CAP,
     IntPolynomial,
     PointSet,
+    Record,
     axis_values,
     binomial_at,
     box_grid,
@@ -31,6 +35,10 @@ from kpoly.lattice import (
     truncate,
     value_zeta,
 )
+from kpoly.mobius import Matroid
+from kpoly.monomial import BorelPrime, SquareFreeIdeal
+from kpoly.polymatroid import GPolyInequalitySystem
+from kpoly.subspaces import SubspaceConfig
 from running_example import MSUPP_3
 
 
@@ -401,3 +409,48 @@ def test_derived_sets_equal_their_checked_construction():
                                        if any(dominates(q, u) for q in pts)])
         f = IntPolynomial(p, [(q, rng.choice((-2, -1, 1, 2))) for q in pts])
         assert_checked(f.support(), p, list(f.terms))
+
+
+# each record class by keyword arguments, and the repr the frozen dataclass it
+# replaces printed for it
+RECORDS = [
+    (BorelPrime, {"a": (3, 1, 0), "m": [4, 4, 4]}, "BorelPrime(a=(3, 1, 0), m=(4, 4, 4))"),
+    (SquareFreeIdeal, {"m": (3, 3), "primes": [(1, 0), [0, 1]]},
+     "SquareFreeIdeal(m=(3, 3), primes=((1, 0), (0, 1)))"),
+    (GPolyInequalitySystem, {"ambient_p": 2, "lower": [0, 1, 2, 3], "upper": range(4)},
+     "GPolyInequalitySystem(ambient_p=2, lower=(0, 1, 2, 3), upper=(0, 1, 2, 3))"),
+    (Matroid, {"ground": 2, "bases": PointSet(2, [(1, 0), (0, 1)])},
+     "Matroid(ground=2, bases=PointSet(p=2, [(0, 1), (1, 0)]))"),
+    (SubspaceConfig, {"q": 2, "subspaces": (((Fraction(1), Fraction(0)),), ((Fraction(1, 2), Fraction(-3)),))},
+     "SubspaceConfig(q=2, subspaces=(((Fraction(1, 1), Fraction(0, 1)),), ((Fraction(1, 2), Fraction(-3, 1)),)))"),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, text", RECORDS, ids=[cls.__name__ for cls, _, _ in RECORDS])
+def test_record_behaves_as_the_frozen_dataclass_it_replaces(cls, kwargs, text):
+    r = cls(**kwargs)
+    assert repr(r) == text
+    assert r == cls(*kwargs.values()) and hash(r) == hash(cls(*kwargs.values()))
+    values = tuple(getattr(r, name) for name in cls.__slots__)
+    assert tuple(kwargs) == cls.__slots__ and hash(r) == hash(values)
+    assert not hasattr(r, "__dict__")
+    for name in cls.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(r, name, None)
+        with pytest.raises(AttributeError):
+            delattr(r, name)
+    for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+        assert type(twin) is cls and twin == r and hash(twin) == hash(r) and repr(twin) == text
+
+
+def test_records_of_different_classes_never_compare_equal():
+    class Twin(Record):
+        __slots__ = ("a", "m")
+
+    prime = BorelPrime((3, 1, 0), (4, 4, 4))
+    twin = Twin((3, 1, 0), (4, 4, 4))
+    assert twin._values() == prime._values() and hash(twin) == hash(prime)
+    assert twin != prime and prime != twin and len({twin, prime}) == 2
+    records = [cls(**kwargs) for cls, kwargs, _ in RECORDS]
+    assert all((x == y) == (x is y) for x in records for y in records)
+    assert prime != (prime.a, prime.m)

@@ -1,4 +1,6 @@
+import _posixsubprocess
 import itertools
+import os
 import random
 import tracemalloc
 
@@ -365,34 +367,16 @@ def test_census_small_values():
         count_zero_one(9)
 
 
-def test_census_jobs_agree():
-    # real worker processes, at most 3 at a time; p = 3 takes the serial branch
-    for p, count in ((5, 115), (6, 605)):
-        assert [count_zero_one(p, jobs=jobs) for jobs in (1, 2, 3)] == [count] * 3
-    assert count_zero_one(3, jobs=2) == 6
+def test_census_jobs_agree(monkeypatch):
+    # every jobs value walks serially in this process: each way Python
+    # starts a process on POSIX refuses
+    def refuse(*args, **kwargs):
+        raise AssertionError("the census started a process")
 
-
-def test_census_pool_is_capped_at_p_minus_1_workers(monkeypatch):
-    started = []
-
-    class SerialPool:
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, func, items):
-            return list(map(func, items))
-
-    monkeypatch.setattr(schubert_mod, "Pool", SerialPool)
-    assert count_zero_one(5, jobs=100_000) == 115
-    assert count_zero_one(6, jobs=2) == 605
-    assert count_zero_one(3, jobs=2) == 6
-    assert started == [4, 2]
+    for module, name in ((os, "fork"), (os, "posix_spawn"), (_posixsubprocess, "fork_exec")):
+        monkeypatch.setattr(module, name, refuse)
+    for p, count in ((3, 6), (5, 115), (6, 605)):
+        assert [count_zero_one(p, jobs=jobs) for jobs in (1, 2, 100_000)] == [count] * 3
 
 
 def test_census_walk_keeps_only_the_current_chain():

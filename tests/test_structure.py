@@ -1,9 +1,14 @@
-"""The package's module graph: every import at module level, no cycle, and
-one owner per kernel, so private names cross modules only out of lattice."""
+"""The package's module graph: every import at module level, no cycle, one
+owner per kernel, so private names cross modules only out of lattice, and no
+module importing the stdlib packages that cost a fresh process its start-up."""
 
 import ast
 import graphlib
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 import kpoly
 
@@ -47,3 +52,20 @@ def test_private_names_cross_modules_only_out_of_lattice():
         if imported.startswith("_") and module != "lattice"
     ]
     assert not crossing, crossing
+
+
+# stdlib packages no kpoly module needs: multiprocessing brings pickle and
+# socket, dataclasses brings inspect (with ast, dis and tokenize), and the two
+# would take about two thirds of the time of `import kpoly.cli`
+UNLOADED = ("multiprocessing", "dataclasses", "inspect", "pickle", "socket")
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_import_loads_neither_multiprocessing_nor_dataclasses(name):
+    module = "kpoly" if name == "__init__" else f"kpoly.{name}"
+    src = str(pathlib.Path(kpoly.__file__).parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import {module}; "
+            "print(*sorted(set(sys.argv[1:]) & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", code, *UNLOADED],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == []
