@@ -31,7 +31,6 @@ from .lattice import (
     homogenize,
     members,
     top,
-    unit_shift,
     value_zeta,
 )
 
@@ -55,7 +54,9 @@ def is_base_polymatroid(P: PointSet) -> Check:
 
     The empty set and singletons pass vacuously.  Two exact routes answer:
 
-    exchange loop  _exchange_check, the definition, O(|P|^2 p^2)
+    exchange check _exchange_check, the definition decided on bitmasks over
+                   the points, O(|P| a^2) operations on |P|-bit integers,
+                   a <= p the number of axes where the points differ
     support bounds a homogeneous set is a base polymatroid exactly when it is
                    a g-polymatroid (an M-natural-convex set on a hyperplane
                    y([p]) = r is M-convex; Murota, Discrete Convex Analysis,
@@ -64,12 +65,13 @@ def is_base_polymatroid(P: PointSet) -> Check:
                    form a paramodular pair whose Q(c, b) has no integer point
                    outside P.  O(|P| 2^p + p^2 2^p)
 
-    The loop runs when its pair count is the smaller work,
-    |P|(|P| - 1) p <= (p + 1)^2 2^p, or 2^p exceeds GRID_CAP, and whenever
-    the support-bound route does not pass, so every witness comes from the
-    loop: `homogeneous` with the lightest and heaviest points, or `exchange`
-    with u, v and the 1-based i.  The support-bound walk stops after |P| + 1
-    points and never dead-ends once the pair passes, so it needs no box cap.
+    The exchange check runs when |P|(|P| - 1) p <= (p + 1)^2 2^p (a size
+    rule set against the pair loops it replaced), or 2^p exceeds GRID_CAP,
+    and whenever the support-bound route does not pass, so every witness
+    comes from it: `homogeneous` with the lightest and heaviest points, or
+    `exchange` with the first failing u, v and 1-based i of the pair loops.
+    The support-bound walk stops after |P| + 1 points and never dead-ends
+    once the pair passes, so it needs no box cap.
     The verdict is computed once per set and stored on P, which is immutable;
     base_polymatroid stores a passed one on its output.
     """
@@ -88,32 +90,84 @@ def _base_polymatroid_check(P: PointSet) -> Check:
 
 
 def _exchange_check(P: PointSet) -> Check:
-    """is_base_polymatroid by the definition: homogeneity, then the exchange
-    axiom for every ordered pair.  The oracle, and the only route behind
-    the homogenization method of is_g_polymatroid."""
+    """is_base_polymatroid by the definition: homogeneity, then for every
+    ordered pair (u, v) and i with u_i > v_i some j with u_j < v_j and
+    u - e_i + e_j in P.  The only route behind the homogenization method of
+    is_g_polymatroid.  On the bitmasks of _point_masks, the v failing at u
+    and i are those below u on axis i and above u on no axis j with
+    u - e_i + e_j in P; the witness is the pair loops' first failure."""
     if len(P) <= 1:
         return Check(True)
-    p = P.ambient_p
     sums = {sum(q) for q in P}
     if len(sums) > 1:
         lo = min(P, key=sum)
         hi = max(P, key=sum)
         return Check(False, {"condition": "homogeneous", "points": [list(lo), list(hi)]})
-    for u in P:
-        for v in P:
-            if u == v:
-                continue
-            for i in range(p):
-                if u[i] <= v[i]:
-                    continue
-                if not any(
-                    u[j] < v[j] and unit_shift(u, i, j) in P for j in range(p)
-                ):
-                    return Check(
-                        False,
-                        {"condition": "exchange", "u": list(u), "v": list(v), "i": i + 1},
-                    )
+    axes, strides, proj, codes, below, above = _point_masks(P)
+    inP = set(codes)
+    for u, q, cu in zip(P.points, proj, codes):
+        ups = [(t, hi) for t, ab, x in zip(strides, above, q) if (hi := ab[x])]
+        bad = []
+        for i, s, bl, x in zip(axes, strides, below, q):
+            if lo := bl[x]:
+                for t, hi in ups:
+                    if lo & hi and cu - s + t in inP:
+                        lo &= ~hi
+                if lo:
+                    bad.append((i, lo))
+        if bad:
+            return _first_failure(P.points, u, bad)
     return Check(True)
+
+
+def _point_masks(P: PointSet):
+    """(axes, strides, proj, codes, below, above) of a P of two or more
+    points; bit k of a mask stands for P.points[k], the k-th in lex order.
+    axes: the 0-based axes where the points differ; proj: the points on
+    them; codes: their _cube_coding codes of radix the largest coordinate
+    plus 2, so q - e_axes[a] + e_axes[b] has the code code - strides[a] +
+    strides[b] when q_axes[a] > 0; below[a] and above[a]: _order_masks of
+    the values on axes[a], keyed by the values present, never sized by one."""
+    n, axes, cols = len(P), [], []
+    for i, col in enumerate(zip(*P.points)):
+        if col.count(col[0]) < n:
+            axes.append(i)
+            cols.append(col)
+    strides, _ = _cube_coding(max(map(max, cols)) + 2, len(cols))
+    proj = list(zip(*cols))
+    below, above = zip(*map(_order_masks, cols))
+    return axes, strides, proj, [sum(map(mul, q, strides)) for q in proj], below, above
+
+
+def _order_masks(values) -> tuple[dict, dict]:
+    """Map each t in values to the bitmask of the k with values[k] < t and
+    to that of the k with values[k] > t."""
+    at = {}
+    for k, t in enumerate(values):
+        at[t] = at.get(t, 0) | 1 << k
+    keys = sorted(at)
+    below, acc = {}, 0
+    for t in keys:
+        below[t] = acc
+        acc |= at[t]
+    above, acc = {}, 0
+    for t in reversed(keys):
+        above[t] = acc
+        acc |= at[t]
+    return below, above
+
+
+def _first_failure(points, u, bad) -> Check:
+    """The failure the pair loops report first at u, from bad, a list of
+    (i, mask of failing v) in the order the loops test a pair: 0-based axes
+    i of the exchange axiom, then None for expansion.  v is the lex-first
+    point in any mask, the failure the first entry whose mask holds v."""
+    bit = min(mask & -mask for _, mask in bad)
+    v = list(points[bit.bit_length() - 1])
+    i = next(i for i, mask in bad if mask & bit)
+    if i is None:
+        return Check(False, {"condition": "expansion", "u": list(u), "v": v})
+    return Check(False, {"condition": "exchange", "u": list(u), "v": v, "i": i + 1})
 
 
 def rank_functions(p: int, K: int):
@@ -201,43 +255,49 @@ def check_symmetric_exchange(P: PointSet) -> Check:
 
 
 def _axiom_check(G: PointSet) -> Check:
-    p = G.ambient_p
-    for u in G:
-        su = sum(u)
-        for v in G:
-            if u == v:
-                continue
-            sv = sum(v)
-            for i in range(p):
-                if u[i] <= v[i]:
-                    continue
-                swap = any(
-                    u[j] < v[j]
-                    and unit_shift(u, i, j) in G
-                    and unit_shift(v, j, i) in G
-                    for j in range(p)
-                )
-                drop = (
-                    su > sv
-                    and unit_shift(u, i, None) in G
-                    and unit_shift(v, None, i) in G
-                )
-                if not (swap or drop):
-                    return Check(
-                        False,
-                        {"condition": "exchange", "u": list(u), "v": list(v), "i": i + 1},
-                    )
-            if su < sv:
-                if not any(
-                    u[j] < v[j]
-                    and unit_shift(u, None, j) in G
-                    and unit_shift(v, j, None) in G
-                    for j in range(p)
-                ):
-                    return Check(
-                        False,
-                        {"condition": "expansion", "u": list(u), "v": list(v)},
-                    )
+    """The g-polymatroid axioms for every ordered pair (u, v) of G: for each
+    i with u_i > v_i, some j with u_j < v_j has u - e_i + e_j and
+    v - e_j + e_i in G, or y(u) > y(v) and u - e_i, v + e_i are in G
+    (exchange); if y(u) < y(v), some j with u_j < v_j has u + e_j and
+    v - e_j in G (expansion).  Decided as _exchange_check is, with masks of
+    the v having v - e_j + e_i, v + e_i or v - e_j in G and of the lighter
+    and heavier points; the witness is the pair loops' first failure."""
+    if len(G) <= 1:
+        return Check(True)
+    axes, strides, proj, codes, below, above = _point_masks(G)
+    inG = set(codes)
+    # masks[d]: the points q with code(q) + d in G, for the shifts d of
+    # v - e_j + e_i, v + e_i and v - e_j; a code less strides[b] is the
+    # code of q - e_axes[b] only if q_axes[b] > 0, which holds wherever such
+    # a mask is read, under hi: v_j > u_j >= 0
+    masks = dict.fromkeys([s - t for s in strides for t in strides] + strides + [-t for t in strides], 0)
+    for k, c in enumerate(codes):
+        for d in masks:
+            if c + d in inG:
+                masks[d] |= 1 << k
+    sums = list(map(sum, G.points))
+    lighter, heavier = _order_masks(sums)
+    for u, q, cu, su in zip(G.points, proj, codes, sums):
+        ups = [(t, hi) for t, ab, x in zip(strides, above, q) if (hi := ab[x])]
+        light = lighter[su]
+        bad = []
+        for i, s, bl, x in zip(axes, strides, below, q):
+            if lo := bl[x]:
+                for t, hi in ups:
+                    if lo & (m := hi & masks[s - t]) and cu - s + t in inG:
+                        lo &= ~m
+                if lo & (m := light & masks[s]) and cu - s in inG:
+                    lo &= ~m
+                if lo:
+                    bad.append((i, lo))
+        if heavy := heavier[su]:
+            for t, hi in ups:
+                if heavy & (m := hi & masks[-t]) and cu + t in inG:
+                    heavy &= ~m
+            if heavy:
+                bad.append((None, heavy))
+        if bad:
+            return _first_failure(G.points, u, bad)
     return Check(True)
 
 
@@ -245,8 +305,11 @@ def is_g_polymatroid(G: PointSet, method: str = "axioms") -> Check:
     """Generalized-polymatroid test via one of three exact routes.
 
     axioms            direct Exchange + Expansion over all ordered pairs; the
-                      definition, O(|G|^2 p^2)
-    homogenization    append the slack coordinate, then base-polymatroid exchange
+                      definition decided on bitmasks over the points
+                      (_axiom_check), O(|G| a^2) operations on |G|-bit
+                      integers, a <= p the number of axes where G varies
+    homogenization    append the slack coordinate, then the base-polymatroid
+                      exchange check, at the same cost
     paramodular       the support bounds (c, b) form a paramodular pair and G
                       is the set of integer points of Q(c, b).  Exact by
                       Frank's theorem (Generalized polymatroids, 1984): the

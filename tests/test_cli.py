@@ -2,6 +2,7 @@ import ast
 import copy
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -252,6 +253,39 @@ def test_verify_gpolymatroid_ok_and_violation(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "gpolymatroid", origin, "--method", "all", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["methods"] == dict.fromkeys(polymatroid.G_POLY_METHODS, True)
+
+
+_HUGE = 10**30
+_EXCHANGE = {"condition": "exchange", "i": 2, "u": [0, _HUGE, 2], "v": [_HUGE, 0, 1]}
+
+
+@pytest.mark.parametrize("points, expected", [
+    ([[_HUGE, 0, 1], [0, _HUGE, 2]], {
+        "axioms": (1, _EXCHANGE),
+        "homogenization": (1, {"condition": "homogenized-exchange", "i": 2,
+                               "u": [0, _HUGE, 2, 0], "v": [_HUGE, 0, 1, 1]}),
+        "all": (1, _EXCHANGE),
+    }),
+    ([[3, 1, 4]], dict.fromkeys(("axioms", "homogenization", "all"), (0, None))),
+    ([[]], dict.fromkeys(("axioms", "homogenization", "all"), (0, None))),
+])
+def test_pair_checks_keep_their_results_on_a_huge_coordinate_one_point_and_p_zero(
+        points, expected, tmp_path, capsys):
+    # the bitmask tables of axioms and homogenization are keyed by the values
+    # present, so a 10^30 coordinate sizes none of them (traced peak under
+    # 1 MB); exit codes and witnesses are those of the literal pair loops
+    path = write_json(tmp_path, "g.json", points)
+    for method, (rc, witness) in expected.items():
+        tracemalloc.start()
+        try:
+            got = main(["verify", "gpolymatroid", path, "--method", method, "--json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert (got, err) == (rc, ""), (method, out, err)
+        assert json.loads(out).get("witness") == witness, method
+        assert peak < 1 << 20, (method, peak)
 
 
 def test_sparse_g_polymatroid_in_a_huge_box_gets_a_witness(tmp_path, capsys):

@@ -236,7 +236,9 @@ def test_rank_table_and_g_polymatroid_methods_share_only_declared_names():
     # base_polymatroid walks Q(c, f) of a rank table with the paramodular
     # method's local-submodularity scan and integer-point walk, which that
     # method runs on the support bounds of a point set; it shares no kernel
-    # with axioms
+    # with axioms.  axioms and homogenization decide their pair loops on the
+    # same bitmask tables over the points; the literal loops of
+    # test_polymatroid check each against its definition
     rng = random.Random(20240817)  # the stream of acceptance criterion 08
     configs = [random_config(rng.randint(2, 5), rng.randint(2, 5), rng) for _ in range(200)]
     tables = list(map(rank_table, configs))
@@ -251,7 +253,8 @@ def test_rank_table_and_g_polymatroid_methods_share_only_declared_names():
          _reached(index, lambda c: [rank_of(c, members(X)) for X in range(1 << c.p)], configs),
          {"kpoly.subspaces.SubspaceConfig.p"}),
         (reached["axioms"], reached["homogenization"],
-         dispatch | {"kpoly.lattice.unit_shift", "kpoly.lattice.PointSet.__contains__"}),
+         dispatch | {"kpoly.polymatroid._point_masks", "kpoly.polymatroid._order_masks",
+                     "kpoly.polymatroid._first_failure", "kpoly.lattice._cube_coding"}),
         (reached["axioms"], reached["paramodular"], dispatch),
         (reached["homogenization"], reached["paramodular"], dispatch | {"kpoly.lattice.Check.__bool__"}),
         (base, reached["axioms"], dispatch),

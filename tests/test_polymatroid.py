@@ -22,6 +22,7 @@ from kpoly.lattice import (
     support_bounds,
     top,
     truncate,
+    unit_shift,
 )
 from kpoly.mobius import mu_support
 from kpoly.stalactite import collapse_fixed_components, hsupp_from_msupp, neighbor_directions, stalactite
@@ -29,6 +30,7 @@ from kpoly.polymatroid import (
     G_POLY_METHODS,
     INTEGER_POINTS_CAP,
     GPolyInequalitySystem,
+    _axiom_check,
     _exchange_check,
     _paramodular_check,
     _paramodular_witness,
@@ -55,6 +57,135 @@ def all_subsets_of_box(p, coord_max, max_size):
     for size in range(1, max_size + 1):
         for combo in itertools.combinations(cells, size):
             yield PointSet(p, combo)
+
+
+def exchange_loop(P: PointSet) -> Check:
+    """_exchange_check by its literal loops, every ordered pair (u, v) and
+    every i, with a membership test per candidate j: the oracle of the
+    bitmask kernel, which must report the same first failure."""
+    if len(P) <= 1:
+        return Check(True)
+    p = P.ambient_p
+    sums = {sum(q) for q in P}
+    if len(sums) > 1:
+        lo = min(P, key=sum)
+        hi = max(P, key=sum)
+        return Check(False, {"condition": "homogeneous", "points": [list(lo), list(hi)]})
+    for u in P:
+        for v in P:
+            if u == v:
+                continue
+            for i in range(p):
+                if u[i] <= v[i]:
+                    continue
+                if not any(
+                    u[j] < v[j] and unit_shift(u, i, j) in P for j in range(p)
+                ):
+                    return Check(
+                        False,
+                        {"condition": "exchange", "u": list(u), "v": list(v), "i": i + 1},
+                    )
+    return Check(True)
+
+
+def axiom_loop(G: PointSet) -> Check:
+    """_axiom_check by its literal loops, the oracle of the bitmask kernel."""
+    p = G.ambient_p
+    for u in G:
+        su = sum(u)
+        for v in G:
+            if u == v:
+                continue
+            sv = sum(v)
+            for i in range(p):
+                if u[i] <= v[i]:
+                    continue
+                swap = any(
+                    u[j] < v[j]
+                    and unit_shift(u, i, j) in G
+                    and unit_shift(v, j, i) in G
+                    for j in range(p)
+                )
+                drop = (
+                    su > sv
+                    and unit_shift(u, i, None) in G
+                    and unit_shift(v, None, i) in G
+                )
+                if not (swap or drop):
+                    return Check(
+                        False,
+                        {"condition": "exchange", "u": list(u), "v": list(v), "i": i + 1},
+                    )
+            if su < sv:
+                if not any(
+                    u[j] < v[j]
+                    and unit_shift(u, None, j) in G
+                    and unit_shift(v, j, None) in G
+                    for j in range(p)
+                ):
+                    return Check(
+                        False,
+                        {"condition": "expansion", "u": list(u), "v": list(v)},
+                    )
+    return Check(True)
+
+
+def check_bitsets_against_the_loops(sets) -> tuple[int, int]:
+    """Assert that _axiom_check, _exchange_check and _exchange_check of the
+    homogenization give the literal loops' verdict and whole witness on each
+    nonempty set; returns how many sets ran and how many checks failed."""
+    n = failed = 0
+    for G in sets:
+        H = homogenize(G)
+        for kernel, loop, A in ((_axiom_check, axiom_loop, G), (_exchange_check, exchange_loop, G),
+                                (_exchange_check, exchange_loop, H)):
+            got, want = kernel(A), loop(A)
+            assert (got.ok, got.witness) == (want.ok, want.witness), (kernel.__name__, list(A))
+            failed += not want
+        n += 1
+    return n, failed
+
+
+def _near_simplices(rng):
+    """The points y >= 0 with y([p]) <= d, and the face y([p]) = d, for p <= 4
+    and d <= 3, each whole and with one to three random points dropped."""
+    for p, d in itertools.product(range(1, 5), range(1, 4)):
+        ball = [y for y in itertools.product(range(d + 1), repeat=p) if sum(y) <= d]
+        for cells in (ball, [y for y in ball if sum(y) == d]):
+            yield PointSet(p, cells)
+            for drop in (1, 2, 3):
+                if drop < len(cells):
+                    yield PointSet(p, rng.sample(cells, len(cells) - drop))
+
+
+def _random_point_sets(rng, count):
+    """Sets of 1 to 10 points for p = 0..6: in a small box, the same box
+    moved by 10^12 on every axis, or with coordinates anywhere up to 10^12."""
+    for _ in range(count):
+        p, n = rng.randint(0, 6), rng.randint(1, 10)
+        side, shift = rng.choice((1, 2, 3)), rng.choice((0, 0, 10**12))
+        if rng.random() < 0.1:
+            yield PointSet(p, [[rng.randint(0, 10**12) for _ in range(p)] for _ in range(n)])
+        else:
+            yield PointSet(p, [[shift + rng.randint(0, side) for _ in range(p)] for _ in range(n)])
+
+
+def test_bitset_checks_give_the_literal_loops_verdicts_and_witnesses():
+    # every family is checked by axioms, the exchange check and the exchange
+    # check of its homogenization
+    rng = random.Random(31)
+    families = {
+        "box subsets": itertools.chain(all_subsets_of_box(2, 2, 5), all_subsets_of_box(3, 1, 8)),
+        "random sets": _random_point_sets(rng, 800),
+        "near-simplices": _near_simplices(rng),
+        "bases of rank_functions(3, 2)": map(base_polymatroid, rank_functions(3, 2)),
+        "Grothendieck supports of S_5": (grothendieck(w).support() for w in itertools.permutations(range(1, 6))),
+    }
+    counts = {name: check_bitsets_against_the_loops(sets) for name, sets in families.items()}
+    # (sets, failing checks); on S_5 only the exchange checks of supports
+    # spanning more than one degree fail
+    assert counts == {"box subsets": (636, 1628), "random sets": (800, 1544), "near-simplices": (79, 118),
+                      "bases of rank_functions(3, 2)": (115, 0), "Grothendieck supports of S_5": (120, 78)}
 
 
 def test_running_example_msupp_is_polymatroid():
@@ -498,7 +629,7 @@ def test_paramodular_witness_lists_the_first_extra_points_of_q():
 
 def test_support_tables_refuse_2_to_the_p_above_the_grid_cap(monkeypatch):
     # the 2^p tables are refused before they are allocated; the base check
-    # falls back on the exchange loop instead
+    # falls back on the exchange check instead
     P = point_set([(1000 - k, 1000 + k, 1000) for k in range(8)])
     assert _above_the_rule(P)
     monkeypatch.setattr(polymatroid, "GRID_CAP", 4)
@@ -604,8 +735,8 @@ def test_base_polymatroid_routes_agree_with_the_exchange_loop():
     # linear polymatroids, the same with a midpoint dropped or an off-level
     # point added, their mu-supports (g-polymatroids off one level), and the
     # bases of every 20th rank function on p = 4 with singleton ranks <= 2;
-    # the verdict and every witness must be the loop's on both sides of the
-    # size rule
+    # the verdict and every witness must be the literal loop's on both sides
+    # of the size rule
     rng = random.Random(59)
     inputs = []
     for _ in range(80):
@@ -620,7 +751,7 @@ def test_base_polymatroid_routes_agree_with_the_exchange_loop():
     for P in inputs:
         # a fresh copy: base_polymatroid has already stored a verdict on the
         # sets it returns
-        fast, loop = is_base_polymatroid(PointSet(P.ambient_p, P)), _exchange_check(P)
+        fast, loop = is_base_polymatroid(PointSet(P.ambient_p, P)), exchange_loop(P)
         assert bool(fast) == bool(loop), list(P)
         assert fast.witness == loop.witness, list(P)
         key = (_above_the_rule(P), bool(loop))
@@ -704,7 +835,7 @@ def candidate_filter(ranks):
 
 def check_walk_against_the_candidate_filter(ranks) -> int:
     """Assert that base_polymatroid returns the candidate filter's points in
-    its order, and that each output passes the exchange loop, the evidence
+    its order, and that each output passes the exchange check, the evidence
     for the verdict base_polymatroid stores; returns how many tables ran."""
     n = 0
     for f in ranks:
