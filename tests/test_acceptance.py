@@ -8,7 +8,7 @@ import itertools
 import random
 import time
 
-from kpoly.lattice import PointSet, members, point_set
+from kpoly.lattice import PointSet, axis_values, class_floors, members, point_set, top, truncate
 from kpoly.mobius import (
     kpoly_from_mobius,
     matroids_on_ground,
@@ -18,6 +18,7 @@ from kpoly.mobius import (
 from kpoly.monomial import _ie_coefficients_subsets, hilbert_function_bruteforce, hilbert_poly_ie, msupp_to_ideal
 from kpoly.polymatroid import (
     G_POLY_METHODS,
+    _exchange_check,
     inequality_system,
     integer_points,
     is_cave,
@@ -63,6 +64,87 @@ def report(n, text):
     from conftest import ACCEPTANCE_LINES
 
     ACCEPTANCE_LINES.append(line)
+
+
+def check_three_routes(p: int) -> int:
+    """For every zero-one w in S_p: divided differences, stalactites and
+    Mobius give the same K-polynomial; inclusion-exclusion over the Borel
+    primes (hilbert_poly_ie) gives the stalactite route's Hilbert
+    polynomial (hsupp_from_msupp); and that Hilbert support passes the
+    dominance-sum check verify_mobius_sums.  Asserts with the failing w;
+    returns how many permutations ran."""
+    perms = zero_one_permutations(p)
+    for w in perms:
+        G = grothendieck(w)
+        assert grothendieck_via_stalactites(w) == G, w
+        msupp, m = msupp_of_matrix_schubert(w)
+        assert kpoly_from_mobius(msupp, m) == G, w
+        H = hsupp_from_msupp(msupp)
+        assert hilbert_poly_ie(msupp_to_ideal(msupp, m)) == H, w
+        assert verify_mobius_sums(H), w
+    return len(perms)
+
+
+def check_mty(p: int) -> tuple[int, dict]:
+    """For every w in S_p: each coefficient of G_w has the sign
+    (-1)^(|a| - l(w)) (Fomin-Kirillov 1994; Brion 2002), and supp(G_w)
+    passes is_g_polymatroid by each of G_POLY_METHODS (the Monical-Tokcan-
+    Yong conjecture).  Asserts with the failing w and method; returns how
+    many permutations ran and the seconds each method took over all of
+    them."""
+    perms = list(itertools.permutations(range(1, p + 1)))
+    supports = []
+    for w in perms:
+        G = grothendieck(w)
+        length = inversions(w)
+        assert all(c * (-1) ** (sum(a) - length) > 0 for a, c in G.terms.items()), w
+        supports.append(G.support())
+    seconds = {}
+    for method in G_POLY_METHODS:
+        t0 = time.perf_counter()
+        for w, supp in zip(perms, supports):
+            assert is_g_polymatroid(supp, method), (w, method)
+        seconds[method] = time.perf_counter() - t0
+    return len(perms), seconds
+
+
+def check_caves(p: int) -> tuple[int, int]:
+    """For every zero-one w in S_p, with H the Hilbert support of its matrix
+    Schubert variety, constant coordinates dropped: H passes is_cave(H,
+    "all") and is_g_polymatroid by axioms and by paramodular; H translated
+    by (2, ..., 2) passes is_cave(..., "all"); and every distinct nonempty
+    truncation of H passes paramodular and its top the exchange check, the
+    premise on which is_cave takes those checks as implied by its verdict on
+    H.  Asserts with the failing w (and truncation); returns how many
+    permutations and how many distinct truncations ran."""
+    perms = zero_one_permutations(p)
+    truncations = 0
+    for w in perms:
+        msupp, m = msupp_of_matrix_schubert(w)
+        small, _, _ = collapse_fixed_components(msupp, m)
+        supp = hsupp_from_msupp(small).support()
+        assert is_cave(supp, "all"), w
+        assert is_g_polymatroid(supp, "axioms") and is_g_polymatroid(supp, "paramodular"), w
+        assert is_cave(PointSet(supp.ambient_p, [[c + 2 for c in q] for q in supp]), "all"), w
+        grid = itertools.product(*class_floors(axis_values(supp)))
+        for A in {truncate(supp, b) for b in grid} - {PointSet(supp.ambient_p)}:
+            truncations += 1
+            assert is_g_polymatroid(A, "paramodular") and _exchange_check(top(A)), (w, list(A))
+    return len(perms), truncations
+
+
+def check_matroid_mu(p: int) -> int:
+    """Every matroid on p elements passes verify_matroid_mu_theorem: mu(0, 1)
+    equals the reduced Euler characteristic of the independence complex and
+    vanishes exactly when a coloop exists, the mu-support is the coloops
+    plus the independent sets of the contraction by them, and it passes
+    paramodular.  Asserts with the failing bases; returns how many matroids
+    ran."""
+    n = 0
+    for M in matroids_on_ground(p):
+        assert verify_matroid_mu_theorem(M), list(M.bases)
+        n += 1
+    return n
 
 
 def test_criterion_01_running_example_kpolynomial_three_routes():
@@ -133,25 +215,16 @@ def test_criterion_05_stalactite_tables_two_orders():
 
 def test_criterion_06_oracle_equivalence_s5():
     t0 = time.perf_counter()
-    for p, count in ((5, 115), (6, 605)):
-        perms = zero_one_permutations(p)
-        assert len(perms) == count
-        for w in perms:
-            G = grothendieck(w)
-            assert grothendieck_via_stalactites(w) == G, w
-            msupp, m = msupp_of_matrix_schubert(w)
-            assert kpoly_from_mobius(msupp, m) == G, w
-            H = hsupp_from_msupp(msupp)
-            J = msupp_to_ideal(msupp, m)
-            assert hilbert_poly_ie(J) == H, w
-            # the lattice IE route runs the Mobius kernel; the literal subset
-            # sum shares no code with divided differences
-            if p == 5:
-                assert _ie_coefficients_subsets(J.primes) == G.terms, w
+    assert (check_three_routes(5), check_three_routes(6)) == (115, 605)
+    # the lattice IE route runs the Mobius kernel; the literal subset sum
+    # shares no code with divided differences
+    for w in zero_one_permutations(5):
+        msupp, m = msupp_of_matrix_schubert(w)
+        assert _ie_coefficients_subsets(msupp_to_ideal(msupp, m).primes) == grothendieck(w).terms, w
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
-    report(6, f"all 115 zero-one S_5 and 605 zero-one S_6: stalactite, Mobius and IE oracles agree, "
-              f"S_5 also by the literal subset sum ({elapsed:.1f}s)")
+    report(6, f"all 115 zero-one S_5 and 605 zero-one S_6: stalactite, Mobius and IE oracles agree and the "
+              f"dominance sums hold, S_5 also by the literal subset sum ({elapsed:.1f}s)")
 
 
 def test_criterion_07_theorem_b_s5():
@@ -187,15 +260,11 @@ def test_criterion_08_theorem_c_battery():
 
 def test_criterion_09_matroid_mobius_theorem():
     t0 = time.perf_counter()
-    total = 0
-    for p in range(1, 6):
-        for M in matroids_on_ground(p):
-            total += 1
-            assert verify_matroid_mu_theorem(M), list(M.bases)
+    counts = [check_matroid_mu(p) for p in range(1, 6)]
     elapsed = time.perf_counter() - t0
-    assert total == 2 + 5 + 16 + 68 + 406
+    assert counts == [2, 5, 16, 68, 406]  # OEIS A058673
     assert elapsed < 120.0
-    report(9, f"all {total} matroids on <= 5 elements pass the mu theorem ({elapsed:.1f}s)")
+    report(9, f"all {sum(counts)} matroids on <= 5 elements pass the mu theorem ({elapsed:.1f}s)")
 
 
 def test_criterion_10_hilbert_function_equals_polynomial():
@@ -241,20 +310,14 @@ def test_criterion_11_shelling_paths_sums_s5():
             H = hsupp_from_msupp(msupp)
             assert increasing_path_check(H), w
             assert sum(H.terms.values()) == 1, w
-            assert verify_mobius_sums(H), w
     elapsed = time.perf_counter() - t0
-    report(11, f"lex shelling, increasing paths, sum = 1, dominance sums = 1 for all zero-one S_5 and S_6 "
-               f"({elapsed:.1f}s)")
+    report(11, f"lex shelling, increasing paths, sum = 1 for all zero-one S_5 and S_6 (the dominance sums: "
+               f"criterion 06) ({elapsed:.1f}s)")
 
 
 def test_criterion_12_cave_implies_g_polymatroid():
-    # zero-one S_5 Hilbert supports (constant coordinates dropped)
-    for w in zero_one_permutations(5):
-        msupp, m = msupp_of_matrix_schubert(w)
-        small, _, _ = collapse_fixed_components(msupp, m)
-        supp = hsupp_from_msupp(small).support()
-        assert is_cave(supp, "all"), w
-        assert is_g_polymatroid(supp, "axioms"), w
+    perms, truncations = check_caves(5)
+    assert (perms, truncations) == (115, 691)
     # plus 100 seeded random small sets that happen to pass the cave test
     rng = random.Random(88)
     cells = list(itertools.product(range(4), repeat=3))
@@ -267,23 +330,15 @@ def test_criterion_12_cave_implies_g_polymatroid():
         if is_cave(P, "all"):
             passed += 1
             assert is_g_polymatroid(P, "axioms"), list(P)
-    report(12, f"caves are g-polymatroids: 115 S_5 Hilbert supports + {passed} random passers")
+    report(12, f"caves are g-polymatroids: 115 S_5 Hilbert supports, also translated, with their {truncations} "
+               f"distinct truncations, + {passed} random passers")
 
 
 def test_criterion_13_mty_conjecture_beyond_zero_one_s6():
-    # Monical-Tokcan-Yong: supp(G_w) is a g-polymatroid for every w, not only
-    # the zero-one ones of criterion 07.  Every coefficient of G_w has the
-    # sign (-1)^(|a| - l(w)) (Fomin-Kirillov 1994; Brion 2002), a known value
-    # for the divided-difference route that builds it.
+    # Monical-Tokcan-Yong beyond the zero-one w of criterion 07, and the
+    # coefficient signs, a known value for the divided-difference route
     t0 = time.perf_counter()
-    perms = list(itertools.permutations(range(1, 7)))
-    for w in perms:
-        G = grothendieck(w)
-        length = inversions(w)
-        assert all(c * (-1) ** (sum(a) - length) > 0 for a, c in G.terms.items()), w
-        supp = G.support()
-        for method in G_POLY_METHODS:
-            assert is_g_polymatroid(supp, method), (w, method)
+    assert check_mty(6)[0] == 720
     elapsed = time.perf_counter() - t0
     report(13, f"supp(Grothendieck) is a g-polymatroid for all 720 w in S_6 by each of the three "
                f"methods, coefficient signs alternate with degree ({elapsed:.1f}s)")

@@ -417,16 +417,6 @@ def test_matroid_mu_theorem_uniform():
             assert verify_matroid_mu_theorem(uniform_matroid(r, p) if r else Matroid(p, PointSet(p, [(0,) * p])))
 
 
-def test_matroid_mu_theorem_exhaustive_small():
-    # labeled matroid counts on 1..4 elements are 2, 5, 16, 68
-    per_ground = {}
-    for p in range(1, 5):
-        for M in matroids_on_ground(p):
-            per_ground[p] = per_ground.get(p, 0) + 1
-            assert verify_matroid_mu_theorem(M), list(M.bases)
-    assert per_ground == {1: 2, 2: 5, 3: 16, 4: 68}
-
-
 def test_matroid_mu_theorem_nests_the_g_polymatroid_witness(monkeypatch):
     # (d) never fails on a real matroid, so stand in a failing classifier
     inner = {"condition": "cross", "X": [1], "Y": [2]}

@@ -35,6 +35,7 @@ from kpoly.polymatroid import (
     _paramodular_check,
     _paramodular_witness,
     _submodular_violation,
+    _support_route_pays,
     _support_tables,
     axis_orders,
     base_polymatroid,
@@ -630,8 +631,8 @@ def test_paramodular_witness_lists_the_first_extra_points_of_q():
 def test_support_tables_refuse_2_to_the_p_above_the_grid_cap(monkeypatch):
     # the 2^p tables are refused before they are allocated; the base check
     # falls back on the exchange check instead
-    P = point_set([(1000 - k, 1000 + k, 1000) for k in range(8)])
-    assert _above_the_rule(P)
+    P = point_set([(6000 - k, 1000 + k, 1000) for k in range(5000)])
+    assert _support_route_pays(P)
     monkeypatch.setattr(polymatroid, "GRID_CAP", 4)
     for call in (_support_tables, inequality_system, lambda A: is_g_polymatroid(A, "paramodular")):
         with pytest.raises(CapExceeded, match=r"support tables have 8 subsets \(cap 4\)"):
@@ -712,11 +713,6 @@ def test_cave_implies_g_polymatroid_randomized():
     assert caves > 10
 
 
-def _above_the_rule(P):
-    n, p = len(P), P.ambient_p
-    return n * (n - 1) * p > (p + 1) ** 2 << p
-
-
 def _without_a_midpoint(P):
     """P minus its first point q with q + d and q - d in P for a step d =
     e_i - e_j or e_i, which no g-polymatroid (hole-free) allows; None if
@@ -731,31 +727,45 @@ def _without_a_midpoint(P):
     return None
 
 
+def _capped_simplices(rng, count):
+    """count base polymatroids above the size rule: the points y >= 0 with
+    y([p]) = d and y_i <= u_i, for p = 3 or 4 and random d and caps u."""
+    while count:
+        p = rng.choice((3, 4))
+        d = rng.randint(45, 50) if p == 3 else rng.randint(16, 18)
+        caps = [rng.randint(d * 7 // 8, d) for _ in range(p)]
+        cells = itertools.product(*(range(u + 1) for u in caps[:-1]))
+        P = PointSet(p, [y + (d - sum(y),) for y in cells if 0 <= d - sum(y) <= caps[-1]])
+        if _support_route_pays(P):
+            count -= 1
+            yield P
+
+
 def test_base_polymatroid_routes_agree_with_the_exchange_loop():
-    # linear polymatroids, the same with a midpoint dropped or an off-level
-    # point added, their mu-supports (g-polymatroids off one level), and the
-    # bases of every 20th rank function on p = 4 with singleton ranks <= 2;
-    # the verdict and every witness must be the literal loop's on both sides
-    # of the size rule
+    # linear polymatroids and capped simplices, the same with a midpoint
+    # dropped or an off-level point added, the linear ones' mu-supports
+    # (g-polymatroids off one level), and the bases of every 20th rank
+    # function on p = 4 with singleton ranks <= 2; the verdict and every
+    # witness must be the literal loop's below the size rule and the
+    # exchange check's above it, where the loop is too slow
     rng = random.Random(59)
-    inputs = []
-    for _ in range(80):
-        P = linear_polymatroid(random_config(rng.randint(2, 5), rng.randint(2, 5), rng))
+    linear = [linear_polymatroid(random_config(rng.randint(2, 5), rng.randint(2, 5), rng)) for _ in range(80)]
+    inputs = list(map(mu_support, linear))
+    for P in linear + list(_capped_simplices(rng, 51)):
         q = P.points[0]
-        inputs += [P, PointSet(P.ambient_p, list(P) + [(q[0] + 1,) + q[1:]]), mu_support(P)]
+        inputs += [P, PointSet(P.ambient_p, list(P) + [(q[0] + 1,) + q[1:]])]
         holed = _without_a_midpoint(P)
         if holed is not None:
             inputs.append(holed)
     inputs += map(base_polymatroid, itertools.islice(rank_functions(4, 2), 0, None, 20))
-    counts = {}
+    counts = collections.Counter()
     for P in inputs:
         # a fresh copy: base_polymatroid has already stored a verdict on the
         # sets it returns
-        fast, loop = is_base_polymatroid(PointSet(P.ambient_p, P)), exchange_loop(P)
-        assert bool(fast) == bool(loop), list(P)
-        assert fast.witness == loop.witness, list(P)
-        key = (_above_the_rule(P), bool(loop))
-        counts[key] = counts.get(key, 0) + 1
+        fast, above = is_base_polymatroid(PointSet(P.ambient_p, P)), _support_route_pays(P)
+        want = _exchange_check(P) if above else exchange_loop(P)
+        assert (bool(fast), fast.witness) == (bool(want), want.witness), list(P)
+        counts[above, bool(want)] += 1
     assert counts[True, True] > 40 and counts[True, False] > 100
     assert counts[False, True] > 100 and counts[False, False] > 30
 
@@ -903,6 +913,8 @@ def test_homogenization_never_enters_the_paramodular_code(monkeypatch):
     rng = random.Random(61)
     sets = [grothendieck(w).support() for w in zero_one_permutations(5)]
     sets += [mu_support(linear_polymatroid(random_config(4, 3, rng))) for _ in range(20)]
+    # boxes in the plane whose homogenization is above the size rule
+    sets += [PointSet(2, itertools.product(range(a), range(b))) for a in range(30, 42) for b in (a + 8, 2000 // a)]
     sets += [H for H in map(_without_a_midpoint, sets) if H is not None]
     monkeypatch.setattr(polymatroid, "_paramodular_check", forbidden)
     verdicts = {True: 0, False: 0}
@@ -911,7 +923,7 @@ def test_homogenization_never_enters_the_paramodular_code(monkeypatch):
         assert h == bool(is_g_polymatroid(G, "axioms")), list(G)
         verdicts[h] += 1
     assert min(verdicts.values()) > 30
-    assert sum(_above_the_rule(homogenize(G)) for G in sets) > 20
+    assert sum(_support_route_pays(homogenize(G)) for G in sets) > 20
 
 
 def test_sparse_base_polymatroid_above_the_rule_needs_no_box_cap(monkeypatch):
@@ -925,18 +937,18 @@ def test_sparse_base_polymatroid_above_the_rule_needs_no_box_cap(monkeypatch):
         return Z
 
     monkeypatch.setattr(polymatroid, "_integer_points", counted_walk)
-    line = [(1000 - k, 1000 + k, 1000) for k in range(8)]
+    line = [(6000 - k, 1000 + k, 1000) for k in range(5000)]
     P = point_set(line)
-    assert _above_the_rule(P)
+    assert _support_route_pays(P)
     assert math.prod(max(q[i] for q in P) + 1 for i in range(3)) > INTEGER_POINTS_CAP
     assert is_base_polymatroid(P)
-    # a gap at k = 8: Q(c, b) holds the 10 points k = 0..9, the walk stops at 9
-    gap = point_set(line[:7] + [(991, 1009, 1000)])
+    # a gap at k = 4999: Q(c, b) holds the 5001 points k = 0..5000, the walk stops at 5001
+    gap = point_set(line[:-1] + [(1000, 6000, 1000)])
     chk = is_base_polymatroid(gap)
     assert not chk
     assert chk.witness["condition"] == "exchange"
     assert chk.witness == _exchange_check(gap).witness
-    assert walked == [8, 9]
+    assert walked == [5000, 5001]
 
 
 def test_cave_witness_keeps_its_condition_and_names_a_nonzero_truncation():
