@@ -198,7 +198,11 @@ def test_criterion_04_zero_one_census():
     c8 = count_zero_one(8)
     assert c8 == 19038
     elapsed8 = time.perf_counter() - t0
-    report(4, f"census 1..7 = {counts} ({elapsed:.1f}s); p=8 = {c8} ({elapsed8:.0f}s)")
+    t0 = time.perf_counter()
+    c9 = count_zero_one(9)
+    assert c9 == 110809
+    elapsed9 = time.perf_counter() - t0
+    report(4, f"census 1..7 = {counts} ({elapsed:.1f}s); p=8 = {c8} ({elapsed8:.1f}s); p=9 = {c9} ({elapsed9:.1f}s)")
 
 
 def test_criterion_05_stalactite_tables_two_orders():

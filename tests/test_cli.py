@@ -191,7 +191,8 @@ def test_grothendieck_refuses_p_above_its_cap_before_any_work(monkeypatch, capsy
 def test_census(capsys):
     assert main(["census", "4"]) == 0
     assert "24" in capsys.readouterr().out
-    assert main(["census", "9"]) == 2
+    assert main(["census", "10"]) == 2
+    assert capsys.readouterr().err == "resource cap: census for p = 10 exceeds the cap 9\n"
 
 
 def test_census_json_is_deterministic(capsys):

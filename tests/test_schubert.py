@@ -265,23 +265,27 @@ def check_grothendieck_against_the_literal_kernel(p: int) -> int:
     return len(literal)
 
 
-def check_census_walk_against_the_literal_kernel(p: int) -> int:
-    """Every node of the census walk of S_p against the literal d_j of its
-    parent; returns the number of nodes checked."""
+def check_census_walk_against_the_literal_kernel(p: int) -> tuple[int, list]:
+    """Every node of the unpruned census walk of S_p against the literal d_j
+    of its parent; returns the number of nodes checked and, in lex order, the
+    nodes whose literal polynomial is zero-one."""
     _, decode = _cube_coding(p, p)
-    stack, seen = [(schubert_mod._census_root(p), staircase(p))], 0
+    stack, seen, zero_one = [(schubert_mod._census_root(p), staircase(p))], 0, []
     while stack:
         node, terms = stack.pop()
         assert {decode(x): c for x, c in node[1].items()} == terms, node[0]
         seen += 1
+        if all(c == 1 for c in terms.values()):
+            zero_one.append(node[0])
         children = zip(schubert_mod._ascent_children(*node), literal_children(node[0], terms))
         stack += [(child, t) for child, (_, t) in children]
-    return seen
+    return seen, sorted(zero_one)
 
 
 def test_every_polynomial_of_s6_matches_the_literal_kernels():
     assert check_grothendieck_against_the_literal_kernel(6) == 720
-    assert check_census_walk_against_the_literal_kernel(6) == 720
+    # every node of S_6, so the zero-one ones also check the pruned walk
+    assert check_census_walk_against_the_literal_kernel(6) == (720, zero_one_permutations(6))
 
 
 def test_code_kernels_match_the_literal_kernels_on_mixed_signs():
@@ -363,8 +367,8 @@ def test_is_zero_one():
 
 def test_census_small_values():
     assert [count_zero_one(p) for p in range(1, 6)] == [1, 2, 6, 24, 115]
-    with pytest.raises(Exception):
-        count_zero_one(9)
+    with pytest.raises(CapExceeded, match=f"p = {CENSUS_CAP + 1} exceeds the cap {CENSUS_CAP}"):
+        count_zero_one(CENSUS_CAP + 1)
 
 
 def test_census_jobs_agree(monkeypatch):
@@ -401,7 +405,25 @@ def test_zero_one_permutations_checks_p_before_any_walk(monkeypatch):
 
 
 def test_census_walk_matches_the_literal_tuple_walk():
-    assert zero_one_permutations(7) == sorted(literal_zero_one_walk(longest_perm(7), staircase(7)))
+    # the literal walk expands every node, so it also checks the pruning
+    for p in range(1, 8):
+        assert zero_one_permutations(p) == sorted(literal_zero_one_walk(longest_perm(p), staircase(p)))
+
+
+def test_census_walk_expands_only_zero_one_nodes(monkeypatch):
+    expanded, children = [], []
+    ascent_children = schubert_mod._ascent_children
+
+    def spy(w, terms, strides):
+        expanded.append(w)
+        for child in ascent_children(w, terms, strides):
+            children.append(child[0])
+            yield child
+
+    monkeypatch.setattr(schubert_mod, "_ascent_children", spy)
+    zero_one = zero_one_permutations(7)
+    assert sorted(expanded) == zero_one
+    assert 1 + len(children) == 3897  # of the 5040 nodes of S_7
 
 
 FMS_PATTERNS = [
@@ -450,6 +472,23 @@ def fms_avoiders(max_p: int):
                        for m, n, order in shapes)
         )
         yield level
+
+
+def test_no_pattern_occurrence_dissolves_below_a_node():
+    # the finite half of the argument in _zero_one_walk's docstring: a pattern
+    # pi on both positions j, j+1 of the child u = w s_j, j the first ascent of
+    # u, has them at consecutive entries k, k+1 with pi(1) > ... > pi(k-1) and
+    # pi(k+1) below every earlier entry; each such pi s_k contains a pattern
+    cases = [
+        (pi, k) for pi in FMS_PATTERNS for k in range(1, len(pi))
+        if all(a > b for a, b in zip(pi[:k - 1], pi[1:k - 1])) and pi[k] < min(pi[:k])
+    ]
+    assert cases == [
+        ((2, 1, 5, 4, 3), 1), ((2, 1, 5, 3, 6, 4), 1), ((2, 1, 5, 6, 3, 4), 1),
+        ((3, 1, 5, 2, 6, 4), 1), ((3, 1, 5, 6, 2, 4), 1), ((3, 1, 5, 6, 4, 2), 1),
+    ]
+    for pi, k in cases:
+        assert any(contains_pattern(swap_adjacent(pi, k), pat) for pat in FMS_PATTERNS), pi
 
 
 def test_zero_one_census_matches_the_generating_tree():
