@@ -12,6 +12,7 @@ import itertools
 import math
 import operator
 import reprlib
+import sys
 
 Point = tuple[int, ...]
 
@@ -454,10 +455,20 @@ def downset(P: PointSet) -> PointSet:
     return PointSet._raw(P.ambient_p, pts)
 
 
-# cells of the largest box grid_transform may run on, and entries of the
-# largest subset table; the largest box in the tests holds 16 384 cells
-# (U_{1,14}), in the benchmark 2 400 (a theorem_c linear polymatroid)
+# cells of the largest grid, box_grid's list or downset_difference's lanes,
+# and entries of the largest subset table; the largest grid in the tests holds
+# 2^19 cells (U_{1,19}), in the benchmark 2 400 (a theorem_c linear polymatroid)
 GRID_CAP = 1_000_000
+
+
+def grid_strides(dims) -> tuple[int, list[int]]:
+    """(cells, C-order strides) of the box of the given side lengths;
+    CapExceeded above GRID_CAP, the one check every grid passes before it is
+    allocated."""
+    cells = math.prod(dims)
+    if cells > GRID_CAP:
+        raise CapExceeded(f"box grid has {cells} cells (cap {GRID_CAP})")
+    return cells, [cells // math.prod(dims[:i + 1]) for i in range(len(dims))]
 
 
 def check_subset_table(p: int, table: str, cap: int) -> None:
@@ -503,38 +514,34 @@ def box_grid(dims, items) -> list[int]:
     """Flat C-order list over the box of the given side lengths, 0 except value c
     at each (point, c) of items.  Raises CapExceeded before allocating when the
     box holds more than GRID_CAP cells."""
-    cells = math.prod(dims)
-    if cells > GRID_CAP:
-        raise CapExceeded(f"box grid has {cells} cells (cap {GRID_CAP})")
-    strides = [cells // math.prod(dims[:i + 1]) for i in range(len(dims))]
+    cells, strides = grid_strides(dims)
     values = [0] * cells
     for u, c in items:
         values[sum(a * s for a, s in zip(u, strides))] = c
     return values
 
 
-def grid_transform(values: list[int], dims, sign: int) -> list[int]:
-    """For each axis i in turn v(u) += sign * v(u + e_i) on a box_grid, in place:
-    +1 gives the zeta transform sum_{w >= u} v(w), -1 its Mobius inverse.
+def grid_transform(values: list[int], dims) -> list[int]:
+    """The zeta transform sum_{w >= u} v(w) of a box_grid, in place: for each
+    axis in turn v(u) += v(u + e_i), walking down the axis's layers so each
+    reads the summed layer above.
 
     Along an axis of length d the grid is d layers of `stride` cells repeated
     every d * stride cells.  A layer is updated from the one above it by slices:
     contiguous runs when they are longer than the strided slices across them,
-    else slices with step d * stride.  +1 walks down the layers, reading the
-    summed layer above; -1 walks up, reading the old one."""
-    op = operator.add if sign > 0 else operator.sub
+    else slices with step d * stride."""
     total = stride = len(values)
     for d in dims:
         stride //= d
         step = stride * d
-        layers = range(d - 2, -1, -1) if sign > 0 else range(d - 1)
+        layers = range(d - 2, -1, -1)
         if stride * step >= total:
             for a in [lo + k * stride for lo in range(0, total, step) for k in layers]:
                 b = a + stride
-                values[a:b] = map(op, values[a:b], values[b:b + stride])
+                values[a:b] = map(operator.add, values[a:b], values[b:b + stride])
         else:
             for a in [k * stride + j for k in layers for j in range(stride)]:
-                values[a::step] = map(op, values[a::step], values[a + stride::step])
+                values[a::step] = map(operator.add, values[a::step], values[a + stride::step])
     return values
 
 
@@ -558,18 +565,58 @@ def value_zeta(terms: dict) -> tuple[list[list[int]], list[int]]:
     ranks = [{x: r for r, x in enumerate(vs)} for vs in values]
     dims = list(map(len, values))
     grid = box_grid(dims, ((tuple(map(operator.getitem, ranks, u)), c) for u, c in terms.items()))
-    return values, grid_transform(grid, dims, 1)
+    return values, grid_transform(grid, dims)
 
 
 def downset_difference(points) -> dict[Point, int]:
     """{u: value} over the nonzero cells of the downset's indicator differenced
-    along every axis: grid_transform(-1) of the value_zeta that marks the
-    downset, read back as values.  Where u_i is no value on axis i, u_i and
-    u_i + 1 lie below the same points, so the difference cancels."""
-    values, grid = value_zeta(dict.fromkeys(points, 1))
-    grid = grid_transform([1 if c else 0 for c in grid], list(map(len, values)), -1)
-    cells = itertools.compress(itertools.product(*values), grid)
-    return dict(zip(cells, filter(None, grid)))
+    along every axis, on one cell per tuple of the values the points take on
+    each axis (CapExceeded above GRID_CAP cells, checked before allocating).
+    Where u_i is no value on axis i, u_i and u_i + 1 lie below the same
+    points, so the difference cancels.
+
+    The grid is one Python int X with a lane of w = 8, 16 or 32 bits per cell
+    in C order, so each step is one shift, AND or add over every cell
+    (broadword arithmetic; Knuth, TAOCP 4A, 7.1.3).  Along an axis of d >= 2
+    values, succ has all bits of the lanes below the top value, and X >> shift
+    moves each lane's successor on the axis into it.  With the points' lanes
+    set to 1, X |= X >> shift & succ, d - 1 times per axis, fills the downset.
+    Then every lane holds its value plus bias = 2^(w-1), and X + (bias & succ)
+    - (X >> shift & succ) differences one axis.  After k axes every |value|
+    <= 2^(k-1), and w is the least width above the number of axes with two or
+    more values, so no lane leaves [0, 2^w) or borrows from the next; X ^ bias
+    reads back as two's-complement lanes."""
+    values = axis_values(points)
+    dims = list(map(len, values))
+    cells, strides = grid_strides(dims)
+    size, typecode = ((1, "b"), (2, "h"), (4, "i"))[sum(d > 1 for d in dims) // 8]  # bytes per lane
+    offsets = [{x: r * s * size for r, x in enumerate(vs)} for vs, s in zip(values, strides)]
+    lanes = bytearray(cells * size)
+    for u in points:
+        lanes[sum(map(operator.getitem, offsets, u))] = 1
+    X = int.from_bytes(lanes, "little")
+    del lanes
+    axes = [(d, s * size) for d, s in zip(dims, strides) if d > 1]  # (values, bytes per layer)
+
+    def successors(d, run):  # built where used: each mask is as large as the grid
+        return int.from_bytes((b"\xff" * (run * (d - 1)) + bytes(run)) * (cells * size // (d * run)), "little")
+
+    for d, run in axes:
+        succ = successors(d, run)
+        for _ in range(d - 1):
+            X |= X >> 8 * run & succ
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * cells, "little")
+    X |= bias
+    for d, run in axes:
+        succ = successors(d, run)
+        X += (bias & succ) - (X >> 8 * run & succ)
+    # lanes in the host's byte order, as the cast reads them; a big-endian
+    # host lists them from the last cell
+    diff = memoryview((X ^ bias).to_bytes(cells * size, sys.byteorder)).cast(typecode)
+    if sys.byteorder == "big":
+        diff = diff[::-1]
+    nonzero = itertools.compress(itertools.product(*values), diff)
+    return dict(zip(nonzero, filter(None, diff)))
 
 
 # ---------------------------------------------------------------------------

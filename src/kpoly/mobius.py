@@ -25,7 +25,7 @@ from .lattice import (
     json_value,
     point_set_from_json,
 )
-from .polymatroid import base_polymatroid, is_base_polymatroid, is_g_polymatroid, rank_functions
+from .polymatroid import is_base_polymatroid, is_g_polymatroid, rank_functions, trusted_base_polymatroid
 from .stalactite import hsupp_from_msupp
 
 
@@ -40,7 +40,8 @@ def mobius_to_top(P: PointSet) -> IntPolynomial:
     0/1 offsets s with u+s in the downset of (-1)^|s|: minus the difference
     of the downset's indicator along every axis, computed by
     lattice.downset_difference on the grid of the values P takes on each
-    axis (CapExceeded above GRID_CAP cells, checked before allocating).
+    axis, held as one lane per cell of a single Python int (CapExceeded
+    above GRID_CAP cells, checked before allocating).
     """
     chk = is_base_polymatroid(P)
     if not chk:
@@ -193,7 +194,7 @@ def matroids_on_ground(p: int):
     """Every matroid on ground set [p]: the bases of each rank function with
     singleton ranks at most 1."""
     for f in rank_functions(p, 1):
-        yield Matroid(p, base_polymatroid(f))
+        yield Matroid(p, trusted_base_polymatroid(f))
 
 
 def matroid_to_json(M: Matroid) -> dict:
@@ -230,6 +231,6 @@ def mu_support_survey(max_p: int, max_coord: int) -> dict:
     if len(ranks) > SURVEY_CAP:
         raise CapExceeded(f"survey visits more than {SURVEY_CAP} rank functions")
     loopless = [f for f in ranks if all(f[1 << i] for i in range(len(f).bit_length() - 1))]
-    failures = [[list(q) for q in P] for P in map(base_polymatroid, loopless)
+    failures = [[list(q) for q in P] for P in map(trusted_base_polymatroid, loopless)
                 if not is_g_polymatroid(mu_support(P), "paramodular")]
     return {"tested": len(loopless), "g_polymatroid": len(loopless) - len(failures), "failures": failures}

@@ -131,8 +131,9 @@ def _ie_coefficients_lattice(gens: Sequence[Point]) -> dict[Point, int]:
     that indicator differenced along every axis.  Reflecting through the
     generators' componentwise max M, u -> M - u, turns the up-set into the
     downset of the reflected generators, which lattice.downset_difference,
-    the Mobius kernel, differences on their value grid (CapExceeded above
-    GRID_CAP cells, checked before allocating)."""
+    the Mobius kernel, differences on their value grid, one lane per cell of
+    a single Python int (CapExceeded above GRID_CAP cells, checked before
+    allocating)."""
     M = tuple(map(max, zip(*gens)))
     diff = downset_difference([tuple(map(sub, M, g)) for g in gens])
     return {tuple(map(sub, M, u)): c for u, c in diff.items()}

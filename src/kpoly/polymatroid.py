@@ -233,8 +233,7 @@ def base_polymatroid(ranks) -> PointSet:
     is then monotone exactly when every c({i}) >= 0, so Q(c, f) lies in
     y >= 0.  ValueError when the table does not have 2^p entries, f(empty)
     != 0, or f is not submodular (by _submodular_violation, naming X and Y)
-    or not monotone; then check_base_candidates refuses f([p]); c is built
-    last.  The output carries its passed verdict for is_base_polymatroid."""
+    or not monotone; then trusted_base_polymatroid walks Q(c, f)."""
     n = len(ranks)
     if not n or n & (n - 1):
         raise ValueError(f"rank table has {n} entries, expected one per subset of [p]")
@@ -246,6 +245,16 @@ def base_polymatroid(ranks) -> PointSet:
                          f"for X = {members(XY[0])}, Y = {members(XY[1])}")
     if low := [i + 1 for i in range(p) if ranks[~(1 << i)] > total]:  # ranks[~X] = f([p] - X)
         raise ValueError(f"rank table is not monotone: f([p]) < f([p] - {{{low[0]}}})")
+    return trusted_base_polymatroid(ranks)
+
+
+def trusted_base_polymatroid(ranks) -> PointSet:
+    """base_polymatroid without its scans of the table, for a rank table
+    that is monotone and submodular by construction (rank_functions, the rank
+    function of a subspace configuration): check_base_candidates refuses
+    f([p]), then the walk of Q(c, f) runs; c is built last.  The output
+    carries its passed verdict for is_base_polymatroid."""
+    p, total = len(ranks).bit_length() - 1, ranks[-1]
     check_base_candidates(total, p)
     c = [total - r for r in reversed(ranks)]
     out = PointSet._raw(p, _integer_points(c, ranks, p))

@@ -4,8 +4,9 @@ Only the rank-function side is built: the rank table extends echelon bases
 subset by subset in exact integer arithmetic (fraction-exact elimination per
 subset, `rank_of`, is the tests' oracle) and lists the ranks by bitmask, the
 one encoding of set functions on [p] (lattice.members decodes a mask); the
-polymatroid is polymatroid.base_polymatroid of that table, the integer points
-of the base polytope walked coordinate by coordinate.
+polymatroid is polymatroid.trusted_base_polymatroid of that table, submodular
+and monotone by construction: the integer points of the base polytope walked
+coordinate by coordinate, without base_polymatroid's scans of the table.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import random
 from fractions import Fraction
 
 from .lattice import GRID_CAP, CapExceeded, PointSet, Record, check_index_subset, check_subset_table, json_key, json_value
-from .polymatroid import base_polymatroid, check_base_candidates
+from .polymatroid import check_base_candidates, trusted_base_polymatroid
 
 
 class SubspaceConfig(Record):
@@ -116,11 +117,12 @@ def _rank_table(rows: list, q: int) -> list[int]:
 
 
 def linear_polymatroid(config: SubspaceConfig) -> PointSet:
-    """The base polymatroid of the rank function of config; the candidate cap sees rank([p])
+    """The base polymatroid of the rank function of config, a rank table
+    submodular and monotone by construction; the candidate cap sees rank([p])
     first, from one echelon pass over the integer rows that the rank table reuses."""
     rows = [[_integer_row(g) for g in gens] for gens in config.subspaces]
     check_base_candidates(len(_echelon_extend([], itertools.chain(*rows), config.q)), config.p)
-    return base_polymatroid(_rank_table(rows, config.q))
+    return trusted_base_polymatroid(_rank_table(rows, config.q))
 
 
 # entries random_config may draw, p subspaces of up to q generators of q

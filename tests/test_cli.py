@@ -481,6 +481,17 @@ def test_mobius_command(tmp_path, capsys):
     assert got == KPOLY_3
 
 
+def test_mobius_and_hilbert_on_the_point_of_no_coordinates(tmp_path, capsys):
+    # p = 0: the downset of [[]] is one cell, on a grid of no axes
+    path = write_json(tmp_path, "p0.json", [[]])
+    assert main(["mobius", path, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["mu"], payload["mu_support"]) == ([{"coeff": -1, "exp": []}], [[]])
+    assert main(["hilbert", path, "--oracle", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["hilbert"], payload["oracle_agrees"]) == ([{"coeff": 1, "exp": []}], True)
+
+
 def test_linear_polymatroid_random_requires_seed(capsys):
     assert main(["linear-polymatroid", "--random", "3,3"]) == 2
     assert main(["linear-polymatroid"]) == 2

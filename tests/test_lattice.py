@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from kpoly.lattice import (
     downset,
     downset_difference,
     dominates,
+    grid_strides,
     grid_transform,
     homogenize,
     lex_compare,
@@ -256,11 +258,9 @@ def test_grid_transform_round_trip_on_random_grids():
     for dims in shapes:
         cells = list(itertools.product(*map(range, dims)))
         f = {u: rng.randint(-3, 3) for u in cells}
-        grid = box_grid(dims, f.items())
-        zeta = grid_transform(list(grid), dims, 1)
+        zeta = grid_transform(box_grid(dims, f.items()), dims)
         for u, s in zip(cells, zeta):
             assert s == sum(c for w, c in f.items() if all(a >= b for a, b in zip(w, u)))
-        assert grid_transform(zeta, dims, -1) == grid
 
 
 def test_downset_difference_matches_the_literal_downset():
@@ -299,16 +299,39 @@ def test_downset_difference_matches_the_literal_downset():
         assert downset_difference(lifted) == literal_downset_difference(lifted)
 
 
+def test_downset_difference_on_the_skeleta_of_cubes_with_8_and_16_bit_lanes():
+    # the 0/1 points with k ones in a = 6..11 axes: a <= 7 runs on 8-bit lanes,
+    # a >= 8 on 16-bit lanes, and the value (-1)^k C(a - 1, k) at the origin
+    # reaches 252 > 127 at a = 11, k = 5
+    for a in range(6, 12):
+        for k in range(a + 1):
+            gens = [tuple(int(i in ones) for i in range(a)) for ones in itertools.combinations(range(a), k)]
+            assert downset_difference(gens) == literal_downset_difference(gens), (a, k)
+
+
+def test_downset_difference_refuses_u_1_20_before_allocating():
+    # 2^20 cells of 32-bit lanes would take 4 MB
+    gens = [tuple(int(i == j) for j in range(20)) for i in range(20)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="box grid has 1048576 cells"):
+            downset_difference(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, peak
+
+
 def test_downset_difference_grid_has_one_cell_per_tuple_of_axis_values(monkeypatch):
     gens = [(0, 7, 3), (5, 2, 3), (9, 2, 3)]
     assert axis_values(gens) == [[0, 5, 9], [2, 7], [3]]
     dims = []
 
-    def recorded(d, items):
+    def recorded(d):
         dims.append(list(d))
-        return box_grid(d, items)
+        return grid_strides(d)
 
-    monkeypatch.setattr(lattice, "box_grid", recorded)
+    monkeypatch.setattr(lattice, "grid_strides", recorded)
     assert downset_difference(gens) == literal_downset_difference(gens)
     assert dims == [[3, 2, 1]]
 
@@ -338,11 +361,11 @@ def test_every_zeta_runs_on_the_value_grid(monkeypatch):
     far = [(1000, 1000, 1001), (1000, 1001, 1000), (1001, 1000, 1000)]
     dims = []
 
-    def recorded(d, items):
+    def recorded(d):
         dims.append(list(d))
-        return box_grid(d, items)
+        return grid_strides(d)
 
-    monkeypatch.setattr(lattice, "box_grid", recorded)
+    monkeypatch.setattr(lattice, "grid_strides", recorded)
     downset_difference(far)
     dominance_sums(IntPolynomial(3, dict.fromkeys(far, 1)))
     verify_mobius_sums(IntPolynomial(3, dict.fromkeys(far, 1)))  # the sums and the tops' indicator

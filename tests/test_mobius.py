@@ -32,7 +32,7 @@ from kpoly.monomial import hilbert_function_bruteforce, hilbert_poly_ie, msupp_t
 from kpoly.polymatroid import G_POLY_METHODS, base_polymatroid, is_g_polymatroid, rank_functions
 from kpoly.schubert import grothendieck
 from kpoly.stalactite import hsupp_from_msupp
-from kpoly.subspaces import random_config, rank_of, rank_table
+from kpoly.subspaces import linear_polymatroid, random_config, rank_of, rank_table
 from running_example import AMBIENT_M3, KPOLY_3, MSUPP_3
 from test_polymatroid import candidate_filter
 
@@ -125,6 +125,29 @@ def test_mobius_methods_agree_on_translated_polymatroids():
     assert sum(any(map(min, zip(*P))) for P in translated) > len(translated) // 2
     for P in translated:
         assert mobius_to_top(P) == _mobius_recursive(P), P
+
+
+def test_mobius_on_u_1_a_across_the_lane_widths():
+    # U_{1,a} for a = 1..19: a grid of 2^a cells on 8-bit lanes up to a = 7,
+    # 16-bit lanes up to a = 15 and 32-bit lanes above
+    for a in range(1, 20):
+        P = uniform_matroid(1, a).bases
+        expected = {e: -1 for e in P}
+        if a > 1:
+            expected[(0,) * a] = a - 1
+        assert mobius_to_top(P).terms == expected, a
+
+
+def test_mobius_methods_agree_on_the_theorem_c_linear_polymatroids():
+    # the 200 linear polymatroids of acceptance criterion 08, which the
+    # theorem_c benchmark workload draws too
+    rng = random.Random(20240817)
+    largest = 0
+    for _ in range(200):
+        P = linear_polymatroid(random_config(rng.randint(2, 5), rng.randint(2, 5), rng))
+        assert mobius_to_top(P) == _mobius_recursive(P), list(P)
+        largest = max(largest, len(downset(P)))
+    assert largest == 238
 
 
 # kpoly functions that a production route and its literal oracle may both
