@@ -45,73 +45,37 @@ INTEGER_POINTS_CAP = 10_000_000
 BASE_CANDIDATE_CAP = 100_000
 
 # cells of is_cave's truncation grid, one per tuple of axis values; the
-# largest cave the tests and the benchmark check has 96
+# largest cave the tier-1 tests and the benchmark check has 96, the largest
+# of the S_6 cave battery in CI 600
 CAVE_GRID_CAP = 100_000
 
 
 def is_base_polymatroid(P: PointSet) -> Check:
-    """Homogeneity plus the exchange axiom for every ordered pair.
+    """Homogeneity plus the exchange axiom for every ordered pair, by
+    _exchange_check: O(|P| a^2) operations on |P|-bit integers, a <= p the
+    number of axes where the points differ.
 
-    The empty set and singletons pass vacuously.  Two exact routes answer:
-
-    exchange check _exchange_check, the definition decided on bitmasks over
-                   the points, O(|P| a^2) operations on |P|-bit integers,
-                   a <= p the number of axes where the points differ
-    support bounds a homogeneous set is a base polymatroid exactly when it is
-                   a g-polymatroid (an M-natural-convex set on a hyperplane
-                   y([p]) = r is M-convex; Murota, Discrete Convex Analysis,
-                   2003), and by Frank's theorem (Generalized polymatroids,
-                   1984) that holds exactly when its support bounds (c, b)
-                   form a paramodular pair whose Q(c, b) has no integer point
-                   outside P.  O(|P| 2^p + p^2 2^p)
-
-    The support-bound route runs first when _support_route_pays(P) (a size
-    rule measured on both routes); the exchange check runs otherwise, and
-    whenever the support-bound route does not pass, so every witness
-    comes from it: `homogeneous` with the lightest and heaviest points, or
-    `exchange` with the first failing u, v and 1-based i of the pair loops.
-    The support-bound walk stops after |P| + 1 points and never dead-ends
-    once the pair passes, so it needs no box cap.
+    The empty set and singletons pass vacuously.  A failure names
+    `homogeneous` with the lightest and heaviest points, or `exchange` with
+    the first failing u, v and 1-based i of the pair loops.  No support
+    table is built, so no cap on p applies and the verdict stays
+    independent of the paramodular method of is_g_polymatroid.
     The verdict is computed once per set and stored on P, which is immutable;
     base_polymatroid stores a passed one on its output.
     """
     if getattr(P, "_base_check", None) is None:
-        P._base_check = _base_polymatroid_check(P)
+        P._base_check = _exchange_check(P)
     return P._base_check
-
-
-def _support_route_pays(P: PointSet) -> bool:
-    """The size rule of is_base_polymatroid: a^2 (|P| + 1600) > 2000 (2^p + 4),
-    a the number of axes where the points differ, and 2^p <= GRID_CAP.  Per
-    point, the exchange check takes about a^2 (|P| + 1600) units and the
-    support-bound route about 2000 (2^p + 4), a unit about 65 ps on a 2-CPU
-    x86 host under CPython 3.11: fitted to both routes on the simplices
-    {y >= 0 : y([p]) = d} for p = 2..10 up to 12 341 points, also with
-    constant coordinates appended."""
-    n, p = len(P), P.ambient_p
-    bound = 2000 * ((1 << p) + 4)
-    # a <= p, so most sets fail the rule before their axes are counted
-    if p * p * (n + 1600) <= bound or 1 << p > GRID_CAP:
-        return False
-    a = sum(col.count(col[0]) < n for col in zip(*P.points))
-    return a * a * (n + 1600) > bound
-
-
-def _base_polymatroid_check(P: PointSet) -> Check:
-    if _support_route_pays(P):
-        c, b = _support_tables(P)
-        if c[-1] == b[-1] and _paramodular_verdict(P, c, b):
-            return Check(True)
-    return _exchange_check(P)
 
 
 def _exchange_check(P: PointSet) -> Check:
     """is_base_polymatroid by the definition: homogeneity, then for every
     ordered pair (u, v) and i with u_i > v_i some j with u_j < v_j and
-    u - e_i + e_j in P.  The only route behind the homogenization method of
-    is_g_polymatroid.  On the bitmasks of _point_masks, the v failing at u
-    and i are those below u on axis i and above u on no axis j with
-    u - e_i + e_j in P; the witness is the pair loops' first failure."""
+    u - e_i + e_j in P.  The only route behind is_base_polymatroid and the
+    homogenization method of is_g_polymatroid.  On the bitmasks of
+    _point_masks, the v failing at u and i are those below u on axis i and
+    above u on no axis j with u - e_i + e_j in P; the witness is the pair
+    loops' first failure."""
     if len(P) <= 1:
         return Check(True)
     sums = {sum(q) for q in P}

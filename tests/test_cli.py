@@ -751,13 +751,13 @@ def test_malformed_json_errors_name_the_json_path(tmp_path, capsys):
 
 
 def test_base_polymatroid_check_runs_once_per_set(tmp_path, monkeypatch, capsys):
-    real, evaluated = polymatroid._base_polymatroid_check, []
+    real, evaluated = polymatroid._exchange_check, []
 
     def counted(P):
         evaluated.append((P.ambient_p, P.points))
         return real(P)
 
-    monkeypatch.setattr(polymatroid, "_base_polymatroid_check", counted)
+    monkeypatch.setattr(polymatroid, "_exchange_check", counted)
     msupp = write_json(tmp_path, "msupp.json", [list(q) for q in MSUPP_3])
     config = write_json(tmp_path, "config.json", config_to_json(random_config(4, 3, random.Random(99))))
     uniform = write_json(tmp_path, "u23.json", {"p": 3, "bases": [[1, 1, 0], [1, 0, 1], [0, 1, 1]]})

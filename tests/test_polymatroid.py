@@ -35,7 +35,6 @@ from kpoly.polymatroid import (
     _paramodular_check,
     _paramodular_witness,
     _submodular_violation,
-    _support_route_pays,
     _support_tables,
     axis_orders,
     base_polymatroid,
@@ -629,22 +628,14 @@ def test_paramodular_witness_lists_the_first_extra_points_of_q():
 
 
 def test_support_tables_refuse_2_to_the_p_above_the_grid_cap(monkeypatch):
-    # the 2^p tables are refused before they are allocated; the base check
-    # falls back on the exchange check instead
+    # the 2^p tables are refused before they are allocated
     P = point_set([(6000 - k, 1000 + k, 1000) for k in range(5000)])
-    assert _support_route_pays(P)
     monkeypatch.setattr(polymatroid, "GRID_CAP", 4)
     for call in (_support_tables, inequality_system, lambda A: is_g_polymatroid(A, "paramodular")):
         with pytest.raises(CapExceeded, match=r"support tables have 8 subsets \(cap 4\)"):
             call(P)
     with pytest.raises(CapExceeded, match="support tables have 8 subsets"):
         integer_points(GPolyInequalitySystem(3, [0] * 8, [0] * 8))
-
-    def forbidden(A):
-        raise AssertionError("the base check built support tables above the cap")
-
-    monkeypatch.setattr(polymatroid, "_support_tables", forbidden)
-    assert is_base_polymatroid(P)
 
 
 def test_fixed_point_characterizes_g_polymatroids_on_g_inputs():
@@ -727,8 +718,11 @@ def _without_a_midpoint(P):
     return None
 
 
+LARGE_SET = 960  # points; the literal exchange loop is too slow above
+
+
 def _capped_simplices(rng, count):
-    """count base polymatroids above the size rule: the points y >= 0 with
+    """count base polymatroids of LARGE_SET points or more: the y >= 0 with
     y([p]) = d and y_i <= u_i, for p = 3 or 4 and random d and caps u."""
     while count:
         p = rng.choice((3, 4))
@@ -736,7 +730,7 @@ def _capped_simplices(rng, count):
         caps = [rng.randint(d * 7 // 8, d) for _ in range(p)]
         cells = itertools.product(*(range(u + 1) for u in caps[:-1]))
         P = PointSet(p, [y + (d - sum(y),) for y in cells if 0 <= d - sum(y) <= caps[-1]])
-        if _support_route_pays(P):
+        if len(P) >= LARGE_SET:
             count -= 1
             yield P
 
@@ -746,8 +740,9 @@ def test_base_polymatroid_routes_agree_with_the_exchange_loop():
     # dropped or an off-level point added, the linear ones' mu-supports
     # (g-polymatroids off one level), and the bases of every 20th rank
     # function on p = 4 with singleton ranks <= 2; the verdict and every
-    # witness must be the literal loop's below the size rule and the
-    # exchange check's above it, where the loop is too slow
+    # witness must be the literal loop's below LARGE_SET points, and the
+    # verdict above it homogeneity and paramodular's (Murota 2003), a route
+    # that shares no kernel with the exchange check
     rng = random.Random(59)
     linear = [linear_polymatroid(random_config(rng.randint(2, 5), rng.randint(2, 5), rng)) for _ in range(80)]
     inputs = list(map(mu_support, linear))
@@ -762,10 +757,13 @@ def test_base_polymatroid_routes_agree_with_the_exchange_loop():
     for P in inputs:
         # a fresh copy: base_polymatroid has already stored a verdict on the
         # sets it returns
-        fast, above = is_base_polymatroid(PointSet(P.ambient_p, P)), _support_route_pays(P)
-        want = _exchange_check(P) if above else exchange_loop(P)
-        assert (bool(fast), fast.witness) == (bool(want), want.witness), list(P)
-        counts[above, bool(want)] += 1
+        fast = is_base_polymatroid(PointSet(P.ambient_p, P))
+        if large := len(P) >= LARGE_SET:
+            assert bool(fast) == (len({sum(q) for q in P}) == 1 and bool(is_g_polymatroid(P, "paramodular"))), list(P)
+        else:
+            want = exchange_loop(P)
+            assert (bool(fast), fast.witness) == (bool(want), want.witness), list(P)
+        counts[large, bool(fast)] += 1
     assert counts[True, True] > 40 and counts[True, False] > 100
     assert counts[False, True] > 100 and counts[False, False] > 30
 
@@ -881,24 +879,24 @@ def test_base_polymatroid_refuses_a_bad_table_before_the_walk(monkeypatch):
 
 
 def test_base_polymatroid_stores_its_verdict(monkeypatch):
-    monkeypatch.setattr(polymatroid, "_base_polymatroid_check", lambda P: pytest.fail("recheck of a stored verdict"))
+    monkeypatch.setattr(polymatroid, "_exchange_check", lambda P: pytest.fail("recheck of a stored verdict"))
     for f in rank_functions(3, 2):
         assert is_base_polymatroid(base_polymatroid(f))
 
 
 def test_base_polymatroid_verdict_is_computed_once_per_set(monkeypatch):
-    real, evaluated = polymatroid._base_polymatroid_check, []
+    real, evaluated = polymatroid._exchange_check, []
 
     def counted(P):
         evaluated.append(P)
         return real(P)
 
-    monkeypatch.setattr(polymatroid, "_base_polymatroid_check", counted)
+    monkeypatch.setattr(polymatroid, "_exchange_check", counted)
     good, bad = point_set(MSUPP_3), point_set([(2, 0), (0, 2)])
     for _ in range(3):
         assert is_base_polymatroid(good) and not is_base_polymatroid(bad)
     assert evaluated == [good, bad]
-    assert is_base_polymatroid(bad).witness == _exchange_check(bad).witness
+    assert is_base_polymatroid(bad).witness == exchange_loop(bad).witness
     # an equal set built afresh is evaluated afresh
     assert not is_base_polymatroid(point_set([(0, 2), (2, 0)]))
     assert len(evaluated) == 3
@@ -906,29 +904,31 @@ def test_base_polymatroid_verdict_is_computed_once_per_set(monkeypatch):
 
 def test_homogenization_never_enters_the_paramodular_code(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("homogenization reached the paramodular check")
+        raise AssertionError("homogenization reached the paramodular code")
 
     # criterion 07's Grothendieck supports and some larger mu-supports of
     # linear polymatroids, each also with a midpoint dropped
     rng = random.Random(61)
     sets = [grothendieck(w).support() for w in zero_one_permutations(5)]
     sets += [mu_support(linear_polymatroid(random_config(4, 3, rng))) for _ in range(20)]
-    # boxes in the plane whose homogenization is above the size rule
+    # boxes in the plane of 1140 to 2009 points
     sets += [PointSet(2, itertools.product(range(a), range(b))) for a in range(30, 42) for b in (a + 8, 2000 // a)]
     sets += [H for H in map(_without_a_midpoint, sets) if H is not None]
     monkeypatch.setattr(polymatroid, "_paramodular_check", forbidden)
+    monkeypatch.setattr(polymatroid, "_support_tables", forbidden)
     verdicts = {True: 0, False: 0}
     for G in sets:
         h = bool(is_g_polymatroid(G, "homogenization"))
-        assert h == bool(is_g_polymatroid(G, "axioms")), list(G)
+        assert h == bool(is_g_polymatroid(G, "axioms")) == bool(is_base_polymatroid(homogenize(G))), list(G)
         verdicts[h] += 1
     assert min(verdicts.values()) > 30
-    assert sum(_support_route_pays(homogenize(G)) for G in sets) > 20
+    assert sum(len(homogenize(G)) >= 1000 for G in sets) > 20
 
 
-def test_sparse_base_polymatroid_above_the_rule_needs_no_box_cap(monkeypatch):
+def test_sparse_base_polymatroid_needs_no_box_cap(monkeypatch):
     # the box 0 <= y_i <= b({i}) holds about 10^9 cells, far above the
-    # integer-point cap, yet the walk stops after |P| + 1 points
+    # integer-point cap, yet the paramodular walk stops after |G| + 1 points,
+    # and the base check walks no box at all
     walked, walk = [], polymatroid._integer_points
 
     def counted_walk(*args):
@@ -939,15 +939,15 @@ def test_sparse_base_polymatroid_above_the_rule_needs_no_box_cap(monkeypatch):
     monkeypatch.setattr(polymatroid, "_integer_points", counted_walk)
     line = [(6000 - k, 1000 + k, 1000) for k in range(5000)]
     P = point_set(line)
-    assert _support_route_pays(P)
     assert math.prod(max(q[i] for q in P) + 1 for i in range(3)) > INTEGER_POINTS_CAP
-    assert is_base_polymatroid(P)
-    # a gap at k = 4999: Q(c, b) holds the 5001 points k = 0..5000, the walk stops at 5001
+    # a gap at k = 4999: u - e_2 + e_1 leaves the set
     gap = point_set(line[:-1] + [(1000, 6000, 1000)])
+    assert is_base_polymatroid(P)
     chk = is_base_polymatroid(gap)
-    assert not chk
-    assert chk.witness["condition"] == "exchange"
-    assert chk.witness == _exchange_check(gap).witness
+    assert chk.witness == {"condition": "exchange", "u": [1000, 6000, 1000], "v": [1002, 5998, 1000], "i": 2}
+    assert walked == []
+    # Q(c, b) of the gap set holds the 5001 points k = 0..5000, the walk stops at 5001
+    assert is_g_polymatroid(P, "paramodular") and not is_g_polymatroid(gap, "paramodular")
     assert walked == [5000, 5001]
 
 
