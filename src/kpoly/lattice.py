@@ -115,16 +115,6 @@ def dominates(u: Point, v: Point) -> bool:
     return all(a >= b for a, b in zip(u, v))
 
 
-def unit_shift(u: Point, minus: int | None = None, plus: int | None = None) -> Point:
-    """u - e_minus + e_plus with 0-based indices; either side optional."""
-    w = list(u)
-    if minus is not None:
-        w[minus] -= 1
-    if plus is not None:
-        w[plus] += 1
-    return tuple(w)
-
-
 def check_axis_order(axis_order, p: int) -> tuple[int, ...]:
     order = tuple(axis_order)
     if sorted(order) != list(range(1, p + 1)):
@@ -139,17 +129,6 @@ def check_ambient(A: "PointSet", m) -> Point:
         if not dominates(m, q):
             raise ValueError(f"point {q} exceeds ambient {m}")
     return m
-
-
-def lex_compare(u: Point, v: Point, axis_order=None) -> int:
-    """-1, 0 or +1: lexicographic comparison along axis_order (1-based; None
-    is the natural order); first strict difference decides."""
-    if len(u) != len(v):
-        raise DimensionError(f"cannot compare {u} and {v}")
-    if axis_order is not None:
-        order = check_axis_order(axis_order, len(u))
-        u, v = (tuple(w[i - 1] for i in order) for w in (u, v))
-    return (u > v) - (u < v)
 
 
 class PointSet:
@@ -212,12 +191,6 @@ def point_set(points, ambient_p: int | None = None) -> PointSet:
     return PointSet(ambient_p, pts)
 
 
-def truncate(A: PointSet, b) -> PointSet:
-    """Points of A that dominate b componentwise (the b-truncation)."""
-    bb = as_point(b, A.ambient_p)
-    return PointSet._raw(A.ambient_p, (q for q in A if dominates(q, bb)))
-
-
 def max_sum(A: PointSet) -> int:
     if not A:
         raise EmptySetError("max of an empty point set")
@@ -234,25 +207,6 @@ def top(A: PointSet) -> PointSet:
     """Points of maximal coordinate sum."""
     mx = max_sum(A)
     return PointSet._raw(A.ambient_p, (q for q in A if sum(q) == mx))
-
-
-def check_index_subset(J, p: int) -> tuple[int, ...]:
-    """Validate a nonempty subset of 1..p; return it sorted."""
-    idx = sorted(set(J))
-    if not idx:
-        raise ValueError("index subset must be nonempty")
-    if idx[0] < 1 or idx[-1] > p:
-        raise ValueError(f"index subset {idx} not inside 1..{p}")
-    return tuple(idx)
-
-
-def support_bounds(A: PointSet, J) -> tuple[int, int]:
-    """(min, max) of sum_{j in J} a_j over a in A, indices 1-based."""
-    if not A:
-        raise EmptySetError("support_bounds of an empty set")
-    idx = [j - 1 for j in check_index_subset(J, A.ambient_p)]
-    sums = [sum(q[i] for i in idx) for q in A]
-    return min(sums), max(sums)
 
 
 class IntPolynomial:
@@ -455,9 +409,10 @@ def downset(P: PointSet) -> PointSet:
     return PointSet._raw(P.ambient_p, pts)
 
 
-# cells of the largest grid, box_grid's list or downset_difference's lanes,
-# and entries of the largest subset table; the largest grid in the tests holds
-# 2^19 cells (U_{1,19}), in the benchmark 2 400 (a theorem_c linear polymatroid)
+# cells of the largest grid, downset_difference's lanes or the list of
+# truncation_masks, and entries of the largest subset table; the largest grid
+# in the tests holds 2^19 cells (U_{1,19}), in the benchmark 2 400 (a
+# theorem_c linear polymatroid)
 GRID_CAP = 1_000_000
 
 
@@ -510,41 +465,6 @@ def _stalactite_walk(pts, strides):
         below.update(downs)
 
 
-def box_grid(dims, items) -> list[int]:
-    """Flat C-order list over the box of the given side lengths, 0 except value c
-    at each (point, c) of items.  Raises CapExceeded before allocating when the
-    box holds more than GRID_CAP cells."""
-    cells, strides = grid_strides(dims)
-    values = [0] * cells
-    for u, c in items:
-        values[sum(a * s for a, s in zip(u, strides))] = c
-    return values
-
-
-def grid_transform(values: list[int], dims) -> list[int]:
-    """The zeta transform sum_{w >= u} v(w) of a box_grid, in place: for each
-    axis in turn v(u) += v(u + e_i), walking down the axis's layers so each
-    reads the summed layer above.
-
-    Along an axis of length d the grid is d layers of `stride` cells repeated
-    every d * stride cells.  A layer is updated from the one above it by slices:
-    contiguous runs when they are longer than the strided slices across them,
-    else slices with step d * stride."""
-    total = stride = len(values)
-    for d in dims:
-        stride //= d
-        step = stride * d
-        layers = range(d - 2, -1, -1)
-        if stride * step >= total:
-            for a in [lo + k * stride for lo in range(0, total, step) for k in layers]:
-                b = a + stride
-                values[a:b] = map(operator.add, values[a:b], values[b:b + stride])
-        else:
-            for a in [k * stride + j for k in layers for j in range(stride)]:
-                values[a::step] = map(operator.add, values[a::step], values[a + stride::step])
-    return values
-
-
 def axis_values(points) -> list[list[int]]:
     """The sorted distinct values the (nonempty) points take on each axis."""
     return [sorted(set(col)) for col in zip(*points)]
@@ -556,16 +476,37 @@ def class_floors(values) -> list[list[int]]:
     return [[0] + [v + 1 for v in vs[:-1]] for vs in values]
 
 
-def value_zeta(terms: dict) -> tuple[list[list[int]], list[int]]:
-    """(axis_values of the points of {point: c}, the zeta sum_{w >= u} c(w) on
-    one cell per tuple of those values, in C order).  The grid runs on value
-    ranks, as an order isomorphism keeps zeta and Mobius (CapExceeded above
-    GRID_CAP cells, checked before allocating)."""
-    values = axis_values(terms)
-    ranks = [{x: r for r, x in enumerate(vs)} for vs in values]
-    dims = list(map(len, values))
-    grid = box_grid(dims, ((tuple(map(operator.getitem, ranks, u)), c) for u, c in terms.items()))
-    return values, grid_transform(grid, dims)
+def _order_masks(values) -> tuple[dict, dict]:
+    """Map each t in values, in increasing order, to the bitmask of the k
+    with values[k] < t and to that of the k with values[k] > t."""
+    at = {}
+    for k, t in enumerate(values):
+        at[t] = at.get(t, 0) | 1 << k
+    keys = sorted(at)
+    below, acc = {}, 0
+    for t in keys:
+        below[t] = acc
+        acc |= at[t]
+    above, acc = {}, 0
+    for t in reversed(keys):
+        above[t] = acc
+        acc |= at[t]
+    return below, above
+
+
+def truncation_masks(points) -> list[int]:
+    """The bitmask of the points q >= u (bit k for points[k]) at each cell u
+    of the grid of axis_values(points), in C order: the AND over the axes of
+    the points not below u_i on axis i.  A class of class_floors keeps the
+    same points from its floor up to its values.  CapExceeded above GRID_CAP
+    cells, checked before any mask is built."""
+    cols = list(zip(*points))
+    grid_strides([len(set(col)) for col in cols])
+    masks = [(1 << len(points)) - 1]
+    for col in cols:
+        below = _order_masks(col)[0].values()
+        masks = [m & ~b for m in masks for b in below]
+    return masks
 
 
 def downset_difference(points) -> dict[Point, int]:

@@ -12,7 +12,6 @@ from .lattice import (
     Check,
     EmptySetError,
     IntPolynomial,
-    Point,
     PointSet,
     Record,
     as_point,
@@ -27,10 +26,6 @@ from .lattice import (
 )
 from .polymatroid import is_base_polymatroid, is_g_polymatroid, rank_functions, trusted_base_polymatroid
 from .stalactite import hsupp_from_msupp
-
-
-# downset elements the recursive oracle, quadratic in them, may walk
-RECURSIVE_CAP = 10_000
 
 
 def mobius_to_top(P: PointSet) -> IntPolynomial:
@@ -50,20 +45,6 @@ def mobius_to_top(P: PointSet) -> IntPolynomial:
         raise EmptySetError("empty polymatroid")
     diff = downset_difference(P)
     return IntPolynomial._raw(P.ambient_p, {u: -c for u, c in diff.items()})
-
-
-def _mobius_recursive(P: PointSet) -> IntPolynomial:
-    """The tests' oracle for mobius_to_top on a base polymatroid P: the
-    generic first-argument recursion mu(u) = -(1 + sum_{w>u} mu(w)) over the
-    literal lattice.downset of at most RECURSIVE_CAP elements, sharing no
-    code with mobius_to_top."""
-    ds = downset(P)
-    if len(ds) > RECURSIVE_CAP:
-        raise CapExceeded(f"downset has {len(ds)} elements (recursive cap {RECURSIVE_CAP})")
-    mu: dict[Point, int] = {}
-    for u in sorted(ds, key=lambda q: (-sum(q), q)):
-        mu[u] = -(1 + sum(mu[w] for w in mu if w != u and dominates(w, u)))
-    return IntPolynomial._raw(P.ambient_p, {u: c for u, c in mu.items() if c})
 
 
 def mu_support(P: PointSet) -> PointSet:
@@ -143,13 +124,9 @@ def independent_sets(M: Matroid) -> PointSet:
     return downset(M.bases)
 
 
-def reduced_euler_characteristic(M: Matroid) -> int:
-    """Reduced Euler characteristic of the independence complex:
-    sum over faces I (including the empty one) of (-1)^(|I| - 1)."""
-    return _reduced_euler(independent_sets(M))
-
-
 def _reduced_euler(faces: PointSet) -> int:
+    """Reduced Euler characteristic of a complex given by its faces as 0/1
+    vectors: the sum over faces I, the empty one included, of (-1)^(|I| - 1)."""
     return sum(-1 if sum(I) % 2 == 0 else 1 for I in faces)
 
 

@@ -1,12 +1,11 @@
-"""Brute-force and closed-form oracles for square-free ideals generated by
-Borel-fixed monomial primes: inclusion-exclusion Hilbert and K-polynomials,
-the shellable per-facet refinement, and direct Hilbert-function counting.
+"""Square-free ideals generated by Borel-fixed monomial primes and their
+inclusion-exclusion Hilbert polynomials: the lattice route, by Mobius
+inversion, and the literal subset sum that the tests compare it against.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Sequence
 from operator import sub
 
@@ -22,10 +21,8 @@ from .lattice import (
     downset_difference,
 )
 
-# primes the literal subset route may take (2^k - 1 subsets), and monomials
-# hilbert_function_bruteforce may enumerate
+# primes the literal subset route may take (2^k - 1 subsets)
 SUBSET_CAP = 20
-BRUTEFORCE_CAP = 2_000_000
 
 
 def subset_cap(cap: int | None = None) -> int:
@@ -90,25 +87,6 @@ class SquareFreeIdeal(Record):
         return [BorelPrime(a, self.m) for a in self.primes]
 
 
-def prime_sum(primes) -> BorelPrime:
-    """Sum of Borel primes = componentwise max of their a-vectors."""
-    primes = list(primes)
-    if not primes:
-        raise ValueError("sum of an empty prime list")
-    m = primes[0].m
-    a = primes[0].a
-    for q in primes[1:]:
-        if q.m != m:
-            raise ValueError("primes live in different ambients")
-        a = tuple(map(max, a, q.a))
-    return BorelPrime(a, m)
-
-
-def hilbert_poly_prime(q: BorelPrime) -> IntPolynomial:
-    """Single binomial-product term at n = m - a with coefficient 1."""
-    return IntPolynomial._raw(len(q.m), {tuple(map(sub, q.m, q.a)): 1})
-
-
 def _ie_coefficients_subsets(gens: Sequence[Point]) -> dict[Point, int]:
     """Coefficient of each prime sum p_v in the inclusion-exclusion
     expansion, literally: (-1)^(r-1) at the componentwise max of each of the
@@ -147,11 +125,6 @@ def hilbert_poly_ie(J: SquareFreeIdeal) -> IntPolynomial:
     return IntPolynomial._raw(J.ambient_p, {tuple(a - b for a, b in zip(J.m, v)): c for v, c in coeffs.items()})
 
 
-def k_poly_ie(J: SquareFreeIdeal) -> IntPolynomial:
-    """Inclusion-exclusion twisted K-polynomial: the prime p_a contributes z^a."""
-    return IntPolynomial._raw(J.ambient_p, _ie_coefficients_lattice(J.primes))
-
-
 def msupp_to_ideal(msupp: PointSet, m) -> SquareFreeIdeal:
     """Primes p_{m - n} for n in msupp, ordered by natural lex on msupp
     (which is the shelling order of the associated facets)."""
@@ -163,92 +136,3 @@ def msupp_to_ideal(msupp: PointSet, m) -> SquareFreeIdeal:
         raise ValueError("multidegree support must be homogeneous")
     # distinct points of one coordinate sum give pairwise incomparable primes
     return SquareFreeIdeal._raw(m, tuple(tuple(a - b for a, b in zip(m, n)) for n in msupp))
-
-
-def hilbert_poly_shellable(J: SquareFreeIdeal) -> IntPolynomial:
-    """Per-facet refinement of the IE formula for a shelling order.
-
-    Assumes the primes of J are listed in a shelling order of the associated
-    facets (msupp_to_ideal produces one).  Each facet contributes its own
-    term minus an inclusion-exclusion over the codimension-(c+1) pairwise
-    sums with its predecessors; each such sum dominates the facet's prime
-    and exceeds its codimension c by one, so it is that prime plus a single
-    variable.
-    """
-    codims = {sum(a) for a in J.primes}
-    if len(codims) > 1:
-        raise ValueError("shellable refinement needs primes of equal codimension")
-    c = codims.pop()
-    acc: dict[Point, int] = {}
-
-    def add(n: Point, delta: int):
-        v = acc.get(n, 0) + delta
-        if v:
-            acc[n] = v
-        else:
-            acc.pop(n, None)
-
-    for j, aj in enumerate(J.primes):
-        add(tuple(map(sub, J.m, aj)), 1)
-        block: list[Point] = []
-        seen = set()
-        for l in range(j):
-            q = tuple(map(max, J.primes[l], aj))
-            if sum(q) == c + 1 and q not in seen:
-                seen.add(q)
-                block.append(q)
-        # block holds at most p primes, far below SUBSET_CAP
-        for v, coeff in _ie_coefficients_subsets(block).items():
-            add(tuple(map(sub, J.m, v)), -coeff)
-    return IntPolynomial._raw(J.ambient_p, acc)
-
-
-def _compositions(total: int, parts: int):
-    """All ways to write total as an ordered sum of `parts` nonnegative ints."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def count_monomials(v: Point, m: Point) -> int:
-    return math.prod(math.comb(vi + mi, mi) for vi, mi in zip(v, m))
-
-
-def hilbert_function_bruteforce(J: SquareFreeIdeal, v) -> int:
-    """Number of multidegree-v monomials outside J, by direct enumeration of
-    all monomials of multidegree v: a monomial survives iff its variables
-    avoid some minimal prime entirely.  The tests' oracle for the Hilbert
-    polynomials: it runs neither the inclusion-exclusion nor the stalactite
-    route.  CapExceeded above BRUTEFORCE_CAP monomials, before the
-    enumeration.
-    """
-    v = as_point(v, J.ambient_p)
-    n_monomials = count_monomials(v, J.m)
-    if n_monomials > BRUTEFORCE_CAP:
-        raise CapExceeded(f"{n_monomials} monomials exceed the enumeration cap {BRUTEFORCE_CAP}")
-
-    # A monomial avoids p_a iff, in every component i, it only uses variables
-    # x_{i,j} with j >= a_i; only the smallest used index per component matters.
-    per_component = []
-    for vi, mi in zip(v, J.m):
-        mins = []
-        for comp in _compositions(vi, mi + 1):
-            first = next((j for j, e in enumerate(comp) if e), None)
-            mins.append(first)  # None when vi == 0: no constraint
-        per_component.append(mins)
-
-    coverage: dict[tuple, bool] = {}
-
-    def covered(s: tuple) -> bool:
-        hit = coverage.get(s)
-        if hit is None:
-            hit = any(
-                all(si is None or si >= ai for si, ai in zip(s, a)) for a in J.primes
-            )
-            coverage[s] = hit
-        return hit
-
-    return sum(1 for s in itertools.product(*per_component) if covered(s))

@@ -24,6 +24,7 @@ from .lattice import (
     PointSet,
     Record,
     _cube_coding,
+    _order_masks,
     _stalactite_walk,
     axis_values,
     check_subset_table,
@@ -31,7 +32,7 @@ from .lattice import (
     homogenize,
     members,
     top,
-    value_zeta,
+    truncation_masks,
 )
 
 G_POLY_METHODS = ("axioms", "homogenization", "paramodular")
@@ -117,24 +118,6 @@ def _point_masks(P: PointSet):
     proj = list(zip(*cols))
     below, above = zip(*map(_order_masks, cols))
     return axes, strides, proj, [sum(map(mul, q, strides)) for q in proj], below, above
-
-
-def _order_masks(values) -> tuple[dict, dict]:
-    """Map each t in values to the bitmask of the k with values[k] < t and
-    to that of the k with values[k] > t."""
-    at = {}
-    for k, t in enumerate(values):
-        at[t] = at.get(t, 0) | 1 << k
-    keys = sorted(at)
-    below, acc = {}, 0
-    for t in keys:
-        below[t] = acc
-        acc |= at[t]
-    above, acc = {}, 0
-    for t in reversed(keys):
-        above[t] = acc
-        acc |= at[t]
-    return below, above
 
 
 def _first_failure(points, u, bad) -> Check:
@@ -224,23 +207,6 @@ def trusted_base_polymatroid(ranks) -> PointSet:
     out = PointSet._raw(p, _integer_points(c, ranks, p))
     out._base_check = Check(True)
     return out
-
-
-def check_symmetric_exchange(P: PointSet) -> Check:
-    """Strengthened exchange: the swap works on both sides simultaneously.
-
-    Holds for every base polymatroid, so this is a cross-validation property,
-    not a classifier.  Raises if P is not a base polymatroid to begin with.
-    """
-    base = is_base_polymatroid(P)
-    if not base:
-        raise ValueError(f"not a base polymatroid: {base.witness}")
-    # on a homogeneous set the drop and expansion branches of the g-polymatroid
-    # axioms are vacuous, so their swap condition is the symmetric exchange
-    chk = _axiom_check(P)
-    if chk:
-        return chk
-    return Check(False, {**chk.witness, "condition": "symmetric-exchange"})
 
 
 def _axiom_check(G: PointSet) -> Check:
@@ -537,14 +503,14 @@ def is_cave(C: PointSet, order_policy="all") -> Check:
 
     On axis i the b_i above one value of C (or from 0) up to the next value
     keep the same points; a cell names that class by its least b_i
-    (class_floors).  Truncations are bitmasks over the points, the value_zeta
-    of the distinct point bits 2^k, so a sum of bits is their OR; each
-    distinct one is checked at its first cell in grid order, except C,
-    first met at the origin: it is named at the first nonzero integer cell
-    that keeps it, e_k for the last axis k with a positive minimum, if any,
-    so it too is checked as a g-polymatroid.  Each top is walked on cube
-    codes once per distinct projection of the orders onto the axes where its
-    points differ; a failure names the first such order.
+    (class_floors).  Truncations are bitmasks over the points
+    (truncation_masks); each distinct one is checked at its first cell in
+    grid order, except C, first met at the origin: it is named at the first
+    nonzero integer cell that keeps it, e_k for the last axis k with a
+    positive minimum, if any, so it too is checked as a g-polymatroid.
+    Each top is walked on cube codes once per distinct projection of the
+    orders onto the axes where its points differ; a failure names the first
+    such order.
 
     When 2^p <= GRID_CAP, C itself is first checked once by
     is_g_polymatroid(C, "paramodular").  If it passes, the top and
@@ -566,7 +532,7 @@ def is_cave(C: PointSet, order_policy="all") -> Check:
     if cells > CAVE_GRID_CAP:
         raise CapExceeded(f"truncation grid has {cells} cells (cap {CAVE_GRID_CAP})")
 
-    _, masks = value_zeta({q: 1 << k for k, q in enumerate(C.points)})
+    masks = truncation_masks(C.points)
     trunc = {}  # distinct truncation -> the first cell that produces it
     for mask, b in zip(masks, itertools.product(*class_floors(values))):
         if mask:

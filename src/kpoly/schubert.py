@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from operator import mul
 
 from .lattice import (
     CapExceeded,
@@ -36,8 +35,10 @@ Perm = tuple[int, ...]
 CENSUS_CAP = 9
 _ONE = frozenset((1,))  # the coefficients of a zero-one polynomial
 
-# largest p grothendieck accepts: through the CLI, 6,1,10,3,8,2,9,4,7,5 takes
-# 4-6 s and 341 MB peak RSS on a 2-CPU x86 host
+# largest p grothendieck accepts: through the CLI in a fresh process on a
+# 2-CPU x86 host, CPython 3.11.7, 6,1,10,3,8,2,9,4,7,5 takes about 1.7 s at
+# 137 MB peak RSS with the text report (5.3 MB) and about 2.7 s at 189 MB
+# with --json (30 MB)
 GROTHENDIECK_CAP = 10
 
 
@@ -51,10 +52,6 @@ def as_perm(values) -> Perm:
 def parse_perm(text: str) -> Perm:
     """Accept "1,5,3,2,4" and bracketed "[1,5,3,2,4]"."""
     return as_perm(parse_vector(text))
-
-
-def inversions(w: Perm) -> int:
-    return sum(a > b for a, b in itertools.combinations(w, 2))
 
 
 def longest_perm(p: int) -> Perm:
@@ -110,25 +107,6 @@ def _isobaric_codes(terms, j: int, strides) -> dict:
     # d_j of (1 - z_{j+1}) * f; terms are iterated twice
     shifted = [(code + strides[j], -c) for code, c in terms]
     return _divided_difference_codes(itertools.chain(terms, shifted), j, strides)
-
-
-def _on_codes(kernel, f: IntPolynomial, j: int) -> IntPolynomial:
-    # radix max exponent + 2: the (1 - z_{j+1}) step raises one exponent by 1
-    if not 1 <= j <= f.num_vars - 1:
-        raise ValueError(f"operator index {j} outside 1..{f.num_vars - 1}")
-    strides, decode = _cube_coding(max(itertools.chain(*f.terms), default=0) + 2, f.num_vars)
-    codes = [(sum(map(mul, e, strides)), c) for e, c in f.terms.items()]
-    return IntPolynomial._raw(f.num_vars, {decode(x): c for x, c in kernel(codes, j, strides).items()})
-
-
-def divided_difference(f: IntPolynomial, j: int) -> IntPolynomial:
-    """(f - f with z_j, z_{j+1} swapped) / (z_j - z_{j+1}), exactly."""
-    return _on_codes(_divided_difference_codes, f, j)
-
-
-def isobaric_divided_difference(f: IntPolynomial, j: int) -> IntPolynomial:
-    """Divided difference of (1 - z_{j+1}) * f."""
-    return _on_codes(_isobaric_codes, f, j)
 
 
 # ---------------------------------------------------------------------------

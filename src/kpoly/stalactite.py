@@ -1,5 +1,6 @@
 """Stalactite reconstruction of the full signed Hilbert support from a
-multidegree support, plus facet shelling, lattice paths and dominance sums.
+multidegree support, plus the facets of the associated complex and their
+shelling.
 """
 
 from __future__ import annotations
@@ -18,50 +19,14 @@ from .lattice import (
     as_point,
     binomial_at,
     check_axis_order,
-    class_floors,
     dominates,
     json_key,
     json_point,
     json_value,
     point_set_from_json,
     terms_text,
-    top,
-    unit_shift,
-    value_zeta,
 )
 from .polymatroid import is_base_polymatroid
-
-
-def stalactite(u: Point, indices) -> PointSet:
-    """The 2^m points u - sum_{i in S} e_{l_i} over subsets S of the given
-    distinct 1-based indices, each of which must lie in supp(u)."""
-    u = as_point(u)
-    idx = list(indices)
-    if len(set(idx)) != len(idx):
-        raise ValueError(f"duplicate stalactite indices {idx}")
-    for l in idx:
-        if not 1 <= l <= len(u):
-            raise ValueError(f"index {l} outside 1..{len(u)}")
-        if u[l - 1] == 0:
-            raise ValueError(f"index {l} not in the support of {u}")
-    pts = []
-    for bits in itertools.product((0, 1), repeat=len(idx)):
-        w = list(u)
-        for l, used in zip(idx, bits):
-            w[l - 1] -= used
-        pts.append(tuple(w))
-    return PointSet(len(u), pts)
-
-
-def neighbor_directions(u: Point, V: PointSet) -> tuple[int, ...]:
-    """All 1-based l such that u - e_l + e_j lies in V for some j."""
-    u = as_point(u, V.ambient_p)
-    p = len(u)
-    return tuple(
-        l + 1
-        for l in range(p)
-        if u[l] and any(j != l and unit_shift(u, l, j) in V for j in range(p))
-    )
 
 
 def stalactite_union(T: PointSet, axis_order=None) -> list[tuple[Point, PointSet]]:
@@ -163,63 +128,11 @@ def verify_shelling(facets) -> Check:
     return Check(True)
 
 
-def increasing_path_check(H: IntPolynomial) -> Check:
-    """Every support point must reach a top point by +e_i steps inside the support."""
-    if not H:
-        return Check(True)
-    supp = set(H.terms)
-    mx = max(sum(q) for q in supp)
-    reachable = {q for q in supp if sum(q) == mx}
-    for s in range(mx - 1, -1, -1):
-        for q in supp:
-            if sum(q) != s:
-                continue
-            if any(unit_shift(q, None, i) in reachable for i in range(len(q))):
-                reachable.add(q)
-    stuck = sorted(supp - reachable)
-    if stuck:
-        return Check(False, {"condition": "increasing-path", "stuck": [list(q) for q in stuck]})
-    return Check(True)
-
-
-def mobius_sum_check(H: IntPolynomial, n) -> int:
-    """Sum of H over all support points dominating n.  Requires a dominating
-    top point to exist."""
-    n = as_point(n, H.num_vars)
-    tops = top(H.support())
-    if not any(dominates(w, n) for w in tops):
-        raise ValueError(f"no top support point dominates {n}")
-    return sum(c for q, c in H.terms.items() if dominates(q, n))
-
-
-def dominance_sums(H: IntPolynomial) -> dict[Point, int]:
-    """S(n) = sum_{w >= n} H(w) by lattice.value_zeta, keyed by class floors
-    (lattice.class_floors): S is constant on each class, and the classes tile
-    the box from the origin to the support's maximum."""
-    if not H:
-        raise EmptySetError("empty support")
-    values, sums = value_zeta(H.terms)
-    return dict(zip(itertools.product(*class_floors(values)), sums))
-
-
-def verify_mobius_sums(H: IntPolynomial) -> Check:
-    """Check sum_{w >= n} H(w) = 1 for every n dominated by some top point:
-    the classes where value_zeta of the tops' indicator is nonzero.  A failure
-    names the first such n in natural lex order, its class floor."""
-    sums = dominance_sums(H)
-    tops = top(H.support())._set
-    _, below = value_zeta({u: int(u in tops) for u in H.terms})
-    for (n, s), hit in zip(sums.items(), below):
-        if hit and s != 1:
-            return Check(False, {"condition": "dominance-sum", "n": list(n), "sum": s})
-    return Check(True)
-
-
 def collapse_fixed_components(msupp: PointSet, m) -> tuple[PointSet, Point, tuple[int, ...]]:
     """Drop components where every point attains the ambient bound m_i.
 
-    Returns (collapsed set, collapsed m, kept 1-based components).  Inverse:
-    embed_signed_support below.
+    Returns (collapsed set, collapsed m, kept 1-based components); a point
+    of the collapsed set gets m_i back in each dropped slot i.
     """
     m = as_point(m, msupp.ambient_p)
     if not msupp:
@@ -232,15 +145,3 @@ def collapse_fixed_components(msupp: PointSet, m) -> tuple[PointSet, Point, tupl
     small = PointSet._raw(len(keep), (tuple(q[i - 1] for i in keep) for q in msupp))
     m_small = tuple(m[i - 1] for i in keep)
     return small, m_small, keep
-
-
-def embed_signed_support(H: IntPolynomial, keep, m) -> IntPolynomial:
-    """Inverse of the collapse on a signed support: dropped slots get back m_i."""
-    m = as_point(m)
-    terms = []
-    for q, c in H.terms.items():
-        w = list(m)
-        for value, i in zip(q, keep):
-            w[i - 1] = value
-        terms.append((w, c))
-    return IntPolynomial(len(m), terms)

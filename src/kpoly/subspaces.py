@@ -1,8 +1,8 @@
 """Linear polymatroids from exact rational subspace configurations.
 
 Only the rank-function side is built: the rank table extends echelon bases
-subset by subset in exact integer arithmetic (fraction-exact elimination per
-subset, `rank_of`, is the tests' oracle) and lists the ranks by bitmask, the
+subset by subset in exact integer arithmetic (the tests' oracle eliminates
+each subset afresh in fractions) and lists the ranks by bitmask, the
 one encoding of set functions on [p] (lattice.members decodes a mask); the
 polymatroid is polymatroid.trusted_base_polymatroid of that table, submodular
 and monotone by construction: the integer points of the base polytope walked
@@ -16,7 +16,7 @@ import math
 import random
 from fractions import Fraction
 
-from .lattice import GRID_CAP, CapExceeded, PointSet, Record, check_index_subset, check_subset_table, json_key, json_value
+from .lattice import GRID_CAP, CapExceeded, PointSet, Record, check_subset_table, json_key, json_value
 from .polymatroid import check_base_candidates, trusted_base_polymatroid
 
 
@@ -39,39 +39,6 @@ class SubspaceConfig(Record):
     @property
     def p(self) -> int:
         return len(self.subspaces)
-
-
-def matrix_rank(rows) -> int:
-    """Rank over Q by fraction-exact row elimination."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    n_cols = len(m[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        for r in range(rank + 1, len(m)):
-            f = m[r][col] / pv
-            if f:
-                for c in range(col, n_cols):
-                    m[r][c] -= f * m[rank][c]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
-def rank_of(config: SubspaceConfig, J) -> int:
-    """dim of the sum of the subspaces indexed by J (1-based); rank of the
-    empty set is 0."""
-    J = set(J)
-    if not J:
-        return 0
-    return matrix_rank([g for j in check_index_subset(J, config.p) for g in config.subspaces[j - 1]])
 
 
 def _integer_row(g) -> list[int]:

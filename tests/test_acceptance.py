@@ -8,14 +8,14 @@ import itertools
 import random
 import time
 
-from kpoly.lattice import PointSet, axis_values, class_floors, members, point_set, top, truncate
+from kpoly.lattice import PointSet, axis_values, class_floors, members, point_set, top
 from kpoly.mobius import (
     kpoly_from_mobius,
     matroids_on_ground,
     mu_support,
     verify_matroid_mu_theorem,
 )
-from kpoly.monomial import _ie_coefficients_subsets, hilbert_function_bruteforce, hilbert_poly_ie, msupp_to_ideal
+from kpoly.monomial import _ie_coefficients_subsets, hilbert_poly_ie, msupp_to_ideal
 from kpoly.polymatroid import (
     G_POLY_METHODS,
     _exchange_check,
@@ -28,7 +28,6 @@ from kpoly.schubert import (
     count_zero_one,
     grothendieck,
     grothendieck_via_stalactites,
-    inversions,
     msupp_of_matrix_schubert,
     zero_one_permutations,
 )
@@ -37,9 +36,7 @@ from kpoly.stalactite import (
     facets_from_msupp,
     hilbert_eval,
     hsupp_from_msupp,
-    increasing_path_check,
     stalactite_union,
-    verify_mobius_sums,
     verify_shelling,
 )
 from kpoly.subspaces import linear_polymatroid, random_config
@@ -56,6 +53,10 @@ from running_example import (
     STALACTITES_NATURAL,
     W,
 )
+from test_lattice import truncate
+from test_monomial import hilbert_function_bruteforce
+from test_schubert import inversions
+from test_stalactite import increasing_path_check, verify_mobius_sums
 
 
 def report(n, text):

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 import pickle
 import random
 import tracemalloc
@@ -12,36 +13,80 @@ from kpoly.lattice import (
     CapExceeded,
     DimensionError,
     EmptySetError,
-    GRID_CAP,
     IntPolynomial,
     PointSet,
     Record,
+    Point,
     axis_values,
     binomial_at,
-    box_grid,
+    check_axis_order,
     class_floors,
     downset,
     downset_difference,
     dominates,
     grid_strides,
-    grid_transform,
     homogenize,
-    lex_compare,
     point_set,
     point_set_from_json,
     point_set_to_json,
     poly_text,
     poly_to_json,
-    support_bounds,
     top,
-    truncate,
-    value_zeta,
+    truncation_masks,
 )
 from kpoly.mobius import Matroid
 from kpoly.monomial import BorelPrime, SquareFreeIdeal
 from kpoly.polymatroid import GPolyInequalitySystem
 from kpoly.subspaces import SubspaceConfig
 from running_example import MSUPP_3
+
+
+# literal lattice operations that only the tests' oracles use
+
+
+def unit_shift(u: Point, minus: int | None = None, plus: int | None = None) -> Point:
+    """u - e_minus + e_plus with 0-based indices; either side optional."""
+    w = list(u)
+    if minus is not None:
+        w[minus] -= 1
+    if plus is not None:
+        w[plus] += 1
+    return tuple(w)
+
+
+def lex_compare(u: Point, v: Point, axis_order=None) -> int:
+    """-1, 0 or +1: lexicographic comparison along axis_order (1-based; None
+    is the natural order); first strict difference decides."""
+    if len(u) != len(v):
+        raise DimensionError(f"cannot compare {u} and {v}")
+    if axis_order is not None:
+        order = check_axis_order(axis_order, len(u))
+        u, v = (tuple(w[i - 1] for i in order) for w in (u, v))
+    return (u > v) - (u < v)
+
+
+def truncate(A: PointSet, b) -> PointSet:
+    """Points of A that dominate b componentwise (the b-truncation)."""
+    return PointSet._raw(A.ambient_p, (q for q in A if dominates(q, b)))
+
+
+def check_index_subset(J, p: int) -> tuple[int, ...]:
+    """Validate a nonempty subset of 1..p; return it sorted."""
+    idx = sorted(set(J))
+    if not idx:
+        raise ValueError("index subset must be nonempty")
+    if idx[0] < 1 or idx[-1] > p:
+        raise ValueError(f"index subset {idx} not inside 1..{p}")
+    return tuple(idx)
+
+
+def support_bounds(A: PointSet, J) -> tuple[int, int]:
+    """(min, max) of sum_{j in J} a_j over a in A, indices 1-based."""
+    if not A:
+        raise EmptySetError("support_bounds of an empty set")
+    idx = [j - 1 for j in check_index_subset(J, A.ambient_p)]
+    sums = [sum(q[i] for i in idx) for q in A]
+    return min(sums), max(sums)
 
 
 def test_lex_compare_first_difference_decides():
@@ -227,40 +272,17 @@ def test_binomial_at_matches_comb_and_extends():
     assert binomial_at(5, 0) == 1
 
 
-def axis_transform(f, sign):
-    """Literal dict oracle of the grid kernel: for each axis i in turn
-    f(u) += sign * f(u + e_i) over f's keys only, visited in lex order
-    (descending for +1, so it reads the already summed f(u + e_i)).  Exact when
-    the keys form a downset."""
-    g = dict(f)
-    order = sorted(g, reverse=sign > 0)
-    for i in range(len(order[0]) if order else 0):
-        for u in order:
-            c = g.get(u[:i] + (u[i] + 1,) + u[i + 1:])
-            if c:
-                g[u] += sign * c
-    return g
-
-
 def literal_downset_difference(points):
-    """The indicator of the literal downset differenced by the dict oracle."""
+    """The indicator of the literal downset differenced by a dict loop: for
+    each axis i in turn g(u) -= g(u + e_i) over the downset, visited in
+    increasing lex order, so each u reads g(u + e_i) before it changes."""
     pts = list(points)
-    diff = axis_transform(dict.fromkeys(downset(PointSet(len(pts[0]), pts)).points, 1), -1)
-    return {u: c for u, c in diff.items() if c}
-
-
-def test_grid_transform_round_trip_on_random_grids():
-    rng = random.Random(2022)
-    shapes = [[rng.randint(1, 4) for _ in range(rng.randint(1, 4))] for _ in range(300)]
-    # long axes in either position send some axes through the contiguous-run
-    # pass and others through the strided-slice pass
-    shapes += [[2, 40], [40, 2], [3, 1, 30], [30, 3, 1], [1, 1, 1]]
-    for dims in shapes:
-        cells = list(itertools.product(*map(range, dims)))
-        f = {u: rng.randint(-3, 3) for u in cells}
-        zeta = grid_transform(box_grid(dims, f.items()), dims)
-        for u, s in zip(cells, zeta):
-            assert s == sum(c for w, c in f.items() if all(a >= b for a, b in zip(w, u)))
+    g = dict.fromkeys(downset(PointSet(len(pts[0]), pts)).points, 1)
+    order = sorted(g)
+    for i in range(len(pts[0])):
+        for u in order:
+            g[u] -= g.get(u[:i] + (u[i] + 1,) + u[i + 1:], 0)
+    return {u: c for u, c in g.items() if c}
 
 
 def test_downset_difference_matches_the_literal_downset():
@@ -336,26 +358,37 @@ def test_downset_difference_grid_has_one_cell_per_tuple_of_axis_values(monkeypat
     assert dims == [[3, 2, 1]]
 
 
-def test_value_zeta_matches_the_literal_zeta_on_every_value_class():
+def test_truncation_masks_match_the_definition_on_every_value_class():
+    from kpoly.schubert import msupp_of_matrix_schubert, zero_one_permutations
+    from kpoly.stalactite import collapse_fixed_components, hsupp_from_msupp
+
     assert class_floors([[0, 5, 9], [2, 7], [3]]) == [[0, 1, 6], [0, 3], [0]]
     rng = random.Random(19)
+    sets = []
     for _ in range(200):
         p = rng.randint(1, 3)
         lo = [rng.randint(0, 3) for _ in range(p)]
         scale = [rng.randint(1, 3) for _ in range(p)]
-        pts = [tuple(a + k * rng.randint(0, 3) for a, k in zip(lo, scale)) for _ in range(rng.randint(1, 5))]
-        terms = {q: rng.choice((-2, -1, 1, 2)) for q in pts}
-        values, zeta = value_zeta(terms)
-        assert values == axis_values(terms)
-        for b, u, s in zip(itertools.product(*class_floors(values)), itertools.product(*values), zeta):
+        sets.append(list({tuple(a + k * rng.randint(0, 3) for a, k in zip(lo, scale)) for _ in range(rng.randint(1, 5))}))
+    # the 720 inputs of the cave battery: the zero-one Hilbert supports of S_5
+    # and S_6, constant coordinates dropped
+    for w in zero_one_permutations(5) + zero_one_permutations(6):
+        small, _, _ = collapse_fixed_components(*msupp_of_matrix_schubert(w))
+        sets.append(list(hsupp_from_msupp(small).terms))
+    assert len(sets) == 920
+    for pts in sets:
+        values = axis_values(pts)
+        masks = truncation_masks(pts)
+        assert len(masks) == math.prod(map(len, values))
+        for b, u, mask in zip(itertools.product(*class_floors(values)), itertools.product(*values), masks):
             # from its floor b up to its values u, a class lies below the same points
-            assert s == sum(c for w, c in terms.items() if dominates(w, b))
-            assert s == sum(c for w, c in terms.items() if dominates(w, u))
+            assert mask == sum(1 << k for k, q in enumerate(pts) if dominates(q, b))
+            assert mask == sum(1 << k for k, q in enumerate(pts) if dominates(q, u))
 
 
 def test_every_zeta_runs_on_the_value_grid(monkeypatch):
     from kpoly.polymatroid import is_cave
-    from kpoly.stalactite import dominance_sums, verify_mobius_sums
+    from test_stalactite import dominance_sums, verify_mobius_sums
 
     # the box from the origin holds 1002^3 cells; the value grid holds 8
     far = [(1000, 1000, 1001), (1000, 1001, 1000), (1001, 1000, 1000)]
@@ -368,18 +401,25 @@ def test_every_zeta_runs_on_the_value_grid(monkeypatch):
     monkeypatch.setattr(lattice, "grid_strides", recorded)
     downset_difference(far)
     dominance_sums(IntPolynomial(3, dict.fromkeys(far, 1)))
-    verify_mobius_sums(IntPolynomial(3, dict.fromkeys(far, 1)))  # the sums and the tops' indicator
+    verify_mobius_sums(IntPolynomial(3, dict.fromkeys(far, 1)))  # the sums and the tops' hits, one grid
     is_cave(PointSet(3, far))
-    assert dims == [[2, 2, 2]] * 5
+    assert dims == [[2, 2, 2]] * 4
 
 
-def test_box_grid_cap_fires_before_allocating():
-    assert len(box_grid([1000, 1000], [((999, 999), 1)])) == GRID_CAP
-    with pytest.raises(CapExceeded):
-        box_grid([1000, 1001], [])
-    # a 10^18-cell box could never be allocated, so the cap must come first
-    with pytest.raises(CapExceeded):
-        box_grid([10**6] * 3, [])
+def test_dominance_sum_grid_cap_fires_before_allocating():
+    from test_stalactite import dominance_sums
+
+    # 101 values on each axis: 101^3 cells of the value grid exceed GRID_CAP,
+    # and masks of 101 bits would take over 30 MB
+    line = IntPolynomial(3, dict.fromkeys(((i, 100 - i, i) for i in range(101)), 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="box grid has 1030301 cells"):
+            dominance_sums(line)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, peak
 
 
 def test_json_roundtrips():

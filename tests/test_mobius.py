@@ -9,10 +9,10 @@ import sys
 import pytest
 
 from kpoly import mobius
-from kpoly.lattice import CapExceeded, Check, IntPolynomial, PointSet, members, point_set
+from kpoly.lattice import CapExceeded, Check, IntPolynomial, Point, PointSet, dominates, members, point_set
 from kpoly.mobius import (
     Matroid,
-    _mobius_recursive,
+    _reduced_euler,
     coloops,
     contraction,
     downset,
@@ -24,17 +24,36 @@ from kpoly.mobius import (
     mobius_to_top,
     mu_support,
     mu_support_survey,
-    reduced_euler_characteristic,
     verify_deg_equals_neg_mobius,
     verify_matroid_mu_theorem,
 )
-from kpoly.monomial import hilbert_function_bruteforce, hilbert_poly_ie, msupp_to_ideal
+from kpoly.monomial import hilbert_poly_ie, msupp_to_ideal
 from kpoly.polymatroid import G_POLY_METHODS, base_polymatroid, is_g_polymatroid, rank_functions
 from kpoly.schubert import grothendieck
 from kpoly.stalactite import hsupp_from_msupp
-from kpoly.subspaces import linear_polymatroid, random_config, rank_of, rank_table
+from kpoly.subspaces import linear_polymatroid, random_config, rank_table
 from running_example import AMBIENT_M3, KPOLY_3, MSUPP_3
+from test_monomial import hilbert_function_bruteforce
 from test_polymatroid import candidate_filter
+from test_subspaces import rank_of
+
+# downset elements the recursive oracle, quadratic in them, may walk
+RECURSIVE_CAP = 10_000
+
+
+def _mobius_recursive(P: PointSet) -> IntPolynomial:
+    """The tests' oracle for mobius_to_top on a base polymatroid P: the
+    generic first-argument recursion mu(u) = -(1 + sum_{w>u} mu(w)) over the
+    literal lattice.downset of at most RECURSIVE_CAP elements, sharing no
+    code with mobius_to_top."""
+    ds = downset(P)
+    if len(ds) > RECURSIVE_CAP:
+        raise CapExceeded(f"downset has {len(ds)} elements (recursive cap {RECURSIVE_CAP})")
+    mu: dict[Point, int] = {}
+    for u in sorted(ds, key=lambda q: (-sum(q), q)):
+        mu[u] = -(1 + sum(mu[w] for w in mu if w != u and dominates(w, u)))
+    return IntPolynomial._raw(P.ambient_p, {u: c for u, c in mu.items() if c})
+
 
 
 def uniform_matroid(r, p):
@@ -199,8 +218,8 @@ def _reached(index: dict, route, inputs) -> set[str]:
 
 
 def test_literal_oracles_never_enter_the_grid_kernel(monkeypatch):
-    from kpoly import lattice, monomial, stalactite
-    from kpoly.monomial import SquareFreeIdeal, _ie_coefficients_subsets, k_poly_ie, msupp_to_ideal
+    from kpoly import lattice, monomial
+    from kpoly.monomial import SquareFreeIdeal, _ie_coefficients_subsets
     from kpoly.schubert import msupp_of_matrix_schubert, zero_one_permutations
 
     # each production route and its oracle reach disjoint sets of kpoly
@@ -212,7 +231,7 @@ def test_literal_oracles_never_enter_the_grid_kernel(monkeypatch):
     index = _kpoly_functions()
     for route, oracle, inputs in (
         (mobius_to_top, _mobius_recursive, msupps),
-        (k_poly_ie, lambda J: _ie_coefficients_subsets(J.primes), ideals),
+        (hilbert_poly_ie, lambda J: _ie_coefficients_subsets(J.primes), ideals),
     ):
         production = _reached(index, route, inputs)
         assert "kpoly.lattice.downset_difference" in production
@@ -226,15 +245,14 @@ def test_literal_oracles_never_enter_the_grid_kernel(monkeypatch):
     def refuse(*args):
         raise AssertionError("grid kernel called")
 
-    for module in (lattice, mobius, monomial, stalactite):
-        for name in ("grid_transform", "downset_difference"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
+    # every module that binds the one grid kernel; a missing name raises
+    for module in (lattice, mobius, monomial):
+        monkeypatch.setattr(module, "downset_difference", refuse)
     with pytest.raises(AssertionError):
         mobius_to_top(point_set(MSUPP_3))
     assert _mobius_recursive(point_set(MSUPP_3)) == expected_mu
     assert _ie_coefficients_subsets(J.primes) == expected_ie
-    assert reduced_euler_characteristic(uniform_matroid(2, 4)) == -3
+    assert _reduced_euler(independent_sets(uniform_matroid(2, 4))) == -3
 
 
 def test_bruteforce_hilbert_count_runs_neither_hilbert_route():
@@ -276,7 +294,7 @@ def test_rank_table_and_g_polymatroid_methods_share_only_declared_names():
          _reached(index, lambda c: [rank_of(c, members(X)) for X in range(1 << c.p)], configs),
          {"kpoly.subspaces.SubspaceConfig.p"}),
         (reached["axioms"], reached["homogenization"],
-         dispatch | {"kpoly.polymatroid._point_masks", "kpoly.polymatroid._order_masks",
+         dispatch | {"kpoly.polymatroid._point_masks", "kpoly.lattice._order_masks",
                      "kpoly.polymatroid._first_failure", "kpoly.lattice._cube_coding"}),
         (reached["axioms"], reached["paramodular"], dispatch),
         (reached["homogenization"], reached["paramodular"], dispatch | {"kpoly.lattice.Check.__bool__"}),
@@ -319,11 +337,11 @@ def test_recursive_oracle_refuses_a_downset_above_its_cap(monkeypatch):
     # such cap
     P = point_set(MSUPP_3)
     expected = mobius_to_top(P)
-    monkeypatch.setattr(mobius, "RECURSIVE_CAP", 88)
+    monkeypatch.setitem(globals(), "RECURSIVE_CAP", 88)
     with pytest.raises(CapExceeded, match=r"^downset has 89 elements \(recursive cap 88\)$"):
         _mobius_recursive(P)
     assert mobius_to_top(P) == expected
-    monkeypatch.setattr(mobius, "RECURSIVE_CAP", 89)
+    monkeypatch.setitem(globals(), "RECURSIVE_CAP", 89)
     assert _mobius_recursive(P) == expected
 
 
@@ -415,9 +433,9 @@ def test_contract_whole_basis_to_rank_zero():
 
 def test_euler_characteristic():
     # independence complex of U_{2,3} is the boundary of a triangle
-    assert reduced_euler_characteristic(uniform_matroid(2, 3)) == -1
-    assert reduced_euler_characteristic(Matroid(1, PointSet(1, [(1,)]))) == 0
-    assert reduced_euler_characteristic(Matroid(2, point_set([(1, 0), (0, 1)]))) == 1
+    for M, chi in ((uniform_matroid(2, 3), -1), (Matroid(1, PointSet(1, [(1,)])), 0),
+                   (Matroid(2, point_set([(1, 0), (0, 1)])), 1)):
+        assert _reduced_euler(independent_sets(M)) == chi
 
 
 def test_mu_support_uniform_and_coloop():

@@ -4,24 +4,121 @@ import random
 
 import pytest
 
+from operator import sub
+
 from kpoly import monomial
-from kpoly.lattice import CapExceeded, IntPolynomial, point_set
+from kpoly.lattice import CapExceeded, IntPolynomial, Point, as_point, point_set
 from kpoly.monomial import (
     BorelPrime,
+    _ie_coefficients_lattice,
     _ie_coefficients_subsets,
     SquareFreeIdeal,
-    count_monomials,
-    hilbert_function_bruteforce,
     hilbert_poly_ie,
-    hilbert_poly_prime,
-    hilbert_poly_shellable,
-    k_poly_ie,
     msupp_to_ideal,
-    prime_sum,
 )
 from kpoly.stalactite import hilbert_eval, hsupp_from_msupp
 from running_example import AMBIENT_M3, HILBERT_3, KPOLY_3, MSUPP_3
 from test_lattice import literal_downset_difference
+
+# the K-polynomial of the lattice route, and two oracles the library does not
+# run: the per-facet shellable refinement and the direct monomial count
+
+# monomials hilbert_function_bruteforce may enumerate
+BRUTEFORCE_CAP = 2_000_000
+
+
+def k_poly_ie(J: SquareFreeIdeal) -> IntPolynomial:
+    """Inclusion-exclusion twisted K-polynomial: the prime p_a contributes z^a."""
+    return IntPolynomial._raw(J.ambient_p, _ie_coefficients_lattice(J.primes))
+
+
+def hilbert_poly_shellable(J: SquareFreeIdeal) -> IntPolynomial:
+    """Per-facet refinement of the IE formula for a shelling order.
+
+    Assumes the primes of J are listed in a shelling order of the associated
+    facets (msupp_to_ideal produces one).  Each facet contributes its own
+    term minus an inclusion-exclusion over the codimension-(c+1) pairwise
+    sums with its predecessors; each such sum dominates the facet's prime
+    and exceeds its codimension c by one, so it is that prime plus a single
+    variable.
+    """
+    codims = {sum(a) for a in J.primes}
+    if len(codims) > 1:
+        raise ValueError("shellable refinement needs primes of equal codimension")
+    c = codims.pop()
+    acc: dict[Point, int] = {}
+
+    def add(n: Point, delta: int):
+        v = acc.get(n, 0) + delta
+        if v:
+            acc[n] = v
+        else:
+            acc.pop(n, None)
+
+    for j, aj in enumerate(J.primes):
+        add(tuple(map(sub, J.m, aj)), 1)
+        block: list[Point] = []
+        seen = set()
+        for l in range(j):
+            q = tuple(map(max, J.primes[l], aj))
+            if sum(q) == c + 1 and q not in seen:
+                seen.add(q)
+                block.append(q)
+        # block holds at most p primes, far below SUBSET_CAP
+        for v, coeff in _ie_coefficients_subsets(block).items():
+            add(tuple(map(sub, J.m, v)), -coeff)
+    return IntPolynomial._raw(J.ambient_p, acc)
+
+
+def _compositions(total: int, parts: int):
+    """All ways to write total as an ordered sum of `parts` nonnegative ints."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def count_monomials(v: Point, m: Point) -> int:
+    return math.prod(math.comb(vi + mi, mi) for vi, mi in zip(v, m))
+
+
+def hilbert_function_bruteforce(J: SquareFreeIdeal, v) -> int:
+    """Number of multidegree-v monomials outside J, by direct enumeration of
+    all monomials of multidegree v: a monomial survives iff its variables
+    avoid some minimal prime entirely.  The tests' oracle for the Hilbert
+    polynomials: it runs neither the inclusion-exclusion nor the stalactite
+    route.  CapExceeded above BRUTEFORCE_CAP monomials, before the
+    enumeration.
+    """
+    v = as_point(v, J.ambient_p)
+    n_monomials = count_monomials(v, J.m)
+    if n_monomials > BRUTEFORCE_CAP:
+        raise CapExceeded(f"{n_monomials} monomials exceed the enumeration cap {BRUTEFORCE_CAP}")
+
+    # A monomial avoids p_a iff, in every component i, it only uses variables
+    # x_{i,j} with j >= a_i; only the smallest used index per component matters.
+    per_component = []
+    for vi, mi in zip(v, J.m):
+        mins = []
+        for comp in _compositions(vi, mi + 1):
+            first = next((j for j, e in enumerate(comp) if e), None)
+            mins.append(first)  # None when vi == 0: no constraint
+        per_component.append(mins)
+
+    coverage: dict[tuple, bool] = {}
+
+    def covered(s: tuple) -> bool:
+        hit = coverage.get(s)
+        if hit is None:
+            hit = any(
+                all(si is None or si >= ai for si, ai in zip(s, a)) for a in J.primes
+            )
+            coverage[s] = hit
+        return hit
+
+    return sum(1 for s in itertools.product(*per_component) if covered(s))
 
 
 def running_ideal() -> SquareFreeIdeal:
@@ -35,31 +132,14 @@ def hilbert_poly_subsets(J: SquareFreeIdeal) -> IntPolynomial:
     return IntPolynomial(J.ambient_p, {tuple(a - b for a, b in zip(J.m, v)): c for v, c in coeffs.items()})
 
 
-def test_prime_sum_is_componentwise_max():
-    m = (4, 4, 4)
-    s = prime_sum([BorelPrime((3, 1, 0), m), BorelPrime((2, 2, 0), m)])
-    assert s == BorelPrime((3, 2, 0), m)
-    single = BorelPrime((1, 0, 2), m)
-    assert prime_sum([single]) == single
-    with pytest.raises(ValueError):
-        prime_sum([])
-
-
-def test_prime_sums_stay_bounded_on_running_example():
-    J = running_ideal()
-    primes = J.borel_primes()
-    for k in range(1, 4):
-        for combo in itertools.combinations(primes, k):
-            assert all(a <= 4 for a in prime_sum(combo).a)
-
-
 def test_hilbert_poly_prime():
-    term = hilbert_poly_prime(BorelPrime((3, 1, 0), (4, 4, 4)))
+    # the ideal of one prime p_a has the single binomial-product term at m - a
+    term = hilbert_poly_ie(SquareFreeIdeal((4, 4, 4), ((3, 1, 0),)))
     assert term.terms == {(1, 3, 4): 1}
-    zero = hilbert_poly_prime(BorelPrime((0, 0), (3, 3)))
+    zero = hilbert_poly_ie(SquareFreeIdeal((3, 3), ((0, 0),)))
     assert zero.terms == {(3, 3): 1}
     # p = 1 line in the plane: C(t+1, 1)
-    line = hilbert_poly_prime(BorelPrime((1,), (2,)))
+    line = hilbert_poly_ie(SquareFreeIdeal((2,), ((1,),)))
     assert line.terms == {(1,): 1}
     with pytest.raises(ValueError):
         BorelPrime((3,), (2,))
@@ -130,7 +210,7 @@ def test_hilbert_poly_ie_matches_running_example():
 
 def test_hilbert_poly_ie_single_prime():
     J = SquareFreeIdeal((3, 3), ((2, 1),))
-    assert hilbert_poly_ie(J) == hilbert_poly_prime(BorelPrime((2, 1), (3, 3)))
+    assert hilbert_poly_ie(J) == IntPolynomial(2, {(1, 2): 1})
 
 
 def test_hilbert_poly_ie_two_disjoint_primes():
@@ -282,7 +362,7 @@ def test_hilbert_function_equals_polynomial_running_example():
 def test_bruteforce_cap(monkeypatch):
     J = running_ideal()
     assert count_monomials((3, 3, 3), (4, 4, 4)) == 35**3
-    monkeypatch.setattr(monomial, "BRUTEFORCE_CAP", 100)
+    monkeypatch.setitem(globals(), "BRUTEFORCE_CAP", 100)
     with pytest.raises(CapExceeded):
         hilbert_function_bruteforce(J, (3, 3, 3))
 

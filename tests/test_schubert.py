@@ -3,22 +3,20 @@ import itertools
 import os
 import random
 import tracemalloc
+from operator import mul
 
 import pytest
 
 from kpoly import schubert as schubert_mod
-from kpoly.lattice import CapExceeded, IntPolynomial, _cube_coding, point_set, poly_text, support_bounds
+from kpoly.lattice import CapExceeded, IntPolynomial, _cube_coding, point_set, poly_text
 from kpoly.schubert import (
     CENSUS_CAP,
     ascent_positions,
     count_zero_one,
-    divided_difference,
     grothendieck,
     grothendieck_via_mobius,
     grothendieck_via_stalactites,
-    inversions,
     is_zero_one,
-    isobaric_divided_difference,
     longest_perm,
     lowest_degree_part,
     msupp_of_matrix_schubert,
@@ -29,6 +27,35 @@ from kpoly.schubert import (
     zero_one_permutations,
 )
 from running_example import KPOLY_5, MSUPP_5, W
+from test_lattice import support_bounds
+
+
+def inversions(w) -> int:
+    return sum(a > b for a, b in itertools.combinations(w, 2))
+
+
+# the divided-difference operators on polynomials, run on the code kernels
+# that the Grothendieck recursion and the census walk use
+
+
+def _on_codes(kernel, f: IntPolynomial, j: int) -> IntPolynomial:
+    # a code kernel of schubert as an operator on polynomials, at radix the
+    # largest exponent + 2: the (1 - z_{j+1}) step raises one exponent by 1
+    if not 1 <= j <= f.num_vars - 1:
+        raise ValueError(f"operator index {j} outside 1..{f.num_vars - 1}")
+    strides, decode = _cube_coding(max(itertools.chain(*f.terms), default=0) + 2, f.num_vars)
+    codes = [(sum(map(mul, e, strides)), c) for e, c in f.terms.items()]
+    return IntPolynomial._raw(f.num_vars, {decode(x): c for x, c in kernel(codes, j, strides).items()})
+
+
+def divided_difference(f: IntPolynomial, j: int) -> IntPolynomial:
+    """(f - f with z_j, z_{j+1} swapped) / (z_j - z_{j+1}), exactly."""
+    return _on_codes(schubert_mod._divided_difference_codes, f, j)
+
+
+def isobaric_divided_difference(f: IntPolynomial, j: int) -> IntPolynomial:
+    """Divided difference of (1 - z_{j+1}) * f."""
+    return _on_codes(schubert_mod._isobaric_codes, f, j)
 
 
 def rand_poly(rng, nv, max_exp=3, n_terms=5):

@@ -69,3 +69,54 @@ def test_import_loads_neither_multiprocessing_nor_dataclasses(name):
     run = subprocess.run([sys.executable, "-I", "-S", "-c", code, *UNLOADED],
                          capture_output=True, text=True, check=True)
     assert run.stdout.split() == []
+
+
+# public functions that nothing in src/kpoly calls, each with why it stays
+KEPT_PUBLIC = {
+    "lattice.point_set": "the user-facing constructor of a point set from any points",
+    "polymatroid.base_polymatroid": "the checked constructor of a base polymatroid from a user's rank table",
+    "mobius.contraction": "the user-facing matroid contraction of the mu theorem's statement (c)",
+    "schubert.rothe_diagram": "the Schubitope route of ROADMAP direction 1 is to call it",
+    "monomial.subset_cap": "perfbench/layers.py reads it",
+    "polymatroid.integer_points": "perfbench/layers.py wraps it",
+    "stalactite.stalactite_union": "perfbench/layers.py wraps it",
+    "subspaces.rank_table": "perfbench/layers.py wraps it",
+    "mobius.matroids_on_ground": "perfbench/workloads.py builds its matroid inputs with it",
+    "mobius.matroid_to_json": "perfbench/workloads.py writes its matroid inputs with it",
+    "schubert.zero_one_permutations": "perfbench/workloads.py draws its permutations from it",
+    "stalactite.collapse_fixed_components": "perfbench/workloads.py builds its cave inputs with it",
+}
+
+
+def _unreferenced_public_functions():
+    """module.name of each public top-level function of src/kpoly that no
+    module but __init__ names outside the function's own def: as a name, an
+    attribute or a string constant (cli.ROUTES looks routes up by name), not
+    counting the names that `from . import` binds to kpoly modules."""
+    defs = {node.name: (name, node) for name, tree in SOURCES.items() if name != "__init__"
+            for node in tree.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    referenced = set()
+    for name, tree in SOURCES.items():
+        if name == "__init__":
+            continue
+        modules = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level and not node.module for alias in node.names}
+        for top in tree.body:
+            for n in ast.walk(top):
+                if isinstance(n, ast.Name) and n.id not in modules:
+                    ref = n.id
+                elif isinstance(n, ast.Attribute):
+                    ref = n.attr
+                elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                    ref = n.value
+                else:
+                    continue
+                if ref != getattr(top, "name", None):
+                    referenced.add(ref)
+    return {f"{module}.{fn}" for fn, (module, _) in defs.items() if fn not in referenced}
+
+
+def test_every_public_function_has_a_caller_or_a_declared_reason():
+    # a function that only the tests call lives in the tests, beside the
+    # route it checks; a kept name that gains a caller leaves the list
+    assert _unreferenced_public_functions() == set(KEPT_PUBLIC)
