@@ -37,7 +37,6 @@ from .polymatroid import (
 )
 from .stalactite import hilbert_eval, hsupp_from_msupp, verify_shelling
 from .monomial import (
-    BorelPrime,
     SquareFreeIdeal,
     hilbert_poly_ie,
     msupp_to_ideal,
@@ -50,7 +49,6 @@ from .mobius import (
     kpoly_from_mobius,
     mobius_to_top,
     mu_support,
-    verify_deg_equals_neg_mobius,
     verify_matroid_mu_theorem,
 )
 from .subspaces import SubspaceConfig, linear_polymatroid

@@ -10,7 +10,9 @@ under ``witness`` and ends the report as a ``  witness: {...}`` line.  The
 report is a function that formats its lines only when the report is printed,
 never when only the JSON is.  Each command decides nothing the library
 already decides: it loads its input, calls the library routes and reports
-their verdicts.
+their verdicts.  Every route by which a command computes an object is one
+row of ROUTES, which --via and --verify, --oracle, --check and --method read
+their names, choices and comparisons from.
 
 The parser is built once per process, with one subparser per command.
 ``main`` parses the arguments after a command name with that command's
@@ -130,25 +132,75 @@ def _parse_orders(text: str):
 
 # ---------------------------------------------------------------------------
 
-# route name -> name of the schubert function that computes it; looked up at
-# call time, so a wrapped or patched module attribute is the one that runs
+# object -> {route name: (call, runs, shares)}, the routes in the order they
+# run and report.  call(*args) computes the object by the route, looking its
+# function up in its module at call time, so a wrapped or patched module
+# attribute is the one that runs.  runs is when --verify, --oracle, --check
+# or --method all runs the route: ALWAYS, or ZERO_ONE for a zero-one w only.
+# shares names the kpoly functions the route may reach in common with another
+# route of its object that names them too (tests/test_routes.py).  Every
+# Grothendieck route still reads its input off divided differences (_CHAIN).
+ALWAYS, ZERO_ONE = "always", "zero-one"
+_CHAIN = ("schubert.as_perm schubert.grothendieck schubert._grothendieck_codes schubert._isobaric_codes "
+          "schubert._divided_difference_codes schubert._staircase schubert._perm_coding schubert.ascent_positions "
+          "schubert.swap_adjacent schubert.longest_perm lattice._cube_coding ")
+_BASE_CHECK = ("polymatroid.is_base_polymatroid polymatroid._exchange_check polymatroid._point_masks "
+               "lattice._order_masks lattice._cube_coding lattice.Check.__init__ lattice.Check.__bool__ ")
+_MSUPP = _CHAIN + _BASE_CHECK + ("schubert.msupp_of_matrix_schubert schubert.schubert schubert.lowest_degree_part "
+                                 "lattice.PointSet._raw")
+_MASKS = "polymatroid._point_masks lattice._order_masks lattice._cube_coding "
+
 ROUTES = {
-    "divided-diff": "grothendieck",
-    "stalactites": "grothendieck_via_stalactites",
-    "mobius": "grothendieck_via_mobius",
+    "grothendieck": {
+        "divided-diff": (lambda w: schubert.grothendieck(w), ALWAYS, _CHAIN),
+        "stalactites": (lambda w: schubert.grothendieck_via_stalactites(w), ZERO_ONE, _MSUPP),
+        "mobius": (lambda w: schubert.grothendieck_via_mobius(w), ZERO_ONE, _MSUPP),
+    },
+    "hilbert": {
+        "stalactites": (lambda msupp, m: stalactite.hsupp_from_msupp(msupp), ALWAYS, ""),
+        "inclusion_exclusion": (lambda msupp, m: monomial.hilbert_poly_ie(monomial.msupp_to_ideal(msupp, m)), ALWAYS,
+                                "lattice.as_point monomial.SquareFreeIdeal.ambient_p"),
+    },
+    "deg = -mu": {
+        "deg": (lambda msupp: stalactite.hsupp_from_msupp(msupp), ALWAYS, _BASE_CHECK),
+        "neg_mu": (lambda msupp: -mobius_mod.mobius_to_top(msupp), ALWAYS, _BASE_CHECK),
+    },
+    "g-polymatroid": {
+        method: (lambda G, method=method: polymatroid.is_g_polymatroid(G, method), ALWAYS,
+                 "polymatroid.is_g_polymatroid lattice.Check.__init__ " + shares)
+        for method, shares in zip(polymatroid.G_POLY_METHODS, (_MASKS, _MASKS + "lattice.Check.__bool__",
+                                                                "lattice.Check.__bool__"))
+    },
 }
+
+
+def _run(obj: str, route: str | None, *args, zero_one: bool = True) -> dict:
+    """{route: its value on args} for one route of obj, its first when None,
+    or, for "all", for every route that --verify, --oracle, --check or
+    --method all runs, in table order."""
+    table = ROUTES[obj]
+    if route != "all":
+        route = route or next(iter(table))
+        return {route: table[route][0](*args)}
+    return {route: call(*args) for route, (call, runs, _) in table.items() if runs == ALWAYS or zero_one}
+
+
+def _disagreement(values: dict):
+    """None when the routes' polynomials are equal, else (point, {route:
+    coefficient}) at the first point where they differ."""
+    first = next(iter(values.values()))
+    if all(f == first for f in values.values()):
+        return None
+    return first_difference({route: f.terms for route, f in values.items()})
 
 
 def cmd_grothendieck(args) -> CommandResult:
     w = schubert.parse_perm(args.permutation)
     zero_one = schubert.is_zero_one(w)
-    if args.verify:
-        wanted = list(ROUTES) if zero_one else ["divided-diff"]
-    else:
-        wanted = [args.via or "divided-diff"]
-    routes = {route: getattr(schubert, ROUTES[route])(w) for route in wanted}
-    result = routes[wanted[0]]
-    agree = all(f == result for f in routes.values())
+    routes = _run("grothendieck", "all" if args.verify else args.via, w, zero_one=zero_one)
+    result = next(iter(routes.values()))
+    diff = _disagreement(routes)
+    agree = diff is None
     shown = schubert.lowest_degree_part(result) if args.schubert else result
     name = "Schubert" if args.schubert else "Grothendieck"
     text = poly_text(shown)
@@ -171,7 +223,7 @@ def cmd_grothendieck(args) -> CommandResult:
     }
     if agree:
         return _result(payload, lines)
-    exp, coeffs = first_difference({route: f.terms for route, f in routes.items()})
+    exp, coeffs = diff
     mismatch = Check(False, {"condition": "route-mismatch", "exp": exp, "coeffs": coeffs})
     return _result(payload, lines, mismatch)
 
@@ -190,11 +242,11 @@ def _check_result(kind: str, chk: Check, extra: dict | None = None, details=lamb
 
 def _verify_gpolymatroid(args, data) -> CommandResult:
     G = point_set_from_json(data)
+    checks = _run("g-polymatroid", args.method, G)
+    chk = next(iter(checks.values()))
     if args.method != "all":
-        return _check_result(args.kind, polymatroid.is_g_polymatroid(G, args.method))
-    checks = {m: polymatroid.is_g_polymatroid(G, m) for m in polymatroid.G_POLY_METHODS}
+        return _check_result(args.kind, chk)
     verdicts = {m: bool(c) for m, c in checks.items()}
-    chk = checks["axioms"]
     if len(set(verdicts.values())) > 1:
         chk = Check(False, {"condition": "method-mismatch", "verdicts": verdicts})
     return _check_result(args.kind, chk, {"methods": verdicts})
@@ -259,7 +311,8 @@ def cmd_hilbert(args) -> CommandResult:
     if isinstance(loaded, CommandResult):
         return loaded
     msupp, m = loaded
-    H = stalactite.hsupp_from_msupp(msupp)
+    values = _run("hilbert", "all" if args.oracle else None, msupp, m)
+    H = next(iter(values.values()))
     text = stalactite.hilbert_text(H)
     payload = {"hilbert": poly_to_json(H), "text": text}
 
@@ -272,13 +325,11 @@ def cmd_hilbert(args) -> CommandResult:
             yield f"  value at t = {payload['eval']['t']}: {payload['eval']['value']}"
 
     if args.oracle:
-        Hie = monomial.hilbert_poly_ie(monomial.msupp_to_ideal(msupp, m))
-        agree = Hie == H
-        payload["oracle_agrees"] = agree
-        if not agree:
-            n, coeffs = first_difference({"stalactites": H.terms, "inclusion_exclusion": Hie.terms})
-            mismatch = Check(False, {"condition": "oracle-mismatch", "n": n, **coeffs})
-            return _result(payload, lines, mismatch)
+        diff = _disagreement(values)
+        payload["oracle_agrees"] = diff is None
+        if diff:
+            n, coeffs = diff
+            return _result(payload, lines, Check(False, {"condition": "oracle-mismatch", "n": n, **coeffs}))
     if args.eval is not None:
         t = parse_vector(args.eval)
         payload["eval"] = {"t": list(t), "value": stalactite.hilbert_eval(H, t)}
@@ -305,10 +356,11 @@ def cmd_mobius(args) -> CommandResult:
             yield f"twisted K-polynomial: {poly_text(K)}"
 
     if args.check:
-        deg = mobius_mod.verify_deg_equals_neg_mobius(msupp)
-        payload["deg_equals_neg_mu"] = bool(deg)
-        if not deg:
-            return _result(payload, lines, deg)
+        diff = _disagreement(_run("deg = -mu", "all", msupp))
+        payload["deg_equals_neg_mu"] = diff is None
+        if diff:
+            n, coeffs = diff
+            return _result(payload, lines, Check(False, {"condition": "deg-vs-mobius", "n": n, **coeffs}))
     if args.kpoly:
         K = mobius_mod.kpoly_from_mobius(msupp, m)
         payload["kpoly"] = poly_to_json(K)
@@ -391,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
         g.add_argument("permutation", help='one-line notation, e.g. "1,5,3,2,4" or "[1,5,3,2,4]"')
         if name == "grothendieck":
             g.add_argument("--schubert", action="store_true", help="print the lowest-degree part")
-        g.add_argument("--via", choices=list(ROUTES))
+        g.add_argument("--via", choices=list(ROUTES["grothendieck"]))
         g.add_argument("--verify", action="store_true", help="run all applicable routes and compare")
         common(g)
         g.set_defaults(func=cmd_grothendieck, schubert=name == "schubert")
@@ -404,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a structural verdict on a JSON input")
     v.add_argument("kind", choices=list(VERIFY_KINDS))
     v.add_argument("input", help="path to the JSON input")
-    v.add_argument("--method", default="axioms", choices=[*polymatroid.G_POLY_METHODS, "all"])
+    v.add_argument("--method", choices=[*ROUTES["g-polymatroid"], "all"])
     v.add_argument("--orders", default="all", help="natural, all or sample:K:SEED")
     common(v)
     v.set_defaults(func=cmd_verify)

@@ -257,10 +257,6 @@ class IntPolynomial:
             return cls.zero(num_vars)
         return cls._raw(num_vars, {(0,) * num_vars: c})
 
-    @classmethod
-    def monomial(cls, num_vars: int, exponent, coeff: int = 1) -> "IntPolynomial":
-        return cls(num_vars, [(exponent, coeff)])
-
     def coeff(self, exponent) -> int:
         return self.terms.get(tuple(exponent), 0)
 
@@ -322,18 +318,6 @@ class IntPolynomial:
         return IntPolynomial._raw(self.num_vars, out)
 
     __rmul__ = __mul__
-
-    def swap_vars(self, j: int) -> "IntPolynomial":
-        """Exchange the variables z_j and z_{j+1} (j is 1-based)."""
-        if not 1 <= j <= self.num_vars - 1:
-            raise ValueError(f"variable index {j} outside 1..{self.num_vars - 1}")
-        i = j - 1
-        out = {}
-        for e, c in self.terms.items():
-            w = list(e)
-            w[i], w[i + 1] = w[i + 1], w[i]
-            out[tuple(w)] = c
-        return IntPolynomial._raw(self.num_vars, out)
 
     def __eq__(self, other) -> bool:
         return (

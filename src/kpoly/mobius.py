@@ -1,6 +1,6 @@
 """Mobius function of the poset attached to a base polymatroid (its downset
-with a maximum adjoined), the deg = -mu identity, K-polynomials from mu,
-and the matroid specialization via coloops and contraction.
+with a maximum adjoined), K-polynomials from mu, and the matroid
+specialization via coloops and contraction.
 """
 
 from __future__ import annotations
@@ -19,13 +19,11 @@ from .lattice import (
     dominates,
     downset,
     downset_difference,
-    first_difference,
     json_key,
     json_value,
     point_set_from_json,
 )
 from .polymatroid import is_base_polymatroid, is_g_polymatroid, rank_functions, trusted_base_polymatroid
-from .stalactite import hsupp_from_msupp
 
 
 def mobius_to_top(P: PointSet) -> IntPolynomial:
@@ -50,17 +48,6 @@ def mobius_to_top(P: PointSet) -> IntPolynomial:
 def mu_support(P: PointSet) -> PointSet:
     """Points of the downset where mu(., 1hat) does not vanish."""
     return mobius_to_top(P).support()
-
-
-def verify_deg_equals_neg_mobius(msupp: PointSet) -> Check:
-    """Hilbert coefficients from stalactites must equal -mu everywhere,
-    including the vanishing off the Hilbert support."""
-    H = hsupp_from_msupp(msupp)
-    neg = {q: -c for q, c in mobius_to_top(msupp).terms.items()}
-    if neg == H.terms:
-        return Check(True)
-    n, coeffs = first_difference({"deg": H.terms, "neg_mu": neg})
-    return Check(False, {"condition": "deg-vs-mobius", "n": n, **coeffs})
 
 
 def kpoly_from_mobius(msupp: PointSet, m) -> IntPolynomial:
@@ -92,10 +79,6 @@ class Matroid(Record):
         if not chk:
             raise ValueError(f"basis exchange fails: {chk.witness}")
         super().__init__(ground, bases)
-
-    @property
-    def rank(self) -> int:
-        return sum(self.bases.points[0])
 
 
 def coloops(M: Matroid) -> tuple[int, ...]:

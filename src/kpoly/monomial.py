@@ -30,20 +30,6 @@ def subset_cap(cap: int | None = None) -> int:
     return SUBSET_CAP if cap is None else cap
 
 
-class BorelPrime(Record):
-    """Monomial prime generated by the first a_i variables of each component,
-    inside the ambient with m_i + 1 variables of each degree e_i."""
-
-    __slots__ = ("a", "m")
-
-    def __init__(self, a: Point, m: Point):
-        a = as_point(a)
-        m = as_point(m, len(a))
-        if not dominates(m, a):
-            raise ValueError(f"prime vector {a} exceeds ambient {m}")
-        super().__init__(a, m)
-
-
 class SquareFreeIdeal(Record):
     """Intersection of pairwise incomparable Borel primes, stored as the
     tuple of a-vectors in the caller's order (the order matters for the
@@ -82,9 +68,6 @@ class SquareFreeIdeal(Record):
     @property
     def ambient_p(self) -> int:
         return len(self.m)
-
-    def borel_primes(self) -> list[BorelPrime]:
-        return [BorelPrime(a, self.m) for a in self.primes]
 
 
 def _ie_coefficients_subsets(gens: Sequence[Point]) -> dict[Point, int]:

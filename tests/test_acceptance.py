@@ -53,10 +53,7 @@ from running_example import (
     STALACTITES_NATURAL,
     W,
 )
-from test_lattice import truncate
-from test_monomial import hilbert_function_bruteforce
-from test_schubert import inversions
-from test_stalactite import increasing_path_check, verify_mobius_sums
+from oracles import hilbert_function_bruteforce, increasing_path_check, inversions, truncate, verify_mobius_sums
 
 
 def report(n, text):

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from kpoly import cli, mobius, monomial, polymatroid, schubert
+from kpoly import cli, mobius, monomial, polymatroid, schubert, stalactite
 from kpoly.cli import main
 from kpoly.lattice import CapExceeded, Check, IntPolynomial, parse_vector, point_set, point_set_to_json
 from kpoly.subspaces import config_to_json, random_config
@@ -95,7 +95,7 @@ def test_route_mismatch_carries_a_witness(monkeypatch, capsys):
 
     def perturbed(w):
         f = real(w)
-        return f + IntPolynomial.monomial(f.num_vars, (0,) * f.num_vars)
+        return f + IntPolynomial(f.num_vars, [((0,) * f.num_vars, 1)])
 
     monkeypatch.setattr(schubert, "grothendieck_via_mobius", perturbed)
     assert main(["grothendieck", "1,5,3,2,4", "--verify", "--json"]) == 1
@@ -382,7 +382,7 @@ def test_hilbert_command(tmp_path, capsys):
 
 
 def _plus_one_at_origin(f):
-    return f + IntPolynomial.monomial(f.num_vars, (0,) * f.num_vars)
+    return f + IntPolynomial(f.num_vars, [((0,) * f.num_vars, 1)])
 
 
 def _perturb(monkeypatch, module, name, change):
@@ -426,7 +426,7 @@ def _verify_theorem_a(monkeypatch, tmp_path):
 
 
 def _mobius_check(monkeypatch, tmp_path):
-    _perturb(monkeypatch, mobius, "hsupp_from_msupp", _plus_one_at_origin)
+    _perturb(monkeypatch, stalactite, "hsupp_from_msupp", _plus_one_at_origin)
     return ["mobius", write_json(tmp_path, "msupp.json", [list(q) for q in MSUPP_3]), "--check"]
 
 

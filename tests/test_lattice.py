@@ -35,23 +35,14 @@ from kpoly.lattice import (
     truncation_masks,
 )
 from kpoly.mobius import Matroid
-from kpoly.monomial import BorelPrime, SquareFreeIdeal
+from kpoly.monomial import SquareFreeIdeal
 from kpoly.polymatroid import GPolyInequalitySystem
 from kpoly.subspaces import SubspaceConfig
+from oracles import check_index_subset, truncate
 from running_example import MSUPP_3
 
 
 # literal lattice operations that only the tests' oracles use
-
-
-def unit_shift(u: Point, minus: int | None = None, plus: int | None = None) -> Point:
-    """u - e_minus + e_plus with 0-based indices; either side optional."""
-    w = list(u)
-    if minus is not None:
-        w[minus] -= 1
-    if plus is not None:
-        w[plus] += 1
-    return tuple(w)
 
 
 def lex_compare(u: Point, v: Point, axis_order=None) -> int:
@@ -63,21 +54,6 @@ def lex_compare(u: Point, v: Point, axis_order=None) -> int:
         order = check_axis_order(axis_order, len(u))
         u, v = (tuple(w[i - 1] for i in order) for w in (u, v))
     return (u > v) - (u < v)
-
-
-def truncate(A: PointSet, b) -> PointSet:
-    """Points of A that dominate b componentwise (the b-truncation)."""
-    return PointSet._raw(A.ambient_p, (q for q in A if dominates(q, b)))
-
-
-def check_index_subset(J, p: int) -> tuple[int, ...]:
-    """Validate a nonempty subset of 1..p; return it sorted."""
-    idx = sorted(set(J))
-    if not idx:
-        raise ValueError("index subset must be nonempty")
-    if idx[0] < 1 or idx[-1] > p:
-        raise ValueError(f"index subset {idx} not inside 1..{p}")
-    return tuple(idx)
 
 
 def support_bounds(A: PointSet, J) -> tuple[int, int]:
@@ -388,7 +364,7 @@ def test_truncation_masks_match_the_definition_on_every_value_class():
 
 def test_every_zeta_runs_on_the_value_grid(monkeypatch):
     from kpoly.polymatroid import is_cave
-    from test_stalactite import dominance_sums, verify_mobius_sums
+    from oracles import dominance_sums, verify_mobius_sums
 
     # the box from the origin holds 1002^3 cells; the value grid holds 8
     far = [(1000, 1000, 1001), (1000, 1001, 1000), (1001, 1000, 1000)]
@@ -407,7 +383,7 @@ def test_every_zeta_runs_on_the_value_grid(monkeypatch):
 
 
 def test_dominance_sum_grid_cap_fires_before_allocating():
-    from test_stalactite import dominance_sums
+    from oracles import dominance_sums
 
     # 101 values on each axis: 101^3 cells of the value grid exceed GRID_CAP,
     # and masks of 101 bits would take over 30 MB
@@ -477,7 +453,6 @@ def test_derived_sets_equal_their_checked_construction():
 # each record class by keyword arguments, and the repr the frozen dataclass it
 # replaces printed for it
 RECORDS = [
-    (BorelPrime, {"a": (3, 1, 0), "m": [4, 4, 4]}, "BorelPrime(a=(3, 1, 0), m=(4, 4, 4))"),
     (SquareFreeIdeal, {"m": (3, 3), "primes": [(1, 0), [0, 1]]},
      "SquareFreeIdeal(m=(3, 3), primes=((1, 0), (0, 1)))"),
     (GPolyInequalitySystem, {"ambient_p": 2, "lower": [0, 1, 2, 3], "upper": range(4)},
@@ -508,12 +483,12 @@ def test_record_behaves_as_the_frozen_dataclass_it_replaces(cls, kwargs, text):
 
 def test_records_of_different_classes_never_compare_equal():
     class Twin(Record):
-        __slots__ = ("a", "m")
+        __slots__ = ("m", "primes")
 
-    prime = BorelPrime((3, 1, 0), (4, 4, 4))
-    twin = Twin((3, 1, 0), (4, 4, 4))
-    assert twin._values() == prime._values() and hash(twin) == hash(prime)
-    assert twin != prime and prime != twin and len({twin, prime}) == 2
+    ideal = SquareFreeIdeal((4, 4), ((3, 1), (1, 2)))
+    twin = Twin((4, 4), ((3, 1), (1, 2)))
+    assert twin._values() == ideal._values() and hash(twin) == hash(ideal)
+    assert twin != ideal and ideal != twin and len({twin, ideal}) == 2
     records = [cls(**kwargs) for cls, kwargs, _ in RECORDS]
     assert all((x == y) == (x is y) for x in records for y in records)
-    assert prime != (prime.a, prime.m)
+    assert ideal != (ideal.m, ideal.primes)

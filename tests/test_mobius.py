@@ -1,15 +1,13 @@
-import importlib
 import inspect
 import itertools
+import json
 import math
-import pkgutil
 import random
-import sys
 
 import pytest
 
-from kpoly import mobius
-from kpoly.lattice import CapExceeded, Check, IntPolynomial, Point, PointSet, dominates, members, point_set
+from kpoly import cli, mobius, stalactite
+from kpoly.lattice import CapExceeded, Check, IntPolynomial, PointSet, point_set
 from kpoly.mobius import (
     Matroid,
     _reduced_euler,
@@ -24,36 +22,15 @@ from kpoly.mobius import (
     mobius_to_top,
     mu_support,
     mu_support_survey,
-    verify_deg_equals_neg_mobius,
     verify_matroid_mu_theorem,
 )
-from kpoly.monomial import hilbert_poly_ie, msupp_to_ideal
-from kpoly.polymatroid import G_POLY_METHODS, base_polymatroid, is_g_polymatroid, rank_functions
-from kpoly.schubert import grothendieck
+from kpoly.polymatroid import base_polymatroid, rank_functions
 from kpoly.stalactite import hsupp_from_msupp
-from kpoly.subspaces import linear_polymatroid, random_config, rank_table
+from kpoly.subspaces import linear_polymatroid, random_config
+import oracles
+from oracles import _mobius_recursive
 from running_example import AMBIENT_M3, KPOLY_3, MSUPP_3
-from test_monomial import hilbert_function_bruteforce
-from test_polymatroid import candidate_filter
-from test_subspaces import rank_of
-
-# downset elements the recursive oracle, quadratic in them, may walk
-RECURSIVE_CAP = 10_000
-
-
-def _mobius_recursive(P: PointSet) -> IntPolynomial:
-    """The tests' oracle for mobius_to_top on a base polymatroid P: the
-    generic first-argument recursion mu(u) = -(1 + sum_{w>u} mu(w)) over the
-    literal lattice.downset of at most RECURSIVE_CAP elements, sharing no
-    code with mobius_to_top."""
-    ds = downset(P)
-    if len(ds) > RECURSIVE_CAP:
-        raise CapExceeded(f"downset has {len(ds)} elements (recursive cap {RECURSIVE_CAP})")
-    mu: dict[Point, int] = {}
-    for u in sorted(ds, key=lambda q: (-sum(q), q)):
-        mu[u] = -(1 + sum(mu[w] for w in mu if w != u and dominates(w, u)))
-    return IntPolynomial._raw(P.ambient_p, {u: c for u, c in mu.items() if c})
-
+from test_routes import _kpoly_functions, _reached
 
 
 def uniform_matroid(r, p):
@@ -169,74 +146,9 @@ def test_mobius_methods_agree_on_the_theorem_c_linear_polymatroids():
     assert largest == 238
 
 
-# kpoly functions that a production route and its literal oracle may both
-# reach: the raw constructor and container protocol of the value types
-SHARED_PRIMITIVES = (
-    "kpoly.lattice.IntPolynomial._raw",
-    "kpoly.lattice.PointSet.__bool__",
-    "kpoly.lattice.PointSet.__iter__",
-    "kpoly.lattice.PointSet.__len__",
-)
-
-
-def _kpoly_functions() -> dict:
-    """{code object: function} for every function and method a kpoly module
-    defines, through caches, properties and class or static methods."""
-    import kpoly
-
-    index = {}
-    for info in pkgutil.iter_modules(kpoly.__path__):
-        module = importlib.import_module(f"kpoly.{info.name}")
-        for obj in vars(module).values():
-            if getattr(obj, "__module__", None) != module.__name__:
-                continue
-            for f in [obj, *vars(obj).values()] if isinstance(obj, type) else [obj]:
-                f = getattr(f, "__func__", f)
-                f = inspect.unwrap(getattr(f, "fget", f))
-                if inspect.isfunction(f):
-                    index[f.__code__] = f
-    return index
-
-
-def _reached(index: dict, route, inputs) -> set[str]:
-    """Qualified names of the functions in index that route calls on inputs."""
-    seen = set()
-
-    def record(frame, event, arg):
-        f = index.get(frame.f_code)
-        if event == "call" and f is not None:
-            seen.add(f"{f.__module__}.{f.__qualname__}")
-
-    previous = sys.getprofile()
-    sys.setprofile(record)
-    try:
-        for x in inputs:
-            route(x)
-    finally:
-        sys.setprofile(previous)
-    return seen
-
-
 def test_literal_oracles_never_enter_the_grid_kernel(monkeypatch):
     from kpoly import lattice, monomial
     from kpoly.monomial import SquareFreeIdeal, _ie_coefficients_subsets
-    from kpoly.schubert import msupp_of_matrix_schubert, zero_one_permutations
-
-    # each production route and its oracle reach disjoint sets of kpoly
-    # functions, up to SHARED_PRIMITIVES, on the running example and the
-    # zero-one supports of S_4
-    pairs = [(point_set(MSUPP_3), AMBIENT_M3)] + [msupp_of_matrix_schubert(w) for w in zero_one_permutations(4)]
-    msupps = [P for P, _ in pairs]
-    ideals = [msupp_to_ideal(P, m) for P, m in pairs]
-    index = _kpoly_functions()
-    for route, oracle, inputs in (
-        (mobius_to_top, _mobius_recursive, msupps),
-        (hilbert_poly_ie, lambda J: _ie_coefficients_subsets(J.primes), ideals),
-    ):
-        production = _reached(index, route, inputs)
-        assert "kpoly.lattice.downset_difference" in production
-        shared = production & _reached(index, oracle, inputs)
-        assert shared <= set(SHARED_PRIMITIVES), sorted(shared)
 
     expected_mu = mobius_to_top(point_set(MSUPP_3))
     J = SquareFreeIdeal((4, 4), ((0, 3), (1, 2), (3, 0)))
@@ -250,62 +162,11 @@ def test_literal_oracles_never_enter_the_grid_kernel(monkeypatch):
         monkeypatch.setattr(module, "downset_difference", refuse)
     with pytest.raises(AssertionError):
         mobius_to_top(point_set(MSUPP_3))
+    with pytest.raises(AssertionError):
+        monomial.hilbert_poly_ie(J)
     assert _mobius_recursive(point_set(MSUPP_3)) == expected_mu
     assert _ie_coefficients_subsets(J.primes) == expected_ie
     assert _reduced_euler(independent_sets(uniform_matroid(2, 4))) == -3
-
-
-def test_bruteforce_hilbert_count_runs_neither_hilbert_route():
-    # the direct monomial count against the inclusion-exclusion and the
-    # stalactite Hilbert polynomials on the running example: beyond
-    # SHARED_PRIMITIVES they share only the ideal's own ambient_p
-    P = point_set(MSUPP_3)
-    J = msupp_to_ideal(P, AMBIENT_M3)
-    index = _kpoly_functions()
-    count = _reached(index, lambda v: hilbert_function_bruteforce(J, v), itertools.product(range(3), repeat=3))
-    declared = {"kpoly.monomial.SquareFreeIdeal.ambient_p"}
-    for route, inputs in ((hilbert_poly_ie, [J]), (hsupp_from_msupp, [P])):
-        shared = count & _reached(index, route, inputs)
-        assert shared <= set(SHARED_PRIMITIVES) | declared, sorted(shared)
-
-
-def test_rank_table_and_g_polymatroid_methods_share_only_declared_names():
-    # rank_table against rank_of on every mask over the criterion-08 configs,
-    # base_polymatroid against the candidate filter on their rank tables, and
-    # the three g-polymatroid methods pairwise on the Grothendieck supports of
-    # S_4; each pair's names beyond SHARED_PRIMITIVES are declared with it.
-    # base_polymatroid walks Q(c, f) of a rank table with the paramodular
-    # method's local-submodularity scan and integer-point walk, which that
-    # method runs on the support bounds of a point set; it shares no kernel
-    # with axioms.  axioms and homogenization decide their pair loops on the
-    # same bitmask tables over the points; the literal loops of
-    # test_polymatroid check each against its definition
-    rng = random.Random(20240817)  # the stream of acceptance criterion 08
-    configs = [random_config(rng.randint(2, 5), rng.randint(2, 5), rng) for _ in range(200)]
-    tables = list(map(rank_table, configs))
-    supps = [grothendieck(w).support() for w in itertools.permutations(range(1, 5))]
-    index = _kpoly_functions()
-    reached = {m: _reached(index, lambda G, m=m: is_g_polymatroid(G, m), supps) for m in G_POLY_METHODS}
-    base = _reached(index, base_polymatroid, tables)
-    assert base & _reached(index, candidate_filter, tables) <= set(SHARED_PRIMITIVES)
-    dispatch = {"kpoly.polymatroid.is_g_polymatroid", "kpoly.lattice.Check.__init__"}
-    for one, other, declared in (
-        (_reached(index, rank_table, configs),
-         _reached(index, lambda c: [rank_of(c, members(X)) for X in range(1 << c.p)], configs),
-         {"kpoly.subspaces.SubspaceConfig.p"}),
-        (reached["axioms"], reached["homogenization"],
-         dispatch | {"kpoly.polymatroid._point_masks", "kpoly.lattice._order_masks",
-                     "kpoly.polymatroid._first_failure", "kpoly.lattice._cube_coding"}),
-        (reached["axioms"], reached["paramodular"], dispatch),
-        (reached["homogenization"], reached["paramodular"], dispatch | {"kpoly.lattice.Check.__bool__"}),
-        (base, reached["axioms"], dispatch),
-        (base, reached["paramodular"], dispatch | {"kpoly.lattice.Check.__bool__",
-                                                   "kpoly.polymatroid._submodular_violation",
-                                                   "kpoly.polymatroid._integer_points"}),
-    ):
-        shared = one & other
-        assert one - shared and other - shared
-        assert shared <= set(SHARED_PRIMITIVES) | declared, sorted(shared)
 
 
 def test_base_polymatroid_checks_its_table_without_the_paramodular_pair():
@@ -319,7 +180,7 @@ def test_base_polymatroid_checks_its_table_without_the_paramodular_pair():
         except ValueError:
             pass
 
-    reached = _reached(_kpoly_functions(), route, tables)
+    reached = _reached(route, tables)
     assert "kpoly.polymatroid._submodular_violation" in reached
     assert not reached & {"kpoly.polymatroid._paramodular_check", "kpoly.polymatroid._paramodular_witness"}
 
@@ -337,11 +198,11 @@ def test_recursive_oracle_refuses_a_downset_above_its_cap(monkeypatch):
     # such cap
     P = point_set(MSUPP_3)
     expected = mobius_to_top(P)
-    monkeypatch.setitem(globals(), "RECURSIVE_CAP", 88)
+    monkeypatch.setattr(oracles, "RECURSIVE_CAP", 88)
     with pytest.raises(CapExceeded, match=r"^downset has 89 elements \(recursive cap 88\)$"):
         _mobius_recursive(P)
     assert mobius_to_top(P) == expected
-    monkeypatch.setitem(globals(), "RECURSIVE_CAP", 89)
+    monkeypatch.setattr(oracles, "RECURSIVE_CAP", 89)
     assert _mobius_recursive(P) == expected
 
 
@@ -350,25 +211,34 @@ def test_mobius_requires_polymatroid():
         mobius_to_top(point_set([(2, 0), (0, 2)]))
 
 
-def test_deg_equals_neg_mobius():
-    assert verify_deg_equals_neg_mobius(point_set(MSUPP_3))
-    assert verify_deg_equals_neg_mobius(point_set([(2, 1, 0)]))
+def deg_vs_mu(tmp_path, P: PointSet):
+    """The witness of `kpoly mobius --check` on P, None when deg = -mu holds."""
+    path = tmp_path / "msupp.json"
+    path.write_text(json.dumps([list(q) for q in P]))
+    args = cli.build_parser().parse_args(["mobius", str(path), "--check"])
+    payload = args.func(args).payload
+    assert payload["deg_equals_neg_mu"] == ("witness" not in payload)
+    return payload.get("witness")
 
 
-def test_deg_vs_mobius_witness_is_the_first_differing_point(monkeypatch):
+def test_deg_equals_neg_mobius(tmp_path):
+    assert deg_vs_mu(tmp_path, point_set(MSUPP_3)) is None
+    assert deg_vs_mu(tmp_path, point_set([(2, 1, 0)])) is None
+
+
+def test_deg_vs_mobius_witness_is_the_first_differing_point(monkeypatch, tmp_path):
     # a coefficient changed at (2, 2, 3) and a point added at (5, 5, 5): the
     # witness is the lex-first of the two, inside the support or not
     def perturbed(msupp):
         H = hsupp_from_msupp(msupp)
         return IntPolynomial(H.num_vars, {**H.terms, (2, 2, 3): H.coeff((2, 2, 3)) + 7, (5, 5, 5): 1})
 
-    monkeypatch.setattr(mobius, "hsupp_from_msupp", perturbed)
-    chk = verify_deg_equals_neg_mobius(point_set(MSUPP_3))
-    assert not chk
-    assert chk.witness == {"condition": "deg-vs-mobius", "n": [2, 2, 3], "deg": 5, "neg_mu": -2}
+    monkeypatch.setattr(stalactite, "hsupp_from_msupp", perturbed)
+    witness = deg_vs_mu(tmp_path, point_set(MSUPP_3))
+    assert witness == {"condition": "deg-vs-mobius", "n": [2, 2, 3], "deg": 5, "neg_mu": -2}
 
 
-def test_deg_equals_neg_mobius_randomized():
+def test_deg_equals_neg_mobius_randomized(tmp_path):
     rng = random.Random(3)
     from kpoly.polymatroid import is_base_polymatroid
 
@@ -378,7 +248,7 @@ def test_deg_equals_neg_mobius_randomized():
         P = PointSet(3, rng.sample(cells, rng.randint(1, 6)))
         if is_base_polymatroid(P):
             hits += 1
-            assert verify_deg_equals_neg_mobius(P)
+            assert deg_vs_mu(tmp_path, P) is None
     assert hits > 20
 
 
@@ -427,7 +297,7 @@ def test_contraction():
 def test_contract_whole_basis_to_rank_zero():
     M = Matroid(2, point_set([(1, 1)]))
     Z = contraction(M, (1, 1))
-    assert Z.ground == 0 and Z.rank == 0
+    assert Z.ground == 0 and sum(Z.bases.points[0]) == 0  # rank 0
     assert list(Z.bases) == [()]
 
 

@@ -7,9 +7,8 @@ import pytest
 from operator import sub
 
 from kpoly import monomial
-from kpoly.lattice import CapExceeded, IntPolynomial, Point, as_point, point_set
+from kpoly.lattice import CapExceeded, IntPolynomial, Point, point_set
 from kpoly.monomial import (
-    BorelPrime,
     _ie_coefficients_lattice,
     _ie_coefficients_subsets,
     SquareFreeIdeal,
@@ -17,14 +16,13 @@ from kpoly.monomial import (
     msupp_to_ideal,
 )
 from kpoly.stalactite import hilbert_eval, hsupp_from_msupp
+import oracles
+from oracles import count_monomials, hilbert_function_bruteforce
 from running_example import AMBIENT_M3, HILBERT_3, KPOLY_3, MSUPP_3
 from test_lattice import literal_downset_difference
 
-# the K-polynomial of the lattice route, and two oracles the library does not
-# run: the per-facet shellable refinement and the direct monomial count
-
-# monomials hilbert_function_bruteforce may enumerate
-BRUTEFORCE_CAP = 2_000_000
+# the K-polynomial of the lattice route, and an oracle the library does not
+# run: the per-facet shellable refinement
 
 
 def k_poly_ie(J: SquareFreeIdeal) -> IntPolynomial:
@@ -70,57 +68,6 @@ def hilbert_poly_shellable(J: SquareFreeIdeal) -> IntPolynomial:
     return IntPolynomial._raw(J.ambient_p, acc)
 
 
-def _compositions(total: int, parts: int):
-    """All ways to write total as an ordered sum of `parts` nonnegative ints."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def count_monomials(v: Point, m: Point) -> int:
-    return math.prod(math.comb(vi + mi, mi) for vi, mi in zip(v, m))
-
-
-def hilbert_function_bruteforce(J: SquareFreeIdeal, v) -> int:
-    """Number of multidegree-v monomials outside J, by direct enumeration of
-    all monomials of multidegree v: a monomial survives iff its variables
-    avoid some minimal prime entirely.  The tests' oracle for the Hilbert
-    polynomials: it runs neither the inclusion-exclusion nor the stalactite
-    route.  CapExceeded above BRUTEFORCE_CAP monomials, before the
-    enumeration.
-    """
-    v = as_point(v, J.ambient_p)
-    n_monomials = count_monomials(v, J.m)
-    if n_monomials > BRUTEFORCE_CAP:
-        raise CapExceeded(f"{n_monomials} monomials exceed the enumeration cap {BRUTEFORCE_CAP}")
-
-    # A monomial avoids p_a iff, in every component i, it only uses variables
-    # x_{i,j} with j >= a_i; only the smallest used index per component matters.
-    per_component = []
-    for vi, mi in zip(v, J.m):
-        mins = []
-        for comp in _compositions(vi, mi + 1):
-            first = next((j for j, e in enumerate(comp) if e), None)
-            mins.append(first)  # None when vi == 0: no constraint
-        per_component.append(mins)
-
-    coverage: dict[tuple, bool] = {}
-
-    def covered(s: tuple) -> bool:
-        hit = coverage.get(s)
-        if hit is None:
-            hit = any(
-                all(si is None or si >= ai for si, ai in zip(s, a)) for a in J.primes
-            )
-            coverage[s] = hit
-        return hit
-
-    return sum(1 for s in itertools.product(*per_component) if covered(s))
-
-
 def running_ideal() -> SquareFreeIdeal:
     return msupp_to_ideal(point_set(MSUPP_3), AMBIENT_M3)
 
@@ -141,8 +88,6 @@ def test_hilbert_poly_prime():
     # p = 1 line in the plane: C(t+1, 1)
     line = hilbert_poly_ie(SquareFreeIdeal((2,), ((1,),)))
     assert line.terms == {(1,): 1}
-    with pytest.raises(ValueError):
-        BorelPrime((3,), (2,))
 
 
 def test_msupp_to_ideal_running_example():
@@ -362,7 +307,7 @@ def test_hilbert_function_equals_polynomial_running_example():
 def test_bruteforce_cap(monkeypatch):
     J = running_ideal()
     assert count_monomials((3, 3, 3), (4, 4, 4)) == 35**3
-    monkeypatch.setitem(globals(), "BRUTEFORCE_CAP", 100)
+    monkeypatch.setattr(oracles, "BRUTEFORCE_CAP", 100)
     with pytest.raises(CapExceeded):
         hilbert_function_bruteforce(J, (3, 3, 3))
 

@@ -44,7 +44,8 @@ from kpoly.polymatroid import (
 from kpoly.schubert import grothendieck, msupp_of_matrix_schubert, zero_one_permutations
 from kpoly.subspaces import linear_polymatroid, random_config, rank_table
 from running_example import HILBERT_3, INEQUALITIES, KPOLY_3, MSUPP_3
-from test_lattice import support_bounds, truncate, unit_shift
+from oracles import candidate_filter, truncate, unit_shift
+from test_lattice import support_bounds
 from test_stalactite import literal_stalactite_union
 
 
@@ -807,37 +808,6 @@ def test_base_polymatroid_matches_the_literal_box_filter():
         assert base_polymatroid(f) == PointSet(p, want), f
 
 
-def base_candidates(total, caps):
-    """Tuples y with 0 <= y_i <= caps[i] and sum(y) == total, in lex order."""
-    points = [()]
-    for i, cap in enumerate(caps):
-        rest = sum(caps[i + 1:])
-        points = [
-            y + (a,)
-            for y in points
-            for a in range(max(0, total - sum(y) - rest), min(cap, total - sum(y)) + 1)
-        ]
-    return points
-
-
-def candidate_filter(ranks):
-    """The base polymatroid of a rank table by the literal route, in lex
-    order: every stars-and-bars candidate inside the singleton ranks, kept
-    when it meets the rank bound of every subset of its support (rank is
-    monotone, so no other bound can bind)."""
-    p, total = len(ranks).bit_length() - 1, ranks[-1]
-    points = []
-    for y in base_candidates(total, [min(ranks[1 << i], total) for i in range(p)]):
-        sums, masks = [0], [0]  # y(J) and J over the subsets J of supp y
-        for i, v in enumerate(y):
-            if v:
-                sums += [s + v for s in sums]
-                masks += [m | 1 << i for m in masks]
-        if all(s <= ranks[m] for s, m in zip(sums, masks)):
-            points.append(y)
-    return points
-
-
 def check_walk_against_the_candidate_filter(ranks) -> int:
     """Assert that base_polymatroid returns the candidate filter's points in
     its order, and that each output passes the exchange check, the evidence
@@ -899,10 +869,7 @@ def test_base_polymatroid_verdict_is_computed_once_per_set(monkeypatch):
     assert len(evaluated) == 3
 
 
-def test_homogenization_never_enters_the_paramodular_code(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("homogenization reached the paramodular code")
-
+def test_homogenization_agrees_with_axioms_on_large_sets():
     # criterion 07's Grothendieck supports and some larger mu-supports of
     # linear polymatroids, each also with a midpoint dropped
     rng = random.Random(61)
@@ -911,8 +878,6 @@ def test_homogenization_never_enters_the_paramodular_code(monkeypatch):
     # boxes in the plane of 1140 to 2009 points
     sets += [PointSet(2, itertools.product(range(a), range(b))) for a in range(30, 42) for b in (a + 8, 2000 // a)]
     sets += [H for H in map(_without_a_midpoint, sets) if H is not None]
-    monkeypatch.setattr(polymatroid, "_paramodular_check", forbidden)
-    monkeypatch.setattr(polymatroid, "_support_tables", forbidden)
     verdicts = {True: 0, False: 0}
     for G in sets:
         h = bool(is_g_polymatroid(G, "homogenization"))

@@ -26,12 +26,14 @@ from kpoly.schubert import (
     swap_adjacent,
     zero_one_permutations,
 )
+from oracles import inversions
 from running_example import KPOLY_5, MSUPP_5, W
 from test_lattice import support_bounds
 
 
-def inversions(w) -> int:
-    return sum(a > b for a, b in itertools.combinations(w, 2))
+def swap_vars(f: IntPolynomial, j: int) -> IntPolynomial:
+    """s_j f: f with z_j and z_{j+1} exchanged (j is 1-based)."""
+    return IntPolynomial._raw(f.num_vars, {e[:j - 1] + (e[j], e[j - 1]) + e[j + 1:]: c for e, c in f.terms.items()})
 
 
 # the divided-difference operators on polynomials, run on the code kernels
@@ -178,7 +180,7 @@ def test_divided_difference_matches_its_definition():
         j = rng.randint(1, nv - 1)
         zj = IntPolynomial(nv, {tuple(int(k == j - 1) for k in range(nv)): 1})
         zj1 = IntPolynomial(nv, {tuple(int(k == j) for k in range(nv)): 1})
-        assert (zj - zj1) * divided_difference(f, j) == f - f.swap_vars(j)
+        assert (zj - zj1) * divided_difference(f, j) == f - swap_vars(f, j)
 
 
 def test_code_kernels_match_the_literal_kernels():
@@ -189,7 +191,7 @@ def test_code_kernels_match_the_literal_kernels():
         nv = rng.randint(2, 5)
         edge = rng.randint(0, 5)
         f = rand_poly(rng, nv, max_exp=edge, n_terms=rng.randint(0, 8))
-        f = f + IntPolynomial.monomial(nv, (edge,) * nv, rng.choice((-2, -1, 1, 3)))
+        f = f + IntPolynomial(nv, [((edge,) * nv, rng.choice((-2, -1, 1, 3)))])
         j = rng.randint(1, nv - 1)
         assert divided_difference(f, j).terms == divided_difference_literal(f.terms, j)
         assert isobaric_divided_difference(f, j).terms == isobaric_literal(f.terms, j)
@@ -222,7 +224,7 @@ def test_divided_difference_kills_symmetric_parts():
         nv = rng.randint(2, 4)
         f = rand_poly(rng, nv)
         j = rng.randint(1, nv - 1)
-        sym = f * f.swap_vars(j)  # symmetric in z_j, z_{j+1}
+        sym = f * swap_vars(f, j)  # symmetric in z_j, z_{j+1}
         assert not divided_difference(sym, j)
         # Leibniz-like: d_j(sym * g) = sym * d_j(g)
         g = rand_poly(rng, nv)

@@ -5,18 +5,13 @@ import random
 import pytest
 
 from kpoly.lattice import (
-    Check,
-    EmptySetError,
     IntPolynomial,
     Point,
     PointSet,
     as_point,
-    axis_values,
-    class_floors,
     dominates,
     point_set,
     top,
-    truncation_masks,
 )
 from kpoly.stalactite import (
     collapse_fixed_components,
@@ -38,7 +33,8 @@ from running_example import (
     STALACTITES_312,
     STALACTITES_NATURAL,
 )
-from test_lattice import lex_compare, unit_shift
+from oracles import dominance_sums, increasing_path_check, unit_shift, verify_mobius_sums
+from test_lattice import lex_compare
 
 
 # the paper's stalactites and its checks on a signed Hilbert support, by
@@ -77,25 +73,6 @@ def neighbor_directions(u: Point, V: PointSet) -> tuple[int, ...]:
     )
 
 
-def increasing_path_check(H: IntPolynomial) -> Check:
-    """Every support point must reach a top point by +e_i steps inside the support."""
-    if not H:
-        return Check(True)
-    supp = set(H.terms)
-    mx = max(sum(q) for q in supp)
-    reachable = {q for q in supp if sum(q) == mx}
-    for s in range(mx - 1, -1, -1):
-        for q in supp:
-            if sum(q) != s:
-                continue
-            if any(unit_shift(q, None, i) in reachable for i in range(len(q))):
-                reachable.add(q)
-    stuck = sorted(supp - reachable)
-    if stuck:
-        return Check(False, {"condition": "increasing-path", "stuck": [list(q) for q in stuck]})
-    return Check(True)
-
-
 def mobius_sum_check(H: IntPolynomial, n) -> int:
     """Sum of H over all support points dominating n.  Requires a dominating
     top point to exist."""
@@ -104,39 +81,6 @@ def mobius_sum_check(H: IntPolynomial, n) -> int:
     if not any(dominates(w, n) for w in tops):
         raise ValueError(f"no top support point dominates {n}")
     return sum(c for q, c in H.terms.items() if dominates(q, n))
-
-
-def dominance_cells(H: IntPolynomial):
-    """(n, mask, S(n)) for each class floor n (lattice.class_floors) of the
-    support's values, in natural lex order: mask the bits of the points w >= n
-    of list(H.terms) (lattice.truncation_masks) and S(n) = sum_{w >= n} H(w),
-    summed per coefficient value.  S is constant on each class, and the
-    classes tile the box from the origin to the support's maximum."""
-    if not H:
-        raise EmptySetError("empty support")
-    carriers = {}  # coefficient -> the bits of the points that carry it
-    for k, c in enumerate(H.terms.values()):
-        carriers[c] = carriers.get(c, 0) | 1 << k
-    floors = itertools.product(*class_floors(axis_values(H.terms)))
-    for n, mask in zip(floors, truncation_masks(list(H.terms))):
-        yield n, mask, sum(c * (mask & bits).bit_count() for c, bits in carriers.items())
-
-
-def dominance_sums(H: IntPolynomial) -> dict[Point, int]:
-    """S(n) = sum_{w >= n} H(w), keyed by class floors (dominance_cells)."""
-    return {n: s for n, _, s in dominance_cells(H)}
-
-
-def verify_mobius_sums(H: IntPolynomial) -> Check:
-    """Check sum_{w >= n} H(w) = 1 for every n dominated by some top point:
-    the classes whose mask holds a top point.  A failure names the first
-    such n in natural lex order, its class floor."""
-    tops = top(H.support())._set
-    hits = sum(1 << k for k, q in enumerate(H.terms) if q in tops)
-    for n, mask, s in dominance_cells(H):
-        if mask & hits and s != 1:
-            return Check(False, {"condition": "dominance-sum", "n": list(n), "sum": s})
-    return Check(True)
 
 
 def test_stalactite_of_233():

@@ -3,6 +3,7 @@ owner per kernel, so private names cross modules only out of lattice, and no
 module importing the stdlib packages that cost a fresh process its start-up."""
 
 import ast
+import collections
 import graphlib
 import pathlib
 import subprocess
@@ -71,7 +72,17 @@ def test_import_loads_neither_multiprocessing_nor_dataclasses(name):
     assert run.stdout.split() == []
 
 
-# public functions that nothing in src/kpoly calls, each with why it stays
+def test_acceptance_batteries_load_no_test_runner():
+    # the CI steps import test_acceptance in a fresh process for its check_*
+    # batteries; it and the oracles it reads import no pytest
+    paths = [str(pathlib.Path(kpoly.__file__).parent.parent), str(pathlib.Path(__file__).parent)]
+    code = f"import sys; sys.path[:0] = {paths!r}; import test_acceptance; print('pytest' in sys.modules)"
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["False"]
+
+
+# public functions, classes and methods that nothing in src/kpoly calls, each
+# with why it stays
 KEPT_PUBLIC = {
     "lattice.point_set": "the user-facing constructor of a point set from any points",
     "polymatroid.base_polymatroid": "the checked constructor of a base polymatroid from a user's rank table",
@@ -88,35 +99,39 @@ KEPT_PUBLIC = {
 }
 
 
+def _references(node, modules=()):
+    """Every name but those in modules, attribute and string constant under node."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and n.id not in modules:
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            yield n.value
+
+
 def _unreferenced_public_functions():
-    """module.name of each public top-level function of src/kpoly that no
-    module but __init__ names outside the function's own def: as a name, an
-    attribute or a string constant (cli.ROUTES looks routes up by name), not
-    counting the names that `from . import` binds to kpoly modules."""
-    defs = {node.name: (name, node) for name, tree in SOURCES.items() if name != "__init__"
-            for node in tree.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
-    referenced = set()
+    """module.name of each public top-level function and class of src/kpoly,
+    and module.Class.name of each public method of those classes, that no
+    module but __init__ names outside the def itself: as a name, an attribute
+    or a string constant, not counting the names that `from . import` binds
+    to kpoly modules."""
+    counts, defs = collections.Counter(), {}
     for name, tree in SOURCES.items():
         if name == "__init__":
             continue
         modules = {alias.asname or alias.name for node in ast.walk(tree)
                    if isinstance(node, ast.ImportFrom) and node.level and not node.module for alias in node.names}
-        for top in tree.body:
-            for n in ast.walk(top):
-                if isinstance(n, ast.Name) and n.id not in modules:
-                    ref = n.id
-                elif isinstance(n, ast.Attribute):
-                    ref = n.attr
-                elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-                    ref = n.value
-                else:
-                    continue
-                if ref != getattr(top, "name", None):
-                    referenced.add(ref)
-    return {f"{module}.{fn}" for fn, (module, _) in defs.items() if fn not in referenced}
+        counts.update(_references(tree, modules))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[f"{name}.{node.name}"] = node
+                defs.update((f"{name}.{node.name}.{f.name}", f) for f in node.body if isinstance(f, ast.FunctionDef))
+    return {qualified for qualified, node in defs.items() if "._" not in qualified
+            and counts[node.name] == list(_references(node)).count(node.name)}
 
 
 def test_every_public_function_has_a_caller_or_a_declared_reason():
-    # a function that only the tests call lives in the tests, beside the
+    # a function or method that only the tests call lives in the tests, beside the
     # route it checks; a kept name that gains a caller leaves the list
     assert _unreferenced_public_functions() == set(KEPT_PUBLIC)

@@ -18,47 +18,9 @@ from kpoly.subspaces import (
     random_config,
     rank_table,
 )
-from test_lattice import check_index_subset
-from test_polymatroid import base_candidates
+from oracles import base_candidates, matrix_rank, rank_of
 
 F = Fraction
-
-
-# the rank function by fresh fraction-exact elimination per subset: the
-# oracle of the rank table
-
-
-def matrix_rank(rows) -> int:
-    """Rank over Q by fraction-exact row elimination."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    n_cols = len(m[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        for r in range(rank + 1, len(m)):
-            f = m[r][col] / pv
-            if f:
-                for c in range(col, n_cols):
-                    m[r][c] -= f * m[rank][c]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
-def rank_of(config: SubspaceConfig, J) -> int:
-    """dim of the sum of the subspaces indexed by J (1-based); rank of the
-    empty set is 0."""
-    J = set(J)
-    if not J:
-        return 0
-    return matrix_rank([g for j in check_index_subset(J, config.p) for g in config.subspaces[j - 1]])
 
 
 def lines(*vecs):
