@@ -2,17 +2,19 @@
 
 Every command prints a human-readable report; ``--json`` switches stdout to
 the JSON payload and ``--out PATH`` writes the JSON alongside the report.
-Exit codes: 0 ok; 1 mathematical violation (failed axiom; route, oracle or
-method mismatch); 2 usage or resource error, raised as an exception and
-reported on stderr by ``main``.  Every result is built by ``_result``, and
-exit 1 comes only from a failed ``Check``: its witness goes into the payload
-under ``witness`` and ends the report as a ``  witness: {...}`` line.  The
-report is a function that formats its lines only when the report is printed,
-never when only the JSON is.  Each command decides nothing the library
-already decides: it loads its input, calls the library routes and reports
-their verdicts.  Every route by which a command computes an object is one
-row of ROUTES, which --via and --verify, --oracle, --check and --method read
-their names, choices and comparisons from.
+Exit codes: 0 ok; 1 mathematical violation (failed axiom; route or method
+mismatch); 2 usage or resource error, raised as an exception and reported on
+stderr by ``main``.  Every command returns one result, (payload, lines,
+check): its JSON payload, its report as a function that formats the lines
+only when the report is printed, never when only the JSON is, and one
+``Check``.  ``_emit`` alone turns a result into output: the status, and exit
+1 for a failed check, whose witness goes into the payload under ``witness``
+and ends the report as a ``  witness: {...}`` line, or else exit 0.  Each
+command decides nothing the library already decides: it loads its input,
+calls the library routes and reports their verdicts.  Every route by which a
+command computes an object is one row of ROUTES, which --via and --verify,
+--oracle, --check and --method read their names, choices and comparisons
+from; ``_compare`` alone compares the routes' polynomials.
 
 The parser is built once per process, with one subparser per command.
 ``main`` parses the arguments after a command name with that command's
@@ -33,7 +35,6 @@ import json
 import random
 import re
 import sys
-from collections.abc import Callable, Iterable
 from json.encoder import encode_basestring_ascii
 
 from .lattice import (
@@ -50,28 +51,6 @@ from .lattice import (
 )
 from . import mobius as mobius_mod
 from . import monomial, polymatroid, schubert, stalactite, subspaces
-
-OK, VIOLATION = "ok", "violation"
-_EXIT = {OK: 0, VIOLATION: 1}
-
-
-class CommandResult:
-    __slots__ = ("status", "payload", "lines")
-
-    def __init__(self, status: str, payload: dict, lines: Callable[[], Iterable[str]]):
-        self.status = status
-        self.payload = payload
-        self.lines = lines  # the report, formatted when called
-
-
-def _result(payload: dict, lines: Callable[[], Iterable[str]], chk: Check | None = None) -> CommandResult:
-    """A command's result, OK unless chk is a failed Check.  A failed check
-    is a VIOLATION: its witness goes into the payload and ends the report."""
-    if chk is None or chk:
-        return CommandResult(OK, payload, lines)
-    payload["witness"] = chk.witness
-    return CommandResult(VIOLATION, payload, lambda: [*lines(), f"  witness: {chk.witness}"])
-
 
 def _json_text(value, pad: str = "") -> str:
     """json.dumps(value, indent=2, sort_keys=True) for a value whose first
@@ -103,15 +82,20 @@ def _json_text(value, pad: str = "") -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
-def _emit(result: CommandResult, args) -> int:
+def _emit(result: tuple, args) -> int:
+    payload, lines, chk = result
+    if not chk:
+        payload["witness"] = chk.witness
     text = None
     if args.json or args.out:
-        text = _json_text({"status": result.status, **result.payload})
+        text = _json_text({"status": "ok" if chk else "violation", **payload})
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    print(text if args.json else "\n".join(result.lines()))
-    return _EXIT[result.status]
+    print(text if args.json else "\n".join(lines()))
+    if not (chk or args.json):
+        print(f"  witness: {chk.witness}")
+    return 0 if chk else 1
 
 
 def _load_json(path: str):
@@ -185,22 +169,23 @@ def _run(obj: str, route: str | None, *args, zero_one: bool = True) -> dict:
     return {route: call(*args) for route, (call, runs, _) in table.items() if runs == ALWAYS or zero_one}
 
 
-def _disagreement(values: dict):
-    """None when the routes' polynomials are equal, else (point, {route:
-    coefficient}) at the first point where they differ."""
+def _compare(values: dict) -> Check:
+    """Whether the routes' polynomials are equal; when they are not, the
+    witness names the first point where they differ and each route's
+    coefficient there."""
     first = next(iter(values.values()))
     if all(f == first for f in values.values()):
-        return None
-    return first_difference({route: f.terms for route, f in values.items()})
+        return Check(True)
+    exp, coeffs = first_difference({route: f.terms for route, f in values.items()})
+    return Check(False, {"condition": "route-mismatch", "exp": exp, "coeffs": coeffs})
 
 
-def cmd_grothendieck(args) -> CommandResult:
+def cmd_grothendieck(args) -> tuple:
     w = schubert.parse_perm(args.permutation)
     zero_one = schubert.is_zero_one(w)
     routes = _run("grothendieck", "all" if args.verify else args.via, w, zero_one=zero_one)
     result = next(iter(routes.values()))
-    diff = _disagreement(routes)
-    agree = diff is None
+    chk = _compare(routes)
     shown = schubert.lowest_degree_part(result) if args.schubert else result
     name = "Schubert" if args.schubert else "Grothendieck"
     text = poly_text(shown)
@@ -211,7 +196,7 @@ def cmd_grothendieck(args) -> CommandResult:
         yield f"  zero-one: {zero_one}"
         if args.verify:
             yield f"  routes computed: {sorted(routes)}"
-            yield f"  routes agree: {agree}"
+            yield f"  routes agree: {bool(chk)}"
 
     payload = {
         "permutation": list(w),
@@ -219,28 +204,23 @@ def cmd_grothendieck(args) -> CommandResult:
         "polynomial": poly_to_json(shown),
         "text": text,
         "routes": sorted(routes),
-        "routes_agree": agree,
+        "routes_agree": bool(chk),
     }
-    if agree:
-        return _result(payload, lines)
-    exp, coeffs = diff
-    mismatch = Check(False, {"condition": "route-mismatch", "exp": exp, "coeffs": coeffs})
-    return _result(payload, lines, mismatch)
+    return payload, lines, chk
 
 
-def cmd_census(args) -> CommandResult:
+def cmd_census(args) -> tuple:
     count = schubert.count_zero_one(args.p)
-    return _result({"p": args.p, "count": count},
-                   lambda: [f"zero-one Schubert polynomials in S_{args.p}: {count}"])
+    return {"p": args.p, "count": count}, lambda: [f"zero-one Schubert polynomials in S_{args.p}: {count}"], Check(True)
 
 
-def _check_result(kind: str, chk: Check, extra: dict | None = None, details=lambda: ()) -> CommandResult:
+def _check_result(kind: str, chk: Check, extra: dict | None = None, details=lambda: ()) -> tuple:
     """A verify kind's result: the verdict line, then the lines details() formats."""
     payload = {"kind": kind, "verdict": bool(chk), **(extra or {})}
-    return _result(payload, lambda: [f"{kind}: {'ok' if chk else 'violation'}", *details()], chk)
+    return payload, lambda: [f"{kind}: {'ok' if chk else 'violation'}", *details()], chk
 
 
-def _verify_gpolymatroid(args, data) -> CommandResult:
+def _verify_gpolymatroid(args, data) -> tuple:
     G = point_set_from_json(data)
     checks = _run("g-polymatroid", args.method, G)
     chk = next(iter(checks.values()))
@@ -252,7 +232,7 @@ def _verify_gpolymatroid(args, data) -> CommandResult:
     return _check_result(args.kind, chk, {"methods": verdicts})
 
 
-def _verify_theorem_a(args, data) -> CommandResult:
+def _verify_theorem_a(args, data) -> tuple:
     """Theorem A: the support is a g-polymatroid, which by Frank's theorem is
     the paramodular classifier's verdict; the report lists the support-bound
     inequalities."""
@@ -265,7 +245,7 @@ def _verify_theorem_a(args, data) -> CommandResult:
     return _check_result(args.kind, chk, {"inequalities": polymatroid.system_to_json(sys_)}, details)
 
 
-def _verify_theorem_c(args, data) -> CommandResult:
+def _verify_theorem_c(args, data) -> tuple:
     P = subspaces.linear_polymatroid(subspaces.config_from_json(data))
     supp = mobius_mod.mu_support(P)
     extra = {"polymatroid": point_set_to_json(P), "mu_support": point_set_to_json(supp)}
@@ -289,59 +269,52 @@ VERIFY_KINDS = {
 }
 
 
-def cmd_verify(args) -> CommandResult:
+def cmd_verify(args) -> tuple:
     return VERIFY_KINDS[args.kind](args, _load_json(args.input))
 
 
-def _base_polymatroid_input(args, subject: str):
-    """(msupp, m): the point set at args.msupp and its ambient bound, --ambient
-    (checked at once, whatever the command reads of it) or else the
-    componentwise max; or the violation result when the set fails the
-    base-polymatroid check."""
+def _base_polymatroid_input(args) -> tuple:
+    """(msupp, m, check): the point set at args.msupp, its ambient bound,
+    --ambient (checked at once, whatever the command reads of it) or else
+    the componentwise max, and the set's base-polymatroid check."""
     msupp = point_set_from_json(_load_json(args.msupp))
     m = check_ambient(msupp, parse_vector(args.ambient)) if args.ambient else tuple(map(max, zip(*msupp)))
-    chk = polymatroid.is_base_polymatroid(msupp)
+    return msupp, m, polymatroid.is_base_polymatroid(msupp)
+
+
+def cmd_hilbert(args) -> tuple:
+    msupp, m, chk = _base_polymatroid_input(args)
     if not chk:
-        return _result({"verdict": False}, lambda: [f"{subject} fails the polymatroid check"], chk)
-    return msupp, m
-
-
-def cmd_hilbert(args) -> CommandResult:
-    loaded = _base_polymatroid_input(args, "multidegree support")
-    if isinstance(loaded, CommandResult):
-        return loaded
-    msupp, m = loaded
+        return {"verdict": False}, lambda: ["multidegree support fails the polymatroid check"], chk
     values = _run("hilbert", "all" if args.oracle else None, msupp, m)
     H = next(iter(values.values()))
+    chk = _compare(values)
     text = stalactite.hilbert_text(H)
     payload = {"hilbert": poly_to_json(H), "text": text}
 
     def lines():
         yield "Hilbert polynomial (binomial-product basis):"
         yield f"  {text}"
-        if "oracle_agrees" in payload:
-            yield f"  inclusion-exclusion oracle agrees: {payload['oracle_agrees']}"
+        if args.oracle:
+            yield f"  inclusion-exclusion oracle agrees: {bool(chk)}"
         if "eval" in payload:
             yield f"  value at t = {payload['eval']['t']}: {payload['eval']['value']}"
 
     if args.oracle:
-        diff = _disagreement(values)
-        payload["oracle_agrees"] = diff is None
-        if diff:
-            n, coeffs = diff
-            return _result(payload, lines, Check(False, {"condition": "oracle-mismatch", "n": n, **coeffs}))
-    if args.eval is not None:
+        payload["oracle_agrees"] = bool(chk)
+    if chk and args.eval is not None:
         t = parse_vector(args.eval)
         payload["eval"] = {"t": list(t), "value": stalactite.hilbert_eval(H, t)}
-    return _result(payload, lines)
+    return payload, lines, chk
 
 
-def cmd_mobius(args) -> CommandResult:
-    loaded = _base_polymatroid_input(args, "input")
-    if isinstance(loaded, CommandResult):
-        return loaded
-    msupp, m = loaded
-    MU = mobius_mod.mobius_to_top(msupp)
+def cmd_mobius(args) -> tuple:
+    msupp, m, chk = _base_polymatroid_input(args)
+    if not chk:
+        return {"verdict": False}, lambda: ["input fails the polymatroid check"], chk
+    values = _run("deg = -mu", "all" if args.check else "neg_mu", msupp)
+    chk = _compare(values)
+    MU = -values["neg_mu"]
     mu = poly_to_json(MU)
     supp = MU.support()
     payload = {"mu": mu, "mu_support": point_set_to_json(supp)}
@@ -350,25 +323,21 @@ def cmd_mobius(args) -> CommandResult:
         yield "mu(u, 1hat) over the downset (nonzero values):"
         yield f"  {mu}"
         yield f"mu-support size: {len(supp)}"
-        if "deg_equals_neg_mu" in payload:
-            yield f"deg = -mu identity: {payload['deg_equals_neg_mu']}"
+        if args.check:
+            yield f"deg = -mu identity: {bool(chk)}"
         if "kpoly" in payload:
             yield f"twisted K-polynomial: {poly_text(K)}"
 
     if args.check:
-        diff = _disagreement(_run("deg = -mu", "all", msupp))
-        payload["deg_equals_neg_mu"] = diff is None
-        if diff:
-            n, coeffs = diff
-            return _result(payload, lines, Check(False, {"condition": "deg-vs-mobius", "n": n, **coeffs}))
-    if args.kpoly:
+        payload["deg_equals_neg_mu"] = bool(chk)
+    if chk and args.kpoly:
         K = mobius_mod.kpoly_from_mobius(msupp, m)
         payload["kpoly"] = poly_to_json(K)
         payload["ambient"] = list(m)
-    return _result(payload, lines)
+    return payload, lines, chk
 
 
-def cmd_linear_polymatroid(args) -> CommandResult:
+def cmd_linear_polymatroid(args) -> tuple:
     if args.random:
         if args.seed is None:
             raise ValueError("--random requires an explicit --seed")
@@ -385,6 +354,7 @@ def cmd_linear_polymatroid(args) -> CommandResult:
     P = subspaces.linear_polymatroid(config)
     points = point_set_to_json(P)
     payload = {"config": subspaces.config_to_json(config), "polymatroid": points}
+    chk = Check(True)
 
     def lines():
         yield f"linear polymatroid on [{config.p}] with {len(P)} lattice points:"
@@ -397,11 +367,10 @@ def cmd_linear_polymatroid(args) -> CommandResult:
         chk = polymatroid.is_g_polymatroid(supp, "paramodular")
         payload["mu_support"] = point_set_to_json(supp)
         payload["mu_support_g_polymatroid"] = bool(chk)
-        return _result(payload, lines, chk)
-    return _result(payload, lines)
+    return payload, lines, chk
 
 
-def cmd_explore(args) -> CommandResult:
+def cmd_explore(args) -> tuple:
     if args.max_p < 2:
         raise ValueError(f"--max-p must be at least 2, got {args.max_p}")
     if args.max_coord < 1:
@@ -417,7 +386,7 @@ def cmd_explore(args) -> CommandResult:
             yield "  counterexample candidates (report only, nothing is asserted):"
             yield from (f"    {P}" for P in report["failures"])
 
-    return _result(report, lines)
+    return report, lines, Check(True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Square-free ideals generated by Borel-fixed monomial primes and their
-inclusion-exclusion Hilbert polynomials: the lattice route, by Mobius
-inversion, and the literal subset sum that the tests compare it against.
+inclusion-exclusion Hilbert polynomials by Mobius inversion on a lattice.
+The tests compare it against the literal subset sum, capped at SUBSET_CAP
+primes.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from collections.abc import Sequence
 from operator import sub
 
 from .lattice import (
-    CapExceeded,
     IntPolynomial,
     Point,
     PointSet,
@@ -21,7 +21,7 @@ from .lattice import (
     downset_difference,
 )
 
-# primes the literal subset route may take (2^k - 1 subsets)
+# primes the tests' literal subset oracle may take (2^k - 1 subsets)
 SUBSET_CAP = 20
 
 
@@ -70,26 +70,11 @@ class SquareFreeIdeal(Record):
         return len(self.m)
 
 
-def _ie_coefficients_subsets(gens: Sequence[Point]) -> dict[Point, int]:
-    """Coefficient of each prime sum p_v in the inclusion-exclusion
-    expansion, literally: (-1)^(r-1) at the componentwise max of each of the
-    2^k - 1 nonempty subsets of r primes, refused above SUBSET_CAP primes.
-    The oracle the tests compare the lattice route against."""
-    k = len(gens)
-    if k > SUBSET_CAP:
-        raise CapExceeded(f"inclusion-exclusion over {k} primes exceeds the 2^{SUBSET_CAP} subset cap")
-    coeffs: dict[Point, int] = {}
-    for r in range(1, k + 1):
-        for sub in itertools.combinations(gens, r):
-            v = tuple(map(max, zip(*sub)))
-            coeffs[v] = coeffs.get(v, 0) + (-1) ** (r - 1)
-    return {v: c for v, c in coeffs.items() if c}
-
-
 def _ie_coefficients_lattice(gens: Sequence[Point]) -> dict[Point, int]:
-    """The same coefficients by Mobius inversion, the production route:
-    sum_{w <= v} c_w is 1 exactly on the up-set of the generators, so c is
-    that indicator differenced along every axis.  Reflecting through the
+    """Coefficient c_v of each prime sum p_v in the inclusion-exclusion
+    expansion, by Mobius inversion: sum_{w <= v} c_w is 1 exactly on the
+    up-set of the generators, so c is that indicator differenced along every
+    axis.  Reflecting through the
     generators' componentwise max M, u -> M - u, turns the up-set into the
     downset of the reflected generators, which lattice.downset_difference,
     the Mobius kernel, differences on their value grid, one lane per cell of

@@ -10,8 +10,9 @@ object reaches in common on the object's INPUTS.
 import itertools
 import math
 import random
+from collections.abc import Sequence
 
-from kpoly import polymatroid, subspaces
+from kpoly import monomial, polymatroid, subspaces
 from kpoly.lattice import (
     CapExceeded,
     Check,
@@ -29,7 +30,7 @@ from kpoly.lattice import (
     top,
     truncation_masks,
 )
-from kpoly.monomial import SquareFreeIdeal, _ie_coefficients_subsets, msupp_to_ideal
+from kpoly.monomial import SquareFreeIdeal, msupp_to_ideal
 from kpoly.schubert import grothendieck, msupp_of_matrix_schubert, zero_one_permutations
 from kpoly.subspaces import SubspaceConfig
 from running_example import AMBIENT_M3, MSUPP_3
@@ -121,6 +122,24 @@ def hilbert_function_bruteforce(J: SquareFreeIdeal, v) -> int:
         return hit
 
     return sum(1 for s in itertools.product(*per_component) if covered(s))
+
+
+# inclusion-exclusion by its subsets
+
+def _ie_coefficients_subsets(gens: Sequence[Point]) -> dict[Point, int]:
+    """The tests' oracle for the inclusion-exclusion coefficients of
+    monomial.hilbert_poly_ie: the coefficient of each prime sum p_v,
+    literally (-1)^(r-1) at the componentwise max of each of the 2^k - 1
+    nonempty subsets of r primes, refused above monomial.SUBSET_CAP primes."""
+    k = len(gens)
+    if k > monomial.SUBSET_CAP:
+        raise CapExceeded(f"inclusion-exclusion over {k} primes exceeds the 2^{monomial.SUBSET_CAP} subset cap")
+    coeffs: dict[Point, int] = {}
+    for r in range(1, k + 1):
+        for sub in itertools.combinations(gens, r):
+            v = tuple(map(max, zip(*sub)))
+            coeffs[v] = coeffs.get(v, 0) + (-1) ** (r - 1)
+    return {v: c for v, c in coeffs.items() if c}
 
 
 # the paper's checks on a signed Hilbert support

@@ -15,7 +15,7 @@ from kpoly.mobius import (
     mu_support,
     verify_matroid_mu_theorem,
 )
-from kpoly.monomial import _ie_coefficients_subsets, hilbert_poly_ie, msupp_to_ideal
+from kpoly.monomial import hilbert_poly_ie, msupp_to_ideal
 from kpoly.polymatroid import (
     G_POLY_METHODS,
     _exchange_check,
@@ -53,7 +53,14 @@ from running_example import (
     STALACTITES_NATURAL,
     W,
 )
-from oracles import hilbert_function_bruteforce, increasing_path_check, inversions, truncate, verify_mobius_sums
+from oracles import (
+    _ie_coefficients_subsets,
+    hilbert_function_bruteforce,
+    increasing_path_check,
+    inversions,
+    truncate,
+    verify_mobius_sums,
+)
 
 
 def report(n, text):

@@ -76,8 +76,8 @@ def test_json_writer_matches_the_stdlib_encoder(tmp_path):
         ["verify", "cave", not_g],
     ):
         args = cli.build_parser().parse_args(argv)
-        result = args.func(args)
-        payloads.append({"status": result.status, **result.payload})
+        payload, _, chk = args.func(args)
+        payloads.append({**payload, "witness": chk.witness})
     assert "cause" in payloads[-1]["witness"]
     payloads += [
         [], {}, [[]], [{}], {"a": [], "b": {}}, True, False, None, 0, -7, 10**30, 1.5, "",
@@ -122,19 +122,18 @@ def test_oracle_mismatch_carries_a_witness(tmp_path, monkeypatch, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["oracle_agrees"] is False
     assert payload["witness"] == {
-        "condition": "oracle-mismatch", "n": [2, 2, 3], "stalactites": -2, "inclusion_exclusion": 5
+        "condition": "route-mismatch",
+        "exp": [2, 2, 3],
+        "coeffs": {"stalactites": -2, "inclusion_exclusion": 5},
     }
 
 
-def test_hilbert_oracle_never_runs_the_subset_route(tmp_path, monkeypatch, capsys):
-    # the literal subset sum is the tests' oracle; kpoly hilbert --oracle runs
-    # the lattice route on every ideal, from 1 prime to the 14 of S_5's largest
+def test_hilbert_oracle_never_runs_the_subset_route(tmp_path, capsys):
+    # the literal subset sum is the tests' oracle (tests/oracles.py), out of
+    # the library's reach; kpoly hilbert --oracle runs the lattice route on
+    # every ideal, from 1 prime to the 14 of S_5's largest
     from kpoly.schubert import msupp_of_matrix_schubert, zero_one_permutations
 
-    def refuse(*args):
-        raise AssertionError("subset route called")
-
-    monkeypatch.setattr(monomial, "_ie_coefficients_subsets", refuse)
     path = str(tmp_path / "msupp.json")
     for w in zero_one_permutations(5):
         msupp, m = msupp_of_matrix_schubert(w)
@@ -479,6 +478,17 @@ def test_mobius_command(tmp_path, capsys):
     assert payload["deg_equals_neg_mu"] is True
     got = {tuple(t["exp"]): t["coeff"] for t in payload["kpoly"]}
     assert got == KPOLY_3
+
+
+@pytest.mark.parametrize("flags", [[], ["--check"]])
+def test_mobius_computes_mu_once(flags, tmp_path, monkeypatch, capsys):
+    # mu is the value of the neg_mu route, with or without the deg route beside it
+    calls = []
+    real = mobius.mobius_to_top
+    monkeypatch.setattr(mobius, "mobius_to_top", lambda P: calls.append(P) or real(P))
+    path = write_json(tmp_path, "msupp.json", [list(q) for q in MSUPP_3])
+    assert main(["mobius", path, *flags]) == 0
+    assert len(calls) == 1
 
 
 def test_mobius_and_hilbert_on_the_point_of_no_coordinates(tmp_path, capsys):

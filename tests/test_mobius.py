@@ -28,7 +28,7 @@ from kpoly.polymatroid import base_polymatroid, rank_functions
 from kpoly.stalactite import hsupp_from_msupp
 from kpoly.subspaces import linear_polymatroid, random_config
 import oracles
-from oracles import _mobius_recursive
+from oracles import _ie_coefficients_subsets, _mobius_recursive
 from running_example import AMBIENT_M3, KPOLY_3, MSUPP_3
 from test_routes import _kpoly_functions, _reached
 
@@ -148,7 +148,7 @@ def test_mobius_methods_agree_on_the_theorem_c_linear_polymatroids():
 
 def test_literal_oracles_never_enter_the_grid_kernel(monkeypatch):
     from kpoly import lattice, monomial
-    from kpoly.monomial import SquareFreeIdeal, _ie_coefficients_subsets
+    from kpoly.monomial import SquareFreeIdeal
 
     expected_mu = mobius_to_top(point_set(MSUPP_3))
     J = SquareFreeIdeal((4, 4), ((0, 3), (1, 2), (3, 0)))
@@ -216,9 +216,9 @@ def deg_vs_mu(tmp_path, P: PointSet):
     path = tmp_path / "msupp.json"
     path.write_text(json.dumps([list(q) for q in P]))
     args = cli.build_parser().parse_args(["mobius", str(path), "--check"])
-    payload = args.func(args).payload
-    assert payload["deg_equals_neg_mu"] == ("witness" not in payload)
-    return payload.get("witness")
+    payload, _, chk = args.func(args)
+    assert payload["deg_equals_neg_mu"] == bool(chk)
+    return chk.witness
 
 
 def test_deg_equals_neg_mobius(tmp_path):
@@ -235,7 +235,7 @@ def test_deg_vs_mobius_witness_is_the_first_differing_point(monkeypatch, tmp_pat
 
     monkeypatch.setattr(stalactite, "hsupp_from_msupp", perturbed)
     witness = deg_vs_mu(tmp_path, point_set(MSUPP_3))
-    assert witness == {"condition": "deg-vs-mobius", "n": [2, 2, 3], "deg": 5, "neg_mu": -2}
+    assert witness == {"condition": "route-mismatch", "exp": [2, 2, 3], "coeffs": {"deg": 5, "neg_mu": -2}}
 
 
 def test_deg_equals_neg_mobius_randomized(tmp_path):

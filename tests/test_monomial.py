@@ -10,14 +10,13 @@ from kpoly import monomial
 from kpoly.lattice import CapExceeded, IntPolynomial, Point, point_set
 from kpoly.monomial import (
     _ie_coefficients_lattice,
-    _ie_coefficients_subsets,
     SquareFreeIdeal,
     hilbert_poly_ie,
     msupp_to_ideal,
 )
 from kpoly.stalactite import hilbert_eval, hsupp_from_msupp
 import oracles
-from oracles import count_monomials, hilbert_function_bruteforce
+from oracles import _ie_coefficients_subsets, count_monomials, hilbert_function_bruteforce
 from running_example import AMBIENT_M3, HILBERT_3, KPOLY_3, MSUPP_3
 from test_lattice import literal_downset_difference
 

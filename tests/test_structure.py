@@ -110,8 +110,8 @@ def _references(node, modules=()):
             yield n.value
 
 
-def _unreferenced_public_functions():
-    """module.name of each public top-level function and class of src/kpoly,
+def _unreferenced_functions():
+    """module.name of each top-level function and public class of src/kpoly,
     and module.Class.name of each public method of those classes, that no
     module but __init__ names outside the def itself: as a name, an attribute
     or a string constant, not counting the names that `from . import` binds
@@ -127,11 +127,13 @@ def _unreferenced_public_functions():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs[f"{name}.{node.name}"] = node
                 defs.update((f"{name}.{node.name}.{f.name}", f) for f in node.body if isinstance(f, ast.FunctionDef))
-    return {qualified for qualified, node in defs.items() if "._" not in qualified
+    return {qualified for qualified, node in defs.items()
+            if ("._" not in qualified or qualified.count(".") == 1 and isinstance(node, ast.FunctionDef))
             and counts[node.name] == list(_references(node)).count(node.name)}
 
 
 def test_every_public_function_has_a_caller_or_a_declared_reason():
     # a function or method that only the tests call lives in the tests, beside the
-    # route it checks; a kept name that gains a caller leaves the list
-    assert _unreferenced_public_functions() == set(KEPT_PUBLIC)
+    # route it checks, private top-level functions included; a kept name that
+    # gains a caller leaves the list
+    assert _unreferenced_functions() == set(KEPT_PUBLIC)
